@@ -58,6 +58,12 @@ def _cmd_run(args) -> int:
         if args.horizon is not None:
             raw["horizon"] = args.horizon
         configs.append(validate_config(raw))
+    names = [cfg.name for cfg in configs]
+    shared = sorted({name for name in names if names.count(name) > 1})
+    if shared:
+        raise ConfigError(
+            [f"name: {n!r} is used by more than one config; both would write <out>/{n}/" for n in shared]
+        )
 
     def execute(cfg):
         manifest = run_scenario(cfg, args.out, jobs=args.jobs)

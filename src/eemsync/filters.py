@@ -4,9 +4,10 @@ Three variants share one model: the standard full-state filter (whose
 covariance diverges along the unobservable subspace while its gain still
 converges), the determinate decomposed filter (which never forms the
 diverging block), and the stationary filter running on precomputed
-fixed-point gains.  The stationary solver also provides the
-weight-transport shortcuts that express the unobservable gain and
-covariance of an arbitrary weight basis through the observable solution.
+fixed-point gains, which a structure-preserving doubling solve finds in
+about twenty steps.  The module also provides the weight-transport
+shortcuts that express the unobservable gain and covariance of an
+arbitrary weight basis through the observable solution.
 """
 
 from __future__ import annotations
@@ -249,74 +250,64 @@ def solve_stationary(
     d: Decomposition,
     R: np.ndarray,
     tol: float = 1e-13,
-    max_iter: int = 10**6,
+    max_iter: int = 64,
     warm_start: Optional[np.ndarray] = None,
 ) -> StationaryGains:
     """Stationary covariances and gains for one decomposition.
 
-    The observable prior covariance is obtained by iterating the exact
-    covariance recursion from Qo (or from ``warm_start``, which lets a
-    solution for one weight seed the solve for another: the observable
-    fixed point does not depend on the weight) until the relative
-    Frobenius increment drops below ``tol``, then polished to the
-    machine floor by re-solving the frozen-gain covariance equation.
-    The cross covariance then solves a linear system of dimension
-    4(N-1) by vectorization.  Both fixed-point residuals are checked
-    before returning.
+    The observable prior covariance solves the filter Riccati equation by
+    structure-preserving doubling (Chu, Fan & Lin, 2005): doubling k
+    yields the covariance recursion's 2^k-th iterate from zero, so
+    ``iterations`` counts doublings (at most ``max_iter``) until the
+    relative Frobenius increment drops to ``tol``.  A ``warm_start`` (the
+    observable fixed point does not depend on the weight) is accepted,
+    with ``iterations == 1``, when one exact update moves it by at most
+    ``tol``; otherwise the solve runs cold.  The cross covariance then
+    solves a linear system of dimension 4(N-1) by vectorization.  Both
+    fixed-point residuals are checked before returning.
     """
     n_obs = 2 * (d.N - 1)
     R = np.asarray(R, dtype=float)
-    P = d.Qo.copy() if warm_start is None else np.asarray(warm_start, dtype=float).copy()
-    if P.shape != (n_obs, n_obs):
-        raise ValueError(f"warm_start must have shape ({n_obs}, {n_obs})")
+    try:
+        R_factor = cho_factor(R, lower=True)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError("measurement noise covariance is not positive definite") from exc
 
-    def advance(P_prior: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def advance(P_prior: np.ndarray) -> np.ndarray:
         CP = d.Co @ P_prior
-        S = CP @ d.Co.T + R
-        H = _spd_solve_gain(S, CP)
-        P_next = _sym(d.Ao @ (P_prior - H @ CP) @ d.Ao.T + d.Qo)
-        return P_next, H, CP
-
-    iterations = 0
-    rel = np.inf
-    for iterations in range(1, max_iter + 1):
-        P_next, _, _ = advance(P)
-        rel = np.linalg.norm(P_next - P, "fro") / max(np.linalg.norm(P_next, "fro"), 1e-300)
-        P = P_next
-        if rel <= tol:
-            break
-    else:
-        raise ConvergenceError(
-            f"observable covariance did not converge in {max_iter} iterations "
-            f"(last relative increment {rel:.3e})"
-        )
-
-    # polish to the machine floor: the iteration leaves a truncation error
-    # of order tol/(1 - rho^2), which the ill-conditioned cross solve below
-    # would amplify by 1/(1 - rho).  Re-solving the frozen-gain (Joseph
-    # form) Stein equation removes it; gain suboptimality only enters at
-    # second order, so one or two solves suffice.
-    eye_obs = np.eye(n_obs)
-    for _ in range(5):
-        CP = d.Co @ P
         H = _spd_solve_gain(CP @ d.Co.T + R, CP)
-        Z_pol = d.Ao @ (eye_obs - H @ d.Co)
-        rhs = _sym(d.Qo + d.Ao @ H @ R @ H.T @ d.Ao.T)
-        try:
-            vec = np.linalg.solve(
-                np.eye(n_obs**2) - np.kron(Z_pol, Z_pol), rhs.flatten(order="F")
+        return _sym(d.Ao @ (P_prior - H @ CP) @ d.Ao.T + d.Qo)
+
+    def rel_diff(a: np.ndarray, b: np.ndarray) -> float:
+        return float(np.linalg.norm(a - b, "fro") / max(np.linalg.norm(a, "fro"), 1e-300))
+
+    P, iterations = None, 1
+    if warm_start is not None:
+        warm = np.asarray(warm_start, dtype=float)
+        if warm.shape != (n_obs, n_obs):
+            raise ValueError(f"warm_start must have shape ({n_obs}, {n_obs})")
+        P_next = advance(warm)
+        if rel_diff(P_next, warm) <= tol:
+            P = P_next
+    if P is None:
+        # doubling for X = A^T X (I + G X)^{-1} A + H with A = Ao^T, G = Co^T R^{-1} Co, H = Qo
+        A, G, P = d.Ao.T, _sym(d.Co.T @ cho_solve(R_factor, d.Co)), d.Qo
+        rel = np.inf
+        for iterations in range(1, max_iter + 1):
+            try:
+                WA, WG = np.hsplit(np.linalg.solve(np.eye(n_obs) + G @ P, np.hstack([A, G])), 2)
+            except np.linalg.LinAlgError as exc:
+                raise NumericalError("doubling step: I + G H is singular") from exc
+            P_next = _sym(P + A.T @ P @ WA)
+            G, A = _sym(G + A @ WG @ A.T), A @ WA
+            rel, P = rel_diff(P_next, P), P_next
+            if rel <= tol:
+                break
+        else:
+            raise ConvergenceError(
+                f"observable covariance did not converge in {max_iter} doublings "
+                f"(last relative increment {rel:.3e})"
             )
-        except np.linalg.LinAlgError as exc:
-            raise NumericalError(
-                "frozen-gain covariance equation is singular during polish"
-            ) from exc
-        P_polished = _sym(vec.reshape((n_obs, n_obs), order="F"))
-        move = np.linalg.norm(P_polished - P, "fro") / max(
-            np.linalg.norm(P, "fro"), 1e-300
-        )
-        P = P_polished
-        if move <= 1e-15:
-            break
 
     CP = d.Co @ P
     S = CP @ d.Co.T + R
@@ -337,14 +328,8 @@ def solve_stationary(
     P_bo = vec.reshape((2, n_obs), order="F")
     H_bo = _spd_solve_gain(S, d.Co @ P_bo.T)
 
-    P_check, _, _ = advance(P)
-    residual_oo = float(
-        np.linalg.norm(P_check - P, "fro") / max(np.linalg.norm(P, "fro"), 1e-300)
-    )
-    bo_map = d.A @ P_bo @ Z.T + X
-    residual_bo = float(
-        np.linalg.norm(bo_map - P_bo, "fro") / max(np.linalg.norm(P_bo, "fro"), 1e-300)
-    )
+    residual_oo = rel_diff(P, advance(P))
+    residual_bo = rel_diff(P_bo, d.A @ P_bo @ Z.T + X)
     if residual_oo > 1e-10 or residual_bo > 1e-10:
         raise ConvergenceError(
             f"stationary solution failed its fixed-point residual check "

@@ -124,6 +124,12 @@ class ScenarioConfig:
     raw: dict
 
 
+def _is_number(value, integer: bool = False) -> bool:
+    """An int, or unless ``integer`` a float; JSON true/false parse to bool,
+    which Python would otherwise accept as the int 1 or 0."""
+    return isinstance(value, int if integer else (int, float)) and not isinstance(value, bool)
+
+
 def _resolve_weight(spec, model: EnsembleModel, problems: List[str]) -> Optional[np.ndarray]:
     s1 = np.diag(model.Sigma1)
     s2 = np.diag(model.Sigma2)
@@ -143,11 +149,10 @@ def _resolve_weight(spec, model: EnsembleModel, problems: List[str]) -> Optional
             "(use 'uniform', 'short', 'long', 'last-clock', or a list)"
         )
         return None
-    try:
-        q = np.asarray(spec, dtype=float)
-    except (TypeError, ValueError):
+    if not isinstance(spec, (list, tuple)) or not all(_is_number(x) for x in spec):
         problems.append(f"controller.weight: not a number list: {spec!r}")
         return None
+    q = np.asarray(spec, dtype=float)
     if q.shape != (model.N,):
         problems.append(
             f"controller.weight: expected {model.N} entries, got shape {q.shape}"
@@ -167,10 +172,10 @@ def _build_model(raw_model, problems: List[str]) -> Optional[EnsembleModel]:
         return None
     n = raw_model.get("n_clocks")
     tau = raw_model.get("tau", 1.0)
-    if not isinstance(n, int) or n < 2:
+    if not _is_number(n, integer=True) or n < 2:
         problems.append(f"model.n_clocks: integer >= 2 required, got {n!r}")
         return None
-    if not isinstance(tau, (int, float)) or tau <= 0:
+    if not _is_number(tau) or tau <= 0:
         problems.append(f"model.tau: positive number required, got {tau!r}")
         return None
 
@@ -179,11 +184,10 @@ def _build_model(raw_model, problems: List[str]) -> Optional[EnsembleModel]:
         if val is None:
             problems.append(f"model.{key}: missing (need {length} values)")
             return None
-        try:
-            arr = np.asarray(val, dtype=float)
-        except (TypeError, ValueError):
+        if not isinstance(val, (list, tuple)) or not all(_is_number(x) for x in val):
             problems.append(f"model.{key}: not a number list")
             return None
+        arr = np.asarray(val, dtype=float)
         if arr.shape != (length,):
             problems.append(f"model.{key}: expected {length} values, got shape {arr.shape}")
             return None
@@ -236,11 +240,11 @@ def validate_config(raw) -> ScenarioConfig:
     model = _build_model(raw.get("model"), problems)
 
     horizon = raw.get("horizon")
-    if not isinstance(horizon, int) or horizon < 4:
+    if not _is_number(horizon, integer=True) or horizon < 4:
         problems.append(f"horizon: integer >= 4 required, got {horizon!r}")
         horizon = 4
     seed = raw.get("seed")
-    if not isinstance(seed, int) or seed < 0:
+    if not _is_number(seed, integer=True) or seed < 0:
         problems.append(f"seed: nonnegative integer required, got {seed!r}")
         seed = 0
 
@@ -289,7 +293,7 @@ def validate_config(raw) -> ScenarioConfig:
         ok_pair = (
             lambda v: isinstance(v, (list, tuple))
             and len(v) == 2
-            and all(isinstance(x, (int, float)) for x in v)
+            and all(_is_number(x) for x in v)
         )
         if not ok_pair(obs_coeffs):
             problems.append(f"controller.obs_gain_coeffs: pair of numbers required, got {obs_coeffs!r}")
@@ -297,9 +301,9 @@ def validate_config(raw) -> ScenarioConfig:
             problems.append(
                 f"controller.collective_gain_coeffs: pair of numbers required, got {coll_coeffs!r}"
             )
-        if not isinstance(period, int) or period < 1:
+        if not _is_number(period, integer=True) or period < 1:
             problems.append(f"controller.period: integer >= 1 required, got {period!r}")
-        if not isinstance(phase, int) or phase < 0:
+        if not _is_number(phase, integer=True) or phase < 0:
             problems.append(f"controller.phase: nonnegative integer required, got {phase!r}")
         if not problems:
             try:

@@ -109,6 +109,25 @@ def test_run_several_configs_in_parallel(tmp_path, capsys):
         assert (out_dir / name / "manifest.json").exists()
 
 
+def test_run_rejects_shared_scenario_name(tmp_path, capsys):
+    first = tmp_path / "first"
+    second = tmp_path / "second"
+    first.mkdir()
+    second.mkdir()
+    a = write_config(first, name="same", seed=1)
+    b = write_config(second, name="same", seed=2)
+    out_dir = tmp_path / "artifacts"
+    assert main(["run", str(a), str(b), "--out", str(out_dir), "--jobs", "2"]) == 2
+    assert "'same'" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
+def test_validate_rejects_boolean_seed(tmp_path, capsys):
+    path = write_config(tmp_path, seed=True)
+    assert main(["validate", str(path)]) == 2
+    assert "seed" in capsys.readouterr().err
+
+
 def test_run_propagates_validation_failure(tmp_path, capsys):
     path = write_config(tmp_path, horizon=3)
     assert main(["run", str(path), "--out", str(tmp_path / "artifacts")]) == 2

@@ -1,11 +1,16 @@
 """Filter checks: decomposed-filter equivalence, stationary solutions."""
 
+import time
+from typing import Optional, Tuple
+
 import numpy as np
 import pytest
 
 from eemsync import (
     ConvergenceError,
+    NoiseParams,
     NumericalError,
+    build_ensemble,
     decompose,
     determinate_kf_init,
     determinate_kf_step,
@@ -15,15 +20,18 @@ from eemsync import (
     solve_stationary,
     standard_kf_init,
     standard_kf_step,
+    star_measurement,
     stationary_kf_init,
     stationary_kf_step,
     unobservable_covariance_from_observable,
     unobservable_gain_from_observable,
     weight_long,
+    weight_short,
     write_gains_json,
 )
-from eemsync.filters import _spd_solve_gain, _sym
-from eemsync.presets import demo_ensemble
+from eemsync.decomp import Decomposition
+from eemsync.filters import StationaryGains, _spd_solve_gain, _sym
+from eemsync.presets import DEMO_MEAS_STD, DEMO_SIGMA1, DEMO_SIGMA2, demo_ensemble
 
 
 def run_both_filters(model, basis, T, seed, policy_omegas=None):
@@ -219,6 +227,130 @@ class TestGainCovarianceDichotomy:
         assert gain_rel >= 100 * det_gain_rel
 
 
+# ---------------------------------------------------------------------------
+# reference stationary solver
+
+
+def reference_solve_stationary(
+    d: Decomposition,
+    R: np.ndarray,
+    tol: float = 1e-13,
+    max_iter: int = 10**6,
+    warm_start: Optional[np.ndarray] = None,
+) -> StationaryGains:
+    """Iterate-and-polish stationary solver, kept as the oracle for the
+    doubling solve in ``solve_stationary``.
+
+    The observable prior covariance is obtained by iterating the exact
+    covariance recursion from Qo (or from ``warm_start``, which lets a
+    solution for one weight seed the solve for another: the observable
+    fixed point does not depend on the weight) until the relative
+    Frobenius increment drops below ``tol``, then polished to the
+    machine floor by re-solving the frozen-gain covariance equation.
+    The cross covariance then solves a linear system of dimension
+    4(N-1) by vectorization.  Both fixed-point residuals are checked
+    before returning.
+    """
+    n_obs = 2 * (d.N - 1)
+    R = np.asarray(R, dtype=float)
+    P = d.Qo.copy() if warm_start is None else np.asarray(warm_start, dtype=float).copy()
+    if P.shape != (n_obs, n_obs):
+        raise ValueError(f"warm_start must have shape ({n_obs}, {n_obs})")
+
+    def advance(P_prior: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        CP = d.Co @ P_prior
+        S = CP @ d.Co.T + R
+        H = _spd_solve_gain(S, CP)
+        P_next = _sym(d.Ao @ (P_prior - H @ CP) @ d.Ao.T + d.Qo)
+        return P_next, H, CP
+
+    iterations = 0
+    rel = np.inf
+    for iterations in range(1, max_iter + 1):
+        P_next, _, _ = advance(P)
+        rel = np.linalg.norm(P_next - P, "fro") / max(np.linalg.norm(P_next, "fro"), 1e-300)
+        P = P_next
+        if rel <= tol:
+            break
+    else:
+        raise ConvergenceError(
+            f"observable covariance did not converge in {max_iter} iterations "
+            f"(last relative increment {rel:.3e})"
+        )
+
+    # polish to the machine floor: the iteration leaves a truncation error
+    # of order tol/(1 - rho^2), which the ill-conditioned cross solve below
+    # would amplify by 1/(1 - rho).  Re-solving the frozen-gain (Joseph
+    # form) Stein equation removes it; gain suboptimality only enters at
+    # second order, so one or two solves suffice.
+    eye_obs = np.eye(n_obs)
+    for _ in range(5):
+        CP = d.Co @ P
+        H = _spd_solve_gain(CP @ d.Co.T + R, CP)
+        Z_pol = d.Ao @ (eye_obs - H @ d.Co)
+        rhs = _sym(d.Qo + d.Ao @ H @ R @ H.T @ d.Ao.T)
+        try:
+            vec = np.linalg.solve(
+                np.eye(n_obs**2) - np.kron(Z_pol, Z_pol), rhs.flatten(order="F")
+            )
+        except np.linalg.LinAlgError as exc:
+            raise NumericalError(
+                "frozen-gain covariance equation is singular during polish"
+            ) from exc
+        P_polished = _sym(vec.reshape((n_obs, n_obs), order="F"))
+        move = np.linalg.norm(P_polished - P, "fro") / max(
+            np.linalg.norm(P, "fro"), 1e-300
+        )
+        P = P_polished
+        if move <= 1e-15:
+            break
+
+    CP = d.Co @ P
+    S = CP @ d.Co.T + R
+    H_o = _spd_solve_gain(S, CP)
+    gain_complement = np.eye(n_obs) - H_o @ d.Co
+    Z = d.Ao @ gain_complement
+
+    # cross equation P_bo = A P_bo Z^T + X, solved by column-major vectorization
+    X = d.Qbo + d.coupling @ P @ gain_complement.T @ d.Ao.T
+    M = np.eye(4 * (d.N - 1)) - np.kron(Z, d.A)
+    try:
+        vec = np.linalg.solve(M, X.flatten(order="F"))
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(
+            "vectorized cross-covariance system is singular; the observable "
+            "closed loop is not contractive"
+        ) from exc
+    P_bo = vec.reshape((2, n_obs), order="F")
+    H_bo = _spd_solve_gain(S, d.Co @ P_bo.T)
+
+    P_check, _, _ = advance(P)
+    residual_oo = float(
+        np.linalg.norm(P_check - P, "fro") / max(np.linalg.norm(P, "fro"), 1e-300)
+    )
+    bo_map = d.A @ P_bo @ Z.T + X
+    residual_bo = float(
+        np.linalg.norm(bo_map - P_bo, "fro") / max(np.linalg.norm(P_bo, "fro"), 1e-300)
+    )
+    if residual_oo > 1e-10 or residual_bo > 1e-10:
+        raise ConvergenceError(
+            f"stationary solution failed its fixed-point residual check "
+            f"(observable {residual_oo:.3e}, cross {residual_bo:.3e})"
+        )
+
+    rho = float(np.max(np.abs(np.linalg.eigvals(Z))))
+    return StationaryGains(
+        P_oo_star=P,
+        P_bo_star=P_bo,
+        H_o_star=H_o,
+        H_bo_star=H_bo,
+        residual_oo=residual_oo,
+        residual_bo=residual_bo,
+        iterations=iterations,
+        spectral_radius=rho,
+    )
+
+
 class TestStationary:
     def test_fixed_point_residuals(self):
         model = demo_ensemble(n_clocks=4)
@@ -240,7 +372,17 @@ class TestStationary:
         d2 = decompose(model, np.array([0.4, 0.3, 0.2, 0.1]))
         g2 = solve_stationary(d2, model.meas.R, warm_start=g1.P_oo_star)
         assert g2.iterations <= 5
+        assert g2.iterations < g1.iterations
         assert np.max(np.abs(g2.P_oo_star - g1.P_oo_star)) <= 1e-10 * np.max(np.abs(g1.P_oo_star))
+
+    def test_distant_warm_start_falls_back_to_cold_solve(self):
+        model = demo_ensemble(n_clocks=4)
+        d = decompose(model, np.full(4, 0.25))
+        cold = solve_stationary(d, model.meas.R)
+        warm = solve_stationary(d, model.meas.R, warm_start=d.Qo)
+        assert warm.iterations == cold.iterations
+        assert np.array_equal(warm.P_oo_star, cold.P_oo_star)
+        assert np.array_equal(warm.H_bo_star, cold.H_bo_star)
 
     def test_iteration_cap_raises(self):
         model = demo_ensemble(n_clocks=3)
@@ -296,6 +438,75 @@ class TestStationary:
         }
         assert np.allclose(doc["H_o_star"], g.H_o_star)
         assert doc["residuals"]["oo"] == g.residual_oo
+
+
+def _oracle_weight(model, name):
+    if name == "uniform":
+        return np.full(model.N, 1.0 / model.N)
+    if name == "short":
+        return weight_short(np.diag(model.Sigma1)).q
+    if name == "long":
+        return weight_long(np.diag(model.Sigma2)).q
+    return np.random.default_rng(21).dirichlet(np.ones(model.N))
+
+
+@pytest.fixture(scope="module")
+def reference_cold_solution():
+    """Cold reference solve per ensemble size; the observable fixed point
+    does not depend on the weight, so it warm-starts the other weights."""
+    cache = {}
+
+    def get(n_clocks):
+        if n_clocks not in cache:
+            model = demo_ensemble(n_clocks=n_clocks)
+            d = decompose(model, np.full(n_clocks, 1.0 / n_clocks))
+            cache[n_clocks] = reference_solve_stationary(d, model.meas.R)
+        return cache[n_clocks]
+
+    return get
+
+
+class TestDoublingAgainstReference:
+    @pytest.mark.parametrize("weight", ["uniform", "short", "long", "dirichlet"])
+    @pytest.mark.parametrize("n_clocks", [4, 10])
+    def test_matches_iterate_and_polish(self, n_clocks, weight, reference_cold_solution):
+        model = demo_ensemble(n_clocks=n_clocks)
+        d = decompose(model, _oracle_weight(model, weight))
+        g = solve_stationary(d, model.meas.R)
+        cold = reference_cold_solution(n_clocks)
+        ref = (
+            cold
+            if weight == "uniform"
+            else reference_solve_stationary(d, model.meas.R, warm_start=cold.P_oo_star)
+        )
+        scale_ho = np.linalg.norm(ref.H_o_star)
+        for field, scale in (
+            ("P_oo_star", np.linalg.norm(ref.P_oo_star)),
+            ("P_bo_star", np.linalg.norm(ref.P_bo_star)),
+            ("H_o_star", scale_ho),
+            ("H_bo_star", scale_ho),
+        ):
+            diff = np.linalg.norm(getattr(g, field) - getattr(ref, field))
+            assert diff <= 1e-12 * scale, f"{field}: {diff / scale:.3e} relative"
+        # iterations counts doublings: 2^17 covariance steps already exceed
+        # the ~3e4 that the plain iteration needs at these spectral radii
+        assert g.iterations <= 20
+
+    def test_fifty_clock_ensemble_solves_cold(self):
+        # well past the bundled ten clocks: the observable block is 98 x 98,
+        # where a Kronecker-product polish would need a 9604^2 dense system
+        n = 50
+        params = [NoiseParams(DEMO_SIGMA1[i % 10], DEMO_SIGMA2[i % 10]) for i in range(n)]
+        R = np.diag(np.resize(DEMO_MEAS_STD, n - 1) ** 2)
+        model = build_ensemble(params, star_measurement(n), R, 1.0)
+        d = decompose(model, np.full(n, 1.0 / n))
+        start = time.perf_counter()
+        g = solve_stationary(d, model.meas.R)
+        elapsed = time.perf_counter() - start
+        assert g.residual_oo <= 1e-10
+        assert g.residual_bo <= 1e-10
+        assert g.spectral_radius < 1.0
+        assert elapsed <= 5.0, f"cold solve took {elapsed:.2f} s"
 
 
 class TestLongTermWeightShortcuts:

@@ -116,6 +116,32 @@ class TestValidateConfig:
         np.testing.assert_allclose(cfg_long.weight, weight_long(s2).q, rtol=1e-12)
         assert cfg_long.controller.mode == "sync-only"
 
+    @pytest.mark.parametrize(
+        "section, field, value",
+        [
+            ("model", "n_clocks", True),
+            ("model", "tau", True),
+            ("model", "sigma1", [True, 0.886e-10, 1.221e-10]),
+            ("model", "sigma2", [1.507e-13, True, 0.167e-13]),
+            ("model", "meas_std", [True, 0.0759e-14]),
+            (None, "horizon", True),
+            (None, "seed", True),
+            ("controller", "weight", [True, False, False]),
+            ("controller", "obs_gain_coeffs", [True, 1.0]),
+            ("controller", "collective_gain_coeffs", [0.01, True]),
+            ("controller", "period", True),
+            ("controller", "phase", False),
+        ],
+    )
+    def test_boolean_rejected_where_number_expected(self, section, field, value):
+        raw = raw_config("balanced")
+        if section is None:
+            raw[field] = value
+        else:
+            raw.setdefault(section, {})[field] = value
+        with pytest.raises(ConfigError, match=field):
+            validate_config(raw)
+
     def test_json_string_accepted(self):
         cfg = validate_config(json.dumps(raw_config()))
         assert cfg.kind == "free-run"
