@@ -12,7 +12,6 @@ __version__ = "0.1.0"
 
 from .allan import (
     AllanPlot,
-    GammaMatrix,
     allan_pi,
     allan_plot,
     analytical_allan_clock,
@@ -26,16 +25,12 @@ from .allan import (
 )
 from .control import (
     ControllerConfig,
-    ControllerStep,
     EemPolicy,
-    SyncDestination,
     check_collective_gain,
     check_obs_gain,
-    controller_init,
     default_collective_gain,
     default_obs_gain,
     destination_trajectory,
-    eem_controller_step,
     sync_error,
     write_command_log_csv,
 )
@@ -54,13 +49,11 @@ from .filters import (
     DeterminateKFState,
     StandardKFState,
     StationaryGains,
-    StationaryKFState,
     determinate_kf_init,
     determinate_kf_step,
     solve_stationary,
     standard_kf_init,
     standard_kf_step,
-    stationary_kf_init,
     stationary_kf_step,
     unobservable_covariance_from_observable,
     unobservable_gain_from_observable,

@@ -14,7 +14,7 @@ from .models import NoiseParams
 
 __all__ = [
     "AllanPlot",
-    "GammaMatrix",
+    "variance_vector",
     "gamma_matrix",
     "analytical_allan_clock",
     "allan_pi",
@@ -44,27 +44,15 @@ def variance_vector(Sigma: Union[np.ndarray, Sequence[float]]) -> np.ndarray:
     return S
 
 
-@dataclass(frozen=True)
-class GammaMatrix:
-    """Interval covariance Gamma(tau) = tau Sigma1 + (tau^3/3) Sigma2."""
-
-    value: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.value, dtype=float)
-        if v.ndim != 2 or v.shape[0] != v.shape[1]:
-            raise ValueError(f"value must be square, got shape {v.shape}")
-        object.__setattr__(self, "value", v)
-
-
-def gamma_matrix(Sigma1, Sigma2, tau: float) -> GammaMatrix:
+def gamma_matrix(Sigma1, Sigma2, tau: float) -> np.ndarray:
+    """Diagonal of the interval covariance Gamma(tau) = tau Sigma1 + (tau^3/3) Sigma2."""
     if tau <= 0:
         raise ValueError(f"tau must be positive, got {tau}")
     s1 = variance_vector(Sigma1)
     s2 = variance_vector(Sigma2)
     if s1.shape != s2.shape:
         raise ValueError("Sigma1 and Sigma2 must have matching sizes")
-    return GammaMatrix(np.diag(tau * s1 + (tau**3 / 3.0) * s2))
+    return tau * s1 + (tau**3 / 3.0) * s2
 
 
 def analytical_allan_clock(noise: NoiseParams, tau: float) -> float:
@@ -77,7 +65,7 @@ def analytical_allan_clock(noise: NoiseParams, tau: float) -> float:
 def allan_pi(q: Union[EnsembleWeight, np.ndarray], Sigma1, Sigma2, tau: float) -> float:
     """Allan variance of the weighted ensemble mean: q^T Gamma(tau) q / tau^2."""
     qv = weight_vector(q)
-    g = np.diag(gamma_matrix(Sigma1, Sigma2, tau).value)
+    g = gamma_matrix(Sigma1, Sigma2, tau)
     if g.size != qv.size:
         raise ValueError(f"weight has {qv.size} entries, noise has {g.size}")
     return float(qv @ (g * qv) / tau**2)
@@ -169,7 +157,7 @@ def optimal_weight(Sigma1, Sigma2, tau: float) -> EnsembleWeight:
     Gamma(tau) is diagonal here, so the inverse-variance form is exact:
     q = Gamma^{-1} 1 / (1^T Gamma^{-1} 1).
     """
-    g = np.diag(gamma_matrix(Sigma1, Sigma2, tau).value)
+    g = gamma_matrix(Sigma1, Sigma2, tau)
     if np.any(g == 0.0):
         raise ValueError("Gamma(tau) is singular; a clock has zero interval variance")
     w = 1.0 / g

@@ -12,27 +12,30 @@ the destination the ensemble actually carries.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, NamedTuple, Optional, Union
+from functools import partial
+from typing import List, Optional, Union
 
 import numpy as np
 
 from .decomp import Decomposition, EnsembleWeight, expand_input, reconstruct_state, weight_vector
 from .errors import ConfigError
-from .filters import DeterminateKFState, StationaryGains, determinate_kf_step
+from .filters import (
+    DeterminateKFState,
+    StationaryGains,
+    determinate_kf_init,
+    determinate_kf_step,
+    stationary_kf_step,
+)
 from .models import EnsembleModel
 from .simkit import NoiseSampler
 
 __all__ = [
     "ControllerConfig",
-    "SyncDestination",
-    "ControllerStep",
     "EemPolicy",
     "check_obs_gain",
     "check_collective_gain",
     "default_obs_gain",
     "default_collective_gain",
-    "eem_controller_step",
-    "controller_init",
     "destination_trajectory",
     "sync_error",
     "write_command_log_csv",
@@ -139,87 +142,15 @@ class ControllerConfig:
         return self.q.size
 
 
-@dataclass(frozen=True)
-class SyncDestination:
-    """Snapshot of the destination process: weight, state, and reading."""
-
-    q: np.ndarray
-    r: np.ndarray
-    z: float
-
-    def __post_init__(self):
-        qv = weight_vector(self.q)
-        r = np.asarray(self.r, dtype=float)
-        if r.shape != (2,):
-            raise ValueError(f"destination state must have shape (2,), got {r.shape}")
-        object.__setattr__(self, "q", qv)
-        object.__setattr__(self, "r", r)
-        object.__setattr__(self, "z", float(self.z))
-        if abs(self.z - r[0]) > 1e-12 * max(1.0, abs(r[0])):
-            raise ValueError("destination reading must equal the phase component")
-
-
-class ControllerStep(NamedTuple):
-    u: np.ndarray
-    state: DeterminateKFState
-    omega_o: np.ndarray
-    omega_obar: float
-
-
-def controller_init(d: Decomposition, x0: Optional[np.ndarray] = None) -> DeterminateKFState:
-    """Prior estimates the observer starts from (zero unless given)."""
-    if x0 is None:
-        xi_o = np.zeros(2 * (d.N - 1))
-        xi_obar = np.zeros(2)
-    else:
-        from .decomp import project_state
-
-        xi_o, xi_obar = project_state(np.asarray(x0, dtype=float), d)
-    return DeterminateKFState(xi_o_hat=xi_o, xi_obar_hat=xi_obar)
-
-
-def eem_controller_step(
-    cfg: ControllerConfig,
-    d: Decomposition,
-    g: StationaryGains,
-    state: DeterminateKFState,
-    y: np.ndarray,
-    k: int,
-) -> ControllerStep:
-    """One closed-loop step: feedback from the prior estimates, then the
-    observer update.
-
-    The collective input fires only in balanced mode and only when k is
-    on the configured schedule; otherwise it is exactly zero, so the
-    steering weight keeps its designated clock untouched bit-for-bit.
-    """
-    xo = state.xi_o_hat
-    xb = state.xi_obar_hat
-    omega_o = -(cfg.F_o @ xo)
-    if cfg.mode == "balanced" and (k - cfg.phase) % cfg.m == 0:
-        omega_obar = float(-(cfg.K_bo @ xb)[0])
-    else:
-        omega_obar = 0.0
-
-    innov = np.asarray(y, dtype=float) - d.Co @ xo
-    post_o = xo + g.H_o_star @ innov
-    post_obar = xb + g.H_bo_star @ innov
-    new_state = DeterminateKFState(
-        xi_o_hat=d.Ao @ post_o + d.Bo @ omega_o,
-        xi_obar_hat=d.A @ post_obar + d.B * omega_obar,
-        xi_o_post=post_o,
-        xi_obar_post=post_obar,
-    )
-    u = expand_input(omega_o, omega_obar, d)
-    return ControllerStep(u=u, state=new_state, omega_o=omega_o, omega_obar=omega_obar)
-
-
 class EemPolicy:
     """Measurement-feedback policy for the simulator loop.
 
-    Wraps either the stationary observer (default) or the full
-    non-stationary decomposed filter, logs every command, and optionally
-    records the reconstructed prior estimate the feedback acted on.
+    Each call runs one observer step (the stationary filter on the
+    precomputed gains, or the full time-varying decomposed filter on R):
+    it predicts with the previous command and updates with y[k].  The
+    command then comes from that prior estimate, so ``estimates[k]``
+    (kept when ``record_estimates`` is set) is the reconstructed prior
+    that command k acted on.  Every command is logged.
     """
 
     def __init__(
@@ -229,7 +160,6 @@ class EemPolicy:
         gains: Optional[StationaryGains] = None,
         R: Optional[np.ndarray] = None,
         record_estimates: bool = False,
-        x0: Optional[np.ndarray] = None,
     ):
         if d.q is None:
             raise ValueError("the controller requires a weight-basis decomposition")
@@ -237,41 +167,33 @@ class EemPolicy:
             raise ValueError("provide stationary gains or R for the time-varying filter")
         self.cfg = cfg
         self.d = d
-        self.gains = gains
-        self.R = None if R is None else np.asarray(R, dtype=float)
         self.record_estimates = record_estimates
         self.omega_o_log: List[np.ndarray] = []
         self.omega_obar_log: List[float] = []
         self._estimates: List[np.ndarray] = []
+        # bound per instance, so a step patched onto this module is picked up
         if gains is not None:
-            self.state: DeterminateKFState = controller_init(d, x0)
+            self._step = partial(stationary_kf_step, d, gains)
         else:
-            from .filters import determinate_kf_init
-
-            self.state = determinate_kf_init(d, x0)
-            self._last_omega = (np.zeros(d.N - 1), 0.0)
+            self._step = partial(determinate_kf_step, d, np.asarray(R, dtype=float))
+        self.state: DeterminateKFState = determinate_kf_init(d)
+        self._last_omega = (np.zeros(d.N - 1), 0.0)
 
     def __call__(self, k: int, y: np.ndarray) -> np.ndarray:
-        if self.gains is not None:
-            out = eem_controller_step(self.cfg, self.d, self.gains, self.state, y, k)
-            self.state = out.state
-            u, omega_o, omega_obar = out.u, out.omega_o, out.omega_obar
-            prior_o, prior_obar = self.state.xi_o_hat, self.state.xi_obar_hat
+        cfg = self.cfg
+        self.state = self._step(self.state, self._last_omega, y)
+        prior_o, prior_obar = self.state.xi_o_hat, self.state.xi_obar_hat
+        omega_o = -(cfg.F_o @ prior_o)
+        if cfg.mode == "balanced" and (k - cfg.phase) % cfg.m == 0:
+            omega_obar = float(-(cfg.K_bo @ prior_obar)[0])
         else:
-            self.state = determinate_kf_step(self.d, self.R, self.state, self._last_omega, y)
-            prior_o, prior_obar = self.state.xi_o_hat, self.state.xi_obar_hat
-            omega_o = -(self.cfg.F_o @ prior_o)
-            if self.cfg.mode == "balanced" and (k - self.cfg.phase) % self.cfg.m == 0:
-                omega_obar = float(-(self.cfg.K_bo @ prior_obar)[0])
-            else:
-                omega_obar = 0.0
-            self._last_omega = (omega_o, omega_obar)
-            u = expand_input(omega_o, omega_obar, self.d)
+            omega_obar = 0.0
+        self._last_omega = (omega_o, omega_obar)
         self.omega_o_log.append(omega_o)
         self.omega_obar_log.append(omega_obar)
         if self.record_estimates:
             self._estimates.append(reconstruct_state(prior_o, prior_obar, self.d))
-        return u
+        return expand_input(omega_o, omega_obar, self.d)
 
     @property
     def estimates(self) -> Optional[np.ndarray]:

@@ -26,6 +26,7 @@ __all__ = [
     "project_state",
     "reconstruct_state",
     "expand_input",
+    "weight_vector",
 ]
 
 # tolerance for the structural identities; everything here is at most a

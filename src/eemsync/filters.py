@@ -27,14 +27,12 @@ from .models import EnsembleModel
 __all__ = [
     "StandardKFState",
     "DeterminateKFState",
-    "StationaryKFState",
     "StationaryGains",
     "standard_kf_init",
     "standard_kf_step",
     "determinate_kf_init",
     "determinate_kf_step",
     "solve_stationary",
-    "stationary_kf_init",
     "stationary_kf_step",
     "unobservable_gain_from_observable",
     "unobservable_covariance_from_observable",
@@ -144,7 +142,8 @@ class DeterminateKFState:
     ``xi_o_hat`` / ``xi_obar_hat`` are the prior estimates of the latest
     step, as propagated by the decomposed recursion; the ``*_post``
     fields hold the matching posteriors (consumed by the next predict).
-    ``P_oo`` / ``P_bo`` are posterior covariances.
+    ``P_oo`` / ``P_bo`` are posterior covariances; the stationary step
+    leaves every covariance and gain field ``None``.
     """
 
     xi_o_post: Optional[np.ndarray] = None
@@ -349,45 +348,28 @@ def solve_stationary(
     )
 
 
-@dataclass
-class StationaryKFState:
-    """Prior estimates propagated by the constant-gain recursion."""
-
-    xi_o_hat: np.ndarray
-    xi_obar_hat: np.ndarray
-    xi_o_post: Optional[np.ndarray] = None
-    xi_obar_post: Optional[np.ndarray] = None
-
-
-def stationary_kf_init(d: Decomposition, x0: Optional[np.ndarray] = None) -> StationaryKFState:
-    if x0 is None:
-        return StationaryKFState(np.zeros(2 * (d.N - 1)), np.zeros(2))
-    xi_o, xi_obar = project_state(np.asarray(x0, dtype=float), d)
-    return StationaryKFState(xi_o_hat=xi_o, xi_obar_hat=xi_obar)
-
-
 def stationary_kf_step(
     d: Decomposition,
     g: StationaryGains,
-    state: StationaryKFState,
+    state: DeterminateKFState,
     omega_prev: InputPair,
     y: np.ndarray,
-) -> StationaryKFState:
-    """Constant-gain two-line recursion on the prior estimates.
+) -> DeterminateKFState:
+    """``determinate_kf_step`` with the gains frozen at the fixed point.
 
-    ``omega_prev`` here is the decomposed input applied at the current
-    step (the prediction advances past it), matching the closed-loop
-    ordering in which the input is computed from the prior estimate.
+    Same state and ordering: predict from the stored posterior with the
+    previous input, then update with ``y``.  The covariance fields stay
+    ``None`` because the gains hold them.
     """
     omega_o, omega_obar = _input_pair(omega_prev, d.N - 1)
-    innov = np.asarray(y, dtype=float) - d.Co @ state.xi_o_hat
-    post_o = state.xi_o_hat + g.H_o_star @ innov
-    post_obar = state.xi_obar_hat + g.H_bo_star @ innov
-    return StationaryKFState(
-        xi_o_hat=d.Ao @ post_o + d.Bo @ omega_o,
-        xi_obar_hat=d.coupling @ post_o + d.A @ post_obar + d.B * omega_obar,
-        xi_o_post=post_o,
-        xi_obar_post=post_obar,
+    xo_m = d.Ao @ state.xi_o_post + d.Bo @ omega_o
+    xb_m = d.coupling @ state.xi_o_post + d.A @ state.xi_obar_post + d.B * omega_obar
+    innov = np.asarray(y, dtype=float) - d.Co @ xo_m
+    return DeterminateKFState(
+        xi_o_post=xo_m + g.H_o_star @ innov,
+        xi_obar_post=xb_m + g.H_bo_star @ innov,
+        xi_o_hat=xo_m,
+        xi_obar_hat=xb_m,
     )
 
 

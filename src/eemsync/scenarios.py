@@ -685,11 +685,12 @@ def _run_controller(cfg: ScenarioConfig, art: _Artifacts, jobs: int) -> dict:
     if cfg.kind == "steer-to-clock":
         summary["steered_clock_max_abs_input"] = float(np.max(np.abs(rec.u[:, -1])))
     if cfg.kind == "balanced":
-        # at the kick instants the mean should ride the long-term destination
+        # at the kick instants, k = phase (mod m), the mean should ride
+        # the long-term destination
         m = cfg.controller.m
         q_inf = weight_long(s2).q
         delta_long = sync_error(rec, destination_trajectory(model, q_inf, cfg.horizon, cfg.seed))
-        sampled_mean = delta_long[::m, : model.N] @ q_inf
+        sampled_mean = delta_long[cfg.controller.phase % m :: m, : model.N] @ q_inf
         summary["collective_kicks"] = int(np.count_nonzero(policy.command_log()[1]))
         summary["sampled_mean_phase_trend"] = _trend_statistics(sampled_mean)
     return summary

@@ -7,31 +7,108 @@ synchronization feedback does, and the collective input moves every
 relative coordinate by exactly nothing.
 """
 
+from typing import NamedTuple, Optional
+
 import numpy as np
 import pytest
 
 from eemsync import (
     ConfigError,
     ControllerConfig,
+    Decomposition,
+    DeterminateKFState,
     EemPolicy,
-    SyncDestination,
+    StationaryGains,
     check_collective_gain,
     check_obs_gain,
-    controller_init,
     decompose,
     default_collective_gain,
     default_obs_gain,
     demo_ensemble,
     destination_trajectory,
-    eem_controller_step,
+    expand_input,
     project_state,
     simulate,
     solve_stationary,
-    stationary_kf_step,
-    stationary_kf_init,
     sync_error,
     write_command_log_csv,
 )
+
+
+# ---------------------------------------------------------------------------
+# reference: the fused controller step that EemPolicy replaced, kept
+# verbatim as the oracle for the policy's trajectories
+
+
+class ControllerStep(NamedTuple):
+    u: np.ndarray
+    state: DeterminateKFState
+    omega_o: np.ndarray
+    omega_obar: float
+
+
+def controller_init(d: Decomposition, x0: Optional[np.ndarray] = None) -> DeterminateKFState:
+    """Prior estimates the observer starts from (zero unless given)."""
+    if x0 is None:
+        xi_o = np.zeros(2 * (d.N - 1))
+        xi_obar = np.zeros(2)
+    else:
+        from eemsync.decomp import project_state
+
+        xi_o, xi_obar = project_state(np.asarray(x0, dtype=float), d)
+    return DeterminateKFState(xi_o_hat=xi_o, xi_obar_hat=xi_obar)
+
+
+def eem_controller_step(
+    cfg: ControllerConfig,
+    d: Decomposition,
+    g: StationaryGains,
+    state: DeterminateKFState,
+    y: np.ndarray,
+    k: int,
+) -> ControllerStep:
+    """One closed-loop step: feedback from the prior estimates, then the
+    observer update.
+
+    The collective input fires only in balanced mode and only when k is
+    on the configured schedule; otherwise it is exactly zero, so the
+    steering weight keeps its designated clock untouched bit-for-bit.
+    """
+    xo = state.xi_o_hat
+    xb = state.xi_obar_hat
+    omega_o = -(cfg.F_o @ xo)
+    if cfg.mode == "balanced" and (k - cfg.phase) % cfg.m == 0:
+        omega_obar = float(-(cfg.K_bo @ xb)[0])
+    else:
+        omega_obar = 0.0
+
+    innov = np.asarray(y, dtype=float) - d.Co @ xo
+    post_o = xo + g.H_o_star @ innov
+    post_obar = xb + g.H_bo_star @ innov
+    new_state = DeterminateKFState(
+        xi_o_hat=d.Ao @ post_o + d.Bo @ omega_o,
+        xi_obar_hat=d.A @ post_obar + d.B * omega_obar,
+        xi_o_post=post_o,
+        xi_obar_post=post_obar,
+    )
+    u = expand_input(omega_o, omega_obar, d)
+    return ControllerStep(u=u, state=new_state, omega_o=omega_o, omega_obar=omega_obar)
+
+
+class ReferencePolicy:
+    """Simulator policy looping over the reference controller step."""
+
+    def __init__(self, cfg, d, g):
+        self.cfg, self.d, self.g = cfg, d, g
+        self.state = controller_init(d)
+        self.omega_o_log, self.omega_obar_log = [], []
+
+    def __call__(self, k, y):
+        out = eem_controller_step(self.cfg, self.d, self.g, self.state, y, k)
+        self.state = out.state
+        self.omega_o_log.append(out.omega_o)
+        self.omega_obar_log.append(out.omega_obar)
+        return out.u
 
 
 @pytest.fixture(scope="module")
@@ -168,18 +245,6 @@ class TestControllerConfig:
         assert cfg.N == 4
 
 
-class TestSyncDestination:
-    def test_reading_tied_to_phase_component(self):
-        dest = SyncDestination(q=np.full(3, 1.0 / 3), r=np.array([1.5, 2.0]), z=1.5)
-        assert dest.z == 1.5
-        with pytest.raises(ValueError, match="reading"):
-            SyncDestination(q=np.full(3, 1.0 / 3), r=np.array([1.5, 2.0]), z=1.6)
-
-    def test_state_shape_checked(self):
-        with pytest.raises(ValueError, match="shape"):
-            SyncDestination(q=np.full(3, 1.0 / 3), r=np.zeros(3), z=0.0)
-
-
 class TestDestinationTrajectory:
     def test_matches_weighted_free_run(self, model4):
         q = np.array([0.4, 0.3, 0.2, 0.1])
@@ -234,69 +299,53 @@ def step_setup():
 class TestControllerStep:
     def test_quiescent_loop_stays_quiet(self, step_setup):
         _, d, g, cfg = step_setup
-        out = eem_controller_step(cfg, d, g, controller_init(d), np.zeros(2), k=0)
-        assert np.all(out.u == 0.0)
-        assert np.all(out.omega_o == 0.0)
-        assert out.omega_obar == 0.0
-        assert np.all(out.state.xi_o_hat == 0.0)
-        assert np.all(out.state.xi_obar_hat == 0.0)
+        policy = EemPolicy(cfg, d, gains=g)
+        for k in range(4):
+            u = policy(k, np.zeros(2))
+            assert np.all(u == 0.0)
+            assert np.all(policy.omega_o_log[-1] == 0.0)
+            assert policy.omega_obar_log[-1] == 0.0
+            assert np.all(policy.state.xi_o_hat == 0.0)
+            assert np.all(policy.state.xi_obar_hat == 0.0)
 
     def test_kick_schedule_with_phase(self, step_setup):
-        from eemsync.filters import DeterminateKFState
-
         _, d, g, cfg = step_setup
-        state = DeterminateKFState(
-            xi_o_hat=np.zeros(4), xi_obar_hat=np.array([1.0, 0.5])
+        policy = EemPolicy(cfg, d, gains=g)
+        policy.state = DeterminateKFState(
+            xi_o_post=np.zeros(4), xi_obar_post=np.array([1.0, 0.5])
         )
-        expected = float(-(cfg.K_bo @ state.xi_obar_hat)[0])
-        assert expected != 0.0
         for k in range(9):
-            out = eem_controller_step(cfg, d, g, state, np.zeros(2), k)
+            policy(k, np.zeros(2))
+            expected = float(-(cfg.K_bo @ policy.state.xi_obar_hat)[0])
             if k % 3 == 1:  # phase = 1, period = 3
-                assert out.omega_obar == expected
+                assert expected != 0.0
+                assert policy.omega_obar_log[-1] == expected
             else:
-                assert out.omega_obar == 0.0
+                assert policy.omega_obar_log[-1] == 0.0
 
     def test_feedback_acts_on_prior_estimate(self, step_setup):
-        from eemsync.decomp import expand_input
-        from eemsync.filters import DeterminateKFState
-
         _, d, g, cfg = step_setup
         rng = np.random.default_rng(8)
-        state = DeterminateKFState(
-            xi_o_hat=rng.normal(size=4), xi_obar_hat=rng.normal(size=2)
-        )
-        y = rng.normal(size=2)
-        out = eem_controller_step(cfg, d, g, state, y, k=1)
+        policy = EemPolicy(cfg, d, gains=g)
+        post_o, post_obar = rng.normal(size=4), rng.normal(size=2)
+        policy.state = DeterminateKFState(xi_o_post=post_o, xi_obar_post=post_obar)
+        u = policy(1, rng.normal(size=2))
         # the command comes from the prior, before y is folded in
-        assert np.array_equal(out.omega_o, -(cfg.F_o @ state.xi_o_hat))
-        assert np.array_equal(out.u, expand_input(out.omega_o, out.omega_obar, d))
-
-    def test_matches_frozen_gain_recursion(self, step_setup):
-        _, d, g, cfg = step_setup
-        rng = np.random.default_rng(17)
-        ctrl = controller_init(d)
-        ref = stationary_kf_init(d)
-        for k in range(20):
-            y = 1e-9 * rng.normal(size=2)
-            out = eem_controller_step(cfg, d, g, ctrl, y, k)
-            ctrl = out.state
-            ref = stationary_kf_step(d, g, ref, (out.omega_o, out.omega_obar), y)
-            assert np.array_equal(ctrl.xi_o_hat, ref.xi_o_hat)
-            assert np.array_equal(ctrl.xi_obar_hat, ref.xi_obar_hat)
-            assert np.array_equal(ctrl.xi_o_post, ref.xi_o_post)
-            assert np.array_equal(ctrl.xi_obar_post, ref.xi_obar_post)
-
-    def test_controller_init_projection(self, step_setup):
-        _, d, _, _ = step_setup
-        rng = np.random.default_rng(4)
-        x0 = rng.normal(size=6)
-        init = controller_init(d, x0)
-        xi_o, xi_obar = project_state(x0, d)
-        assert np.array_equal(init.xi_o_hat, xi_o)
-        assert np.array_equal(init.xi_obar_hat, xi_obar)
-        blank = controller_init(d)
-        assert np.all(blank.xi_o_hat == 0.0) and np.all(blank.xi_obar_hat == 0.0)
+        prior_o = d.Ao @ post_o + d.Bo @ np.zeros(2)
+        assert np.array_equal(policy.state.xi_o_hat, prior_o)
+        omega_o, omega_obar = policy.omega_o_log[-1], policy.omega_obar_log[-1]
+        assert np.array_equal(omega_o, -(cfg.F_o @ prior_o))
+        assert omega_obar != 0.0
+        assert np.array_equal(u, expand_input(omega_o, omega_obar, d))
+        # and the next predict advances past that command
+        post_o = policy.state.xi_o_post
+        post_obar = policy.state.xi_obar_post
+        policy(2, rng.normal(size=2))
+        assert np.array_equal(policy.state.xi_o_hat, d.Ao @ post_o + d.Bo @ omega_o)
+        assert np.array_equal(
+            policy.state.xi_obar_hat,
+            d.coupling @ post_o + d.A @ post_obar + d.B * omega_obar,
+        )
 
 
 LOOP_T = 4000
@@ -384,6 +433,56 @@ class TestClosedLoop:
         assert held < 0.6 * wandering
 
 
+ORACLE_T = 1500
+
+
+class TestPolicyMatchesReference:
+    """EemPolicy reproduces the reference controller loop bit for bit."""
+
+    def _run_both(self, model, cfg, d, g, seed):
+        policy = EemPolicy(cfg, d, gains=g)
+        ref = ReferencePolicy(cfg, d, g)
+        traj = simulate(model, policy, ORACLE_T, seed=seed)
+        traj_ref = simulate(model, ref, ORACLE_T, seed=seed)
+        assert np.array_equal(traj.x, traj_ref.x)
+        assert np.array_equal(traj.u, traj_ref.u)
+        assert np.array_equal(np.asarray(policy.omega_o_log), np.asarray(ref.omega_o_log))
+        assert np.array_equal(
+            np.asarray(policy.omega_obar_log), np.asarray(ref.omega_obar_log)
+        )
+        return traj, policy
+
+    def test_sync_only(self, model4, uniform4):
+        q, d, g = uniform4
+        cfg = ControllerConfig(
+            q=q, F_o=default_obs_gain(4, model4.tau), K_bo=None, m=1, mode="sync-only"
+        )
+        traj, _ = self._run_both(model4, cfg, d, g, seed=31)
+        assert np.max(np.abs(traj.u)) > 0.0
+
+    def test_balanced_with_phase(self, model4, uniform4):
+        q, d, g = uniform4
+        cfg = ControllerConfig(
+            q=q,
+            F_o=default_obs_gain(4, model4.tau),
+            K_bo=default_collective_gain(20, model4.tau, (0.5, 1.0)),
+            m=20,
+            mode="balanced",
+            phase=7,
+        )
+        _, policy = self._run_both(model4, cfg, d, g, seed=32)
+        kicks = np.flatnonzero(np.asarray(policy.omega_obar_log))
+        assert kicks.size > 0 and np.all(kicks % 20 == 7)
+
+    def test_steering_weight(self, model4, steer4):
+        q, d, g = steer4
+        cfg = ControllerConfig(
+            q=q, F_o=default_obs_gain(4, model4.tau), K_bo=None, m=1, mode="sync-only"
+        )
+        traj, _ = self._run_both(model4, cfg, d, g, seed=33)
+        assert np.all(traj.u[:, -1] == 0.0)
+
+
 class TestPolicyAndLogs:
     def test_policy_requires_weight_basis_and_a_filter(self, model4, uniform4):
         q, d, g = uniform4
@@ -415,6 +514,26 @@ class TestPolicyAndLogs:
 
         silent = EemPolicy(cfg, d, gains=g)
         assert silent.estimates is None
+
+    @pytest.mark.parametrize("observer", ["gains", "R"])
+    def test_estimates_are_the_priors_commands_used(self, model4, uniform4, observer):
+        q, d, g = uniform4
+        cfg = ControllerConfig(
+            q=q, F_o=default_obs_gain(4, model4.tau), K_bo=None, m=1, mode="sync-only"
+        )
+        if observer == "gains":
+            policy = EemPolicy(cfg, d, gains=g, record_estimates=True)
+        else:
+            policy = EemPolicy(cfg, d, R=model4.meas.R, record_estimates=True)
+        T = 200
+        simulate(model4, policy, T, seed=14)
+        omega_o, _ = policy.command_log()
+        recomputed = np.array(
+            [-(cfg.F_o @ project_state(policy.estimates[k], d)[0]) for k in range(T)]
+        )
+        scale = np.max(np.abs(omega_o), axis=1, keepdims=True)
+        assert np.all(scale[1:] > 0.0)
+        assert np.all(np.abs(recomputed - omega_o) <= 1e-12 * scale)
 
     def test_time_varying_mode_mechanics(self, model4, uniform4):
         q, d, _ = uniform4

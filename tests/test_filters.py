@@ -21,7 +21,6 @@ from eemsync import (
     standard_kf_init,
     standard_kf_step,
     star_measurement,
-    stationary_kf_init,
     stationary_kf_step,
     unobservable_covariance_from_observable,
     unobservable_gain_from_observable,
@@ -407,7 +406,7 @@ class TestStationary:
         # gains equal the constant ones throughout
         det.P_oo = g.P_oo_star.copy()
         det.P_bo = g.P_bo_star.copy()
-        sta = stationary_kf_init(d)
+        sta = determinate_kf_init(d)
         diffs, scale = [], 0.0
         for k in range(300):
             det = determinate_kf_step(d, model.meas.R, det, None, rec.y[k])

@@ -12,11 +12,17 @@ import pytest
 
 from eemsync import (
     ConfigError,
+    EemPolicy,
     KINDS,
     NumericalError,
     check_collective_gain,
     check_obs_gain,
+    decompose,
+    destination_trajectory,
     run_scenario,
+    simulate,
+    solve_stationary,
+    sync_error,
     validate_config,
     weight_long,
     weight_short,
@@ -204,6 +210,21 @@ class TestRunScenario:
         # because the observer starts from a zero estimate
         assert manifest["summary"]["collective_kicks"] == 4
         assert "sampled_mean_phase_trend" in manifest["summary"]
+
+    def test_balanced_samples_the_mean_at_the_kicks(self, tmp_path):
+        raw = raw_config("balanced", horizon=4000)
+        raw["controller"] = {"period": 50, "phase": 37}
+        cfg = validate_config(raw)
+        manifest = run_scenario(cfg, str(tmp_path))
+        model = cfg.model
+        d = decompose(model, cfg.weight)
+        policy = EemPolicy(cfg.controller, d, gains=solve_stationary(d, model.meas.R))
+        rec = simulate(model, policy, cfg.horizon, cfg.seed)
+        q_inf = weight_long(np.diag(model.Sigma2)).q
+        delta = sync_error(rec, destination_trajectory(model, q_inf, cfg.horizon, cfg.seed))
+        kicks = [k for k in range(cfg.horizon + 1) if (k - 37) % 50 == 0]
+        expected = scen._trend_statistics(delta[kicks, : model.N] @ q_inf)
+        assert manifest["summary"]["sampled_mean_phase_trend"] == expected
 
     def test_suboptimal_kind_runs(self, tmp_path):
         cfg = validate_config(raw_config("standard-kf-suboptimal", horizon=300))
