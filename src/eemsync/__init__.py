@@ -28,6 +28,7 @@ from .control import (
     EemPolicy,
     check_collective_gain,
     check_obs_gain,
+    closed_loop,
     default_collective_gain,
     default_obs_gain,
     destination_trajectory,
@@ -83,5 +84,6 @@ from .simkit import (
     reference_timescale,
     simulate,
     step,
+    write_csv,
     write_trajectory_csv,
 )

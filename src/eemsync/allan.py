@@ -11,6 +11,7 @@ import numpy as np
 
 from .decomp import EnsembleWeight, weight_vector
 from .models import NoiseParams
+from .simkit import write_csv
 
 __all__ = [
     "AllanPlot",
@@ -195,14 +196,11 @@ def write_allan_plots(plots: Dict[str, AllanPlot], out_dir, prefix: str = "allan
         for col in range(values.shape[1]):
             series_name = f"{name}_{col + 1}" if multi else name
             fname = f"{prefix}_{series_name}.csv"
-            data = np.column_stack([plot.intervals, values[:, col]])
-            np.savetxt(
+            write_csv(
                 os.path.join(out_dir, fname),
-                data,
-                delimiter=",",
-                header="interval_s,allan_variance",
-                comments="",
-                fmt="%.16e",
+                ["interval_s", "allan_variance"],
+                np.column_stack([plot.intervals, values[:, col]]),
+                index=False,
             )
             index[series_name] = fname
     index_path = os.path.join(out_dir, f"{prefix}_index.json")

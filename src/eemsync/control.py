@@ -3,7 +3,10 @@
 The controller closes the loop around the stationary decomposed
 observer: synchronization feedback acts on the observable (relative)
 states every step, while an intermittent collective input nudges the
-unobservable ensemble mean without disturbing any relative state.  The
+unobservable ensemble mean without disturbing any relative state.
+``EemPolicy`` runs that loop one measurement at a time inside the
+simulator; ``closed_loop`` runs the same loop on stationary gains as one
+linear recursion over plant and observer together.  The
 synchronization destination is the free-running weighted-mean process,
 co-simulated on the recorded noise so that errors are measured against
 the destination the ensemble actually carries.
@@ -13,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from typing import List, Optional, Union
+from typing import List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -27,13 +30,14 @@ from .filters import (
     stationary_kf_step,
 )
 from .models import EnsembleModel
-from .simkit import NoiseSampler
+from .simkit import NoiseSampler, TrajectoryRecord, write_csv
 
 __all__ = [
     "ControllerConfig",
     "EemPolicy",
     "check_obs_gain",
     "check_collective_gain",
+    "closed_loop",
     "default_obs_gain",
     "default_collective_gain",
     "destination_trajectory",
@@ -203,6 +207,102 @@ class EemPolicy:
         return np.asarray(self.omega_o_log), np.asarray(self.omega_obar_log)
 
 
+# steps per block of the fused recursion: bounds its work array, not the result
+_LOOP_BLOCK = 4096
+
+
+def closed_loop(
+    model: EnsembleModel,
+    cfg: ControllerConfig,
+    d: Decomposition,
+    gains: StationaryGains,
+    T: int,
+    seed: int,
+) -> Tuple[TrajectoryRecord, np.ndarray, np.ndarray]:
+    """The stationary-gain loop of ``simulate(model, EemPolicy(cfg, d,
+    gains=gains), T, seed)``, run as one state-space recursion.
+
+    With the gains frozen, plant and observer together are linear in
+    z[k] = [xi_o_hat[k], xi_obar_hat[k], xi_o[k], xi_obar[k]]: the priors
+    that command k acts on, then the plant state in the same decomposed
+    coordinates (xi = T x).  From z[0] = 0, on the noise ``simulate``
+    draws for ``seed``,
+
+        z[k+1] = M z[k] + [Ao H_o w[k]; A H_bo w[k]; T v[k]],
+
+    and in balanced mode the steps with (k - phase) % m == 0 add the
+    collective feedback to M.  For a weight basis q' Vplus = 0, so the
+    synchronization input drives only the relative states and the mean
+    moves by v and the kicks alone; the observer reads the relative
+    phases y - w directly instead of as differences of large phases.
+    Afterwards x = Tinv xi, y, the commands and u = Vplus omega_o +
+    1 omega_obar are formed in blocks; a clock whose row of Vplus is zero
+    (the steering weight's) gets an input of exactly 0.0.  Agrees with
+    the policy loop up to rounding.
+
+    Returns the record (``h`` is a view of ``x``) and the command logs
+    (omega_o, omega_obar), as ``EemPolicy.command_log`` gives them.
+    """
+    if d.q is None:
+        raise ValueError("the controller requires a weight-basis decomposition")
+    if T < 1:
+        raise ValueError(f"T must be >= 1, got {T}")
+    N = model.N
+    n2 = 2 * N
+    # z[:n2] holds the estimates, z[n2:] the state, each as (xi_o, xi_obar)
+    obs_hat, obar_hat = slice(0, n2 - 2), slice(n2 - 2, n2)
+    obs, obar = slice(n2, 2 * n2 - 2), slice(2 * n2 - 2, 2 * n2)
+    sampler = NoiseSampler(model, seed)
+    v = sampler.process_block(T)
+    w = sampler.measurement_block(T)
+
+    H_o, H_bo = gains.H_o_star, gains.H_bo_star
+    M = np.zeros((2 * n2, 2 * n2))
+    M[obs_hat, obs_hat] = d.Ao @ (np.eye(n2 - 2) - H_o @ d.Co) - d.Bo @ cfg.F_o
+    M[obs_hat, obs] = d.Ao @ H_o @ d.Co
+    M[obar_hat, obs_hat] = -(d.A @ H_bo @ d.Co)
+    M[obar_hat, obar_hat] = d.A
+    M[obar_hat, obs] = d.A @ H_bo @ d.Co
+    M[obs, obs_hat] = -(d.Bo @ cfg.F_o)
+    M[obs, obs] = d.Ao
+    M[obar, obar] = d.A
+    M_kick = M.copy()
+    kicks = np.zeros(T, dtype=bool)
+    if cfg.mode == "balanced":
+        M_kick[obar_hat, obar_hat] -= np.outer(d.B, cfg.K_bo)
+        M_kick[obar, obar_hat] = -np.outer(d.B, cfg.K_bo)
+        kicks[cfg.phase % cfg.m :: cfg.m] = True
+    # rows of Z are states, so one step is z[k+1]^T += z[k]^T M^T
+    M_T, M_kick_T = M.T.copy(), M_kick.T.copy()
+    w_gain = np.vstack([d.Ao @ H_o, d.A @ H_bo]).T
+
+    x = np.empty((T + 1, n2))
+    x[0] = 0.0
+    y = np.empty((T, N - 1))
+    omega_o = np.empty((T, N - 1))
+    omega_obar = np.zeros(T)
+    Z = np.empty((min(T, _LOOP_BLOCK) + 1, 2 * n2))
+    Z[0] = 0.0
+    rows = list(Z)
+    for k0 in range(0, T, _LOOP_BLOCK):
+        n = min(_LOOP_BLOCK, T - k0)
+        Z[1 : n + 1, :n2] = w[k0 : k0 + n] @ w_gain
+        Z[1 : n + 1, n2:] = v[k0 : k0 + n] @ d.T.T
+        for prev, nxt, kick in zip(rows[:n], rows[1 : n + 1], kicks[k0 : k0 + n].tolist()):
+            nxt += prev @ (M_kick_T if kick else M_T)
+        x[k0 + 1 : k0 + n + 1] = Z[1 : n + 1, n2:] @ d.Tinv.T
+        y[k0 : k0 + n] = Z[:n, obs] @ d.Co.T + w[k0 : k0 + n]
+        omega_o[k0 : k0 + n] = -(Z[:n, obs_hat] @ cfg.F_o.T)
+        at = np.flatnonzero(kicks[k0 : k0 + n])
+        if at.size:
+            omega_obar[k0 + at] = -(Z[at, obar_hat] @ cfg.K_bo[0])
+        Z[0] = Z[n]
+
+    u = omega_o @ d.Vplus.T + omega_obar[:, None]
+    record = TrajectoryRecord(tau=model.tau, x=x, h=x[:, :N], y=y, u=u)
+    return record, omega_o, omega_obar
+
+
 def destination_trajectory(
     model: EnsembleModel,
     q: Union[np.ndarray, EnsembleWeight],
@@ -273,12 +373,4 @@ def write_command_log_csv(path, omega_o: np.ndarray, omega_obar: np.ndarray, u: 
         + ["omega_obar"]
         + [f"u_{i + 1}" for i in range(u.shape[1])]
     )
-    data = np.column_stack([np.arange(T), omega_o, omega_obar, u])
-    np.savetxt(
-        path,
-        data,
-        delimiter=",",
-        header=",".join(header),
-        comments="",
-        fmt=["%d"] + ["%.16e"] * (data.shape[1] - 1),
-    )
+    write_csv(path, header, np.column_stack([np.arange(T), omega_o, omega_obar, u]))

@@ -24,7 +24,7 @@ from .allan import (
 )
 from .control import (
     ControllerConfig,
-    EemPolicy,
+    closed_loop,
     destination_trajectory,
     default_collective_gain,
     default_obs_gain,
@@ -47,7 +47,7 @@ from .presets import (
     DEFAULT_COLLECTIVE_PERIOD,
     DEFAULT_OBS_GAIN_COEFFS,
 )
-from .simkit import reference_timescale, simulate, write_trajectory_csv
+from .simkit import reference_timescale, simulate, write_csv, write_trajectory_csv
 
 __all__ = ["ScenarioConfig", "KINDS", "validate_config", "run_scenario"]
 
@@ -240,7 +240,8 @@ def validate_config(raw) -> ScenarioConfig:
     model = _build_model(raw.get("model"), problems)
 
     horizon = raw.get("horizon")
-    if not _is_number(horizon, integer=True) or horizon < 4:
+    horizon_ok = _is_number(horizon, integer=True) and horizon >= 4
+    if not horizon_ok:
         problems.append(f"horizon: integer >= 4 required, got {horizon!r}")
         horizon = 4
     seed = raw.get("seed")
@@ -301,10 +302,22 @@ def validate_config(raw) -> ScenarioConfig:
             problems.append(
                 f"controller.collective_gain_coeffs: pair of numbers required, got {coll_coeffs!r}"
             )
-        if not _is_number(period, integer=True) or period < 1:
+        period_ok = _is_number(period, integer=True) and period >= 1
+        phase_ok = _is_number(phase, integer=True) and phase >= 0
+        if not period_ok:
             problems.append(f"controller.period: integer >= 1 required, got {period!r}")
-        if not _is_number(phase, integer=True) or phase < 0:
+        if not phase_ok:
             problems.append(f"controller.phase: nonnegative integer required, got {phase!r}")
+        if mode == "balanced" and horizon_ok and period_ok and phase_ok:
+            # the summary fits a trend to the mean sampled at the kicks
+            # k = phase % period (mod period); it needs three samples
+            need = phase % period + 2 * period
+            if horizon < need:
+                problems.append(
+                    f"horizon: kind 'balanced' needs horizon >= phase % period + 2 * period "
+                    f"= {need} (three collective kicks) with controller.period = {period} "
+                    f"and controller.phase = {phase}, got {horizon}"
+                )
         if not problems:
             try:
                 controller = ControllerConfig(
@@ -508,15 +521,7 @@ def _standard_filter_pass(model: EnsembleModel, rec, track_increments: bool):
 
 
 def _write_increments(art: _Artifacts, name: str, columns: List[str], data: np.ndarray) -> None:
-    rows = np.column_stack([np.arange(data.shape[0]), data])
-    np.savetxt(
-        art.path(name),
-        rows,
-        delimiter=",",
-        header=",".join(["k"] + columns),
-        comments="",
-        fmt=["%d"] + ["%.16e"] * data.shape[1],
-    )
+    write_csv(art.path(name), ["k"] + columns, np.column_stack([np.arange(data.shape[0]), data]))
 
 
 def _run_standard_kf(cfg: ScenarioConfig, art: _Artifacts, jobs: int) -> dict:
@@ -626,8 +631,7 @@ def _run_controller(cfg: ScenarioConfig, art: _Artifacts, jobs: int) -> dict:
     model = cfg.model
     d = decompose(model, cfg.weight)
     gains = solve_stationary(d, model.meas.R)
-    policy = EemPolicy(cfg.controller, d, gains=gains)
-    rec = simulate(model, policy, cfg.horizon, cfg.seed)
+    rec, omega_o, omega_obar = closed_loop(model, cfg.controller, d, gains, cfg.horizon, cfg.seed)
     dest = destination_trajectory(model, cfg.weight, cfg.horizon, cfg.seed)
     delta = sync_error(rec, dest)
     rel_phase = delta[:, : model.N] @ d.V.T  # common mode removed
@@ -635,24 +639,16 @@ def _run_controller(cfg: ScenarioConfig, art: _Artifacts, jobs: int) -> dict:
     if "gains" in cfg.outputs:
         write_gains_json(gains, art.path("gains.json"))
     if "commands" in cfg.outputs:
-        omega_o, omega_obar = policy.command_log()
         write_command_log_csv(art.path("commands.csv"), omega_o, omega_obar, rec.u)
     if "delta" in cfg.outputs:
         stride = max(1, cfg.horizon // 10_000)
         rows = np.arange(0, delta.shape[0], stride)
-        data = np.column_stack([rows, delta[rows]])
-        np.savetxt(
-            art.path("delta.csv"),
-            data,
-            delimiter=",",
-            header=",".join(
-                ["k"]
-                + [f"delta_phase_{i + 1}" for i in range(model.N)]
-                + [f"delta_freq_{i + 1}" for i in range(model.N)]
-            ),
-            comments="",
-            fmt=["%d"] + ["%.16e"] * (2 * model.N),
+        header = (
+            ["k"]
+            + [f"delta_phase_{i + 1}" for i in range(model.N)]
+            + [f"delta_freq_{i + 1}" for i in range(model.N)]
         )
+        write_csv(art.path("delta.csv"), header, np.column_stack([rows, delta[rows]]))
     if "trajectory" in cfg.outputs:
         write_trajectory_csv(rec, art.path("trajectory.csv"))
 
@@ -691,7 +687,7 @@ def _run_controller(cfg: ScenarioConfig, art: _Artifacts, jobs: int) -> dict:
         q_inf = weight_long(s2).q
         delta_long = sync_error(rec, destination_trajectory(model, q_inf, cfg.horizon, cfg.seed))
         sampled_mean = delta_long[cfg.controller.phase % m :: m, : model.N] @ q_inf
-        summary["collective_kicks"] = int(np.count_nonzero(policy.command_log()[1]))
+        summary["collective_kicks"] = int(np.count_nonzero(omega_obar))
         summary["sampled_mean_phase_trend"] = _trend_statistics(sampled_mean)
     return summary
 

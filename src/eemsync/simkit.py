@@ -10,7 +10,7 @@ filter" comparisons meaningful.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -23,6 +23,7 @@ __all__ = [
     "simulate",
     "digital_imitation",
     "reference_timescale",
+    "write_csv",
     "write_trajectory_csv",
 ]
 
@@ -228,6 +229,33 @@ def reference_timescale(e: np.ndarray, N: int) -> np.ndarray:
     return e[..., :N].mean(axis=-1)
 
 
+# rows formatted per ``%`` operation: bounds the Python floats alive at once
+_CSV_BLOCK = 512
+
+
+def write_csv(path, header: Sequence[str], data: np.ndarray, index: bool = True) -> None:
+    """Write a header line, then one comma-separated line per row of data.
+
+    Values use 17 significant digits (``%.16e``); with ``index`` the first
+    column is written as an integer k.  The bytes equal those of
+    ``np.savetxt`` with the same formats, ``delimiter=","`` and
+    ``comments=""``, but each block of rows is formatted by one ``%``
+    operation on its ``tolist()``.
+    """
+    data = np.asarray(data, dtype=float)
+    if data.ndim != 2 or data.shape[1] != len(header):
+        raise ValueError(f"data of shape {data.shape} does not match {len(header)} header columns")
+    fmt = ["%.16e"] * data.shape[1]
+    if index:
+        fmt[0] = "%d"
+    row = ",".join(fmt) + "\n"
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(",".join(header) + "\n")
+        for start in range(0, data.shape[0], _CSV_BLOCK):
+            block = data[start : start + _CSV_BLOCK]
+            fh.write((row * block.shape[0]) % tuple(block.ravel().tolist()))
+
+
 def write_trajectory_csv(record: TrajectoryRecord, path, include_estimates: bool = False) -> None:
     """Write rows k = 0..T-1 with columns k, h_1..h_N, u_1..u_N.
 
@@ -243,6 +271,4 @@ def write_trajectory_csv(record: TrajectoryRecord, path, include_estimates: bool
             raise ValueError("record has no estimates to export")
         cols.append(record.xhat)
         header += [f"xhat_{i + 1}" for i in range(record.xhat.shape[1])]
-    data = np.hstack(cols)
-    fmt = ["%d"] + ["%.16e"] * (data.shape[1] - 1)
-    np.savetxt(path, data, fmt=fmt, delimiter=",", header=",".join(header), comments="")
+    write_csv(path, header, np.hstack(cols))

@@ -135,6 +135,14 @@ def test_run_propagates_validation_failure(tmp_path, capsys):
     assert not (tmp_path / "artifacts").exists()
 
 
+def test_run_rejects_balanced_horizon_short_of_three_kicks(tmp_path, capsys):
+    out_dir = tmp_path / "artifacts"
+    assert main(["run", "balanced", "--horizon", "300", "--out", str(out_dir)]) == 2
+    err = capsys.readouterr().err
+    assert "horizon" in err and "controller.period" in err
+    assert not out_dir.exists()
+
+
 def test_run_reports_numerical_failure(tmp_path, capsys, monkeypatch):
     from eemsync import NumericalError
     from eemsync import scenarios as scen

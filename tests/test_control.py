@@ -21,6 +21,7 @@ from eemsync import (
     StationaryGains,
     check_collective_gain,
     check_obs_gain,
+    closed_loop,
     decompose,
     default_collective_gain,
     default_obs_gain,
@@ -481,6 +482,70 @@ class TestPolicyMatchesReference:
         )
         traj, _ = self._run_both(model4, cfg, d, g, seed=33)
         assert np.all(traj.u[:, -1] == 0.0)
+
+
+FUSED_T = 5000
+
+
+@pytest.fixture(scope="module")
+def model10():
+    return demo_ensemble()
+
+
+class TestClosedLoopMatchesPolicy:
+    """The fused recursion reproduces the policy loop to rounding."""
+
+    @pytest.mark.parametrize("case", ["sync-only", "balanced", "steering"])
+    @pytest.mark.parametrize("n_clocks", [10, 4])
+    def test_matches_simulated_policy(self, request, n_clocks, case):
+        model = request.getfixturevalue("model10" if n_clocks == 10 else "model4")
+        N = model.N
+        if case == "steering":
+            q = np.zeros(N)
+            q[-1] = 1.0
+        else:
+            q = np.full(N, 1.0 / N)
+        d = decompose(model, q)
+        g = solve_stationary(d, model.meas.R)
+        balanced = case == "balanced"
+        cfg = ControllerConfig(
+            q=q,
+            F_o=default_obs_gain(N, model.tau),
+            K_bo=default_collective_gain(50, model.tau) if balanced else None,
+            m=50 if balanced else 1,
+            mode="balanced" if balanced else "sync-only",
+            phase=37 if balanced else 0,
+        )
+        seed = 70 + n_clocks
+        policy = EemPolicy(cfg, d, gains=g)
+        ref = simulate(model, policy, FUSED_T, seed=seed)
+        rec, omega_o, omega_obar = closed_loop(model, cfg, d, g, FUSED_T, seed)
+        ref_o, ref_obar = policy.command_log()
+        for got, want in (
+            (rec.x, ref.x),
+            (rec.h, ref.h),
+            (rec.y, ref.y),
+            (rec.u, ref.u),
+            (omega_o, ref_o),
+            (omega_obar, ref_obar),
+        ):
+            assert got.shape == want.shape
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+        if balanced:
+            kicks = np.flatnonzero(omega_obar)
+            assert kicks.size > 0 and np.all(kicks % 50 == 37)
+        if case == "steering":
+            assert np.all(rec.u[:, -1] == 0.0)
+
+    def test_requires_weight_basis(self, model4, uniform4):
+        q, _, g = uniform4
+        cfg = ControllerConfig(
+            q=q, F_o=default_obs_gain(4, model4.tau), K_bo=None, m=1, mode="sync-only"
+        )
+        rng = np.random.default_rng(0)
+        Wbar = np.kron(np.eye(2), np.full(4, 0.25)) + 0.01 * rng.normal(size=(2, 8))
+        with pytest.raises(ValueError, match="weight-basis"):
+            closed_loop(model4, cfg, decompose(model4, Wbar), g, 10, 0)
 
 
 class TestPolicyAndLogs:

@@ -402,15 +402,19 @@ class TestStationary:
         g = solve_stationary(d, model.meas.R)
         rec = simulate(model, None, 300, seed=12)
         det = determinate_kf_init(d)
-        # start the exact recursion at the stationary covariance, so its
-        # gains equal the constant ones throughout
-        det.P_oo = g.P_oo_star.copy()
-        det.P_bo = g.P_bo_star.copy()
+        # start the exact recursion at the posterior of the stationary
+        # point: its first predict lands on P_oo_star / P_bo_star, so its
+        # gains equal the constant ones from the first step on
+        det.P_oo = g.P_oo_star - g.H_o_star @ d.Co @ g.P_oo_star
+        det.P_bo = g.P_bo_star - g.H_bo_star @ d.Co @ g.P_oo_star
         sta = determinate_kf_init(d)
         diffs, scale = [], 0.0
         for k in range(300):
             det = determinate_kf_step(d, model.meas.R, det, None, rec.y[k])
             sta = stationary_kf_step(d, g, sta, None, rec.y[k])
+            if k == 0:
+                gain_gap = np.max(np.abs(det.H_o - g.H_o_star))
+                assert gain_gap <= 1e-12 * np.max(np.abs(g.H_o_star))
             post = np.concatenate([det.xi_o_post, det.xi_obar_post])
             post_sta = np.concatenate([sta.xi_o_post, sta.xi_obar_post])
             diffs.append(np.max(np.abs(post_sta - post)))

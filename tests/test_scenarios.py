@@ -12,15 +12,14 @@ import pytest
 
 from eemsync import (
     ConfigError,
-    EemPolicy,
     KINDS,
     NumericalError,
     check_collective_gain,
     check_obs_gain,
+    closed_loop,
     decompose,
     destination_trajectory,
     run_scenario,
-    simulate,
     solve_stationary,
     sync_error,
     validate_config,
@@ -148,6 +147,22 @@ class TestValidateConfig:
         with pytest.raises(ConfigError, match=field):
             validate_config(raw)
 
+    def test_balanced_horizon_needs_three_kicks(self):
+        raw = raw_config("balanced", horizon=300)
+        raw["controller"] = {"period": 200}
+        with pytest.raises(ConfigError) as info:
+            validate_config(raw)
+        message = "; ".join(info.value.problems)
+        assert "horizon" in message and "controller.period" in message
+        # phase 150 puts the kicks at 150, 350, 550
+        raw = raw_config("balanced", horizon=549)
+        raw["controller"] = {"period": 200, "phase": 150}
+        with pytest.raises(ConfigError, match="horizon"):
+            validate_config(raw)
+        raw["horizon"] = 550
+        assert validate_config(raw).horizon == 550
+        assert validate_config(raw_config("balanced")).horizon == 400
+
     def test_json_string_accepted(self):
         cfg = validate_config(json.dumps(raw_config()))
         assert cfg.kind == "free-run"
@@ -211,6 +226,17 @@ class TestRunScenario:
         assert manifest["summary"]["collective_kicks"] == 4
         assert "sampled_mean_phase_trend" in manifest["summary"]
 
+    def test_balanced_at_shortest_horizon_writes_strict_json(self, tmp_path):
+        # horizon 400 with period 200 leaves the three kick samples 0, 200, 400
+        run_scenario(validate_config(raw_config("balanced")), str(tmp_path))
+
+        def reject(constant):
+            raise ValueError(f"summary.json holds {constant}")
+
+        text = (tmp_path / "case" / "summary.json").read_text()
+        summary = json.loads(text, parse_constant=reject)
+        assert np.isfinite(summary["sampled_mean_phase_trend"]["slope"])
+
     def test_balanced_samples_the_mean_at_the_kicks(self, tmp_path):
         raw = raw_config("balanced", horizon=4000)
         raw["controller"] = {"period": 50, "phase": 37}
@@ -218,8 +244,8 @@ class TestRunScenario:
         manifest = run_scenario(cfg, str(tmp_path))
         model = cfg.model
         d = decompose(model, cfg.weight)
-        policy = EemPolicy(cfg.controller, d, gains=solve_stationary(d, model.meas.R))
-        rec = simulate(model, policy, cfg.horizon, cfg.seed)
+        gains = solve_stationary(d, model.meas.R)
+        rec, _, _ = closed_loop(model, cfg.controller, d, gains, cfg.horizon, cfg.seed)
         q_inf = weight_long(np.diag(model.Sigma2)).q
         delta = sync_error(rec, destination_trajectory(model, q_inf, cfg.horizon, cfg.seed))
         kicks = [k for k in range(cfg.horizon + 1) if (k - 37) % 50 == 0]

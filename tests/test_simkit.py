@@ -12,6 +12,7 @@ from eemsync import (
     simulate,
     star_measurement,
     step,
+    write_csv,
     write_trajectory_csv,
 )
 from eemsync.presets import demo_ensemble
@@ -184,3 +185,35 @@ class TestRecordHelpers:
         rec = simulate(demo_ensemble(n_clocks=2), None, 3, seed=0)
         with pytest.raises(ValueError, match="estimates"):
             write_trajectory_csv(rec, tmp_path / "x.csv", include_estimates=True)
+
+    def test_csv_writer_matches_savetxt_bytes(self, tmp_path):
+        rng = np.random.default_rng(3)
+        T = 1100  # crosses two formatting blocks
+        values = rng.normal(size=(T, 6)) * 10.0 ** rng.integers(-300, 300, size=(T, 6))
+        values[0] = [0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324]
+        values[1] = [2.2250738585072014e-308, -1e-310, 1.0, -1.0, 1e308, -1e-320]
+        data = np.column_stack([np.arange(T), values])
+        header = ["k"] + [f"c_{i + 1}" for i in range(6)]
+        write_csv(tmp_path / "ours.csv", header, data)
+        np.savetxt(
+            tmp_path / "ref.csv",
+            data,
+            delimiter=",",
+            header=",".join(header),
+            comments="",
+            fmt=["%d"] + ["%.16e"] * 6,
+        )
+        assert (tmp_path / "ours.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+        write_csv(tmp_path / "plain.csv", header[1:], values, index=False)
+        np.savetxt(
+            tmp_path / "plain_ref.csv",
+            values,
+            delimiter=",",
+            header=",".join(header[1:]),
+            comments="",
+            fmt="%.16e",
+        )
+        assert (tmp_path / "plain.csv").read_bytes() == (tmp_path / "plain_ref.csv").read_bytes()
+        with pytest.raises(ValueError, match="header"):
+            write_csv(tmp_path / "bad.csv", header, values)
