@@ -48,10 +48,12 @@ from .decomp import (
 from .errors import ConfigError, ConvergenceError, NumericalError
 from .filters import (
     DeterminateKFState,
+    FilterPass,
     StandardKFState,
     StationaryGains,
     determinate_kf_init,
     determinate_kf_step,
+    filter_pass,
     solve_stationary,
     standard_kf_init,
     standard_kf_step,

@@ -13,11 +13,12 @@ arbitrary weight basis through the observable solution.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .allan import weight_long
 from .decomp import Decomposition, generalized_inverse, project_state
@@ -32,6 +33,8 @@ __all__ = [
     "standard_kf_step",
     "determinate_kf_init",
     "determinate_kf_step",
+    "FilterPass",
+    "filter_pass",
     "solve_stationary",
     "stationary_kf_step",
     "unobservable_gain_from_observable",
@@ -43,22 +46,46 @@ InputPair = Optional[Tuple[np.ndarray, float]]
 
 
 def _sym(P: np.ndarray) -> np.ndarray:
-    # symmetrize after every update to suppress drift
-    return 0.5 * (P + P.T)
+    # symmetrize after every update to suppress drift: 0.5 * (P + P.T)
+    out = P + P.T
+    out *= 0.5
+    return out
+
+
+def _check_finite(a: np.ndarray, what: str) -> None:
+    # count_nonzero stays in C; ndarray.all() goes through a Python wrapper
+    if np.count_nonzero(np.isfinite(a)) != a.size:
+        raise NumericalError(f"{what} is not finite")
+
+
+def _cho_factor(S: np.ndarray, what: str = "innovation covariance") -> np.ndarray:
+    """Lower Cholesky factor of S from LAPACK potrf, as ``cho_factor`` computes it."""
+    _check_finite(S, what)
+    factor, info = dpotrf(S, lower=1, clean=0)
+    if info:
+        raise NumericalError(f"{what} is not positive definite")
+    return factor
+
+
+def _cho_solve(factor: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Solve S X = B from the factor of :func:`_cho_factor` (LAPACK potrs)."""
+    _check_finite(B, "gain right-hand side")
+    X, _ = dpotrs(factor, B, lower=1)
+    return X
 
 
 def _spd_solve_gain(S: np.ndarray, CP: np.ndarray) -> np.ndarray:
     """Gain P C^T S^{-1} computed as solve(S, C P)^T via a PD factorization."""
-    try:
-        factor = cho_factor(S, lower=True)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError("innovation covariance is not positive definite") from exc
-    return cho_solve(factor, CP).T
+    return _cho_solve(_cho_factor(S), CP).T
+
+
+def _fro(a: np.ndarray) -> float:
+    # what np.linalg.norm(a, "fro") (or the 2-norm of a vector) computes
+    flat = a.ravel(order="K")
+    return math.sqrt(flat.dot(flat))
 
 
 def _input_pair(omega_prev: InputPair, n_obs_inputs: int) -> Tuple[np.ndarray, float]:
-    if omega_prev is None:
-        return np.zeros(n_obs_inputs), 0.0
     omega_o, omega_obar = omega_prev
     omega_o = np.asarray(omega_o, dtype=float)
     if omega_o.shape != (n_obs_inputs,):
@@ -102,6 +129,34 @@ def standard_kf_init(
     return StandardKFState(xhat=xhat, P=P)
 
 
+def _standard_update(model: EnsembleModel, xhat, P, u_prev, y):
+    """One cycle of the five-line recursion on bare arrays.
+
+    Returns the fields of :class:`StandardKFState` in order; ``u_prev`` is
+    a float array or ``None``, whose zero input product is skipped.
+    """
+    bigA, bigC = model.bigA, model.bigC
+    xm = bigA @ xhat
+    if u_prev is not None:
+        xm += model.bigB @ u_prev
+    Pm = bigA @ P @ bigA.T
+    Pm += model.bigQ
+    Pm = _sym(Pm)
+
+    CP = bigC @ Pm
+    S = CP @ bigC.T
+    S += model.meas.R
+    H = _spd_solve_gain(S, CP)
+
+    P = H @ CP
+    np.subtract(Pm, P, out=P)
+    innov = bigC @ xm
+    np.subtract(y, innov, out=innov)
+    xhat = H @ innov
+    xhat += xm
+    return xhat, _sym(P), xm, Pm, H
+
+
 def standard_kf_step(
     model: EnsembleModel,
     state: StandardKFState,
@@ -111,23 +166,14 @@ def standard_kf_step(
     """One cycle of the five-line recursion.
 
     ``u_prev`` is the input applied at the previous step (``None`` reads
-    as zero); ``y`` is the current relative measurement.
+    as zero); ``y`` is the current relative measurement.  A non-finite
+    or indefinite innovation covariance raises :class:`NumericalError`.
     """
-    bigA, bigC = model.bigA, model.bigC
-    y = np.asarray(y, dtype=float)
-
-    xm = bigA @ state.xhat
     if u_prev is not None:
-        xm = xm + model.bigB @ np.asarray(u_prev, dtype=float)
-    Pm = _sym(bigA @ state.P @ bigA.T + model.bigQ)
-
-    CP = bigC @ Pm
-    S = CP @ bigC.T + model.meas.R
-    H = _spd_solve_gain(S, CP)
-
-    P = _sym(Pm - H @ CP)
-    xhat = xm + H @ (y - bigC @ xm)
-    return StandardKFState(xhat=xhat, P=P, xhat_minus=xm, P_minus=Pm, H=H)
+        u_prev = np.asarray(u_prev, dtype=float)
+    return StandardKFState(
+        *_standard_update(model, state.xhat, state.P, u_prev, np.asarray(y, dtype=float))
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -178,6 +224,61 @@ def determinate_kf_init(d: Decomposition, x0: Optional[np.ndarray] = None) -> De
     )
 
 
+def _predict_decomposed(d: Decomposition, xi_o, xi_obar, omega_prev: InputPair):
+    """Prior means of the decomposed recursion; the products of a zero
+    input (``None``) and of the coupling of a weight basis (exactly zero)
+    are skipped."""
+    xo_m = d.Ao @ xi_o
+    if d.q is None:
+        xb_m = d.coupling @ xi_o
+        xb_m += d.A @ xi_obar
+    else:
+        xb_m = d.A @ xi_obar
+    if omega_prev is not None:
+        omega_o, omega_obar = _input_pair(omega_prev, d.N - 1)
+        xo_m += d.Bo @ omega_o
+        xb_m += d.B * omega_obar
+    return xo_m, xb_m
+
+
+def _determinate_update(d: Decomposition, R, xi_o, xi_obar, P_oo, P_bo, omega_prev, y):
+    """One cycle of the five-block recursion on bare arrays.
+
+    Returns the fields of :class:`DeterminateKFState` in order.
+    """
+    Ao, Co = d.Ao, d.Co
+    xo_m, xb_m = _predict_decomposed(d, xi_o, xi_obar, omega_prev)
+    Poo_m = Ao @ P_oo @ Ao.T
+    Poo_m += d.Qo
+    Poo_m = _sym(Poo_m)
+    if d.q is None:
+        Pbo_m = d.coupling @ P_oo @ Ao.T
+        Pbo_m += d.A @ P_bo @ Ao.T
+    else:
+        Pbo_m = d.A @ P_bo @ Ao.T
+    Pbo_m += d.Qbo
+
+    CP = Co @ Poo_m
+    S = CP @ Co.T
+    S += R
+    factor = _cho_factor(S)
+    H_o = _cho_solve(factor, CP).T
+    H_bo = _cho_solve(factor, Co @ Pbo_m.T).T
+
+    P_oo = H_o @ CP
+    np.subtract(Poo_m, P_oo, out=P_oo)
+    P_bo = H_bo @ CP
+    np.subtract(Pbo_m, P_bo, out=P_bo)
+
+    innov = Co @ xo_m
+    np.subtract(y, innov, out=innov)
+    xi_o = H_o @ innov
+    xi_o += xo_m
+    xi_obar = H_bo @ innov
+    xi_obar += xb_m
+    return xi_o, xi_obar, _sym(P_oo), P_bo, xo_m, xb_m, Poo_m, Pbo_m, H_o, H_bo
+
+
 def determinate_kf_step(
     d: Decomposition,
     R: np.ndarray,
@@ -190,41 +291,126 @@ def determinate_kf_step(
     ``omega_prev`` is the decomposed input pair (omega_o, omega_obar)
     applied at the previous step, or ``None`` for zero input.  The
     coupling block links the observable state into the unobservable
-    prediction; for weight bases it is exactly zero.
+    prediction; for weight bases it is exactly zero and skipped.  A
+    non-finite or indefinite innovation covariance raises
+    :class:`NumericalError`.
     """
-    omega_o, omega_obar = _input_pair(omega_prev, d.N - 1)
-    y = np.asarray(y, dtype=float)
-
-    xo_m = d.Ao @ state.xi_o_post + d.Bo @ omega_o
-    xb_m = d.coupling @ state.xi_o_post + d.A @ state.xi_obar_post + d.B * omega_obar
-    Poo_m = _sym(d.Ao @ state.P_oo @ d.Ao.T + d.Qo)
-    Pbo_m = d.coupling @ state.P_oo @ d.Ao.T + d.A @ state.P_bo @ d.Ao.T + d.Qbo
-
-    CP = d.Co @ Poo_m
-    S = CP @ d.Co.T + R
-    try:
-        factor = cho_factor(S, lower=True)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError("innovation covariance is not positive definite") from exc
-    H_o = cho_solve(factor, CP).T
-    H_bo = cho_solve(factor, d.Co @ Pbo_m.T).T
-
-    P_oo = _sym(Poo_m - H_o @ CP)
-    P_bo = Pbo_m - H_bo @ CP
-
-    innov = y - d.Co @ xo_m
     return DeterminateKFState(
-        xi_o_post=xo_m + H_o @ innov,
-        xi_obar_post=xb_m + H_bo @ innov,
-        P_oo=P_oo,
-        P_bo=P_bo,
-        xi_o_hat=xo_m,
-        xi_obar_hat=xb_m,
-        P_oo_minus=Poo_m,
-        P_bo_minus=Pbo_m,
-        H_o=H_o,
-        H_bo=H_bo,
+        *_determinate_update(
+            d,
+            R,
+            state.xi_o_post,
+            state.xi_obar_post,
+            state.P_oo,
+            state.P_bo,
+            omega_prev,
+            np.asarray(y, dtype=float),
+        )
     )
+
+
+# ---------------------------------------------------------------------------
+# offline pass
+
+
+@dataclass(frozen=True)
+class FilterPass:
+    """Per-step results of one :func:`filter_pass` (row k is step k).
+
+    ``eps`` is the reference time-scale error of the standard posterior
+    (with ``x``).  ``increments`` (with ``increments=True``) holds the
+    Frobenius norms [|H_k - H_k-1|, |H_k|, |P-_k - P-_k-1|, |P-_k|] of the
+    standard gain and prior covariance; ``det_increments`` (with ``d``)
+    holds [|H_o,k - H_o,k-1|, |H_o,k|, |H_bo,k - H_bo,k-1|, |H_bo,k|] of
+    the determinate gains.  Row 0 has no previous step, so its increments
+    are NaN.  ``deviation`` (with ``d``) is the Lemma-1 relative deviation
+    |reconstructed determinate posterior - standard posterior| / |standard
+    posterior|.
+    """
+
+    eps: Optional[np.ndarray] = None
+    increments: Optional[np.ndarray] = None
+    deviation: Optional[np.ndarray] = None
+    det_increments: Optional[np.ndarray] = None
+
+
+# rows of posterior phases that filter_pass holds at once
+_PASS_BLOCK = 4096
+
+
+def _increment_row(row: np.ndarray, k: int, a, a_prev, b, b_prev) -> None:
+    row[1], row[3] = _fro(a), _fro(b)
+    if k == 0:
+        row[0] = row[2] = np.nan
+    else:
+        row[0], row[2] = _fro(a - a_prev), _fro(b - b_prev)
+
+
+def filter_pass(
+    model: EnsembleModel,
+    y: np.ndarray,
+    x: Optional[np.ndarray] = None,
+    d: Optional[Decomposition] = None,
+    increments: bool = False,
+) -> FilterPass:
+    """Run the standard filter from :func:`standard_kf_init` over the
+    measurements ``y`` (T rows) of a free run and reduce every step as it
+    goes.
+
+    The steps are those of :func:`standard_kf_step` (and, with ``d``,
+    :func:`determinate_kf_step` from :func:`determinate_kf_init` on
+    ``model.meas.R``), bit for bit, but no state object is built per step
+    and posteriors are held for one block of at most 4096 steps at a time.
+    Both filters see zero input.  ``x`` holds the true states, which
+    ``eps`` is measured against.
+    """
+    y = np.asarray(y, dtype=float)
+    T, N = y.shape[0], model.N
+    xhat, P = np.zeros(2 * N), model.bigQ.copy()
+    H = Pm = None
+    eps = None
+    if x is not None:
+        eps = np.empty(T)
+        phases = np.empty((min(T, _PASS_BLOCK), N))  # posterior phases of one block
+    inc = np.empty((T, 4)) if increments else None
+    deviation = det_inc = None
+    if d is not None:
+        R = model.meas.R
+        n_obs = 2 * (N - 1)
+        xi_o, xi_obar, P_oo, P_bo = np.zeros(n_obs), np.zeros(2), d.Qo.copy(), d.Qbo.copy()
+        H_o = H_bo = None
+        TinvT = d.Tinv.T
+        z = np.empty(2 * N)
+        deviation = np.empty(T)
+        det_inc = np.empty((T, 4))
+
+    for k in range(T):
+        prev = (H, Pm)
+        xhat, P, _, Pm, H = _standard_update(model, xhat, P, None, y[k])
+        if eps is not None:
+            i = k % _PASS_BLOCK
+            phases[i] = xhat[:N]
+            if i == len(phases) - 1 or k == T - 1:
+                # reference_timescale(x[k] - xhat) row by row: each row is
+                # summed alone, as the 1-D sum of one step would be
+                k0 = k - i
+                eps[k0 : k + 1] = np.add.reduce(x[k0 : k + 1, :N] - phases[: i + 1], axis=1) / N
+        if inc is not None:
+            _increment_row(inc[k], k, H, prev[0], Pm, prev[1])
+        if d is not None:
+            prev = (H_o, H_bo)
+            out = _determinate_update(d, R, xi_o, xi_obar, P_oo, P_bo, None, y[k])
+            xi_o, xi_obar, P_oo, P_bo = out[:4]
+            H_o, H_bo = out[8:]
+            _increment_row(det_inc[k], k, H_o, prev[0], H_bo, prev[1])
+            # reconstruct_state(xi_o, xi_obar, d), one row at a time
+            z[:n_obs] = xi_o
+            z[n_obs:] = xi_obar
+            gap = z @ TinvT
+            gap -= xhat
+            deviation[k] = _fro(gap) / max(_fro(xhat), 1e-300)
+
+    return FilterPass(eps=eps, increments=inc, deviation=deviation, det_increments=det_inc)
 
 
 # ---------------------------------------------------------------------------
@@ -267,10 +453,7 @@ def solve_stationary(
     """
     n_obs = 2 * (d.N - 1)
     R = np.asarray(R, dtype=float)
-    try:
-        R_factor = cho_factor(R, lower=True)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError("measurement noise covariance is not positive definite") from exc
+    R_factor = _cho_factor(R, "measurement noise covariance")
 
     def advance(P_prior: np.ndarray) -> np.ndarray:
         CP = d.Co @ P_prior
@@ -290,7 +473,7 @@ def solve_stationary(
             P = P_next
     if P is None:
         # doubling for X = A^T X (I + G X)^{-1} A + H with A = Ao^T, G = Co^T R^{-1} Co, H = Qo
-        A, G, P = d.Ao.T, _sym(d.Co.T @ cho_solve(R_factor, d.Co)), d.Qo
+        A, G, P = d.Ao.T, _sym(d.Co.T @ _cho_solve(R_factor, d.Co)), d.Qo
         rel = np.inf
         for iterations in range(1, max_iter + 1):
             try:
@@ -315,7 +498,7 @@ def solve_stationary(
     Z = d.Ao @ gain_complement
 
     # cross equation P_bo = A P_bo Z^T + X, solved by column-major vectorization
-    X = d.Qbo + d.coupling @ P @ gain_complement.T @ d.Ao.T
+    X = d.Qbo if d.q is not None else d.Qbo + d.coupling @ P @ gain_complement.T @ d.Ao.T
     M = np.eye(4 * (d.N - 1)) - np.kron(Z, d.A)
     try:
         vec = np.linalg.solve(M, X.flatten(order="F"))
@@ -361,13 +544,16 @@ def stationary_kf_step(
     previous input, then update with ``y``.  The covariance fields stay
     ``None`` because the gains hold them.
     """
-    omega_o, omega_obar = _input_pair(omega_prev, d.N - 1)
-    xo_m = d.Ao @ state.xi_o_post + d.Bo @ omega_o
-    xb_m = d.coupling @ state.xi_o_post + d.A @ state.xi_obar_post + d.B * omega_obar
-    innov = np.asarray(y, dtype=float) - d.Co @ xo_m
+    xo_m, xb_m = _predict_decomposed(d, state.xi_o_post, state.xi_obar_post, omega_prev)
+    innov = d.Co @ xo_m
+    np.subtract(np.asarray(y, dtype=float), innov, out=innov)
+    xi_o = g.H_o_star @ innov
+    xi_o += xo_m
+    xi_obar = g.H_bo_star @ innov
+    xi_obar += xb_m
     return DeterminateKFState(
-        xi_o_post=xo_m + g.H_o_star @ innov,
-        xi_obar_post=xb_m + g.H_bo_star @ innov,
+        xi_o_post=xi_o,
+        xi_obar_post=xi_obar,
         xi_o_hat=xo_m,
         xi_obar_hat=xb_m,
     )

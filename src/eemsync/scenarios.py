@@ -31,13 +31,14 @@ from .control import (
     sync_error,
     write_command_log_csv,
 )
-from .decomp import decompose, reconstruct_state
+from .decomp import decompose, reconstruct_state  # noqa: F401
 from .errors import ConfigError, ConvergenceError, NumericalError
-from .filters import (
-    determinate_kf_init,
+# perfbench/child.py wraps determinate_kf_step, standard_kf_step and
+# reconstruct_state as attributes of this module
+from .filters import (  # noqa: F401
     determinate_kf_step,
+    filter_pass,
     solve_stationary,
-    standard_kf_init,
     standard_kf_step,
     write_gains_json,
 )
@@ -47,7 +48,7 @@ from .presets import (
     DEFAULT_COLLECTIVE_PERIOD,
     DEFAULT_OBS_GAIN_COEFFS,
 )
-from .simkit import reference_timescale, simulate, write_csv, write_trajectory_csv
+from .simkit import simulate, write_csv, write_trajectory_csv
 
 __all__ = ["ScenarioConfig", "KINDS", "validate_config", "run_scenario"]
 
@@ -204,12 +205,35 @@ def _build_model(raw_model, problems: List[str]) -> Optional[EnsembleModel]:
     if np.any(meas_std <= 0):
         problems.append("model.meas_std: entries must be positive")
         return None
-    try:
-        params = [NoiseParams(a, b) for a, b in zip(sigma1, sigma2)]
-        return build_ensemble(params, star_measurement(n), np.diag(meas_std**2), float(tau))
-    except ValueError as exc:
-        problems.append(f"model: {exc}")
-        return None
+    # the filters need finite variances and a definite R; squares of finite
+    # inputs can still overflow to inf or underflow to 0
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        meas_var = meas_std**2
+        if np.any(meas_var == 0.0):
+            problems.append("model.meas_std: squares underflow to 0, so R is not positive definite")
+            return None
+        try:
+            params = [NoiseParams(a, b) for a, b in zip(sigma1, sigma2)]
+            model = build_ensemble(params, star_measurement(n), np.diag(meas_var), float(tau))
+        except OverflowError:
+            problems.append(f"model.tau: tau**3 overflows, got {tau!r}")
+            return None
+        except ValueError as exc:
+            problems.append(f"model: {exc}")
+            return None
+    bad = [
+        f"model.{key}: squares overflow, so the {name} variances are not finite"
+        for key, name, var in (
+            ("sigma1", "Sigma1", model.Sigma1),
+            ("sigma2", "Sigma2", model.Sigma2),
+            ("meas_std", "R", model.meas.R),
+        )
+        if not np.isfinite(var).all()
+    ]
+    if not bad and not np.isfinite(model.bigQ).all():
+        bad.append("model.tau: with sigma1 and sigma2 the process covariance bigQ is not finite")
+    problems.extend(bad)
+    return None if bad else model
 
 
 def validate_config(raw) -> ScenarioConfig:
@@ -488,45 +512,14 @@ def _run_free_run(cfg: ScenarioConfig, art: _Artifacts, jobs: int) -> dict:
     return summary
 
 
-def _standard_filter_pass(model: EnsembleModel, rec, track_increments: bool):
-    """Offline filter pass over recorded measurements.
-
-    Returns the reference time-scale error series and, optionally, the
-    per-step Frobenius increments of the gain and prior covariance.
-    """
-    state = standard_kf_init(model)
-    T = rec.T
-    eps = np.empty(T)
-    increments = np.empty((T, 4)) if track_increments else None
-    prev_H = None
-    prev_Pm = None
-    for k in range(T):
-        state = standard_kf_step(model, state, rec.u[k - 1] if k else None, rec.y[k])
-        err = rec.x[k] - state.xhat
-        eps[k] = reference_timescale(err, model.N)
-        if track_increments:
-            h_norm = np.linalg.norm(state.H, "fro")
-            if prev_H is None:
-                increments[k] = (np.nan, h_norm, np.nan, np.linalg.norm(state.P_minus, "fro"))
-            else:
-                increments[k] = (
-                    np.linalg.norm(state.H - prev_H, "fro"),
-                    h_norm,
-                    np.linalg.norm(state.P_minus - prev_Pm, "fro"),
-                    np.linalg.norm(state.P_minus, "fro"),
-                )
-            prev_H = state.H
-            prev_Pm = state.P_minus
-    return eps, increments
-
-
 def _write_increments(art: _Artifacts, name: str, columns: List[str], data: np.ndarray) -> None:
     write_csv(art.path(name), ["k"] + columns, np.column_stack([np.arange(data.shape[0]), data]))
 
 
 def _run_standard_kf(cfg: ScenarioConfig, art: _Artifacts, jobs: int) -> dict:
     rec = simulate(cfg.model, None, cfg.horizon, cfg.seed)
-    eps, increments = _standard_filter_pass(cfg.model, rec, track_increments=True)
+    run = filter_pass(cfg.model, rec.y, x=rec.x, increments=True)
+    eps, increments = run.eps, run.increments
     if "increments" in cfg.outputs:
         _write_increments(
             art,
@@ -562,8 +555,8 @@ def _averaged_model(model: EnsembleModel) -> EnsembleModel:
 
 def _run_standard_kf_suboptimal(cfg: ScenarioConfig, art: _Artifacts, jobs: int) -> dict:
     rec = simulate(cfg.model, None, cfg.horizon, cfg.seed)
-    eps_opt, _ = _standard_filter_pass(cfg.model, rec, track_increments=False)
-    eps_sub, _ = _standard_filter_pass(_averaged_model(cfg.model), rec, track_increments=False)
+    eps_opt = filter_pass(cfg.model, rec.y, x=rec.x).eps
+    eps_sub = filter_pass(_averaged_model(cfg.model), rec.y, x=rec.x).eps
     plot_opt = allan_plot(eps_opt, cfg.model.tau)
     plot_sub = allan_plot(eps_sub, cfg.model.tau)
     if "allan" in cfg.outputs:
@@ -586,31 +579,9 @@ def _run_standard_kf_suboptimal(cfg: ScenarioConfig, art: _Artifacts, jobs: int)
 def _run_determinate_kf(cfg: ScenarioConfig, art: _Artifacts, jobs: int) -> dict:
     model = cfg.model
     rec = simulate(model, None, cfg.horizon, cfg.seed)
-    d = decompose(model, cfg.weight)
-    R = model.meas.R
-    std = standard_kf_init(model)
-    det = determinate_kf_init(d)
-    T = rec.T
-    deviation = np.empty(T)
-    increments = np.empty((T, 4))
-    prev = (None, None)
-    for k in range(T):
-        std = standard_kf_step(model, std, None, rec.y[k])
-        det = determinate_kf_step(d, R, det, None, rec.y[k])
-        recon = reconstruct_state(det.xi_o_post, det.xi_obar_post, d)
-        deviation[k] = np.linalg.norm(recon - std.xhat) / max(
-            np.linalg.norm(std.xhat), 1e-300
-        )
-        if prev[0] is None:
-            increments[k] = (np.nan, np.nan, np.nan, np.nan)
-        else:
-            increments[k] = (
-                np.linalg.norm(det.H_o - prev[0], "fro"),
-                np.linalg.norm(det.H_o, "fro"),
-                np.linalg.norm(det.H_bo - prev[1], "fro"),
-                np.linalg.norm(det.H_bo, "fro"),
-            )
-        prev = (det.H_o, det.H_bo)
+    run = filter_pass(model, rec.y, d=decompose(model, cfg.weight))
+    deviation, increments = run.deviation, run.det_increments
+    increments[0] = np.nan  # increments.csv leaves the k = 0 row blank
     if "equivalence" in cfg.outputs:
         _write_increments(art, "equivalence.csv", ["rel_deviation"], deviation[:, None])
     if "increments" in cfg.outputs:

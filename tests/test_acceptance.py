@@ -26,11 +26,11 @@ from scipy.linalg import expm
 
 from eemsync import (
     ControllerConfig,
-    EemPolicy,
     NoiseParams,
     allan_pi,
     analytical_allan_clock,
     build_ensemble,
+    closed_loop,
     decompose,
     default_collective_gain,
     default_obs_gain,
@@ -52,12 +52,12 @@ from eemsync.filters import (
     _sym,
     determinate_kf_init,
     determinate_kf_step,
+    filter_pass,
     standard_kf_init,
     standard_kf_step,
     unobservable_gain_from_observable,
 )
 from eemsync.scenarios import _averaged_model, _trend_statistics
-from eemsync.simkit import reference_timescale
 
 
 def report(n: int, ok: bool, detail: str) -> None:
@@ -398,7 +398,7 @@ class TestCriterion08:
         cfg = ControllerConfig(
             q=q, F_o=default_obs_gain(10, 1.0), K_bo=None, m=1, mode="sync-only"
         )
-        traj = simulate(model, EemPolicy(cfg, d, gains=g), T, seed=808)
+        traj, _, _ = closed_loop(model, cfg, d, g, T, 808)
         dest = destination_trajectory(model, q, T, seed=808)
         # one scalar series for the whole measured sync error: the squared
         # norm of the relative phase deviations, so the 95% trend test is
@@ -414,7 +414,7 @@ class TestCriterion08:
             mode="sync-only",
             validate=False,
         )
-        traj0 = simulate(model, EemPolicy(cfg0, d, gains=g), T, seed=808)
+        traj0, _, _ = closed_loop(model, cfg0, d, g, T, 808)
         sq0 = np.sum((sync_error(traj0, dest)[:, :10] @ model.meas.V.T) ** 2, axis=1)
         stats0 = _trend_statistics(sq0)
         mag_ctrl = float(np.mean(sq[T // 2 :]))
@@ -434,7 +434,7 @@ class TestCriterion08:
         cfg_s = ControllerConfig(
             q=q_steer, F_o=default_obs_gain(10, 1.0), K_bo=None, m=1, mode="sync-only"
         )
-        traj_s = simulate(model, EemPolicy(cfg_s, d_s, gains=g_s), T, seed=809)
+        traj_s, _, _ = closed_loop(model, cfg_s, d_s, g_s, T, 809)
         untouched = bool(np.all(traj_s.u[:, -1] == 0.0))
 
         ok = stats["trend_free"] and grows and separated and untouched
@@ -457,7 +457,11 @@ BALANCED_PERIOD = 200
 
 @pytest.fixture(scope="module")
 def balanced_run(model):
-    """Balanced-mode closed loop at T = 1e6, shared by both criterion-9 tests."""
+    """Balanced-mode closed loop at T = 1e6, shared by both criterion-9 tests.
+
+    It runs ``closed_loop``, the path every controller scenario ships;
+    test_control checks it against ``simulate`` + ``EemPolicy``.
+    """
     started = time.perf_counter()
     q0 = weight_short(np.diag(model.Sigma1)).q
     d = decompose(model, q0)
@@ -469,7 +473,7 @@ def balanced_run(model):
         m=BALANCED_PERIOD,
         mode="balanced",
     )
-    traj = simulate(model, EemPolicy(cfg, d, gains=g), 1_000_000, seed=901)
+    traj, _, _ = closed_loop(model, cfg, d, g, 1_000_000, 901)
     return traj, time.perf_counter() - started
 
 
@@ -557,16 +561,8 @@ class TestCriterion10:
         started = time.perf_counter()
         rec = free_run_million
 
-        def filter_pass(mdl):
-            state = standard_kf_init(mdl)
-            eps = np.empty(rec.T)
-            for k in range(rec.T):
-                state = standard_kf_step(mdl, state, None, rec.y[k])
-                eps[k] = reference_timescale(rec.x[k] - state.xhat, mdl.N)
-            return eps
-
-        eps_opt = filter_pass(model)
-        eps_sub = filter_pass(_averaged_model(model))
+        eps_opt = filter_pass(model, rec.y, x=rec.x).eps
+        eps_sub = filter_pass(_averaged_model(model), rec.y, x=rec.x).eps
 
         s1 = np.sqrt(np.diag(model.Sigma1))
         s2 = np.sqrt(np.diag(model.Sigma2))

@@ -143,6 +143,31 @@ def test_run_rejects_balanced_horizon_short_of_three_kicks(tmp_path, capsys):
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("sigma1", 1e200),
+        ("sigma2", 1e200),
+        ("meas_std", 1e200),
+        ("meas_std", 1e-200),
+        ("tau", 1e200),
+    ],
+)
+def test_run_rejects_variances_that_overflow_or_underflow(tmp_path, capsys, field, value):
+    # finite inputs whose squares (or tau**3) leave the model's variances
+    # infinite, or R singular
+    path = write_config(tmp_path, kind="standard-kf")
+    cfg = json.loads(path.read_text())
+    if field == "tau":
+        cfg["model"]["tau"] = value
+    else:
+        cfg["model"][field][0] = value
+    path.write_text(json.dumps(cfg))
+    assert main(["run", str(path), "--out", str(tmp_path / "artifacts")]) == 2
+    assert f"model.{field}" in capsys.readouterr().err
+    assert not (tmp_path / "artifacts").exists()
+
+
 def test_run_reports_numerical_failure(tmp_path, capsys, monkeypatch):
     from eemsync import NumericalError
     from eemsync import scenarios as scen

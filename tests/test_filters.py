@@ -1,21 +1,29 @@
 """Filter checks: decomposed-filter equivalence, stationary solutions."""
 
 import time
+from dataclasses import fields
 from typing import Optional, Tuple
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.linalg import cho_factor, cho_solve
 
 from eemsync import (
     ConvergenceError,
+    DeterminateKFState,
     NoiseParams,
     NumericalError,
+    StandardKFState,
     build_ensemble,
     decompose,
     determinate_kf_init,
     determinate_kf_step,
     expand_input,
+    filter_pass,
     reconstruct_state,
+    reference_timescale,
     simulate,
     solve_stationary,
     standard_kf_init,
@@ -29,8 +37,141 @@ from eemsync import (
     write_gains_json,
 )
 from eemsync.decomp import Decomposition
-from eemsync.filters import StationaryGains, _spd_solve_gain, _sym
+from eemsync.filters import InputPair, StationaryGains, _spd_solve_gain, _sym
 from eemsync.presets import DEMO_MEAS_STD, DEMO_SIGMA1, DEMO_SIGMA2, demo_ensemble
+
+
+# ---------------------------------------------------------------------------
+# reference steps: the scipy cho_factor/cho_solve bodies that the lean
+# LAPACK steps replaced, kept verbatim as their oracle
+
+
+def reference_sym(P: np.ndarray) -> np.ndarray:
+    # symmetrize after every update to suppress drift
+    return 0.5 * (P + P.T)
+
+
+def reference_spd_solve_gain(S: np.ndarray, CP: np.ndarray) -> np.ndarray:
+    """Gain P C^T S^{-1} computed as solve(S, C P)^T via a PD factorization."""
+    try:
+        factor = cho_factor(S, lower=True)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError("innovation covariance is not positive definite") from exc
+    return cho_solve(factor, CP).T
+
+
+def reference_input_pair(omega_prev: InputPair, n_obs_inputs: int) -> Tuple[np.ndarray, float]:
+    if omega_prev is None:
+        return np.zeros(n_obs_inputs), 0.0
+    omega_o, omega_obar = omega_prev
+    omega_o = np.asarray(omega_o, dtype=float)
+    if omega_o.shape != (n_obs_inputs,):
+        raise ValueError(
+            f"omega_o must have shape ({n_obs_inputs},), got {omega_o.shape}"
+        )
+    return omega_o, float(omega_obar)
+
+
+def reference_standard_kf_step(
+    model,
+    state: StandardKFState,
+    u_prev: Optional[np.ndarray],
+    y: np.ndarray,
+) -> StandardKFState:
+    """One cycle of the five-line recursion.
+
+    ``u_prev`` is the input applied at the previous step (``None`` reads
+    as zero); ``y`` is the current relative measurement.
+    """
+    bigA, bigC = model.bigA, model.bigC
+    y = np.asarray(y, dtype=float)
+
+    xm = bigA @ state.xhat
+    if u_prev is not None:
+        xm = xm + model.bigB @ np.asarray(u_prev, dtype=float)
+    Pm = reference_sym(bigA @ state.P @ bigA.T + model.bigQ)
+
+    CP = bigC @ Pm
+    S = CP @ bigC.T + model.meas.R
+    H = reference_spd_solve_gain(S, CP)
+
+    P = reference_sym(Pm - H @ CP)
+    xhat = xm + H @ (y - bigC @ xm)
+    return StandardKFState(xhat=xhat, P=P, xhat_minus=xm, P_minus=Pm, H=H)
+
+
+def reference_determinate_kf_step(
+    d: Decomposition,
+    R: np.ndarray,
+    state: DeterminateKFState,
+    omega_prev: InputPair,
+    y: np.ndarray,
+) -> DeterminateKFState:
+    """One cycle of the five-block decomposed recursion.
+
+    ``omega_prev`` is the decomposed input pair (omega_o, omega_obar)
+    applied at the previous step, or ``None`` for zero input.  The
+    coupling block links the observable state into the unobservable
+    prediction; for weight bases it is exactly zero.
+    """
+    omega_o, omega_obar = reference_input_pair(omega_prev, d.N - 1)
+    y = np.asarray(y, dtype=float)
+
+    xo_m = d.Ao @ state.xi_o_post + d.Bo @ omega_o
+    xb_m = d.coupling @ state.xi_o_post + d.A @ state.xi_obar_post + d.B * omega_obar
+    Poo_m = reference_sym(d.Ao @ state.P_oo @ d.Ao.T + d.Qo)
+    Pbo_m = d.coupling @ state.P_oo @ d.Ao.T + d.A @ state.P_bo @ d.Ao.T + d.Qbo
+
+    CP = d.Co @ Poo_m
+    S = CP @ d.Co.T + R
+    try:
+        factor = cho_factor(S, lower=True)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError("innovation covariance is not positive definite") from exc
+    H_o = cho_solve(factor, CP).T
+    H_bo = cho_solve(factor, d.Co @ Pbo_m.T).T
+
+    P_oo = reference_sym(Poo_m - H_o @ CP)
+    P_bo = Pbo_m - H_bo @ CP
+
+    innov = y - d.Co @ xo_m
+    return DeterminateKFState(
+        xi_o_post=xo_m + H_o @ innov,
+        xi_obar_post=xb_m + H_bo @ innov,
+        P_oo=P_oo,
+        P_bo=P_bo,
+        xi_o_hat=xo_m,
+        xi_obar_hat=xb_m,
+        P_oo_minus=Poo_m,
+        P_bo_minus=Pbo_m,
+        H_o=H_o,
+        H_bo=H_bo,
+    )
+
+
+def reference_stationary_kf_step(
+    d: Decomposition,
+    g: StationaryGains,
+    state: DeterminateKFState,
+    omega_prev: InputPair,
+    y: np.ndarray,
+) -> DeterminateKFState:
+    """``determinate_kf_step`` with the gains frozen at the fixed point.
+
+    Same state and ordering: predict from the stored posterior with the
+    previous input, then update with ``y``.  The covariance fields stay
+    ``None`` because the gains hold them.
+    """
+    omega_o, omega_obar = reference_input_pair(omega_prev, d.N - 1)
+    xo_m = d.Ao @ state.xi_o_post + d.Bo @ omega_o
+    xb_m = d.coupling @ state.xi_o_post + d.A @ state.xi_obar_post + d.B * omega_obar
+    innov = np.asarray(y, dtype=float) - d.Co @ xo_m
+    return DeterminateKFState(
+        xi_o_post=xo_m + g.H_o_star @ innov,
+        xi_obar_post=xb_m + g.H_bo_star @ innov,
+        xi_o_hat=xo_m,
+        xi_obar_hat=xb_m,
+    )
 
 
 def run_both_filters(model, basis, T, seed, policy_omegas=None):
@@ -224,6 +365,205 @@ class TestGainCovarianceDichotomy:
         assert prior_rel >= 1e3 * 1e-12
         assert gain_rel <= 1e-8
         assert gain_rel >= 100 * det_gain_rel
+
+
+# ---------------------------------------------------------------------------
+# lean steps and the offline pass against the references
+
+
+def _general_basis(n_clocks: int, q: np.ndarray, rng) -> np.ndarray:
+    # the weight rows plus a perturbation small enough that Wbar (I2 kron 1)
+    # stays well conditioned
+    wbar = np.kron(np.eye(2), q[None, :])
+    return wbar + 0.1 / np.sqrt(n_clocks) * rng.standard_normal((2, 2 * n_clocks))
+
+
+def _basis(model, kind: str) -> np.ndarray:
+    rng = np.random.default_rng(31)
+    q = rng.dirichlet(np.ones(model.N))
+    return q if kind == "weight" else _general_basis(model.N, q, rng)
+
+
+def _assert_states_equal(lean, ref) -> None:
+    for f in fields(ref):
+        a, b = getattr(lean, f.name), getattr(ref, f.name)
+        if b is None:
+            assert a is None, f.name
+        else:
+            assert np.array_equal(a, b), f.name
+
+
+def _omega(rng, n_clocks: int):
+    return 1e-10 * rng.standard_normal(n_clocks - 1), float(1e-10 * rng.standard_normal())
+
+
+class TestLeanStepsMatchReference:
+    T = 300
+
+    @pytest.mark.parametrize("with_inputs", [False, True])
+    def test_standard_step(self, with_inputs):
+        model = demo_ensemble()
+        rec = simulate(model, None, self.T, seed=41)
+        rng = np.random.default_rng(42)
+        lean, ref = standard_kf_init(model), standard_kf_init(model)
+        for k in range(self.T):
+            u_prev = 1e-10 * rng.standard_normal(model.N) if with_inputs and k else None
+            lean = standard_kf_step(model, lean, u_prev, rec.y[k])
+            ref = reference_standard_kf_step(model, ref, u_prev, rec.y[k])
+            _assert_states_equal(lean, ref)
+
+    @pytest.mark.parametrize("with_inputs", [False, True])
+    @pytest.mark.parametrize("basis", ["weight", "general"])
+    def test_determinate_step(self, basis, with_inputs):
+        model = demo_ensemble()
+        d = decompose(model, _basis(model, basis))
+        rec = simulate(model, None, self.T, seed=43)
+        rng = np.random.default_rng(44)
+        lean, ref = determinate_kf_init(d), determinate_kf_init(d)
+        for k in range(self.T):
+            omega = _omega(rng, model.N) if with_inputs and k else None
+            lean = determinate_kf_step(d, model.meas.R, lean, omega, rec.y[k])
+            ref = reference_determinate_kf_step(d, model.meas.R, ref, omega, rec.y[k])
+            _assert_states_equal(lean, ref)
+
+    @pytest.mark.parametrize("with_inputs", [False, True])
+    @pytest.mark.parametrize("basis", ["weight", "general"])
+    def test_stationary_step(self, basis, with_inputs):
+        model = demo_ensemble()
+        d = decompose(model, _basis(model, basis))
+        g = solve_stationary(d, model.meas.R)
+        rec = simulate(model, None, self.T, seed=45)
+        rng = np.random.default_rng(46)
+        lean, ref = determinate_kf_init(d), determinate_kf_init(d)
+        for k in range(self.T):
+            omega = _omega(rng, model.N) if with_inputs and k else None
+            lean = stationary_kf_step(d, g, lean, omega, rec.y[k])
+            ref = reference_stationary_kf_step(d, g, ref, omega, rec.y[k])
+            _assert_states_equal(lean, ref)
+
+
+def loop_over_steps(model, y, x=None, d=None):
+    """``filter_pass``'s per-step results from a loop over the library steps."""
+    fro = np.linalg.norm
+    T, N = y.shape[0], model.N
+    eps, inc = np.empty(T), np.empty((T, 4))
+    deviation, det_inc = np.empty(T), np.empty((T, 4))
+    std = standard_kf_init(model)
+    det = determinate_kf_init(d) if d is not None else None
+    for k in range(T):
+        prev = std
+        std = standard_kf_step(model, std, None, y[k])
+        if x is not None:
+            eps[k] = reference_timescale(x[k] - std.xhat, N)
+        inc[k] = (
+            np.nan if k == 0 else fro(std.H - prev.H, "fro"),
+            fro(std.H, "fro"),
+            np.nan if k == 0 else fro(std.P_minus - prev.P_minus, "fro"),
+            fro(std.P_minus, "fro"),
+        )
+        if d is not None:
+            prev = det
+            det = determinate_kf_step(d, model.meas.R, det, None, y[k])
+            recon = reconstruct_state(det.xi_o_post, det.xi_obar_post, d)
+            deviation[k] = fro(recon - std.xhat) / max(fro(std.xhat), 1e-300)
+            det_inc[k] = (
+                np.nan if k == 0 else fro(det.H_o - prev.H_o, "fro"),
+                fro(det.H_o, "fro"),
+                np.nan if k == 0 else fro(det.H_bo - prev.H_bo, "fro"),
+                fro(det.H_bo, "fro"),
+            )
+    return eps, inc, deviation, det_inc
+
+
+class TestFilterPass:
+    T = 300
+
+    # 4200 steps cross the 4096-row block of posterior phases
+    @pytest.mark.parametrize("n_clocks, T", [(10, 300), (10, 4200), (3, 300)])
+    def test_standard_pass_matches_step_loop(self, n_clocks, T):
+        model = demo_ensemble(n_clocks=n_clocks)
+        rec = simulate(model, None, T, seed=51)
+        run = filter_pass(model, rec.y, x=rec.x, increments=True)
+        eps, inc, _, _ = loop_over_steps(model, rec.y, x=rec.x)
+        assert np.array_equal(run.eps, eps)
+        assert np.array_equal(run.increments, inc, equal_nan=True)
+        assert run.deviation is None and run.det_increments is None
+
+    @pytest.mark.parametrize("basis", ["weight", "general"])
+    def test_determinate_twin_matches_step_loop(self, basis):
+        model = demo_ensemble()
+        d = decompose(model, _basis(model, basis))
+        rec = simulate(model, None, self.T, seed=53)
+        run = filter_pass(model, rec.y, d=d)
+        _, _, deviation, det_inc = loop_over_steps(model, rec.y, d=d)
+        assert np.array_equal(run.deviation, deviation)
+        assert np.array_equal(run.det_increments, det_inc, equal_nan=True)
+        assert run.eps is None and run.increments is None
+        assert np.max(run.deviation) < 1e-8
+
+
+class TestNonFiniteCovariance:
+    """An inf in a covariance reaches the innovation covariance or the gain
+    right-hand side and raises NumericalError (exit code 3 in the CLI)."""
+
+    def test_standard_step(self):
+        model = demo_ensemble(n_clocks=3)
+        state = standard_kf_init(model)
+        state.P[0, 0] = np.inf
+        with np.errstate(invalid="ignore"), pytest.raises(NumericalError, match="not finite"):
+            standard_kf_step(model, state, None, np.zeros(2))
+
+    @pytest.mark.parametrize("field", ["P_oo", "P_bo"])
+    def test_determinate_step(self, field):
+        model = demo_ensemble(n_clocks=3)
+        d = decompose(model, np.full(3, 1 / 3))
+        state = determinate_kf_init(d)
+        getattr(state, field)[0, 0] = np.inf
+        with np.errstate(invalid="ignore"), pytest.raises(NumericalError, match="not finite"):
+            determinate_kf_step(d, model.meas.R, state, None, np.zeros(2))
+
+    def test_stationary_solve(self):
+        model = demo_ensemble(n_clocks=3)
+        d = decompose(model, np.full(3, 1 / 3))
+        R = model.meas.R.copy()
+        R[1, 1] = np.inf
+        with pytest.raises(NumericalError, match="measurement noise covariance is not finite"):
+            solve_stationary(d, R)
+
+
+def _property_model(n_clocks: int):
+    params = [NoiseParams(DEMO_SIGMA1[i % 10], DEMO_SIGMA2[i % 10]) for i in range(n_clocks)]
+    R = np.diag(np.resize(DEMO_MEAS_STD, n_clocks - 1) ** 2)
+    return build_ensemble(params, star_measurement(n_clocks), R, 1.0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(n_clocks=st.integers(2, 12), seed=st.integers(0, 2**32 - 1))
+def test_property_lean_steps_and_lemma_one(n_clocks, seed):
+    model = _property_model(n_clocks)
+    rng = np.random.default_rng(seed)
+    q = rng.dirichlet(np.ones(n_clocks))
+    T = 40
+    rec = simulate(model, None, T, seed=seed)
+    std, std_ref = standard_kf_init(model), standard_kf_init(model)
+    xhats = []
+    for k in range(T):
+        std = standard_kf_step(model, std, None, rec.y[k])
+        std_ref = reference_standard_kf_step(model, std_ref, None, rec.y[k])
+        _assert_states_equal(std, std_ref)
+        xhats.append(std.xhat)
+    scale = max(np.max(np.abs(xh)) for xh in xhats)
+    for basis, bound in ((q, 1e-10), (_general_basis(n_clocks, q, rng), 1e-8)):
+        d = decompose(model, basis)
+        det, det_ref = determinate_kf_init(d), determinate_kf_init(d)
+        worst = 0.0
+        for k in range(T):
+            det = determinate_kf_step(d, model.meas.R, det, None, rec.y[k])
+            det_ref = reference_determinate_kf_step(d, model.meas.R, det_ref, None, rec.y[k])
+            _assert_states_equal(det, det_ref)
+            recon = reconstruct_state(det.xi_o_post, det.xi_obar_post, d)
+            worst = max(worst, np.max(np.abs(recon - xhats[k])))
+        assert worst <= bound * scale
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,9 @@ import pytest
 from eemsync import (
     ConfigError,
     KINDS,
+    NoiseParams,
     NumericalError,
+    build_ensemble,
     check_collective_gain,
     check_obs_gain,
     closed_loop,
@@ -21,6 +23,7 @@ from eemsync import (
     destination_trajectory,
     run_scenario,
     solve_stationary,
+    star_measurement,
     sync_error,
     validate_config,
     weight_long,
@@ -278,4 +281,32 @@ class TestRunScenario:
         assert manifest["status"] == "failed"
         assert manifest["partial"] is True
         assert "NumericalError" in manifest["error"]
+        assert manifest["files"] == []
+
+    @pytest.mark.parametrize("kind", ["standard-kf", "determinate-kf"])
+    def test_non_finite_covariance_fails_with_partial_manifest(self, tmp_path, kind):
+        # sigma1**2 overflows, which the validator rejects; built directly,
+        # the model reaches the filter, whose innovation covariance is not
+        # finite
+        n = 3
+        params = [NoiseParams(np.float64(1e200), 1e-13)] + [NoiseParams(1e-10, 1e-13)] * (n - 1)
+        with np.errstate(all="ignore"):
+            model = build_ensemble(params, star_measurement(n), np.eye(n - 1) * 1e-28, 1.0)
+        cfg = scen.ScenarioConfig(
+            name="overflow",
+            kind=kind,
+            model=model,
+            horizon=50,
+            seed=3,
+            weight=np.full(n, 1.0 / n) if kind == "determinate-kf" else None,
+            controller=None,
+            outputs=scen._DEFAULT_OUTPUTS[kind],
+            raw={"name": "overflow", "kind": kind},
+        )
+        with np.errstate(all="ignore"), pytest.raises(NumericalError, match="not finite"):
+            run_scenario(cfg, str(tmp_path))
+        manifest = json.loads((tmp_path / "overflow" / "manifest.json").read_text())
+        assert manifest["status"] == "failed"
+        assert manifest["partial"] is True
+        assert manifest["error"].startswith("NumericalError")
         assert manifest["files"] == []
