@@ -72,25 +72,55 @@ def allan_pi(q: Union[EnsembleWeight, np.ndarray], Sigma1, Sigma2, tau: float) -
     return float(qv @ (g * qv) / tau**2)
 
 
+def _check_series(h, tau: float, min_samples: int) -> np.ndarray:
+    h = np.asarray(h, dtype=float)
+    if h.ndim not in (1, 2) or h.shape[0] < min_samples:
+        raise ValueError(f"series must be 1-D or 2-D with at least {min_samples} samples")
+    if tau <= 0:
+        raise ValueError(f"tau must be positive, got {tau}")
+    return h
+
+
+def _allan_values(h: np.ndarray, tau: float, m_set: Sequence[int]) -> np.ndarray:
+    """The overlapping estimator at every m in ``m_set``, column by column.
+
+    Each column is copied once to a contiguous array; each second
+    difference is formed in place in one reused buffer and its squares
+    are summed pairwise, as ``mean`` sums a 1-D array.  Returns one entry
+    per interval for a 1-D series, one row per interval for a 2-D one.
+    """
+    T = h.shape[0] - 1
+    columns = h.reshape(h.shape[0], -1)
+    values = np.empty((len(m_set), columns.shape[1]))
+    buf = np.empty(T)
+    for i in range(columns.shape[1]):
+        c = np.ascontiguousarray(columns[:, i])
+        for j, m in enumerate(m_set):
+            m = int(m)
+            n = T - 2 * m
+            d = buf[:n]
+            np.multiply(c[m : T - m], 2.0, out=d)
+            np.subtract(c[2 * m : T], d, out=d)
+            np.add(d, c[:n], out=d)
+            np.multiply(d, d, out=d)
+            values[j, i] = np.add.reduce(d) / n / (2.0 * (m * tau) ** 2)
+    return values if h.ndim == 2 else values[:, 0]
+
+
 def statistical_allan(h: np.ndarray, tau: float, m: int) -> Union[float, np.ndarray]:
     """Overlapping second-difference estimator at averaging interval m tau.
 
     ``h`` is a reading series of length T+1 (optionally one column per
     series); m must lie in the feasible set 1 <= m <= (T-1)//2.
     """
-    h = np.asarray(h, dtype=float)
-    if h.ndim not in (1, 2) or h.shape[0] < 2:
-        raise ValueError("series must be 1-D or 2-D with at least 2 samples")
-    if tau <= 0:
-        raise ValueError(f"tau must be positive, got {tau}")
+    h = _check_series(h, tau, 2)
     if int(m) != m:
         raise ValueError(f"m must be an integer, got {m!r}")
     m = int(m)
     T = h.shape[0] - 1
     if m < 1 or 2 * m + 1 > T:
         raise ValueError(f"m={m} is outside the feasible set 1..{max((T - 1) // 2, 0)}")
-    d = h[2 * m : T] - 2.0 * h[m : T - m] + h[: T - 2 * m]
-    est = (d * d).mean(axis=0) / (2.0 * (m * tau) ** 2)
+    est = _allan_values(h, tau, [m])[0]
     return float(est) if h.ndim == 1 else est
 
 
@@ -131,9 +161,7 @@ def allan_plot(
     decade); ``full_grid`` evaluates every feasible m, which is
     quadratic in the horizon.
     """
-    h = np.asarray(h, dtype=float)
-    if h.ndim not in (1, 2) or h.shape[0] < 4:
-        raise ValueError("series must have at least 4 samples")
+    h = _check_series(h, tau, 4)
     m_max = (h.shape[0] - 2) // 2
     if m_subset is not None:
         m_set = np.unique(np.asarray(m_subset, dtype=int))
@@ -146,9 +174,7 @@ def allan_plot(
         m_set = np.arange(1, m_max + 1)
     else:
         m_set = _default_m_grid(m_max)
-    values = np.stack([np.atleast_1d(statistical_allan(h, tau, int(m))) for m in m_set])
-    if h.ndim == 1:
-        values = values[:, 0]
+    values = _allan_values(h, tau, m_set)
     return AllanPlot(m_set=m_set, intervals=m_set * float(tau), values=values)
 
 

@@ -66,7 +66,7 @@ def _cmd_run(args) -> int:
         )
 
     def execute(cfg):
-        manifest = run_scenario(cfg, args.out, jobs=args.jobs)
+        manifest = run_scenario(cfg, args.out)
         return cfg.name, manifest
 
     if args.jobs > 1 and len(configs) > 1:
@@ -112,7 +112,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     run_p.add_argument("--out", default="artifacts", help="output directory (default: artifacts)")
     run_p.add_argument("--seed", type=int, default=None, help="override the config seed")
     run_p.add_argument("--horizon", type=int, default=None, help="override the config horizon")
-    run_p.add_argument("--jobs", type=int, default=1, help="parallel scenarios / Allan workers")
+    run_p.add_argument("--jobs", type=int, default=1, help="parallel scenarios")
     run_p.set_defaults(handler=_cmd_run)
 
     val_p = sub.add_parser("validate", help="check a config and report every violation")

@@ -28,6 +28,14 @@ __all__ = [
 ]
 
 
+def _check_finite_power(name: str, value, exponent: int) -> None:
+    """Raise ValueError naming ``name`` if ``value ** exponent`` is not finite."""
+    with np.errstate(over="ignore"):
+        result = np.float64(value) ** exponent
+    if not np.isfinite(result):
+        raise ValueError(f"{name}**{exponent} overflows, so the model is not finite; got {name} = {value!r}")
+
+
 @dataclass(frozen=True)
 class NoiseParams:
     """Continuous-time noise intensities of one clock.
@@ -45,6 +53,7 @@ class NoiseParams:
             val = getattr(self, name)
             if not np.isfinite(val) or val < 0:
                 raise ValueError(f"{name} must be finite and >= 0, got {val!r}")
+            _check_finite_power(name, val, 2)
         if self.sigma1 == 0 and self.sigma2 == 0:
             raise ValueError("sigma1 and sigma2 must not both be zero")
 
@@ -80,17 +89,21 @@ def discretize(noise: NoiseParams, tau: float) -> DiscreteClockModel:
     """
     if not np.isfinite(tau) or tau <= 0:
         raise ValueError(f"tau must be finite and > 0, got {tau!r}")
+    _check_finite_power("tau", tau, 3)
     s1sq = noise.sigma1 ** 2
     s2sq = noise.sigma2 ** 2
     A = np.array([[1.0, tau], [0.0, 1.0]])
     B = np.array([tau, 1.0])
     C = np.array([1.0, 0.0])
-    Q = np.array(
-        [
-            [tau * s1sq + tau ** 3 / 3.0 * s2sq, tau ** 2 / 2.0 * s2sq],
-            [tau ** 2 / 2.0 * s2sq, tau * s2sq],
-        ]
-    )
+    with np.errstate(over="ignore"):  # an overflow is reported below
+        Q = np.array(
+            [
+                [tau * s1sq + tau ** 3 / 3.0 * s2sq, tau ** 2 / 2.0 * s2sq],
+                [tau ** 2 / 2.0 * s2sq, tau * s2sq],
+            ]
+        )
+    if not np.isfinite(Q).all():
+        raise ValueError(f"tau = {tau!r} with {noise} leaves the process covariance Q not finite")
     return DiscreteClockModel(A=A, B=B, C=C, Q=Q, tau=tau)
 
 
@@ -113,6 +126,8 @@ def _check_measurement(V: np.ndarray, R: np.ndarray) -> None:
         raise ValueError("V must have full row rank N-1")
     if R.shape != (n_meas, n_meas):
         raise ValueError(f"R must be (N-1) x (N-1) = {(n_meas, n_meas)}, got {R.shape}")
+    if not np.isfinite(R).all():
+        raise ValueError("R must be finite")
     if np.max(np.abs(R - R.T)) > 1e-12 * max(1.0, np.max(np.abs(R))):
         raise ValueError("R must be symmetric")
     try:
@@ -205,17 +220,18 @@ def build_ensemble(
     N = meas.N
     if len(params) != N:
         raise ValueError(f"got {len(params)} NoiseParams for N = {N} clocks")
-    if not np.isfinite(tau) or tau <= 0:
-        raise ValueError(f"tau must be finite and > 0, got {tau!r}")
+    clock = discretize(params[0], tau)  # checks tau, including tau**3
     Sigma1 = np.diag([p.sigma1 ** 2 for p in params])
     Sigma2 = np.diag([p.sigma2 ** 2 for p in params])
-    bigQ = np.block(
-        [
-            [tau * Sigma1 + tau ** 3 / 3.0 * Sigma2, tau ** 2 / 2.0 * Sigma2],
-            [tau ** 2 / 2.0 * Sigma2, tau * Sigma2],
-        ]
-    )
-    clock = discretize(params[0], tau)
+    with np.errstate(over="ignore"):  # an overflow is reported below
+        bigQ = np.block(
+            [
+                [tau * Sigma1 + tau ** 3 / 3.0 * Sigma2, tau ** 2 / 2.0 * Sigma2],
+                [tau ** 2 / 2.0 * Sigma2, tau * Sigma2],
+            ]
+        )
+    if not np.isfinite(bigQ).all():
+        raise ValueError(f"tau = {tau!r} with these sigma1 and sigma2 leaves the process covariance bigQ not finite")
     eye = np.eye(N)
     bigA = np.kron(clock.A, eye)
     bigB = np.kron(clock.B[:, None], eye)

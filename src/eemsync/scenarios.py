@@ -6,7 +6,6 @@ import hashlib
 import json
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -205,35 +204,29 @@ def _build_model(raw_model, problems: List[str]) -> Optional[EnsembleModel]:
     if np.any(meas_std <= 0):
         problems.append("model.meas_std: entries must be positive")
         return None
-    # the filters need finite variances and a definite R; squares of finite
-    # inputs can still overflow to inf or underflow to 0
-    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-        meas_var = meas_std**2
-        if np.any(meas_var == 0.0):
-            problems.append("model.meas_std: squares underflow to 0, so R is not positive definite")
-            return None
-        try:
-            params = [NoiseParams(a, b) for a, b in zip(sigma1, sigma2)]
-            model = build_ensemble(params, star_measurement(n), np.diag(meas_var), float(tau))
-        except OverflowError:
-            problems.append(f"model.tau: tau**3 overflows, got {tau!r}")
-            return None
-        except ValueError as exc:
-            problems.append(f"model: {exc}")
-            return None
+    # squares of finite inputs can still overflow to inf or underflow to 0;
+    # the model rejects those too, but here each problem names its field
+    with np.errstate(over="ignore", under="ignore"):
+        squares = {"sigma1": sigma1**2, "sigma2": sigma2**2, "meas_std": meas_std**2}
+        tau_cubed = np.float64(tau) ** 3
     bad = [
-        f"model.{key}: squares overflow, so the {name} variances are not finite"
-        for key, name, var in (
-            ("sigma1", "Sigma1", model.Sigma1),
-            ("sigma2", "Sigma2", model.Sigma2),
-            ("meas_std", "R", model.meas.R),
-        )
+        f"model.{key}: squares overflow, so the variances are not finite"
+        for key, var in squares.items()
         if not np.isfinite(var).all()
     ]
-    if not bad and not np.isfinite(model.bigQ).all():
-        bad.append("model.tau: with sigma1 and sigma2 the process covariance bigQ is not finite")
-    problems.extend(bad)
-    return None if bad else model
+    if np.any(squares["meas_std"] == 0.0):
+        bad.append("model.meas_std: squares underflow to 0, so R is not positive definite")
+    if not np.isfinite(tau_cubed):
+        bad.append(f"model.tau: tau**3 overflows, got {tau!r}")
+    if bad:
+        problems.extend(bad)
+        return None
+    try:
+        params = [NoiseParams(a, b) for a, b in zip(sigma1, sigma2)]
+        return build_ensemble(params, star_measurement(n), np.diag(squares["meas_std"]), float(tau))
+    except ValueError as exc:
+        problems.append(f"model: {exc}")
+        return None
 
 
 def validate_config(raw) -> ScenarioConfig:
@@ -465,42 +458,35 @@ class _Artifacts:
         return entries
 
 
-def _clock_allan_artifacts(cfg: ScenarioConfig, h: np.ndarray, art: _Artifacts, jobs: int) -> Dict[str, AllanPlot]:
-    """Per-clock statistical Allan plots, one CSV per clock."""
-    tau = cfg.model.tau
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            plots = list(
-                pool.map(lambda i: allan_plot(h[:, i], tau), range(h.shape[1]))
-            )
-    else:
-        plots = [allan_plot(h[:, i], tau) for i in range(h.shape[1])]
-    named = {f"clock_{i + 1}": p for i, p in enumerate(plots)}
+def _clock_allan_artifacts(cfg: ScenarioConfig, h: np.ndarray, art: _Artifacts) -> AllanPlot:
+    """Statistical Allan plot of every clock (one column each), one CSV per clock."""
+    plot = allan_plot(h, cfg.model.tau)
     if "allan" in cfg.outputs:
-        index = write_allan_plots(named, art.directory, prefix="allan")
+        index = write_allan_plots({"clock": plot}, art.directory, prefix="allan")
         art.note(index.values())
         art.note(["allan_index.json"])
-    return named
+    return plot
 
 
 # ---------------------------------------------------------------------------
 # scenario pipelines
 
 
-def _run_free_run(cfg: ScenarioConfig, art: _Artifacts, jobs: int) -> dict:
+def _run_free_run(cfg: ScenarioConfig, art: _Artifacts) -> dict:
     rec = simulate(cfg.model, None, cfg.horizon, cfg.seed)
-    plots = _clock_allan_artifacts(cfg, rec.h, art, jobs)
+    plot = _clock_allan_artifacts(cfg, rec.h, art)
     s1 = np.diag(cfg.model.Sigma1)
     s2 = np.diag(cfg.model.Sigma2)
+    at_one = plot.values[plot.m_set == 1]
     summary = {"clocks": {}}
     analytical = {}
-    for i, (name, plot) in enumerate(plots.items()):
+    for i in range(cfg.model.N):
+        name = f"clock_{i + 1}"
         noise = NoiseParams(np.sqrt(s1[i]), np.sqrt(s2[i]))
         line = np.array([analytical_allan_clock(noise, t) for t in plot.intervals])
         analytical[f"{name}_analytical"] = _analytical_plot(plot.intervals, line)
-        at_one = plot.values[plot.m_set == 1]
         summary["clocks"][name] = {
-            "allan_at_1s": float(at_one[0]) if at_one.size else None,
+            "allan_at_1s": float(at_one[0, i]) if at_one.size else None,
             "analytical_at_1s": analytical_allan_clock(noise, cfg.model.tau),
         }
     if "analytical" in cfg.outputs:
@@ -516,7 +502,7 @@ def _write_increments(art: _Artifacts, name: str, columns: List[str], data: np.n
     write_csv(art.path(name), ["k"] + columns, np.column_stack([np.arange(data.shape[0]), data]))
 
 
-def _run_standard_kf(cfg: ScenarioConfig, art: _Artifacts, jobs: int) -> dict:
+def _run_standard_kf(cfg: ScenarioConfig, art: _Artifacts) -> dict:
     rec = simulate(cfg.model, None, cfg.horizon, cfg.seed)
     run = filter_pass(cfg.model, rec.y, x=rec.x, increments=True)
     eps, increments = run.eps, run.increments
@@ -553,7 +539,7 @@ def _averaged_model(model: EnsembleModel) -> EnsembleModel:
     return build_ensemble(params, model.meas.V, model.meas.R, model.tau)
 
 
-def _run_standard_kf_suboptimal(cfg: ScenarioConfig, art: _Artifacts, jobs: int) -> dict:
+def _run_standard_kf_suboptimal(cfg: ScenarioConfig, art: _Artifacts) -> dict:
     rec = simulate(cfg.model, None, cfg.horizon, cfg.seed)
     eps_opt = filter_pass(cfg.model, rec.y, x=rec.x).eps
     eps_sub = filter_pass(_averaged_model(cfg.model), rec.y, x=rec.x).eps
@@ -576,7 +562,7 @@ def _run_standard_kf_suboptimal(cfg: ScenarioConfig, art: _Artifacts, jobs: int)
     }
 
 
-def _run_determinate_kf(cfg: ScenarioConfig, art: _Artifacts, jobs: int) -> dict:
+def _run_determinate_kf(cfg: ScenarioConfig, art: _Artifacts) -> dict:
     model = cfg.model
     rec = simulate(model, None, cfg.horizon, cfg.seed)
     run = filter_pass(model, rec.y, d=decompose(model, cfg.weight))
@@ -598,7 +584,7 @@ def _run_determinate_kf(cfg: ScenarioConfig, art: _Artifacts, jobs: int) -> dict
     }
 
 
-def _run_controller(cfg: ScenarioConfig, art: _Artifacts, jobs: int) -> dict:
+def _run_controller(cfg: ScenarioConfig, art: _Artifacts) -> dict:
     model = cfg.model
     d = decompose(model, cfg.weight)
     gains = solve_stationary(d, model.meas.R)
@@ -623,20 +609,19 @@ def _run_controller(cfg: ScenarioConfig, art: _Artifacts, jobs: int) -> dict:
     if "trajectory" in cfg.outputs:
         write_trajectory_csv(rec, art.path("trajectory.csv"))
 
-    plots = _clock_allan_artifacts(cfg, rec.h, art, jobs)
+    intervals = _clock_allan_artifacts(cfg, rec.h, art).intervals
     s1 = np.diag(model.Sigma1)
     s2 = np.diag(model.Sigma2)
-    first = next(iter(plots.values()))
     references = {
         "destination": _analytical_plot(
-            first.intervals,
-            [allan_pi(cfg.weight, s1, s2, t) for t in first.intervals],
+            intervals,
+            [allan_pi(cfg.weight, s1, s2, t) for t in intervals],
         )
     }
     if cfg.kind == "balanced":
         references["destination_long"] = _analytical_plot(
-            first.intervals,
-            [allan_pi(weight_long(s2).q, s1, s2, t) for t in first.intervals],
+            intervals,
+            [allan_pi(weight_long(s2).q, s1, s2, t) for t in intervals],
         )
     if "allan" in cfg.outputs:
         index = write_allan_plots(references, art.directory, prefix="reference")
@@ -682,7 +667,9 @@ def run_scenario(cfg: ScenarioConfig, out_dir: str, jobs: int = 1) -> dict:
     Returns the manifest (also written as ``manifest.json``): file list
     with content hashes, the config echo, and library versions.  On a
     numerical failure the manifest is still written, with the error
-    recorded and whatever artifacts exist flagged as partial.
+    recorded and whatever artifacts exist flagged as partial.  ``jobs`` is
+    unused: a scenario runs in one thread, and ``eemsync run --jobs`` runs
+    scenarios side by side.
     """
     import scipy
 
@@ -692,7 +679,7 @@ def run_scenario(cfg: ScenarioConfig, out_dir: str, jobs: int = 1) -> dict:
     caught: Optional[Exception] = None
     summary: dict = {}
     try:
-        summary = _RUNNERS[cfg.kind](cfg, art, jobs)
+        summary = _RUNNERS[cfg.kind](cfg, art)
         if "summary" in cfg.outputs:
             _write_json(art.path("summary.json"), summary)
     except (NumericalError, ConvergenceError) as exc:

@@ -59,6 +59,8 @@ from eemsync.filters import (
 )
 from eemsync.scenarios import _averaged_model, _trend_statistics
 
+pytestmark = pytest.mark.acceptance
+
 
 def report(n: int, ok: bool, detail: str) -> None:
     print(f"[criterion {n}] {'PASS' if ok else 'FAIL'} — {detail}")

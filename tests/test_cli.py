@@ -172,7 +172,7 @@ def test_run_reports_numerical_failure(tmp_path, capsys, monkeypatch):
     from eemsync import NumericalError
     from eemsync import scenarios as scen
 
-    def explode(cfg, art, jobs):
+    def explode(cfg, art):
         raise NumericalError("synthetic breakdown")
 
     monkeypatch.setitem(scen._RUNNERS, "free-run", explode)

@@ -84,6 +84,46 @@ class TestNoiseParams:
             NoiseParams(0.0, 0.0)
 
 
+def _r_with(value):
+    R = np.eye(2)
+    R[1, 1] = value
+    return R
+
+
+NON_FINITE_CASES = {
+    # variance or tau**3 overflow: Python floats raised OverflowError, and a
+    # numpy float gave an inf variance without complaint
+    "sigma1-float": (lambda: NoiseParams(1e200, 1e-13), "sigma1"),
+    "sigma1-float64": (lambda: NoiseParams(np.float64(1e200), 1e-13), "sigma1"),
+    "sigma2-float64": (lambda: NoiseParams(1e-10, np.float64(1e200)), "sigma2"),
+    "discretize-tau-cubed": (lambda: discretize(NoiseParams(1e-10, 1e-13), 1e200), "tau"),
+    "discretize-Q": (lambda: discretize(NoiseParams(1e150, 0.0), 1e10), "Q not finite"),
+    "build-tau-cubed": (
+        lambda: build_ensemble([NoiseParams(1e-10, 1e-13)] * 3, star_measurement(3), np.eye(2), 1e200),
+        "tau",
+    ),
+    "build-bigQ": (
+        lambda: build_ensemble(
+            [NoiseParams(1e-10, 1e-13)] * 2 + [NoiseParams(1e150, 0.0)], star_measurement(3), np.eye(2), 1e10
+        ),
+        "bigQ not finite",
+    ),
+    # inf - inf is NaN, so the symmetry test used to let these through
+    "R-inf": (lambda: MeasurementStructure(V=star_measurement(3), R=_r_with(np.inf)), "R must be finite"),
+    "build-R-nan": (
+        lambda: build_ensemble([NoiseParams(1e-10, 1e-13)] * 3, star_measurement(3), _r_with(np.nan), 1.0),
+        "R must be finite",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NON_FINITE_CASES))
+def test_non_finite_model_raises_value_error(case):
+    build, field = NON_FINITE_CASES[case]
+    with pytest.raises(ValueError, match=field):
+        build()
+
+
 class TestMeasurement:
     def test_star_shapes(self):
         assert np.array_equal(star_measurement(2), [[1.0, -1.0]])

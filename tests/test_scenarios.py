@@ -5,6 +5,7 @@ scenario kind get their full-length treatment in the acceptance suite.
 """
 
 import copy
+import dataclasses
 import json
 
 import numpy as np
@@ -22,6 +23,7 @@ from eemsync import (
     decompose,
     destination_trajectory,
     run_scenario,
+    simulate,
     solve_stationary,
     star_measurement,
     sync_error,
@@ -30,6 +32,7 @@ from eemsync import (
     weight_short,
 )
 from eemsync import scenarios as scen
+from test_allan import reference_statistical_allan
 
 
 def raw_config(kind="free-run", **over):
@@ -209,6 +212,21 @@ class TestRunScenario:
                 entry["analytical_at_1s"], rel=0.2
             )
 
+    def test_free_run_allan_matches_reference_per_clock(self, tmp_path):
+        # one allan_plot call on the whole record gives each clock exactly
+        # the one-clock estimate, under the per-clock artifact names
+        cfg = validate_config(raw_config(horizon=2_000))
+        manifest = run_scenario(cfg, str(tmp_path))
+        rec = simulate(cfg.model, None, cfg.horizon, cfg.seed)
+        names = [f"clock_{i + 1}" for i in range(cfg.model.N)]
+        for i, name in enumerate(names):
+            expected = reference_statistical_allan(rec.h[:, i], cfg.model.tau, 1)
+            assert manifest["summary"]["clocks"][name]["allan_at_1s"] == expected
+        index = json.loads((tmp_path / "case" / "allan_index.json").read_text())
+        assert index == {name: f"allan_{name}.csv" for name in names}
+        reference = json.loads((tmp_path / "case" / "reference_index.json").read_text())
+        assert sorted(reference) == [f"{name}_analytical" for name in names]
+
     def test_determinate_runner_equivalence(self, tmp_path):
         cfg = validate_config(raw_config("determinate-kf", horizon=300))
         manifest = run_scenario(cfg, str(tmp_path))
@@ -270,7 +288,7 @@ class TestRunScenario:
         assert not any(f["name"] == "trajectory.csv" for f in m_without["files"])
 
     def test_numerical_failure_partial_manifest(self, tmp_path, monkeypatch):
-        def explode(cfg, art, jobs):
+        def explode(cfg, art):
             raise NumericalError("synthetic breakdown")
 
         monkeypatch.setitem(scen._RUNNERS, "free-run", explode)
@@ -285,13 +303,14 @@ class TestRunScenario:
 
     @pytest.mark.parametrize("kind", ["standard-kf", "determinate-kf"])
     def test_non_finite_covariance_fails_with_partial_manifest(self, tmp_path, kind):
-        # sigma1**2 overflows, which the validator rejects; built directly,
-        # the model reaches the filter, whose innovation covariance is not
-        # finite
+        # clock 1's white-FM variance is inf, which build_ensemble and the
+        # validator reject; patched in, the model reaches the filter, whose
+        # innovation covariance is not finite
         n = 3
-        params = [NoiseParams(np.float64(1e200), 1e-13)] + [NoiseParams(1e-10, 1e-13)] * (n - 1)
-        with np.errstate(all="ignore"):
-            model = build_ensemble(params, star_measurement(n), np.eye(n - 1) * 1e-28, 1.0)
+        model = build_ensemble([NoiseParams(1e-10, 1e-13)] * n, star_measurement(n), np.eye(n - 1) * 1e-28, 1.0)
+        Sigma1, bigQ = model.Sigma1.copy(), model.bigQ.copy()
+        Sigma1[0, 0] = bigQ[0, 0] = np.inf
+        model = dataclasses.replace(model, Sigma1=Sigma1, bigQ=bigQ)
         cfg = scen.ScenarioConfig(
             name="overflow",
             kind=kind,
