@@ -11,7 +11,7 @@ from pathlib import Path
 from typing import List, Optional
 
 from .errors import ConfigError, ConvergenceError, NumericalError
-from .scenarios import KIND_SUMMARIES, KINDS, run_scenario, validate_config
+from .scenarios import KINDS, run_scenario, validate_config
 
 __all__ = ["main"]
 
@@ -94,9 +94,9 @@ def _cmd_list(_args) -> int:
             bundled.setdefault(raw.get("kind"), []).append(name)
         except (OSError, json.JSONDecodeError):
             continue
-    for kind in KINDS:
+    for kind, spec in KINDS.items():
         names = ", ".join(bundled.get(kind, [])) or "-"
-        print(f"{kind:24s} {KIND_SUMMARIES[kind]}  [bundled: {names}]")
+        print(f"{kind:24s} {spec.summary}  [bundled: {names}]")
     return EXIT_OK
 
 

@@ -51,63 +51,6 @@ from .simkit import simulate, write_csv, write_trajectory_csv
 
 __all__ = ["ScenarioConfig", "KINDS", "validate_config", "run_scenario"]
 
-KINDS = (
-    "free-run",
-    "standard-kf",
-    "standard-kf-suboptimal",
-    "determinate-kf",
-    "steer-to-clock",
-    "sync-simple-average",
-    "sync-best-short",
-    "sync-best-long",
-    "balanced",
-)
-
-KIND_SUMMARIES = {
-    "free-run": "uncontrolled ensemble, per-clock Allan statistics",
-    "standard-kf": "full-state filter, reference time scale and increment series",
-    "standard-kf-suboptimal": "optimal vs averaged-covariance filter on shared noise",
-    "determinate-kf": "decomposed filter equivalence against the full-state filter",
-    "steer-to-clock": "synchronize every clock to the last clock (its input stays zero)",
-    "sync-simple-average": "synchronize to the plain average of all clocks",
-    "sync-best-short": "synchronize to the short-term optimal weighted mean",
-    "sync-best-long": "synchronize to the long-term optimal weighted mean",
-    "balanced": "synchronization plus periodic collective control of the mean",
-}
-
-# weights pinned by the scenario kind; None means the kind accepts a weight
-_KIND_WEIGHT = {
-    "steer-to-clock": "last-clock",
-    "sync-simple-average": "uniform",
-    "sync-best-short": "short",
-    "sync-best-long": "long",
-}
-
-_CONTROLLER_KINDS = (
-    "steer-to-clock",
-    "sync-simple-average",
-    "sync-best-short",
-    "sync-best-long",
-    "balanced",
-)
-
-_OUTPUTS = {
-    "free-run": ("allan", "analytical", "summary", "trajectory"),
-    "standard-kf": ("allan", "increments", "gains", "summary", "trajectory"),
-    "standard-kf-suboptimal": ("allan", "summary"),
-    "determinate-kf": ("equivalence", "increments", "summary"),
-    "steer-to-clock": ("allan", "commands", "delta", "gains", "summary", "trajectory"),
-    "sync-simple-average": ("allan", "commands", "delta", "gains", "summary", "trajectory"),
-    "sync-best-short": ("allan", "commands", "delta", "gains", "summary", "trajectory"),
-    "sync-best-long": ("allan", "commands", "delta", "gains", "summary", "trajectory"),
-    "balanced": ("allan", "commands", "delta", "gains", "summary", "trajectory"),
-}
-
-_DEFAULT_OUTPUTS = {
-    kind: tuple(sel for sel in sels if sel != "trajectory")
-    for kind, sels in _OUTPUTS.items()
-}
-
 
 @dataclass(frozen=True)
 class ScenarioConfig:
@@ -124,35 +67,61 @@ class ScenarioConfig:
     raw: dict
 
 
+@dataclass(frozen=True)
+class KindSpec:
+    """What one scenario kind runs, writes and lets a config set."""
+
+    summary: str
+    run: Callable[[ScenarioConfig, "_Artifacts"], dict]
+    # selectors the kind can write; every one but "trajectory" is on by default
+    outputs: Tuple[str, ...]
+    # default weight name; pinned exactly when "weight" is not in settings
+    weight: Optional[str] = None
+    # controller keys a config may set
+    settings: Tuple[str, ...] = ()
+    # controller mode; None for the offline kinds
+    mode: Optional[str] = None
+
+    @property
+    def default_outputs(self) -> Tuple[str, ...]:
+        return tuple(sel for sel in self.outputs if sel != "trajectory")
+
+
 def _is_number(value, integer: bool = False) -> bool:
     """An int, or unless ``integer`` a float; JSON true/false parse to bool,
     which Python would otherwise accept as the int 1 or 0."""
     return isinstance(value, int if integer else (int, float)) and not isinstance(value, bool)
 
 
-def _resolve_weight(spec, model: EnsembleModel, problems: List[str]) -> Optional[np.ndarray]:
-    s1 = np.diag(model.Sigma1)
-    s2 = np.diag(model.Sigma2)
-    if isinstance(spec, str):
-        if spec == "uniform":
+def _resolve_weight(given, model: EnsembleModel, problems: List[str]) -> Optional[np.ndarray]:
+    if isinstance(given, str):
+        if given == "uniform":
             return np.full(model.N, 1.0 / model.N)
-        if spec == "short":
-            return weight_short(s1).q
-        if spec == "long":
-            return weight_long(s2).q
-        if spec == "last-clock":
+        if given in ("short", "long"):
+            # the optimal weights divide by the white-FM or random-walk
+            # variances, so a zero or subnormal one leaves them undefined
+            field = "sigma1" if given == "short" else "sigma2"
+            try:
+                with np.errstate(over="ignore", invalid="ignore"):
+                    if given == "short":
+                        return weight_short(np.diag(model.Sigma1)).q
+                    return weight_long(np.diag(model.Sigma2)).q
+            except ValueError as exc:
+                problems.append(f"model.{field}: no {given}-term weight for these variances ({exc})")
+                return None
+        if given == "last-clock":
             q = np.zeros(model.N)
             q[-1] = 1.0
             return q
         problems.append(
-            f"controller.weight: unknown name {spec!r} "
+            f"controller.weight: unknown name {given!r} "
             "(use 'uniform', 'short', 'long', 'last-clock', or a list)"
         )
         return None
-    if not isinstance(spec, (list, tuple)) or not all(_is_number(x) for x in spec):
-        problems.append(f"controller.weight: not a number list: {spec!r}")
+    if not isinstance(given, (list, tuple)) or not all(_is_number(x) for x in given):
+        problems.append(f"controller.weight: not a number list: {given!r}")
         return None
-    q = np.asarray(spec, dtype=float)
+    q = np.asarray(given, dtype=float)
     if q.shape != (model.N,):
         problems.append(
             f"controller.weight: expected {model.N} entries, got shape {q.shape}"
@@ -253,6 +222,7 @@ def validate_config(raw) -> ScenarioConfig:
     if kind not in KINDS:
         problems.append(f"kind: must be one of {', '.join(KINDS)}; got {kind!r}")
         raise ConfigError(problems)
+    spec = KINDS[kind]
 
     model = _build_model(raw.get("model"), problems)
 
@@ -270,44 +240,39 @@ def validate_config(raw) -> ScenarioConfig:
     if not isinstance(ctrl_raw, dict):
         problems.append("controller: must be an object")
         ctrl_raw = {}
-    known_ctrl = {
-        "weight",
-        "obs_gain_coeffs",
-        "collective_gain_coeffs",
-        "period",
-        "phase",
-    }
     for key in ctrl_raw:
-        if key not in known_ctrl:
+        if key in spec.settings:
+            continue
+        if not any(key in other.settings for other in KINDS.values()):
             problems.append(f"controller.{key}: unknown setting")
+        elif key == "weight" and spec.weight is not None:
+            problems.append(
+                f"controller.weight: kind {kind!r} pins the weight ({spec.weight}); remove it"
+            )
+        else:
+            problems.append(
+                f"controller.{key}: not used by kind {kind!r} "
+                f"(it accepts {', '.join(spec.settings) or 'no settings'})"
+            )
+    settings = {key: value for key, value in ctrl_raw.items() if key in spec.settings}
 
     weight: Optional[np.ndarray] = None
     controller: Optional[ControllerConfig] = None
-    uses_weight = kind in _CONTROLLER_KINDS or kind == "determinate-kf"
-    if not uses_weight and ctrl_raw:
-        problems.append(f"controller: settings are not used by kind {kind!r}")
+    if model is not None and spec.weight is not None:
+        weight = _resolve_weight(settings.get("weight", spec.weight), model, problems)
 
-    if model is not None and uses_weight:
-        pinned = _KIND_WEIGHT.get(kind)
-        if pinned is not None:
-            if "weight" in ctrl_raw:
-                problems.append(
-                    f"controller.weight: kind {kind!r} pins the weight ({pinned}); remove it"
-                )
-            weight_spec = pinned
-        else:
-            weight_spec = ctrl_raw.get("weight", "short" if kind == "balanced" else "uniform")
-        weight = _resolve_weight(weight_spec, model, problems)
-
-    if model is not None and weight is not None and kind in _CONTROLLER_KINDS:
+    mode = spec.mode
+    if model is not None and weight is not None and mode is not None:
         tau = model.tau
-        obs_coeffs = ctrl_raw.get("obs_gain_coeffs", list(DEFAULT_OBS_GAIN_COEFFS))
-        coll_coeffs = ctrl_raw.get(
+        obs_coeffs = settings.get("obs_gain_coeffs", list(DEFAULT_OBS_GAIN_COEFFS))
+        coll_coeffs = settings.get(
             "collective_gain_coeffs", list(DEFAULT_COLLECTIVE_GAIN_COEFFS)
         )
-        period = ctrl_raw.get("period", DEFAULT_COLLECTIVE_PERIOD)
-        phase = ctrl_raw.get("phase", 0)
-        mode = "balanced" if kind == "balanced" else "sync-only"
+        period = settings.get("period", DEFAULT_COLLECTIVE_PERIOD)
+        phase = settings.get("phase", 0)
+        if mode == "balanced":
+            # the summary samples the mean against the long-term weight
+            _resolve_weight("long", model, problems)
         ok_pair = (
             lambda v: isinstance(v, (list, tuple))
             and len(v) == 2
@@ -353,12 +318,12 @@ def validate_config(raw) -> ScenarioConfig:
 
     outputs = raw.get("outputs")
     if outputs is None:
-        outputs = list(_DEFAULT_OUTPUTS[kind])
+        outputs = list(spec.default_outputs)
     if not isinstance(outputs, list) or not all(isinstance(s, str) for s in outputs):
         problems.append(f"outputs: list of selector strings required, got {outputs!r}")
         outputs = []
     else:
-        allowed = set(_OUTPUTS[kind])
+        allowed = set(spec.outputs)
         for sel in outputs:
             if sel not in allowed:
                 problems.append(
@@ -441,8 +406,11 @@ class _Artifacts:
         self.names.append(name)
         return os.path.join(self.directory, name)
 
-    def note(self, names) -> None:
-        self.names.extend(names)
+    def write_allan(self, plots: Dict[str, AllanPlot], prefix: str) -> None:
+        """Allan CSVs and their ``<prefix>_index.json``, listed in the manifest."""
+        index = write_allan_plots(plots, self.directory, prefix=prefix)
+        self.names.extend(index.values())
+        self.names.append(f"{prefix}_index.json")
 
     def manifest_files(self) -> List[dict]:
         entries = []
@@ -462,9 +430,7 @@ def _clock_allan_artifacts(cfg: ScenarioConfig, h: np.ndarray, art: _Artifacts) 
     """Statistical Allan plot of every clock (one column each), one CSV per clock."""
     plot = allan_plot(h, cfg.model.tau)
     if "allan" in cfg.outputs:
-        index = write_allan_plots({"clock": plot}, art.directory, prefix="allan")
-        art.note(index.values())
-        art.note(["allan_index.json"])
+        art.write_allan({"clock": plot}, "allan")
     return plot
 
 
@@ -490,9 +456,7 @@ def _run_free_run(cfg: ScenarioConfig, art: _Artifacts) -> dict:
             "analytical_at_1s": analytical_allan_clock(noise, cfg.model.tau),
         }
     if "analytical" in cfg.outputs:
-        index = write_allan_plots(analytical, art.directory, prefix="reference")
-        art.note(index.values())
-        art.note(["reference_index.json"])
+        art.write_allan(analytical, "reference")
     if "trajectory" in cfg.outputs:
         write_trajectory_csv(rec, art.path("trajectory.csv"))
     return summary
@@ -515,9 +479,7 @@ def _run_standard_kf(cfg: ScenarioConfig, art: _Artifacts) -> dict:
         )
     plot = allan_plot(eps, cfg.model.tau)
     if "allan" in cfg.outputs:
-        index = write_allan_plots({"timescale": plot}, art.directory, prefix="allan")
-        art.note(index.values())
-        art.note(["allan_index.json"])
+        art.write_allan({"timescale": plot}, "allan")
     if "gains" in cfg.outputs:
         d = decompose(cfg.model, np.full(cfg.model.N, 1.0 / cfg.model.N))
         write_gains_json(solve_stationary(d, cfg.model.meas.R), art.path("gains.json"))
@@ -546,13 +508,7 @@ def _run_standard_kf_suboptimal(cfg: ScenarioConfig, art: _Artifacts) -> dict:
     plot_opt = allan_plot(eps_opt, cfg.model.tau)
     plot_sub = allan_plot(eps_sub, cfg.model.tau)
     if "allan" in cfg.outputs:
-        index = write_allan_plots(
-            {"timescale_optimal": plot_opt, "timescale_suboptimal": plot_sub},
-            art.directory,
-            prefix="allan",
-        )
-        art.note(index.values())
-        art.note(["allan_index.json"])
+        art.write_allan({"timescale_optimal": plot_opt, "timescale_suboptimal": plot_sub}, "allan")
     at1_opt = float(plot_opt.values[plot_opt.m_set == 1][0])
     at1_sub = float(plot_sub.values[plot_sub.m_set == 1][0])
     return {
@@ -592,6 +548,7 @@ def _run_controller(cfg: ScenarioConfig, art: _Artifacts) -> dict:
     dest = destination_trajectory(model, cfg.weight, cfg.horizon, cfg.seed)
     delta = sync_error(rec, dest)
     rel_phase = delta[:, : model.N] @ d.V.T  # common mode removed
+    balanced = cfg.controller.mode == "balanced"
 
     if "gains" in cfg.outputs:
         write_gains_json(gains, art.path("gains.json"))
@@ -618,15 +575,14 @@ def _run_controller(cfg: ScenarioConfig, art: _Artifacts) -> dict:
             [allan_pi(cfg.weight, s1, s2, t) for t in intervals],
         )
     }
-    if cfg.kind == "balanced":
+    if balanced:
+        q_inf = weight_long(s2).q
         references["destination_long"] = _analytical_plot(
             intervals,
-            [allan_pi(weight_long(s2).q, s1, s2, t) for t in intervals],
+            [allan_pi(q_inf, s1, s2, t) for t in intervals],
         )
     if "allan" in cfg.outputs:
-        index = write_allan_plots(references, art.directory, prefix="reference")
-        art.note(index.values())
-        art.note(["reference_index.json"])
+        art.write_allan(references, "reference")
 
     summary = {
         "relative_phase_trend": _trend_statistics(rel_phase[:, 0]),
@@ -636,11 +592,10 @@ def _run_controller(cfg: ScenarioConfig, art: _Artifacts) -> dict:
     }
     if cfg.kind == "steer-to-clock":
         summary["steered_clock_max_abs_input"] = float(np.max(np.abs(rec.u[:, -1])))
-    if cfg.kind == "balanced":
+    if balanced:
         # at the kick instants, k = phase (mod m), the mean should ride
         # the long-term destination
         m = cfg.controller.m
-        q_inf = weight_long(s2).q
         delta_long = sync_error(rec, destination_trajectory(model, q_inf, cfg.horizon, cfg.seed))
         sampled_mean = delta_long[cfg.controller.phase % m :: m, : model.N] @ q_inf
         summary["collective_kicks"] = int(np.count_nonzero(omega_obar))
@@ -648,16 +603,56 @@ def _run_controller(cfg: ScenarioConfig, art: _Artifacts) -> dict:
     return summary
 
 
-_RUNNERS: Dict[str, Callable] = {
-    "free-run": _run_free_run,
-    "standard-kf": _run_standard_kf,
-    "standard-kf-suboptimal": _run_standard_kf_suboptimal,
-    "determinate-kf": _run_determinate_kf,
-    "steer-to-clock": _run_controller,
-    "sync-simple-average": _run_controller,
-    "sync-best-short": _run_controller,
-    "sync-best-long": _run_controller,
-    "balanced": _run_controller,
+_CONTROLLER_SELECTORS = ("allan", "commands", "delta", "gains", "summary", "trajectory")
+
+# every scenario kind, in the order the CLI lists them
+KINDS: Dict[str, KindSpec] = {
+    "free-run": KindSpec(
+        "uncontrolled ensemble, per-clock Allan statistics",
+        _run_free_run,
+        ("allan", "analytical", "summary", "trajectory"),
+    ),
+    "standard-kf": KindSpec(
+        "full-state filter, reference time scale and increment series",
+        _run_standard_kf,
+        ("allan", "increments", "gains", "summary", "trajectory"),
+    ),
+    "standard-kf-suboptimal": KindSpec(
+        "optimal vs averaged-covariance filter on shared noise",
+        _run_standard_kf_suboptimal,
+        ("allan", "summary"),
+    ),
+    "determinate-kf": KindSpec(
+        "decomposed filter equivalence against the full-state filter",
+        _run_determinate_kf,
+        ("equivalence", "increments", "summary"),
+        "uniform",
+        ("weight",),
+    ),
+    "steer-to-clock": KindSpec(
+        "synchronize every clock to the last clock (its input stays zero)",
+        _run_controller, _CONTROLLER_SELECTORS, "last-clock", ("obs_gain_coeffs",), "sync-only",
+    ),
+    "sync-simple-average": KindSpec(
+        "synchronize to the plain average of all clocks",
+        _run_controller, _CONTROLLER_SELECTORS, "uniform", ("obs_gain_coeffs",), "sync-only",
+    ),
+    "sync-best-short": KindSpec(
+        "synchronize to the short-term optimal weighted mean",
+        _run_controller, _CONTROLLER_SELECTORS, "short", ("obs_gain_coeffs",), "sync-only",
+    ),
+    "sync-best-long": KindSpec(
+        "synchronize to the long-term optimal weighted mean",
+        _run_controller, _CONTROLLER_SELECTORS, "long", ("obs_gain_coeffs",), "sync-only",
+    ),
+    "balanced": KindSpec(
+        "synchronization plus periodic collective control of the mean",
+        _run_controller,
+        _CONTROLLER_SELECTORS,
+        "short",
+        ("weight", "obs_gain_coeffs", "collective_gain_coeffs", "period", "phase"),
+        "balanced",
+    ),
 }
 
 
@@ -679,7 +674,7 @@ def run_scenario(cfg: ScenarioConfig, out_dir: str, jobs: int = 1) -> dict:
     caught: Optional[Exception] = None
     summary: dict = {}
     try:
-        summary = _RUNNERS[cfg.kind](cfg, art)
+        summary = KINDS[cfg.kind].run(cfg, art)
         if "summary" in cfg.outputs:
             _write_json(art.path("summary.json"), summary)
     except (NumericalError, ConvergenceError) as exc:

@@ -30,18 +30,18 @@ def write_config(tmp_path, name="tiny", **over):
 def test_list_scenarios_names_every_kind(capsys):
     assert main(["list-scenarios"]) == 0
     out = capsys.readouterr().out
-    for kind in (
-        "free-run",
-        "standard-kf",
-        "standard-kf-suboptimal",
-        "determinate-kf",
-        "steer-to-clock",
-        "sync-simple-average",
-        "sync-best-short",
-        "sync-best-long",
-        "balanced",
-    ):
-        assert kind in out
+    for kind, summary in {
+        "free-run": "uncontrolled ensemble, per-clock Allan statistics",
+        "standard-kf": "full-state filter, reference time scale and increment series",
+        "standard-kf-suboptimal": "optimal vs averaged-covariance filter on shared noise",
+        "determinate-kf": "decomposed filter equivalence against the full-state filter",
+        "steer-to-clock": "synchronize every clock to the last clock (its input stays zero)",
+        "sync-simple-average": "synchronize to the plain average of all clocks",
+        "sync-best-short": "synchronize to the short-term optimal weighted mean",
+        "sync-best-long": "synchronize to the long-term optimal weighted mean",
+        "balanced": "synchronization plus periodic collective control of the mean",
+    }.items():
+        assert f"{kind:24s} {summary}  [bundled: " in out
 
 
 def test_validate_accepts_bundled_config(capsys):
@@ -168,14 +168,33 @@ def test_run_rejects_variances_that_overflow_or_underflow(tmp_path, capsys, fiel
     assert not (tmp_path / "artifacts").exists()
 
 
-def test_run_reports_numerical_failure(tmp_path, capsys, monkeypatch):
-    from eemsync import NumericalError
-    from eemsync import scenarios as scen
+@pytest.mark.parametrize(
+    "kind, field, value, weight",
+    [
+        ("balanced", "sigma1", 0.0, None),
+        ("balanced", "sigma2", 0.0, None),
+        ("sync-best-short", "sigma1", 0.0, None),
+        ("sync-best-long", "sigma2", 0.0, None),
+        ("sync-best-long", "sigma2", 1e-160, None),
+        ("determinate-kf", "sigma2", 0.0, "long"),
+    ],
+)
+def test_run_rejects_variance_the_weight_divides_by(tmp_path, capsys, kind, field, value, weight):
+    # the short-term weight divides by sigma1**2, the long-term one by
+    # sigma2**2 (1e-160**2 is subnormal, so its inverse overflows), and
+    # balanced runs always check their mean against the latter
+    path = write_config(tmp_path, kind=kind, horizon=400)
+    cfg = json.loads(path.read_text())
+    cfg["model"][field][1] = value
+    if weight is not None:
+        cfg["controller"] = {"weight": weight}
+    path.write_text(json.dumps(cfg))
+    assert main(["run", str(path), "--out", str(tmp_path / "artifacts")]) == 2
+    assert f"model.{field}" in capsys.readouterr().err
+    assert not (tmp_path / "artifacts").exists()
 
-    def explode(cfg, art):
-        raise NumericalError("synthetic breakdown")
 
-    monkeypatch.setitem(scen._RUNNERS, "free-run", explode)
+def test_run_reports_numerical_failure(tmp_path, capsys, free_run_raises):
     path = write_config(tmp_path)
     assert main(["run", str(path), "--out", str(tmp_path / "artifacts")]) == 3
     assert "numerical failure" in capsys.readouterr().err

@@ -32,6 +32,7 @@ from eemsync import (
     weight_short,
 )
 from eemsync import scenarios as scen
+from eemsync.cli import _bundled_dir, _bundled_names
 from test_allan import reference_statistical_allan
 
 
@@ -53,10 +54,47 @@ def raw_config(kind="free-run", **over):
     return cfg
 
 
+# kind: (default weight name, controller mode, default outputs,
+#        opt-in outputs, a selector that only other kinds write)
+KIND_DEFAULTS = {
+    "free-run": (None, None, ("allan", "analytical", "summary"), ("trajectory",), "gains"),
+    "standard-kf": (
+        None, None, ("allan", "increments", "gains", "summary"), ("trajectory",), "commands",
+    ),
+    "standard-kf-suboptimal": (None, None, ("allan", "summary"), (), "increments"),
+    "determinate-kf": ("uniform", None, ("equivalence", "increments", "summary"), (), "allan"),
+    **{
+        kind: (
+            weight,
+            mode,
+            ("allan", "commands", "delta", "gains", "summary"),
+            ("trajectory",),
+            "equivalence",
+        )
+        for kind, weight, mode in (
+            ("steer-to-clock", "last-clock", "sync-only"),
+            ("sync-simple-average", "uniform", "sync-only"),
+            ("sync-best-short", "short", "sync-only"),
+            ("sync-best-long", "long", "sync-only"),
+            ("balanced", "short", "balanced"),
+        )
+    },
+}
+
+
+def named_weight(name, model):
+    if name == "uniform":
+        return np.full(model.N, 1.0 / model.N)
+    if name == "short":
+        return weight_short(np.diag(model.Sigma1)).q
+    if name == "long":
+        return weight_long(np.diag(model.Sigma2)).q
+    assert name == "last-clock"
+    return np.eye(model.N)[-1]
+
+
 class TestValidateConfig:
     def test_bundled_configs_cover_every_kind(self):
-        from eemsync.cli import _bundled_dir
-
         kinds = set()
         for path in sorted(_bundled_dir().iterdir()):
             if path.name.endswith(".json"):
@@ -168,6 +206,58 @@ class TestValidateConfig:
         raw["horizon"] = 550
         assert validate_config(raw).horizon == 550
         assert validate_config(raw_config("balanced")).horizon == 400
+
+    @pytest.mark.parametrize(
+        "kind, key, value",
+        [
+            ("free-run", "weight", "uniform"),
+            ("standard-kf", "obs_gain_coeffs", [0.1, 1.0]),
+            ("determinate-kf", "period", 200),
+            ("determinate-kf", "obs_gain_coeffs", [0.1, 1.0]),
+            ("steer-to-clock", "collective_gain_coeffs", [0.01, 1.0]),
+            ("sync-simple-average", "period", 200),
+            ("sync-best-short", "phase", 0),
+            ("sync-best-long", "period", 100),
+        ],
+    )
+    def test_setting_the_kind_ignores_rejected(self, kind, key, value):
+        with pytest.raises(ConfigError) as info:
+            validate_config(raw_config(kind, controller={key: value}))
+        assert len(info.value.problems) == 1
+        assert info.value.problems[0].startswith(f"controller.{key}: not used by kind {kind!r}")
+
+    @pytest.mark.parametrize(
+        "kind, field",
+        [
+            ("free-run", "sigma1"),
+            ("determinate-kf", "sigma2"),
+            ("sync-simple-average", "sigma1"),
+            ("sync-best-short", "sigma2"),
+            ("sync-best-long", "sigma1"),
+        ],
+    )
+    def test_zero_variance_no_weight_needs_is_valid(self, kind, field):
+        raw = raw_config(kind)
+        raw["model"][field][1] = 0.0
+        assert validate_config(raw).kind == kind
+
+    def test_kinds_keep_their_order(self):
+        assert list(KINDS) == list(KIND_DEFAULTS)
+
+    @pytest.mark.parametrize("kind", list(KIND_DEFAULTS))
+    def test_kind_defaults_and_selectors(self, kind):
+        weight_name, mode, outputs, opt_in, foreign = KIND_DEFAULTS[kind]
+        cfg = validate_config(raw_config(kind))
+        if weight_name is None:
+            assert cfg.weight is None
+        else:
+            assert np.array_equal(cfg.weight, named_weight(weight_name, cfg.model))
+        assert (cfg.controller.mode if cfg.controller else None) == mode
+        assert cfg.outputs == outputs
+        for sel in outputs + opt_in:
+            assert validate_config(raw_config(kind, outputs=[sel])).outputs == (sel,)
+        with pytest.raises(ConfigError, match=f"{foreign!r} is not available for kind {kind!r}"):
+            validate_config(raw_config(kind, outputs=[foreign]))
 
     def test_json_string_accepted(self):
         cfg = validate_config(json.dumps(raw_config()))
@@ -287,11 +377,22 @@ class TestRunScenario:
         assert any(f["name"] == "trajectory.csv" for f in m_with["files"])
         assert not any(f["name"] == "trajectory.csv" for f in m_without["files"])
 
-    def test_numerical_failure_partial_manifest(self, tmp_path, monkeypatch):
-        def explode(cfg, art):
-            raise NumericalError("synthetic breakdown")
+    @pytest.mark.parametrize("name", _bundled_names())
+    def test_bundled_config_runs_at_short_horizon(self, tmp_path, name):
+        raw = json.loads((_bundled_dir() / f"{name}.json").read_text())
+        raw["horizon"] = 2_000
+        manifest = run_scenario(validate_config(raw), str(tmp_path))
+        assert manifest["status"] == "ok"
 
-        monkeypatch.setitem(scen._RUNNERS, "free-run", explode)
+        def reject(constant):
+            raise ValueError(f"summary.json holds {constant}")
+
+        json.loads((tmp_path / name / "summary.json").read_text(), parse_constant=reject)
+        # trajectories are opt-in
+        assert not (tmp_path / name / "trajectory.csv").exists()
+        assert "trajectory.csv" not in {f["name"] for f in manifest["files"]}
+
+    def test_numerical_failure_partial_manifest(self, tmp_path, free_run_raises):
         cfg = validate_config(raw_config())
         with pytest.raises(NumericalError, match="synthetic breakdown"):
             run_scenario(cfg, str(tmp_path))
@@ -319,7 +420,7 @@ class TestRunScenario:
             seed=3,
             weight=np.full(n, 1.0 / n) if kind == "determinate-kf" else None,
             controller=None,
-            outputs=scen._DEFAULT_OUTPUTS[kind],
+            outputs=KINDS[kind].default_outputs,
             raw={"name": "overflow", "kind": kind},
         )
         with np.errstate(all="ignore"), pytest.raises(NumericalError, match="not finite"):
