@@ -33,7 +33,6 @@ from .control import (
     default_obs_gain,
     destination_trajectory,
     sync_error,
-    write_command_log_csv,
 )
 from .decomp import (
     Decomposition,
@@ -87,5 +86,4 @@ from .simkit import (
     simulate,
     step,
     write_csv,
-    write_trajectory_csv,
 )

@@ -30,7 +30,7 @@ from .filters import (
     stationary_kf_step,
 )
 from .models import EnsembleModel
-from .simkit import NoiseSampler, TrajectoryRecord, write_csv
+from .simkit import NoiseSampler, TrajectoryRecord
 
 __all__ = [
     "ControllerConfig",
@@ -42,7 +42,6 @@ __all__ = [
     "default_collective_gain",
     "destination_trajectory",
     "sync_error",
-    "write_command_log_csv",
 ]
 
 MODES = ("sync-only", "balanced")
@@ -358,19 +357,3 @@ def sync_error(traj, dest: np.ndarray) -> np.ndarray:
     delta[:, N:] = x[:, N:] - r[:, [1]]
     return delta
 
-
-def write_command_log_csv(path, omega_o: np.ndarray, omega_obar: np.ndarray, u: np.ndarray) -> None:
-    """Command log: k, omega_o_1..omega_o_{N-1}, omega_obar, u_1..u_N."""
-    omega_o = np.atleast_2d(np.asarray(omega_o, dtype=float))
-    omega_obar = np.asarray(omega_obar, dtype=float).reshape(-1, 1)
-    u = np.asarray(u, dtype=float)
-    T, n_rel = omega_o.shape
-    if omega_obar.shape[0] != T or u.shape[0] != T:
-        raise ValueError("command series lengths disagree")
-    header = (
-        ["k"]
-        + [f"omega_o_{i + 1}" for i in range(n_rel)]
-        + ["omega_obar"]
-        + [f"u_{i + 1}" for i in range(u.shape[1])]
-    )
-    write_csv(path, header, np.column_stack([np.arange(T), omega_o, omega_obar, u]))

@@ -13,6 +13,7 @@ State ordering is phase-block-first: x = [x11..x1N, x21..x2N].
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -187,9 +188,10 @@ class EnsembleModel:
     bigB: np.ndarray
     bigC: np.ndarray
 
-    @property
+    @cached_property
     def clock(self) -> DiscreteClockModel:
-        """The shared single-clock discretization (A, B, C and a unit Q)."""
+        """The shared single-clock discretization (A, B, C and a unit Q),
+        computed on first access."""
         return discretize(NoiseParams(1.0, 0.0), self.tau)
 
 

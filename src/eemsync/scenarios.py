@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import resource
 import time
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
@@ -28,7 +29,6 @@ from .control import (
     default_collective_gain,
     default_obs_gain,
     sync_error,
-    write_command_log_csv,
 )
 from .decomp import decompose, reconstruct_state  # noqa: F401
 from .errors import ConfigError, ConvergenceError, NumericalError
@@ -47,7 +47,7 @@ from .presets import (
     DEFAULT_COLLECTIVE_PERIOD,
     DEFAULT_OBS_GAIN_COEFFS,
 )
-from .simkit import simulate, write_csv, write_trajectory_csv
+from .simkit import simulate
 
 __all__ = ["ScenarioConfig", "KINDS", "validate_config", "run_scenario"]
 
@@ -406,6 +406,11 @@ class _Artifacts:
         self.names.append(name)
         return os.path.join(self.directory, name)
 
+    def save(self, name: str, array: np.ndarray) -> None:
+        """One long series as a C-contiguous float64 ``.npy``; ``np.save``
+        writes no timestamp, so same-seed runs hash the same."""
+        np.save(self.path(name), np.ascontiguousarray(array, dtype=np.float64))
+
     def write_allan(self, plots: Dict[str, AllanPlot], prefix: str) -> None:
         """Allan CSVs and their ``<prefix>_index.json``, listed in the manifest."""
         index = write_allan_plots(plots, self.directory, prefix=prefix)
@@ -424,6 +429,11 @@ class _Artifacts:
                 {"name": name, "sha256": digest.hexdigest(), "bytes": os.path.getsize(full)}
             )
         return entries
+
+
+def _indexed(*columns: np.ndarray) -> np.ndarray:
+    """The columns side by side after a step index k = 0, 1, ..."""
+    return np.column_stack([np.arange(len(columns[0])), *columns])
 
 
 def _clock_allan_artifacts(cfg: ScenarioConfig, h: np.ndarray, art: _Artifacts) -> AllanPlot:
@@ -458,12 +468,8 @@ def _run_free_run(cfg: ScenarioConfig, art: _Artifacts) -> dict:
     if "analytical" in cfg.outputs:
         art.write_allan(analytical, "reference")
     if "trajectory" in cfg.outputs:
-        write_trajectory_csv(rec, art.path("trajectory.csv"))
+        art.save("trajectory.npy", _indexed(rec.h[: rec.T], rec.u))
     return summary
-
-
-def _write_increments(art: _Artifacts, name: str, columns: List[str], data: np.ndarray) -> None:
-    write_csv(art.path(name), ["k"] + columns, np.column_stack([np.arange(data.shape[0]), data]))
 
 
 def _run_standard_kf(cfg: ScenarioConfig, art: _Artifacts) -> dict:
@@ -471,12 +477,8 @@ def _run_standard_kf(cfg: ScenarioConfig, art: _Artifacts) -> dict:
     run = filter_pass(cfg.model, rec.y, x=rec.x, increments=True)
     eps, increments = run.eps, run.increments
     if "increments" in cfg.outputs:
-        _write_increments(
-            art,
-            "increments.csv",
-            ["gain_increment_fro", "gain_fro", "prior_cov_increment_fro", "prior_cov_fro"],
-            increments,
-        )
+        # k, gain and prior covariance: increment and norm (Frobenius)
+        art.save("increments.npy", _indexed(increments))
     plot = allan_plot(eps, cfg.model.tau)
     if "allan" in cfg.outputs:
         art.write_allan({"timescale": plot}, "allan")
@@ -484,7 +486,7 @@ def _run_standard_kf(cfg: ScenarioConfig, art: _Artifacts) -> dict:
         d = decompose(cfg.model, np.full(cfg.model.N, 1.0 / cfg.model.N))
         write_gains_json(solve_stationary(d, cfg.model.meas.R), art.path("gains.json"))
     if "trajectory" in cfg.outputs:
-        write_trajectory_csv(rec, art.path("trajectory.csv"))
+        art.save("trajectory.npy", _indexed(rec.h[: rec.T], rec.u))
     final = increments[-1]
     return {
         "final_gain_rel_increment": float(final[0] / final[1]),
@@ -523,16 +525,12 @@ def _run_determinate_kf(cfg: ScenarioConfig, art: _Artifacts) -> dict:
     rec = simulate(model, None, cfg.horizon, cfg.seed)
     run = filter_pass(model, rec.y, d=decompose(model, cfg.weight))
     deviation, increments = run.deviation, run.det_increments
-    increments[0] = np.nan  # increments.csv leaves the k = 0 row blank
+    increments[0] = np.nan  # no increment into k = 0
     if "equivalence" in cfg.outputs:
-        _write_increments(art, "equivalence.csv", ["rel_deviation"], deviation[:, None])
+        art.save("equivalence.npy", _indexed(deviation))
     if "increments" in cfg.outputs:
-        _write_increments(
-            art,
-            "increments.csv",
-            ["obs_gain_increment_fro", "obs_gain_fro", "cross_gain_increment_fro", "cross_gain_fro"],
-            increments,
-        )
+        # k, observable and cross gain: increment and norm (Frobenius)
+        art.save("increments.npy", _indexed(increments))
     return {
         "max_rel_deviation": float(np.nanmax(deviation)),
         "final_obs_gain_rel_increment": float(increments[-1, 0] / increments[-1, 1]),
@@ -553,18 +551,12 @@ def _run_controller(cfg: ScenarioConfig, art: _Artifacts) -> dict:
     if "gains" in cfg.outputs:
         write_gains_json(gains, art.path("gains.json"))
     if "commands" in cfg.outputs:
-        write_command_log_csv(art.path("commands.csv"), omega_o, omega_obar, rec.u)
+        art.save("commands.npy", _indexed(omega_o, omega_obar, rec.u))
     if "delta" in cfg.outputs:
-        stride = max(1, cfg.horizon // 10_000)
-        rows = np.arange(0, delta.shape[0], stride)
-        header = (
-            ["k"]
-            + [f"delta_phase_{i + 1}" for i in range(model.N)]
-            + [f"delta_freq_{i + 1}" for i in range(model.N)]
-        )
-        write_csv(art.path("delta.csv"), header, np.column_stack([rows, delta[rows]]))
+        rows = np.arange(0, delta.shape[0], max(1, cfg.horizon // 10_000))
+        art.save("delta.npy", np.column_stack([rows, delta[rows]]))
     if "trajectory" in cfg.outputs:
-        write_trajectory_csv(rec, art.path("trajectory.csv"))
+        art.save("trajectory.npy", _indexed(rec.h[: rec.T], rec.u))
 
     intervals = _clock_allan_artifacts(cfg, rec.h, art).intervals
     s1 = np.diag(model.Sigma1)
@@ -694,6 +686,8 @@ def run_scenario(cfg: ScenarioConfig, out_dir: str, jobs: int = 1) -> dict:
             "scipy": scipy.__version__,
         },
         "elapsed_s": round(time.perf_counter() - started, 3),
+        # the whole process's peak so far; Linux reports ru_maxrss in KiB
+        "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 3),
     }
     _write_json(os.path.join(directory, "manifest.json"), manifest)
     if caught is not None:

@@ -24,7 +24,6 @@ __all__ = [
     "digital_imitation",
     "reference_timescale",
     "write_csv",
-    "write_trajectory_csv",
 ]
 
 Policy = Callable[[int, np.ndarray], np.ndarray]
@@ -229,18 +228,15 @@ def reference_timescale(e: np.ndarray, N: int) -> np.ndarray:
     return e[..., :N].mean(axis=-1)
 
 
-# rows formatted per ``%`` operation: bounds the Python floats alive at once
-_CSV_BLOCK = 512
-
-
 def write_csv(path, header: Sequence[str], data: np.ndarray, index: bool = True) -> None:
     """Write a header line, then one comma-separated line per row of data.
 
-    Values use 17 significant digits (``%.16e``); with ``index`` the first
-    column is written as an integer k.  The bytes equal those of
+    Meant for short tables such as Allan curves; long series are saved as
+    ``.npy``.  Values use 17 significant digits (``%.16e``); with ``index``
+    the first column is written as an integer k.  The bytes equal those of
     ``np.savetxt`` with the same formats, ``delimiter=","`` and
-    ``comments=""``, but each block of rows is formatted by one ``%``
-    operation on its ``tolist()``.
+    ``comments=""``, but all rows are formatted by one ``%`` operation on
+    the data's ``tolist()``.
     """
     data = np.asarray(data, dtype=float)
     if data.ndim != 2 or data.shape[1] != len(header):
@@ -251,24 +247,4 @@ def write_csv(path, header: Sequence[str], data: np.ndarray, index: bool = True)
     row = ",".join(fmt) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join(header) + "\n")
-        for start in range(0, data.shape[0], _CSV_BLOCK):
-            block = data[start : start + _CSV_BLOCK]
-            fh.write((row * block.shape[0]) % tuple(block.ravel().tolist()))
-
-
-def write_trajectory_csv(record: TrajectoryRecord, path, include_estimates: bool = False) -> None:
-    """Write rows k = 0..T-1 with columns k, h_1..h_N, u_1..u_N.
-
-    include_estimates appends the reconstructed estimate columns when the
-    record carries them.  Values use 17 significant digits.
-    """
-    N = record.N
-    T = record.T
-    cols = [np.arange(T, dtype=float)[:, None], record.h[:T], record.u]
-    header = ["k"] + [f"h_{i + 1}" for i in range(N)] + [f"u_{i + 1}" for i in range(N)]
-    if include_estimates:
-        if record.xhat is None:
-            raise ValueError("record has no estimates to export")
-        cols.append(record.xhat)
-        header += [f"xhat_{i + 1}" for i in range(record.xhat.shape[1])]
-    write_csv(path, header, np.hstack(cols))
+        fh.write((row * data.shape[0]) % tuple(data.ravel().tolist()))

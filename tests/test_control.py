@@ -29,10 +29,11 @@ from eemsync import (
     destination_trajectory,
     expand_input,
     project_state,
+    run_scenario,
     simulate,
     solve_stationary,
     sync_error,
-    write_command_log_csv,
+    validate_config,
 )
 
 
@@ -622,27 +623,33 @@ class TestPolicyAndLogs:
         _, omega_obar = noisy.command_log()
         assert np.all(omega_obar[[k for k in range(40) if k % 5 != 0]] == 0.0)
 
-    def test_command_log_csv_round_trip(self, tmp_path):
-        rng = np.random.default_rng(12)
-        omega_o = rng.normal(size=(6, 2))
-        omega_obar = rng.normal(size=6)
-        u = rng.normal(size=(6, 3))
-        path = tmp_path / "commands.csv"
-        write_command_log_csv(path, omega_o, omega_obar, u)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "k,omega_o_1,omega_o_2,omega_obar,u_1,u_2,u_3"
-        data = np.loadtxt(path, delimiter=",", skiprows=1)
+    def test_command_log_round_trip(self, tmp_path):
+        raw = {
+            "name": "log",
+            "kind": "sync-simple-average",
+            "model": {
+                "n_clocks": 3,
+                "sigma1": [1.7e-10, 8.86e-11, 1.221e-10],
+                "sigma2": [1.507e-13, 5.32e-14, 1.67e-14],
+                "meas_std": [4.353e-15, 7.59e-16],
+            },
+            "horizon": 6,
+            "seed": 12,
+            "outputs": ["commands"],
+        }
+        cfg = validate_config(raw)
+        run_scenario(cfg, str(tmp_path))
+        d = decompose(cfg.model, cfg.weight)
+        gains = solve_stationary(d, cfg.model.meas.R)
+        rec, omega_o, omega_obar = closed_loop(cfg.model, cfg.controller, d, gains, 6, 12)
+        data = np.load(tmp_path / "log" / "commands.npy")
+        assert data.dtype == np.float64 and data.flags.c_contiguous
+        # k, omega_o_1, omega_o_2, omega_obar, u_1, u_2, u_3
         assert data.shape == (6, 7)
         assert np.array_equal(data[:, 0], np.arange(6))
         assert np.array_equal(data[:, 1:3], omega_o)
         assert np.array_equal(data[:, 3], omega_obar)
-        assert np.array_equal(data[:, 4:], u)
-
-    def test_command_log_length_mismatch(self, tmp_path):
-        with pytest.raises(ValueError, match="lengths"):
-            write_command_log_csv(
-                tmp_path / "bad.csv", np.zeros((5, 2)), np.zeros(4), np.zeros((5, 3))
-            )
+        assert np.array_equal(data[:, 4:], rec.u)
 
 
 class TestSyncError:

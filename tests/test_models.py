@@ -200,3 +200,10 @@ class TestEnsemble:
             idx = np.array([i, N + i])
             off[np.ix_(idx, idx)] = 0.0
         assert np.all(off == 0.0)
+
+    def test_clock_is_discretized_once(self):
+        model = demo_ensemble(tau=3.0, n_clocks=3)
+        assert model.clock is model.clock
+        fresh = discretize(NoiseParams(1.0, 0.0), 3.0)
+        for name in ("A", "B", "C", "Q"):
+            assert np.array_equal(getattr(model.clock, name), getattr(fresh, name))

@@ -22,6 +22,7 @@ from eemsync import (
     closed_loop,
     decompose,
     destination_trajectory,
+    filter_pass,
     run_scenario,
     simulate,
     solve_stationary,
@@ -281,6 +282,35 @@ class TestTrendStatistics:
         assert stats["slope"] == pytest.approx(0.05, rel=0.05)
 
 
+def expected_arrays(cfg):
+    """Each ``.npy`` artifact of a scenario, rebuilt from the library calls."""
+    model, T = cfg.model, cfg.horizon
+    k = np.arange(T)
+    arrays = {}
+    if cfg.controller is not None:
+        d = decompose(model, cfg.weight)
+        gains = solve_stationary(d, model.meas.R)
+        rec, omega_o, omega_obar = closed_loop(model, cfg.controller, d, gains, T, cfg.seed)
+        delta = sync_error(rec, destination_trajectory(model, cfg.weight, T, cfg.seed))
+        rows = np.arange(0, T + 1, max(1, T // 10_000))
+        arrays["commands.npy"] = np.column_stack([k, omega_o, omega_obar, rec.u])
+        arrays["delta.npy"] = np.column_stack([rows, delta[rows]])
+    else:
+        rec = simulate(model, None, T, cfg.seed)
+    if cfg.kind == "standard-kf":
+        run = filter_pass(model, rec.y, x=rec.x, increments=True)
+        arrays["increments.npy"] = np.column_stack([k, run.increments])
+    if cfg.kind == "determinate-kf":
+        run = filter_pass(model, rec.y, d=decompose(model, cfg.weight))
+        increments = run.det_increments.copy()
+        increments[0] = np.nan
+        arrays["equivalence.npy"] = np.column_stack([k, run.deviation])
+        arrays["increments.npy"] = np.column_stack([k, increments])
+    if "trajectory" in cfg.outputs:
+        arrays["trajectory.npy"] = np.column_stack([k, rec.h[:T], rec.u])
+    return arrays
+
+
 class TestRunScenario:
     def test_manifest_hashes_reproducible(self, tmp_path):
         raw = raw_config()
@@ -293,6 +323,7 @@ class TestRunScenario:
 
         on_disk = json.loads((tmp_path / "a" / "case" / "manifest.json").read_text())
         assert on_disk == m1
+        assert isinstance(m1["peak_rss_mb"], float) and m1["peak_rss_mb"] > 0.0
 
     def test_free_run_statistics_near_analytical(self, tmp_path):
         cfg = validate_config(raw_config(horizon=20_000))
@@ -374,8 +405,8 @@ class TestRunScenario:
         without = raw_config(outputs=["summary"], name="without")
         m_with = run_scenario(validate_config(with_traj), str(tmp_path))
         m_without = run_scenario(validate_config(without), str(tmp_path))
-        assert any(f["name"] == "trajectory.csv" for f in m_with["files"])
-        assert not any(f["name"] == "trajectory.csv" for f in m_without["files"])
+        assert any(f["name"] == "trajectory.npy" for f in m_with["files"])
+        assert not any(f["name"] == "trajectory.npy" for f in m_without["files"])
 
     @pytest.mark.parametrize("name", _bundled_names())
     def test_bundled_config_runs_at_short_horizon(self, tmp_path, name):
@@ -389,8 +420,33 @@ class TestRunScenario:
 
         json.loads((tmp_path / name / "summary.json").read_text(), parse_constant=reject)
         # trajectories are opt-in
-        assert not (tmp_path / name / "trajectory.csv").exists()
-        assert "trajectory.csv" not in {f["name"] for f in manifest["files"]}
+        assert not (tmp_path / name / "trajectory.npy").exists()
+        assert "trajectory.npy" not in {f["name"] for f in manifest["files"]}
+
+    @pytest.mark.parametrize(
+        "name, horizon",
+        [(name, 2_000) for name in _bundled_names()] + [("steer_to_clock", 25_000)],
+    )
+    def test_array_artifacts_match_in_memory(self, tmp_path, name, horizon):
+        # every selector on, trajectory included; at 25,000 steps delta.npy
+        # keeps every second row
+        raw = json.loads((_bundled_dir() / f"{name}.json").read_text())
+        raw["horizon"] = horizon
+        raw["outputs"] = list(KINDS[raw["kind"]].outputs)
+        cfg = validate_config(raw)
+        first = run_scenario(cfg, str(tmp_path / "a"))
+        second = run_scenario(validate_config(copy.deepcopy(raw)), str(tmp_path / "b"))
+        assert first["files"] == second["files"]
+
+        out = tmp_path / "a" / cfg.name
+        expected = expected_arrays(cfg)
+        assert {p.name for p in out.glob("*.npy")} == set(expected)
+        for fname, want in expected.items():
+            got = np.load(out / fname)
+            assert got.dtype == np.float64
+            assert np.array_equal(got, want, equal_nan=fname == "increments.npy")
+        for stem in ("commands", "delta", "trajectory", "increments", "equivalence"):
+            assert not (out / f"{stem}.csv").exists()
 
     def test_numerical_failure_partial_manifest(self, tmp_path, free_run_raises):
         cfg = validate_config(raw_config())
@@ -401,6 +457,7 @@ class TestRunScenario:
         assert manifest["partial"] is True
         assert "NumericalError" in manifest["error"]
         assert manifest["files"] == []
+        assert isinstance(manifest["peak_rss_mb"], float) and manifest["peak_rss_mb"] > 0.0
 
     @pytest.mark.parametrize("kind", ["standard-kf", "determinate-kf"])
     def test_non_finite_covariance_fails_with_partial_manifest(self, tmp_path, kind):

@@ -9,13 +9,14 @@ from eemsync import (
     build_ensemble,
     digital_imitation,
     reference_timescale,
+    run_scenario,
     simulate,
     star_measurement,
     step,
+    validate_config,
     write_csv,
-    write_trajectory_csv,
 )
-from eemsync.presets import demo_ensemble
+from eemsync.presets import DEMO_MEAS_STD, demo_ensemble, demo_noise_params
 
 
 def unit_scale_model(n=2, tau=1.0):
@@ -170,21 +171,31 @@ class TestRecordHelpers:
         with pytest.raises(ValueError):
             reference_timescale(e, 4)
 
-    def test_trajectory_csv_round_trip(self, tmp_path):
-        model = demo_ensemble(n_clocks=2)
-        rec = simulate(model, None, 7, seed=9)
-        path = tmp_path / "traj.csv"
-        write_trajectory_csv(rec, path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "k,h_1,h_2,u_1,u_2"
-        assert len(lines) == 1 + 7
-        data = np.loadtxt(path, delimiter=",", skiprows=1)
+    def test_trajectory_round_trip(self, tmp_path):
+        params = demo_noise_params()[:2]
+        raw = {
+            "name": "traj",
+            "kind": "free-run",
+            "model": {
+                "n_clocks": 2,
+                "sigma1": [float(p.sigma1) for p in params],
+                "sigma2": [float(p.sigma2) for p in params],
+                "meas_std": [float(DEMO_MEAS_STD[0])],
+            },
+            "horizon": 7,
+            "seed": 9,
+            "outputs": ["trajectory"],
+        }
+        cfg = validate_config(raw)
+        run_scenario(cfg, str(tmp_path))
+        rec = simulate(cfg.model, None, 7, seed=9)
+        data = np.load(tmp_path / "traj" / "trajectory.npy")
+        assert data.dtype == np.float64 and data.flags.c_contiguous
+        # k, h_1, h_2, u_1, u_2 for k = 0..6
+        assert data.shape == (7, 5)
+        assert np.array_equal(data[:, 0], np.arange(7))
         assert np.array_equal(data[:, 1:3], rec.h[:7])
-
-    def test_trajectory_csv_estimates_require_estimates(self, tmp_path):
-        rec = simulate(demo_ensemble(n_clocks=2), None, 3, seed=0)
-        with pytest.raises(ValueError, match="estimates"):
-            write_trajectory_csv(rec, tmp_path / "x.csv", include_estimates=True)
+        assert np.array_equal(data[:, 3:], rec.u)
 
     def test_csv_writer_matches_savetxt_bytes(self, tmp_path):
         rng = np.random.default_rng(3)
