@@ -31,6 +31,7 @@ from .control import (
     closed_loop,
     default_collective_gain,
     default_obs_gain,
+    destination_from_noise,
     destination_trajectory,
     sync_error,
 )

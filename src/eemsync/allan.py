@@ -145,7 +145,9 @@ def _default_m_grid(m_max: int, per_decade: int = 30) -> np.ndarray:
     if m_max <= 1:
         return np.array([1])
     count = int(np.ceil(per_decade * np.log10(m_max))) + 1
-    grid = np.unique(np.round(np.logspace(0.0, np.log10(m_max), count)).astype(int))
+    grid = np.round(np.logspace(0.0, np.log10(m_max), count)).astype(int)
+    # sorted, so a repeat equals its left neighbour (np.unique imports numpy.ma)
+    grid = grid[np.diff(grid, prepend=0) != 0]
     return grid[(grid >= 1) & (grid <= m_max)]
 
 

@@ -41,6 +41,7 @@ __all__ = [
     "default_obs_gain",
     "default_collective_gain",
     "destination_trajectory",
+    "destination_from_noise",
     "sync_error",
 ]
 
@@ -239,7 +240,8 @@ def closed_loop(
     (the steering weight's) gets an input of exactly 0.0.  Agrees with
     the policy loop up to rounding.
 
-    Returns the record (``h`` is a view of ``x``) and the command logs
+    Returns the record (``h`` is a view of ``x``; ``v`` holds the process
+    noise, for :func:`destination_from_noise`) and the command logs
     (omega_o, omega_obar), as ``EemPolicy.command_log`` gives them.
     """
     if d.q is None:
@@ -298,7 +300,7 @@ def closed_loop(
         Z[0] = Z[n]
 
     u = omega_o @ d.Vplus.T + omega_obar[:, None]
-    record = TrajectoryRecord(tau=model.tau, x=x, h=x[:, :N], y=y, u=u)
+    record = TrajectoryRecord(tau=model.tau, x=x, h=x[:, :N], y=y, u=u, v=v)
     return record, omega_o, omega_obar
 
 
@@ -315,11 +317,22 @@ def destination_trajectory(
     run with the same seed shares its noise with the destination
     exactly; the measurement sub-stream is untouched.
     """
-    qv = weight_vector(q, model.N)
     if T < 1:
         raise ValueError(f"T must be >= 1, got {T}")
-    N = model.N
-    v = NoiseSampler(model, seed).process_block(T)
+    return destination_from_noise(model, q, NoiseSampler(model, seed).process_block(T), x0)
+
+
+def destination_from_noise(
+    model: EnsembleModel,
+    q: Union[np.ndarray, EnsembleWeight],
+    v: np.ndarray,
+    x0: Optional[np.ndarray] = None,
+) -> np.ndarray:
+    """:func:`destination_trajectory` on process noise already drawn:
+    ``v`` holds v[0..T-1], shape (T, 2N), such as the ``v`` of the record
+    ``closed_loop`` returns."""
+    qv = weight_vector(q, model.N)
+    N, T = model.N, len(v)
     v_phase = v[:, :N] @ qv
     v_freq = v[:, N:] @ qv
     if x0 is None:

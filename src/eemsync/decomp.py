@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import Optional, Tuple, Union
 
 import numpy as np
-from scipy.linalg import null_space
 
 from .errors import NumericalError
 from .models import EnsembleModel
@@ -195,6 +194,8 @@ def decompose(
         qv = None
         vplus = None
         wbar = basis_arr
+        if not np.all(np.isfinite(wbar)):
+            raise ValueError("Wbar entries must be finite")
         gram = wbar @ ones_col
         try:
             ubar = np.linalg.solve(gram, wbar)
@@ -203,7 +204,10 @@ def decompose(
                 "Wbar (I2 kron 1) is singular; the basis rows do not see "
                 "the unobservable subspace"
             ) from exc
-        kernel = null_space(wbar)
+        # orthonormal kernel by scipy.linalg.null_space's rank rule
+        _, s, vh = np.linalg.svd(wbar)
+        rank = np.count_nonzero(s > np.max(s) * max(wbar.shape) * np.finfo(float).eps)
+        kernel = vh[rank:].T
         if kernel.shape[1] != n_obs:
             raise ValueError(
                 f"Wbar must have full row rank 2; its kernel has dimension "

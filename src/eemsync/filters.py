@@ -15,10 +15,10 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import cache
 from typing import Optional, Tuple
 
 import numpy as np
-from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .allan import weight_long
 from .decomp import Decomposition, generalized_inverse, project_state
@@ -58,18 +58,30 @@ def _check_finite(a: np.ndarray, what: str) -> None:
         raise NumericalError(f"{what} is not finite")
 
 
-def _cho_factor(S: np.ndarray, what: str = "innovation covariance") -> np.ndarray:
+@cache
+def lapack_cholesky():
+    """LAPACK ``(dpotrf, dpotrs)`` from SciPy, imported on first use (an
+    ``ImportError`` without SciPy): only the per-step filter updates need
+    them, and importing SciPy costs more than the rest of eemsync."""
+    from scipy.linalg.lapack import dpotrf, dpotrs
+
+    return dpotrf, dpotrs
+
+
+def _cho_factor(S: np.ndarray) -> np.ndarray:
     """Lower Cholesky factor of S from LAPACK potrf, as ``cho_factor`` computes it."""
-    _check_finite(S, what)
+    _check_finite(S, "innovation covariance")
+    dpotrf, _ = lapack_cholesky()
     factor, info = dpotrf(S, lower=1, clean=0)
     if info:
-        raise NumericalError(f"{what} is not positive definite")
+        raise NumericalError("innovation covariance is not positive definite")
     return factor
 
 
 def _cho_solve(factor: np.ndarray, B: np.ndarray) -> np.ndarray:
     """Solve S X = B from the factor of :func:`_cho_factor` (LAPACK potrs)."""
     _check_finite(B, "gain right-hand side")
+    _, dpotrs = lapack_cholesky()
     X, _ = dpotrs(factor, B, lower=1)
     return X
 
@@ -77,6 +89,17 @@ def _cho_solve(factor: np.ndarray, B: np.ndarray) -> np.ndarray:
 def _spd_solve_gain(S: np.ndarray, CP: np.ndarray) -> np.ndarray:
     """Gain P C^T S^{-1} computed as solve(S, C P)^T via a PD factorization."""
     return _cho_solve(_cho_factor(S), CP).T
+
+
+def _spd_solve(S: np.ndarray, B: np.ndarray, what: str = "innovation covariance") -> np.ndarray:
+    """S^{-1} B through numpy alone, for the cold stationary solve: a
+    Cholesky factorization checks that S is positive definite."""
+    _check_finite(S, what)
+    try:
+        np.linalg.cholesky(S)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"{what} is not positive definite") from exc
+    return np.linalg.solve(S, B)
 
 
 def _fro(a: np.ndarray) -> float:
@@ -261,9 +284,10 @@ def _determinate_update(d: Decomposition, R, xi_o, xi_obar, P_oo, P_bo, omega_pr
     CP = Co @ Poo_m
     S = CP @ Co.T
     S += R
-    factor = _cho_factor(S)
-    H_o = _cho_solve(factor, CP).T
-    H_bo = _cho_solve(factor, Co @ Pbo_m.T).T
+    # both gains from one potrs over [C P_oo- | C P_bo-^T]
+    HT = _cho_solve(_cho_factor(S), np.concatenate((CP, Co @ Pbo_m.T), axis=1))
+    n_obs = CP.shape[1]
+    H_o, H_bo = HT[:, :n_obs].T, HT[:, n_obs:].T
 
     P_oo = H_o @ CP
     np.subtract(Poo_m, P_oo, out=P_oo)
@@ -453,11 +477,11 @@ def solve_stationary(
     """
     n_obs = 2 * (d.N - 1)
     R = np.asarray(R, dtype=float)
-    R_factor = _cho_factor(R, "measurement noise covariance")
+    R_inv_Co = _spd_solve(R, d.Co, "measurement noise covariance")
 
     def advance(P_prior: np.ndarray) -> np.ndarray:
         CP = d.Co @ P_prior
-        H = _spd_solve_gain(CP @ d.Co.T + R, CP)
+        H = _spd_solve(CP @ d.Co.T + R, CP).T
         return _sym(d.Ao @ (P_prior - H @ CP) @ d.Ao.T + d.Qo)
 
     def rel_diff(a: np.ndarray, b: np.ndarray) -> float:
@@ -473,7 +497,7 @@ def solve_stationary(
             P = P_next
     if P is None:
         # doubling for X = A^T X (I + G X)^{-1} A + H with A = Ao^T, G = Co^T R^{-1} Co, H = Qo
-        A, G, P = d.Ao.T, _sym(d.Co.T @ _cho_solve(R_factor, d.Co)), d.Qo
+        A, G, P = d.Ao.T, _sym(d.Co.T @ R_inv_Co), d.Qo
         rel = np.inf
         for iterations in range(1, max_iter + 1):
             try:
@@ -493,7 +517,7 @@ def solve_stationary(
 
     CP = d.Co @ P
     S = CP @ d.Co.T + R
-    H_o = _spd_solve_gain(S, CP)
+    H_o = _spd_solve(S, CP).T
     gain_complement = np.eye(n_obs) - H_o @ d.Co
     Z = d.Ao @ gain_complement
 
@@ -508,7 +532,7 @@ def solve_stationary(
             "closed loop is not contractive"
         ) from exc
     P_bo = vec.reshape((2, n_obs), order="F")
-    H_bo = _spd_solve_gain(S, d.Co @ P_bo.T)
+    H_bo = _spd_solve(S, d.Co @ P_bo.T).T
 
     residual_oo = rel_diff(P, advance(P))
     residual_bo = rel_diff(P_bo, d.A @ P_bo @ Z.T + X)

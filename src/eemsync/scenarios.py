@@ -22,21 +22,23 @@ from .allan import (
     weight_short,
     write_allan_plots,
 )
-from .control import (
+# perfbench/child.py wraps destination_trajectory, determinate_kf_step,
+# standard_kf_step and reconstruct_state as attributes of this module
+from .control import (  # noqa: F401
     ControllerConfig,
     closed_loop,
-    destination_trajectory,
     default_collective_gain,
     default_obs_gain,
+    destination_from_noise,
+    destination_trajectory,
     sync_error,
 )
 from .decomp import decompose, reconstruct_state  # noqa: F401
 from .errors import ConfigError, ConvergenceError, NumericalError
-# perfbench/child.py wraps determinate_kf_step, standard_kf_step and
-# reconstruct_state as attributes of this module
 from .filters import (  # noqa: F401
     determinate_kf_step,
     filter_pass,
+    lapack_cholesky,
     solve_stationary,
     standard_kf_step,
     write_gains_json,
@@ -81,6 +83,8 @@ class KindSpec:
     settings: Tuple[str, ...] = ()
     # controller mode; None for the offline kinds
     mode: Optional[str] = None
+    # steps a time-varying Kalman filter, so it needs SciPy's LAPACK
+    riccati: bool = False
 
     @property
     def default_outputs(self) -> Tuple[str, ...]:
@@ -203,7 +207,9 @@ def validate_config(raw) -> ScenarioConfig:
 
     Accepts a dict or a JSON string.  Applies kind defaults (weights,
     gains, schedule) and runs every cheap structural check up front;
-    all violations are reported together.
+    all violations are reported together.  For the kinds that step a
+    time-varying Kalman filter it also loads SciPy's LAPACK, so a missing
+    SciPy is a config error before anything is written.
     """
     if isinstance(raw, (str, bytes)):
         try:
@@ -223,6 +229,13 @@ def validate_config(raw) -> ScenarioConfig:
         problems.append(f"kind: must be one of {', '.join(KINDS)}; got {kind!r}")
         raise ConfigError(problems)
     spec = KINDS[kind]
+    if spec.riccati:
+        try:
+            lapack_cholesky()
+        except ImportError as exc:
+            problems.append(
+                f"kind: {kind!r} steps a time-varying Kalman filter, which needs SciPy ({exc})"
+            )
 
     model = _build_model(raw.get("model"), problems)
 
@@ -543,8 +556,7 @@ def _run_controller(cfg: ScenarioConfig, art: _Artifacts) -> dict:
     d = decompose(model, cfg.weight)
     gains = solve_stationary(d, model.meas.R)
     rec, omega_o, omega_obar = closed_loop(model, cfg.controller, d, gains, cfg.horizon, cfg.seed)
-    dest = destination_trajectory(model, cfg.weight, cfg.horizon, cfg.seed)
-    delta = sync_error(rec, dest)
+    delta = sync_error(rec, destination_from_noise(model, cfg.weight, rec.v))
     rel_phase = delta[:, : model.N] @ d.V.T  # common mode removed
     balanced = cfg.controller.mode == "balanced"
 
@@ -588,7 +600,7 @@ def _run_controller(cfg: ScenarioConfig, art: _Artifacts) -> dict:
         # at the kick instants, k = phase (mod m), the mean should ride
         # the long-term destination
         m = cfg.controller.m
-        delta_long = sync_error(rec, destination_trajectory(model, q_inf, cfg.horizon, cfg.seed))
+        delta_long = sync_error(rec, destination_from_noise(model, q_inf, rec.v))
         sampled_mean = delta_long[cfg.controller.phase % m :: m, : model.N] @ q_inf
         summary["collective_kicks"] = int(np.count_nonzero(omega_obar))
         summary["sampled_mean_phase_trend"] = _trend_statistics(sampled_mean)
@@ -608,11 +620,13 @@ KINDS: Dict[str, KindSpec] = {
         "full-state filter, reference time scale and increment series",
         _run_standard_kf,
         ("allan", "increments", "gains", "summary", "trajectory"),
+        riccati=True,
     ),
     "standard-kf-suboptimal": KindSpec(
         "optimal vs averaged-covariance filter on shared noise",
         _run_standard_kf_suboptimal,
         ("allan", "summary"),
+        riccati=True,
     ),
     "determinate-kf": KindSpec(
         "decomposed filter equivalence against the full-state filter",
@@ -620,6 +634,7 @@ KINDS: Dict[str, KindSpec] = {
         ("equivalence", "increments", "summary"),
         "uniform",
         ("weight",),
+        riccati=True,
     ),
     "steer-to-clock": KindSpec(
         "synchronize every clock to the last clock (its input stays zero)",
@@ -656,10 +671,14 @@ def run_scenario(cfg: ScenarioConfig, out_dir: str, jobs: int = 1) -> dict:
     numerical failure the manifest is still written, with the error
     recorded and whatever artifacts exist flagged as partial.  ``jobs`` is
     unused: a scenario runs in one thread, and ``eemsync run --jobs`` runs
-    scenarios side by side.
+    scenarios side by side.  ``versions.scipy`` is ``None`` for the kinds
+    that never load SciPy.
     """
-    import scipy
+    scipy_version = None
+    if KINDS[cfg.kind].riccati:
+        import scipy  # validate_config has loaded it for this kind
 
+        scipy_version = scipy.__version__
     directory = os.path.join(out_dir, cfg.name)
     art = _Artifacts(directory)
     started = time.perf_counter()
@@ -683,7 +702,7 @@ def run_scenario(cfg: ScenarioConfig, out_dir: str, jobs: int = 1) -> dict:
         "versions": {
             "eemsync": __version__,
             "numpy": np.__version__,
-            "scipy": scipy.__version__,
+            "scipy": scipy_version,
         },
         "elapsed_s": round(time.perf_counter() - started, 3),
         # the whole process's peak so far; Linux reports ru_maxrss in KiB

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
+import numpy.random  # noqa: F401  numpy 2 loads it lazily; every simulation draws from it
 
 from .models import DiscreteClockModel, EnsembleModel
 

@@ -342,6 +342,19 @@ class TestPlots:
         decade = plot.m_set[(plot.m_set >= 10) & (plot.m_set < 100)]
         assert 25 <= decade.size <= 35
 
+    def test_default_grid_matches_unique_reference(self):
+        def reference(m_max):
+            # the grid as np.unique built it
+            if m_max <= 1:
+                return np.array([1])
+            count = int(np.ceil(30 * np.log10(m_max))) + 1
+            grid = np.unique(np.round(np.logspace(0.0, np.log10(m_max), count)).astype(int))
+            return grid[(grid >= 1) & (grid <= m_max)]
+
+        for m_max in [*range(1, 3001), 50_000, 99_999, 100_000, 1_000_000]:
+            grid, ref = _default_m_grid(m_max), reference(m_max)
+            assert grid.dtype == ref.dtype and np.array_equal(grid, ref), m_max
+
     def test_m_subset_must_be_feasible(self):
         with pytest.raises(ValueError):
             allan_plot(np.zeros(11), 1.0, m_subset=[5])

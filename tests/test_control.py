@@ -26,6 +26,7 @@ from eemsync import (
     default_collective_gain,
     default_obs_gain,
     demo_ensemble,
+    destination_from_noise,
     destination_trajectory,
     expand_input,
     project_state,
@@ -279,6 +280,17 @@ class TestDestinationTrajectory:
             destination_trajectory(model4, np.full(4, 0.25), 0, seed=1)
         with pytest.raises(ValueError, match="x0"):
             destination_trajectory(model4, np.full(4, 0.25), 5, seed=1, x0=np.zeros(3))
+
+    def test_closed_loop_noise_gives_the_same_destination(self, model4, uniform4):
+        q, d, g = uniform4
+        cfg = ControllerConfig(
+            q=q, F_o=default_obs_gain(4, model4.tau), K_bo=None, m=1, mode="sync-only"
+        )
+        rec, _, _ = closed_loop(model4, cfg, d, g, 300, seed=31)
+        assert rec.v.shape == (300, 8)
+        for weight in (q, np.array([0.4, 0.3, 0.2, 0.1])):
+            dest = destination_trajectory(model4, weight, 300, seed=31)
+            assert np.array_equal(destination_from_noise(model4, weight, rec.v), dest)
 
 
 @pytest.fixture(scope="module")

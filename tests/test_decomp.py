@@ -151,6 +151,40 @@ class TestDecompose:
         with pytest.raises(ValueError, match="singular"):
             decompose(model, wbar)
 
+    @pytest.mark.parametrize("n_clocks", [2, 3, 6])
+    def test_general_basis_kernel_matches_scipy_null_space(self, n_clocks):
+        from scipy.linalg import null_space
+
+        model = model_for(n_clocks)
+        wbar = np.random.default_rng(n_clocks).standard_normal((2, 2 * n_clocks))
+        d = decompose(model, wbar)
+        kernel = null_space(wbar)
+        assert kernel.shape == (2 * n_clocks, 2 * (n_clocks - 1))
+        # U spans ker Wbar: compare orthogonal projectors, which do not
+        # depend on the basis either kernel is given in
+        span = np.linalg.qr(d.U)[0]
+        assert np.max(np.abs(span @ span.T - kernel @ kernel.T)) <= 1e-12
+        # U is the right inverse of I2 kron V with that range
+        kIV = np.kron(np.eye(2), model.meas.V)
+        u_ref = np.linalg.solve((kIV @ kernel).T, kernel.T).T
+        assert np.max(np.abs(d.U - u_ref)) <= 1e-12 * np.max(np.abs(u_ref))
+
+    def test_general_basis_must_have_full_row_rank(self):
+        model = model_for(3)
+        # rows parallel up to 1e-17: Wbar (I2 kron 1) = [[1, 0], [1, 1e-17]]
+        # stays invertible, but the rank rule counts one row
+        wbar = np.zeros((2, 6))
+        wbar[:, :3] = 1 / 3
+        wbar[1, 3] = 1e-17
+        with pytest.raises(ValueError, match="full row rank 2"):
+            decompose(model, wbar)
+
+    def test_general_basis_must_be_finite(self):
+        wbar = np.random.default_rng(4).standard_normal((2, 6))
+        wbar[1, 2] = np.nan
+        with pytest.raises(ValueError):
+            decompose(model_for(3), wbar)
+
     def test_weight_basis_is_special_case_of_general(self):
         model = model_for(4)
         q = np.array([0.4, 0.3, 0.2, 0.1])

@@ -735,6 +735,22 @@ class TestStationary:
         with pytest.raises(NumericalError):
             solve_stationary(d, -np.eye(2))
 
+    @pytest.mark.parametrize(
+        "R, message",
+        [
+            ([[1.0, 2.0], [2.0, 1.0]], "not positive definite"),
+            ([[1.0, 0.0], [0.0, -1e-30]], "not positive definite"),
+            ([[1.0, 0.0], [0.0, np.nan]], "not finite"),
+        ],
+        ids=["indefinite", "negative-eigenvalue", "nan"],
+    )
+    def test_indefinite_or_non_finite_noise_is_rejected(self, R, message):
+        # np.linalg.solve alone accepts the first two; the Cholesky check must not
+        model = demo_ensemble(n_clocks=3)
+        d = decompose(model, np.full(3, 1 / 3))
+        with pytest.raises(NumericalError, match=f"measurement noise covariance is {message}"):
+            solve_stationary(d, np.array(R))
+
     def test_frozen_gain_filter_matches_determinate_at_fixed_point(self):
         model = demo_ensemble(n_clocks=3)
         q = np.array([0.5, 0.25, 0.25])

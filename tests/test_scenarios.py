@@ -267,6 +267,20 @@ class TestValidateConfig:
             validate_config("{oops")
 
 
+def test_layer_entry_points_stay_module_attributes():
+    # perfbench/child.py wraps these names on the scenarios module
+    names = (
+        "simulate",
+        "solve_stationary",
+        "destination_trajectory",
+        "allan_plot",
+        "standard_kf_step",
+        "determinate_kf_step",
+        "reconstruct_state",
+    )
+    assert [n for n in names if not callable(getattr(scen, n, None))] == []
+
+
 class TestTrendStatistics:
     def test_flat_noise_is_trend_free(self):
         rng = np.random.default_rng(1)
@@ -393,6 +407,23 @@ class TestRunScenario:
         kicks = [k for k in range(cfg.horizon + 1) if (k - 37) % 50 == 0]
         expected = scen._trend_statistics(delta[kicks, : model.N] @ q_inf)
         assert manifest["summary"]["sampled_mean_phase_trend"] == expected
+
+    @pytest.mark.parametrize("kind", ["balanced", "sync-simple-average"])
+    def test_controller_draws_process_noise_once(self, tmp_path, monkeypatch, kind):
+        # the destinations reuse the closed loop's process noise
+        from eemsync import simkit
+
+        calls = []
+        draw = simkit.NoiseSampler.process_block
+
+        def counted(sampler, T):
+            calls.append(T)
+            return draw(sampler, T)
+
+        monkeypatch.setattr(simkit.NoiseSampler, "process_block", counted)
+        manifest = run_scenario(validate_config(raw_config(kind, horizon=600)), str(tmp_path))
+        assert manifest["status"] == "ok"
+        assert calls == [600]
 
     def test_suboptimal_kind_runs(self, tmp_path):
         cfg = validate_config(raw_config("standard-kf-suboptimal", horizon=300))
