@@ -180,35 +180,33 @@ def allan_plot(
     return AllanPlot(m_set=m_set, intervals=m_set * float(tau), values=values)
 
 
+def _inverse_variance(s: np.ndarray, zero_message: str) -> EnsembleWeight:
+    """Weights proportional to 1/s, normalized; a zero entry raises."""
+    if np.any(s == 0.0):
+        raise ValueError(zero_message)
+    w = 1.0 / s
+    return EnsembleWeight(w / w.sum())
+
+
 def optimal_weight(Sigma1, Sigma2, tau: float) -> EnsembleWeight:
     """Weight minimizing the ensemble-mean Allan variance at interval tau.
 
     Gamma(tau) is diagonal here, so the inverse-variance form is exact:
     q = Gamma^{-1} 1 / (1^T Gamma^{-1} 1).
     """
-    g = gamma_matrix(Sigma1, Sigma2, tau)
-    if np.any(g == 0.0):
-        raise ValueError("Gamma(tau) is singular; a clock has zero interval variance")
-    w = 1.0 / g
-    return EnsembleWeight(w / w.sum())
+    return _inverse_variance(
+        gamma_matrix(Sigma1, Sigma2, tau), "Gamma(tau) is singular; a clock has zero interval variance"
+    )
 
 
 def weight_short(Sigma1) -> EnsembleWeight:
     """Short-term optimal weight: inverse white-noise variances, normalized."""
-    s = variance_vector(Sigma1)
-    if np.any(s == 0.0):
-        raise ValueError("zero white-noise variance entry")
-    w = 1.0 / s
-    return EnsembleWeight(w / w.sum())
+    return _inverse_variance(variance_vector(Sigma1), "zero white-noise variance entry")
 
 
 def weight_long(Sigma2) -> EnsembleWeight:
     """Long-term optimal weight: inverse random-walk variances, normalized."""
-    s = variance_vector(Sigma2)
-    if np.any(s == 0.0):
-        raise ValueError("zero random-walk variance entry")
-    w = 1.0 / s
-    return EnsembleWeight(w / w.sum())
+    return _inverse_variance(variance_vector(Sigma2), "zero random-walk variance entry")
 
 
 def write_allan_plots(plots: Dict[str, AllanPlot], out_dir, prefix: str = "allan") -> Dict[str, str]:

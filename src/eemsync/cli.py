@@ -5,7 +5,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from importlib import resources
 from pathlib import Path
 from typing import List, Optional
@@ -65,18 +64,10 @@ def _cmd_run(args) -> int:
             [f"name: {n!r} is used by more than one config; both would write <out>/{n}/" for n in shared]
         )
 
-    def execute(cfg):
+    for cfg in configs:
         manifest = run_scenario(cfg, args.out)
-        return cfg.name, manifest
-
-    if args.jobs > 1 and len(configs) > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(execute, configs))
-    else:
-        results = [execute(cfg) for cfg in configs]
-    for name, manifest in results:
-        print(f"{name}: {manifest['status']} ({manifest['elapsed_s']} s, "
-              f"{len(manifest['files'])} files) -> {args.out}/{name}")
+        print(f"{cfg.name}: {manifest['status']} ({manifest['elapsed_s']} s, "
+              f"{len(manifest['files'])} files) -> {args.out}/{cfg.name}")
     return EXIT_OK
 
 
@@ -112,7 +103,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     run_p.add_argument("--out", default="artifacts", help="output directory (default: artifacts)")
     run_p.add_argument("--seed", type=int, default=None, help="override the config seed")
     run_p.add_argument("--horizon", type=int, default=None, help="override the config horizon")
-    run_p.add_argument("--jobs", type=int, default=1, help="parallel scenarios")
     run_p.set_defaults(handler=_cmd_run)
 
     val_p = sub.add_parser("validate", help="check a config and report every violation")

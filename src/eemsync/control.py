@@ -30,7 +30,7 @@ from .filters import (
     stationary_kf_step,
 )
 from .models import EnsembleModel
-from .simkit import NoiseSampler, TrajectoryRecord
+from .simkit import NoiseSampler, TrajectoryRecord, _free_run
 
 __all__ = [
     "ControllerConfig",
@@ -300,7 +300,7 @@ def closed_loop(
         Z[0] = Z[n]
 
     u = omega_o @ d.Vplus.T + omega_obar[:, None]
-    record = TrajectoryRecord(tau=model.tau, x=x, h=x[:, :N], y=y, u=u, v=v)
+    record = TrajectoryRecord(tau=model.tau, x=x, y=y, u=u, v=v)
     return record, omega_o, omega_obar
 
 
@@ -332,26 +332,15 @@ def destination_from_noise(
     ``v`` holds v[0..T-1], shape (T, 2N), such as the ``v`` of the record
     ``closed_loop`` returns."""
     qv = weight_vector(q, model.N)
-    N, T = model.N, len(v)
-    v_phase = v[:, :N] @ qv
-    v_freq = v[:, N:] @ qv
+    N = model.N
     if x0 is None:
-        r0 = np.zeros(2)
+        r0 = (0.0, 0.0)
     else:
         x0 = np.asarray(x0, dtype=float)
         if x0.shape != (2 * N,):
             raise ValueError(f"x0 must have shape ({2 * N},), got {x0.shape}")
-        r0 = np.array([x0[:N] @ qv, x0[N:] @ qv])
-
-    freq = np.empty(T + 1)
-    freq[0] = r0[1]
-    np.cumsum(v_freq, out=freq[1:])
-    freq[1:] += r0[1]
-    phase = np.empty(T + 1)
-    phase[0] = r0[0]
-    np.cumsum(model.tau * freq[:-1] + v_phase, out=phase[1:])
-    phase[1:] += r0[0]
-    return np.column_stack([phase, freq])
+        r0 = (x0[:N] @ qv, x0[N:] @ qv)
+    return _free_run(model.tau, (v[:, :N] @ qv)[:, None], (v[:, N:] @ qv)[:, None], *r0)
 
 
 def sync_error(traj, dest: np.ndarray) -> np.ndarray:

@@ -670,9 +670,9 @@ def run_scenario(cfg: ScenarioConfig, out_dir: str, jobs: int = 1) -> dict:
     with content hashes, the config echo, and library versions.  On a
     numerical failure the manifest is still written, with the error
     recorded and whatever artifacts exist flagged as partial.  ``jobs`` is
-    unused: a scenario runs in one thread, and ``eemsync run --jobs`` runs
-    scenarios side by side.  ``versions.scipy`` is ``None`` for the kinds
-    that never load SciPy.
+    unused; it stays only because ``perfbench/child.py`` passes
+    ``jobs=1``.  ``versions.scipy`` is ``None`` for the kinds that never
+    load SciPy.
     """
     scipy_version = None
     if KINDS[cfg.kind].riccati:
@@ -681,6 +681,7 @@ def run_scenario(cfg: ScenarioConfig, out_dir: str, jobs: int = 1) -> dict:
         scipy_version = scipy.__version__
     directory = os.path.join(out_dir, cfg.name)
     art = _Artifacts(directory)
+    rss_at_start = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     started = time.perf_counter()
     caught: Optional[Exception] = None
     summary: dict = {}
@@ -705,7 +706,9 @@ def run_scenario(cfg: ScenarioConfig, out_dir: str, jobs: int = 1) -> dict:
             "scipy": scipy_version,
         },
         "elapsed_s": round(time.perf_counter() - started, 3),
-        # the whole process's peak so far; Linux reports ru_maxrss in KiB
+        # the whole process's peak so far, before and after this scenario;
+        # Linux reports ru_maxrss in KiB
+        "peak_rss_mb_at_start": round(rss_at_start / 1024, 3),
         "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 3),
     }
     _write_json(os.path.join(directory, "manifest.json"), manifest)

@@ -80,7 +80,6 @@ class TrajectoryRecord:
 
     tau: float
     x: np.ndarray
-    h: np.ndarray
     y: np.ndarray
     u: np.ndarray
     xhat: Optional[np.ndarray] = None
@@ -92,7 +91,12 @@ class TrajectoryRecord:
 
     @property
     def N(self) -> int:
-        return self.h.shape[1]
+        return self.x.shape[1] // 2
+
+    @property
+    def h(self) -> np.ndarray:
+        """The clock phases x[:, :N], a view of x."""
+        return self.x[:, : self.N]
 
 
 def step(model: EnsembleModel, x: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -152,7 +156,7 @@ def simulate(
         w = sampler.measurement_block(T)
 
     if policy is None:
-        xs = _free_run(model, x0, v)
+        xs = _free_run(model.tau, v[:, :N], v[:, N:], x0[:N], x0[N:])
         ys = xs[:T, :N] @ model.meas.V.T + w
         us = np.zeros((T, N))
     else:
@@ -174,31 +178,30 @@ def simulate(
             x = bigA @ x + bigB @ u + v[k]
             xs[k + 1] = x
 
-    return TrajectoryRecord(
-        tau=model.tau,
-        x=xs,
-        h=xs[:, :N].copy(),
-        y=ys,
-        u=us,
-        v=v if record_noise else None,
-    )
+    return TrajectoryRecord(tau=model.tau, x=xs, y=ys, u=us, v=v if record_noise else None)
 
 
-def _free_run(model: EnsembleModel, x0: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Vectorized zero-input trajectory (cumulative sums, no loop)."""
-    T = v.shape[0]
-    N = model.N
-    tau = model.tau
-    freq = np.empty((T + 1, N))
-    freq[0] = x0[N:]
-    np.cumsum(v[:, N:], axis=0, out=freq[1:])
-    freq[1:] += x0[N:]
-    phase = np.empty((T + 1, N))
-    phase[0] = x0[:N]
-    incr = tau * freq[:-1] + v[:, :N]
-    np.cumsum(incr, axis=0, out=phase[1:])
-    phase[1:] += x0[:N]
-    return np.hstack([phase, freq])
+def _free_run(tau: float, v_phase, v_freq, phase0, freq0) -> np.ndarray:
+    """States of n free-running clocks, shape (T+1, 2n): phases, then
+    frequencies.
+
+    Integrates x[k+1] = A x[k] + v[k] by cumulative sums, in place in the
+    one array it returns: freq[k] = freq0 + sum_{j<k} v_freq[j], then
+    phase[k] = phase0 + sum_{j<k} (tau freq[j] + v_phase[j]).  The noise
+    blocks have shape (T, n).
+    """
+    T, n = v_freq.shape
+    out = np.empty((T + 1, 2 * n))
+    phase, freq = out[:, :n], out[:, n:]
+    phase[0] = phase0
+    freq[0] = freq0
+    np.cumsum(v_freq, axis=0, out=freq[1:])
+    freq[1:] += freq0
+    np.multiply(tau, freq[:-1], out=phase[1:])
+    phase[1:] += v_phase
+    np.cumsum(phase[1:], axis=0, out=phase[1:])
+    phase[1:] += phase0
+    return out
 
 
 def digital_imitation(model: DiscreteClockModel, u: np.ndarray) -> np.ndarray:
@@ -214,11 +217,8 @@ def digital_imitation(model: DiscreteClockModel, u: np.ndarray) -> np.ndarray:
         raise ValueError(f"u must be a scalar series, got shape {u.shape}")
     if not np.all(np.isfinite(u)):
         raise ValueError("u must be finite")
-    tau = model.tau
-    # eps_freq[k] = sum_{j<k} u[j]; eps_phase[k] = tau * sum_{j=1..k} eps_freq[j]
-    ef = np.concatenate([[0.0], np.cumsum(u)])
-    ep = np.concatenate([[0.0], tau * np.cumsum(ef[1:])])
-    return ep
+    u = u[:, None]
+    return _free_run(model.tau, model.tau * u, u, 0.0, 0.0)[:, 0]
 
 
 def reference_timescale(e: np.ndarray, N: int) -> np.ndarray:

@@ -98,15 +98,20 @@ def test_run_with_overrides(tmp_path, capsys):
     assert "summary.json" in names
 
 
-def test_run_several_configs_in_parallel(tmp_path, capsys):
+def test_run_several_configs_in_sequence(tmp_path, capsys):
     a = write_config(tmp_path, name="run_a", seed=1)
     b = write_config(tmp_path, name="run_b", seed=2)
     out_dir = tmp_path / "artifacts"
-    assert main(["run", str(a), str(b), "--out", str(out_dir), "--jobs", "2"]) == 0
+    assert main(["run", str(a), str(b), "--out", str(out_dir)]) == 0
     out = capsys.readouterr().out
     assert "run_a: ok" in out and "run_b: ok" in out
-    for name in ("run_a", "run_b"):
-        assert (out_dir / name / "manifest.json").exists()
+    first, second = (
+        json.loads((out_dir / name / "manifest.json").read_text()) for name in ("run_a", "run_b")
+    )
+    # ru_maxrss is the process's peak so far: the second run inherits the first's
+    for manifest in (first, second):
+        assert manifest["peak_rss_mb_at_start"] <= manifest["peak_rss_mb"]
+    assert second["peak_rss_mb_at_start"] >= first["peak_rss_mb"]
 
 
 def test_run_rejects_shared_scenario_name(tmp_path, capsys):
@@ -117,7 +122,7 @@ def test_run_rejects_shared_scenario_name(tmp_path, capsys):
     a = write_config(first, name="same", seed=1)
     b = write_config(second, name="same", seed=2)
     out_dir = tmp_path / "artifacts"
-    assert main(["run", str(a), str(b), "--out", str(out_dir), "--jobs", "2"]) == 2
+    assert main(["run", str(a), str(b), "--out", str(out_dir)]) == 2
     assert "'same'" in capsys.readouterr().err
     assert not out_dir.exists()
 

@@ -534,6 +534,7 @@ class TestClosedLoopMatchesPolicy:
         ref = simulate(model, policy, FUSED_T, seed=seed)
         rec, omega_o, omega_obar = closed_loop(model, cfg, d, g, FUSED_T, seed)
         ref_o, ref_obar = policy.command_log()
+        assert np.shares_memory(rec.h, rec.x) and np.shares_memory(ref.h, ref.x)
         for got, want in (
             (rec.x, ref.x),
             (rec.h, ref.h),

@@ -1,5 +1,7 @@
 """Simulator checks: reproducibility, noise statistics, digital steering."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from eemsync import (
     NoiseParams,
     NoiseSampler,
     build_ensemble,
+    destination_from_noise,
     digital_imitation,
     reference_timescale,
     run_scenario,
@@ -16,6 +19,7 @@ from eemsync import (
     validate_config,
     write_csv,
 )
+from eemsync.decomp import weight_vector
 from eemsync.presets import DEMO_MEAS_STD, demo_ensemble, demo_noise_params
 
 
@@ -124,6 +128,76 @@ class TestSimulate:
         assert np.array_equal(step(model, x, u, v), model.bigA @ x + model.bigB @ u + v)
         with pytest.raises(ValueError):
             step(model, x[:3], u, v)
+
+
+def reference_free_run(model, x0, v):
+    """The free-run states as separate phase and frequency cumulative sums."""
+    T = v.shape[0]
+    N = model.N
+    tau = model.tau
+    freq = np.empty((T + 1, N))
+    freq[0] = x0[N:]
+    np.cumsum(v[:, N:], axis=0, out=freq[1:])
+    freq[1:] += x0[N:]
+    phase = np.empty((T + 1, N))
+    phase[0] = x0[:N]
+    incr = tau * freq[:-1] + v[:, :N]
+    np.cumsum(incr, axis=0, out=phase[1:])
+    phase[1:] += x0[:N]
+    return np.hstack([phase, freq])
+
+
+def reference_destination_from_noise(model, q, v, x0=None):
+    """The weighted-mean free run as two scalar cumulative sums."""
+    qv = weight_vector(q, model.N)
+    N, T = model.N, len(v)
+    v_phase = v[:, :N] @ qv
+    v_freq = v[:, N:] @ qv
+    if x0 is None:
+        r0 = np.zeros(2)
+    else:
+        r0 = np.array([x0[:N] @ qv, x0[N:] @ qv])
+    freq = np.empty(T + 1)
+    freq[0] = r0[1]
+    np.cumsum(v_freq, out=freq[1:])
+    freq[1:] += r0[1]
+    phase = np.empty(T + 1)
+    phase[0] = r0[0]
+    np.cumsum(model.tau * freq[:-1] + v_phase, out=phase[1:])
+    phase[1:] += r0[0]
+    return np.column_stack([phase, freq])
+
+
+class TestFreeRunIntegrator:
+    @pytest.mark.parametrize("T", [1, 5000])
+    @pytest.mark.parametrize("tau", [1.0, 0.7])
+    @pytest.mark.parametrize("with_x0", [False, True])
+    @pytest.mark.parametrize("n_clocks", [2, 3, 10])
+    def test_matches_reference_bit_for_bit(self, n_clocks, with_x0, tau, T):
+        model = demo_ensemble(n_clocks=n_clocks, tau=tau)
+        x0 = np.random.default_rng(n_clocks).normal(scale=1e-9, size=2 * model.N) if with_x0 else None
+        rec = simulate(model, None, T, seed=40 + n_clocks, x0=x0, record_noise=True)
+        start = np.zeros(2 * model.N) if x0 is None else x0
+        assert np.array_equal(rec.x, reference_free_run(model, start, rec.v))
+        assert np.shares_memory(rec.h, rec.x)
+        q = np.random.default_rng(T).dirichlet(np.ones(model.N))
+        assert np.array_equal(
+            destination_from_noise(model, q, rec.v, x0),
+            reference_destination_from_noise(model, q, rec.v, x0),
+        )
+
+    def test_free_run_peak_memory(self):
+        model = demo_ensemble()
+        T = 20_000
+        simulate(model, None, 2, seed=3)
+        tracemalloc.start()
+        try:
+            simulate(model, None, T, seed=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # v, w, x, y and u, with the phase block h a view of x
+        assert peak <= 3.5 * (T + 1) * 2 * model.N * 8
 
 
 class TestPaperClock:
