@@ -21,7 +21,6 @@ from .allan import (
     variance_vector,
     weight_long,
     weight_short,
-    write_allan_plots,
 )
 from .control import (
     ControllerConfig,
@@ -60,7 +59,6 @@ from .filters import (
     stationary_kf_step,
     unobservable_covariance_from_observable,
     unobservable_gain_from_observable,
-    write_gains_json,
 )
 from .models import (
     DiscreteClockModel,
@@ -86,5 +84,4 @@ from .simkit import (
     reference_timescale,
     simulate,
     step,
-    write_csv,
 )

@@ -2,16 +2,13 @@
 
 from __future__ import annotations
 
-import json
-import os
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
 from .decomp import EnsembleWeight, weight_vector
 from .models import NoiseParams
-from .simkit import write_csv
 
 __all__ = [
     "AllanPlot",
@@ -24,7 +21,6 @@ __all__ = [
     "optimal_weight",
     "weight_short",
     "weight_long",
-    "write_allan_plots",
 ]
 
 
@@ -208,29 +204,3 @@ def weight_long(Sigma2) -> EnsembleWeight:
     """Long-term optimal weight: inverse random-walk variances, normalized."""
     return _inverse_variance(variance_vector(Sigma2), "zero random-walk variance entry")
 
-
-def write_allan_plots(plots: Dict[str, AllanPlot], out_dir, prefix: str = "allan") -> Dict[str, str]:
-    """One CSV per scalar series plus a JSON index mapping names to files.
-
-    Vector-valued plots are split into numbered per-column series.
-    """
-    os.makedirs(out_dir, exist_ok=True)
-    index: Dict[str, str] = {}
-    for name, plot in plots.items():
-        values = np.atleast_2d(plot.values.T).T  # (n_intervals, n_series)
-        multi = values.shape[1] > 1
-        for col in range(values.shape[1]):
-            series_name = f"{name}_{col + 1}" if multi else name
-            fname = f"{prefix}_{series_name}.csv"
-            write_csv(
-                os.path.join(out_dir, fname),
-                ["interval_s", "allan_variance"],
-                np.column_stack([plot.intervals, values[:, col]]),
-                index=False,
-            )
-            index[series_name] = fname
-    index_path = os.path.join(out_dir, f"{prefix}_index.json")
-    with open(index_path, "w", encoding="utf-8") as fh:
-        json.dump(index, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return index

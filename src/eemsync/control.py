@@ -30,6 +30,7 @@ from .filters import (
     stationary_kf_step,
 )
 from .models import EnsembleModel
+from .presets import DEFAULT_COLLECTIVE_GAIN_COEFFS, DEFAULT_OBS_GAIN_COEFFS
 from .simkit import NoiseSampler, TrajectoryRecord, _free_run
 
 __all__ = [
@@ -48,12 +49,12 @@ __all__ = [
 MODES = ("sync-only", "balanced")
 
 
-def default_obs_gain(N: int, tau: float, coeffs=(0.1, 1.0)) -> np.ndarray:
+def default_obs_gain(N: int, tau: float, coeffs=DEFAULT_OBS_GAIN_COEFFS) -> np.ndarray:
     """Per-clock deadbeat-damped feedback [c1/tau, c2] on each relative state."""
     return np.kron(np.array([[coeffs[0] / tau, coeffs[1]]]), np.eye(N - 1))
 
 
-def default_collective_gain(m: int, tau: float, coeffs=(0.01, 1.0)) -> np.ndarray:
+def default_collective_gain(m: int, tau: float, coeffs=DEFAULT_COLLECTIVE_GAIN_COEFFS) -> np.ndarray:
     """Collective feedback [c1/(m tau), c2] acting once per period."""
     return np.array([[coeffs[0] / (m * tau), coeffs[1]]])
 

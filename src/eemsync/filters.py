@@ -12,7 +12,6 @@ arbitrary weight basis through the observable solution.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from functools import cache
@@ -21,7 +20,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .allan import weight_long
-from .decomp import Decomposition, generalized_inverse, project_state
+from .decomp import Decomposition, generalized_inverse
 from .errors import ConvergenceError, NumericalError
 from .models import EnsembleModel
 
@@ -39,7 +38,6 @@ __all__ = [
     "stationary_kf_step",
     "unobservable_gain_from_observable",
     "unobservable_covariance_from_observable",
-    "write_gains_json",
 ]
 
 InputPair = Optional[Tuple[np.ndarray, float]]
@@ -138,18 +136,9 @@ class StandardKFState:
     H: Optional[np.ndarray] = None
 
 
-def standard_kf_init(
-    model: EnsembleModel,
-    x0: Optional[np.ndarray] = None,
-    P0: Optional[np.ndarray] = None,
-) -> StandardKFState:
+def standard_kf_init(model: EnsembleModel) -> StandardKFState:
     """Initial state: zero estimate, one-step process covariance."""
-    n2 = 2 * model.N
-    xhat = np.zeros(n2) if x0 is None else np.asarray(x0, dtype=float).copy()
-    P = model.bigQ.copy() if P0 is None else np.asarray(P0, dtype=float).copy()
-    if xhat.shape != (n2,) or P.shape != (n2, n2):
-        raise ValueError("x0 / P0 dimensions do not match the model")
-    return StandardKFState(xhat=xhat, P=P)
+    return StandardKFState(xhat=np.zeros(2 * model.N), P=model.bigQ.copy())
 
 
 def _standard_update(model: EnsembleModel, xhat, P, u_prev, y):
@@ -227,21 +216,16 @@ class DeterminateKFState:
     H_bo: Optional[np.ndarray] = None
 
 
-def determinate_kf_init(d: Decomposition, x0: Optional[np.ndarray] = None) -> DeterminateKFState:
+def determinate_kf_init(d: Decomposition) -> DeterminateKFState:
     """Initial state matching the standard filter's initialization.
 
-    With P_oo = Qo and P_bo = Qbo this corresponds exactly to the
-    standard filter started from P = bigQ, so the two recursions stay
-    equivalent step by step.
+    With a zero estimate, P_oo = Qo and P_bo = Qbo this corresponds
+    exactly to the standard filter started from P = bigQ, so the two
+    recursions stay equivalent step by step.
     """
-    n_obs = 2 * (d.N - 1)
-    if x0 is None:
-        xi_o, xi_obar = np.zeros(n_obs), np.zeros(2)
-    else:
-        xi_o, xi_obar = project_state(np.asarray(x0, dtype=float), d)
     return DeterminateKFState(
-        xi_o_post=xi_o,
-        xi_obar_post=xi_obar,
+        xi_o_post=np.zeros(2 * (d.N - 1)),
+        xi_obar_post=np.zeros(2),
         P_oo=d.Qo.copy(),
         P_bo=d.Qbo.copy(),
     )
@@ -455,10 +439,13 @@ class StationaryGains:
     spectral_radius: float      # rho(Ao (I - H_o_star Co)), < 1 at a valid fixed point
 
 
+# relative Frobenius increment at which the stationary solve stops
+_STATIONARY_TOL = 1e-13
+
+
 def solve_stationary(
     d: Decomposition,
     R: np.ndarray,
-    tol: float = 1e-13,
     max_iter: int = 64,
     warm_start: Optional[np.ndarray] = None,
 ) -> StationaryGains:
@@ -468,10 +455,10 @@ def solve_stationary(
     structure-preserving doubling (Chu, Fan & Lin, 2005): doubling k
     yields the covariance recursion's 2^k-th iterate from zero, so
     ``iterations`` counts doublings (at most ``max_iter``) until the
-    relative Frobenius increment drops to ``tol``.  A ``warm_start`` (the
+    relative Frobenius increment drops to 1e-13.  A ``warm_start`` (the
     observable fixed point does not depend on the weight) is accepted,
     with ``iterations == 1``, when one exact update moves it by at most
-    ``tol``; otherwise the solve runs cold.  The cross covariance then
+    that much; otherwise the solve runs cold.  The cross covariance then
     solves a linear system of dimension 4(N-1) by vectorization.  Both
     fixed-point residuals are checked before returning.
     """
@@ -493,7 +480,7 @@ def solve_stationary(
         if warm.shape != (n_obs, n_obs):
             raise ValueError(f"warm_start must have shape ({n_obs}, {n_obs})")
         P_next = advance(warm)
-        if rel_diff(P_next, warm) <= tol:
+        if rel_diff(P_next, warm) <= _STATIONARY_TOL:
             P = P_next
     if P is None:
         # doubling for X = A^T X (I + G X)^{-1} A + H with A = Ao^T, G = Co^T R^{-1} Co, H = Qo
@@ -507,7 +494,7 @@ def solve_stationary(
             P_next = _sym(P + A.T @ P @ WA)
             G, A = _sym(G + A @ WG @ A.T), A @ WA
             rel, P = rel_diff(P_next, P), P_next
-            if rel <= tol:
+            if rel <= _STATIONARY_TOL:
                 break
         else:
             raise ConvergenceError(
@@ -627,18 +614,3 @@ def unobservable_covariance_from_observable(
     offset[0, d.N - 1 :] = -(q_inf @ Sigma1 @ d.V.T)
     return base + offset
 
-
-def write_gains_json(g: StationaryGains, path) -> None:
-    """Serialize a stationary solution; matrices as row-major nested lists."""
-    doc = {
-        "P_oo_star": g.P_oo_star.tolist(),
-        "P_bo_star": g.P_bo_star.tolist(),
-        "H_o_star": g.H_o_star.tolist(),
-        "H_bo_star": g.H_bo_star.tolist(),
-        "residuals": {"oo": g.residual_oo, "bo": g.residual_bo},
-        "iterations": g.iterations,
-        "spectral_radius": g.spectral_radius,
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")

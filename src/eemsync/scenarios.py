@@ -7,7 +7,7 @@ import json
 import os
 import resource
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -20,7 +20,6 @@ from .allan import (
     analytical_allan_clock,
     weight_long,
     weight_short,
-    write_allan_plots,
 )
 # perfbench/child.py wraps destination_trajectory, determinate_kf_step,
 # standard_kf_step and reconstruct_state as attributes of this module
@@ -36,12 +35,12 @@ from .control import (  # noqa: F401
 from .decomp import decompose, reconstruct_state  # noqa: F401
 from .errors import ConfigError, ConvergenceError, NumericalError
 from .filters import (  # noqa: F401
+    StationaryGains,
     determinate_kf_step,
     filter_pass,
     lapack_cholesky,
     solve_stationary,
     standard_kf_step,
-    write_gains_json,
 )
 from .models import EnsembleModel, NoiseParams, build_ensemble, star_measurement
 from .presets import (
@@ -374,13 +373,17 @@ def _write_json(path: str, doc: dict) -> None:
         fh.write("\n")
 
 
-def _analytical_plot(intervals: np.ndarray, values: np.ndarray) -> AllanPlot:
-    intervals = np.asarray(intervals, dtype=float)
-    return AllanPlot(
-        m_set=np.arange(1, intervals.size + 1),
-        intervals=intervals,
-        values=np.asarray(values, dtype=float),
-    )
+def _gains_doc(g: StationaryGains) -> dict:
+    """A stationary solution for ``gains.json``; matrices as row-major nested lists."""
+    return {
+        "P_oo_star": g.P_oo_star.tolist(),
+        "P_bo_star": g.P_bo_star.tolist(),
+        "H_o_star": g.H_o_star.tolist(),
+        "H_bo_star": g.H_bo_star.tolist(),
+        "residuals": {"oo": g.residual_oo, "bo": g.residual_bo},
+        "iterations": g.iterations,
+        "spectral_radius": g.spectral_radius,
+    }
 
 
 def _trend_statistics(series: np.ndarray, n_blocks: int = 50) -> dict:
@@ -425,10 +428,27 @@ class _Artifacts:
         np.save(self.path(name), np.ascontiguousarray(array, dtype=np.float64))
 
     def write_allan(self, plots: Dict[str, AllanPlot], prefix: str) -> None:
-        """Allan CSVs and their ``<prefix>_index.json``, listed in the manifest."""
-        index = write_allan_plots(plots, self.directory, prefix=prefix)
-        self.names.extend(index.values())
-        self.names.append(f"{prefix}_index.json")
+        """One ``<prefix>_<series>.csv`` per series and a ``<prefix>_index.json``
+        mapping series names to files; a vector plot splits into numbered
+        per-column series.
+
+        Each CSV has an ``interval_s,allan_variance`` header, then one row
+        per interval with 17 significant digits: the bytes of ``np.savetxt``
+        with ``fmt="%.16e"``, ``delimiter=","`` and ``comments=""``, but
+        formatted by one ``%`` over the ``tolist()`` values.
+        """
+        index: Dict[str, str] = {}
+        for name, plot in plots.items():
+            intervals = plot.intervals.tolist()
+            columns = plot.values.reshape(len(intervals), -1).T.tolist()
+            for col, values in enumerate(columns):
+                series = f"{name}_{col + 1}" if len(columns) > 1 else name
+                index[series] = f"{prefix}_{series}.csv"
+                rows = [v for pair in zip(intervals, values) for v in pair]
+                with open(self.path(index[series]), "w", encoding="utf-8") as fh:
+                    fh.write("interval_s,allan_variance\n")
+                    fh.write("%.16e,%.16e\n" * len(intervals) % tuple(rows))
+        _write_json(self.path(f"{prefix}_index.json"), index)
 
     def manifest_files(self) -> List[dict]:
         entries = []
@@ -449,21 +469,15 @@ def _indexed(*columns: np.ndarray) -> np.ndarray:
     return np.column_stack([np.arange(len(columns[0])), *columns])
 
 
-def _clock_allan_artifacts(cfg: ScenarioConfig, h: np.ndarray, art: _Artifacts) -> AllanPlot:
-    """Statistical Allan plot of every clock (one column each), one CSV per clock."""
-    plot = allan_plot(h, cfg.model.tau)
-    if "allan" in cfg.outputs:
-        art.write_allan({"clock": plot}, "allan")
-    return plot
-
-
 # ---------------------------------------------------------------------------
 # scenario pipelines
 
 
 def _run_free_run(cfg: ScenarioConfig, art: _Artifacts) -> dict:
     rec = simulate(cfg.model, None, cfg.horizon, cfg.seed)
-    plot = _clock_allan_artifacts(cfg, rec.h, art)
+    plot = allan_plot(rec.h, cfg.model.tau)
+    if "allan" in cfg.outputs:
+        art.write_allan({"clock": plot}, "allan")
     s1 = np.diag(cfg.model.Sigma1)
     s2 = np.diag(cfg.model.Sigma2)
     at_one = plot.values[plot.m_set == 1]
@@ -473,7 +487,7 @@ def _run_free_run(cfg: ScenarioConfig, art: _Artifacts) -> dict:
         name = f"clock_{i + 1}"
         noise = NoiseParams(np.sqrt(s1[i]), np.sqrt(s2[i]))
         line = np.array([analytical_allan_clock(noise, t) for t in plot.intervals])
-        analytical[f"{name}_analytical"] = _analytical_plot(plot.intervals, line)
+        analytical[f"{name}_analytical"] = replace(plot, values=line)
         summary["clocks"][name] = {
             "allan_at_1s": float(at_one[0, i]) if at_one.size else None,
             "analytical_at_1s": analytical_allan_clock(noise, cfg.model.tau),
@@ -497,7 +511,7 @@ def _run_standard_kf(cfg: ScenarioConfig, art: _Artifacts) -> dict:
         art.write_allan({"timescale": plot}, "allan")
     if "gains" in cfg.outputs:
         d = decompose(cfg.model, np.full(cfg.model.N, 1.0 / cfg.model.N))
-        write_gains_json(solve_stationary(d, cfg.model.meas.R), art.path("gains.json"))
+        _write_json(art.path("gains.json"), _gains_doc(solve_stationary(d, cfg.model.meas.R)))
     if "trajectory" in cfg.outputs:
         art.save("trajectory.npy", _indexed(rec.h[: rec.T], rec.u))
     final = increments[-1]
@@ -559,9 +573,10 @@ def _run_controller(cfg: ScenarioConfig, art: _Artifacts) -> dict:
     delta = sync_error(rec, destination_from_noise(model, cfg.weight, rec.v))
     rel_phase = delta[:, : model.N] @ d.V.T  # common mode removed
     balanced = cfg.controller.mode == "balanced"
+    q_inf = weight_long(np.diag(model.Sigma2)).q if balanced else None
 
     if "gains" in cfg.outputs:
-        write_gains_json(gains, art.path("gains.json"))
+        _write_json(art.path("gains.json"), _gains_doc(gains))
     if "commands" in cfg.outputs:
         art.save("commands.npy", _indexed(omega_o, omega_obar, rec.u))
     if "delta" in cfg.outputs:
@@ -570,22 +585,20 @@ def _run_controller(cfg: ScenarioConfig, art: _Artifacts) -> dict:
     if "trajectory" in cfg.outputs:
         art.save("trajectory.npy", _indexed(rec.h[: rec.T], rec.u))
 
-    intervals = _clock_allan_artifacts(cfg, rec.h, art).intervals
-    s1 = np.diag(model.Sigma1)
-    s2 = np.diag(model.Sigma2)
-    references = {
-        "destination": _analytical_plot(
-            intervals,
-            [allan_pi(cfg.weight, s1, s2, t) for t in intervals],
-        )
-    }
-    if balanced:
-        q_inf = weight_long(s2).q
-        references["destination_long"] = _analytical_plot(
-            intervals,
-            [allan_pi(q_inf, s1, s2, t) for t in intervals],
-        )
     if "allan" in cfg.outputs:
+        # every clock's Allan curve, and the analytical curve of each
+        # destination on the same grid
+        plot = allan_plot(rec.h, model.tau)
+        art.write_allan({"clock": plot}, "allan")
+        s1 = np.diag(model.Sigma1)
+        s2 = np.diag(model.Sigma2)
+        weights = {"destination": cfg.weight}
+        if balanced:
+            weights["destination_long"] = q_inf
+        references = {
+            name: replace(plot, values=np.array([allan_pi(q, s1, s2, t) for t in plot.intervals]))
+            for name, q in weights.items()
+        }
         art.write_allan(references, "reference")
 
     summary = {

@@ -10,7 +10,7 @@ filter" comparisons meaningful.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 import numpy.random  # noqa: F401  numpy 2 loads it lazily; every simulation draws from it
@@ -24,7 +24,6 @@ __all__ = [
     "simulate",
     "digital_imitation",
     "reference_timescale",
-    "write_csv",
 ]
 
 Policy = Callable[[int, np.ndarray], np.ndarray]
@@ -228,24 +227,3 @@ def reference_timescale(e: np.ndarray, N: int) -> np.ndarray:
         raise ValueError(f"expected {2 * N} state components, got {e.shape[-1]}")
     return e[..., :N].mean(axis=-1)
 
-
-def write_csv(path, header: Sequence[str], data: np.ndarray, index: bool = True) -> None:
-    """Write a header line, then one comma-separated line per row of data.
-
-    Meant for short tables such as Allan curves; long series are saved as
-    ``.npy``.  Values use 17 significant digits (``%.16e``); with ``index``
-    the first column is written as an integer k.  The bytes equal those of
-    ``np.savetxt`` with the same formats, ``delimiter=","`` and
-    ``comments=""``, but all rows are formatted by one ``%`` operation on
-    the data's ``tolist()``.
-    """
-    data = np.asarray(data, dtype=float)
-    if data.ndim != 2 or data.shape[1] != len(header):
-        raise ValueError(f"data of shape {data.shape} does not match {len(header)} header columns")
-    fmt = ["%.16e"] * data.shape[1]
-    if index:
-        fmt[0] = "%d"
-    row = ",".join(fmt) + "\n"
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(header) + "\n")
-        fh.write((row * data.shape[0]) % tuple(data.ravel().tolist()))

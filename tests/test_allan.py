@@ -1,5 +1,6 @@
 """Allan-variance checks: estimator hand values, weights, analytics."""
 
+import json
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -21,9 +22,9 @@ from eemsync import (
     variance_vector,
     weight_long,
     weight_short,
-    write_allan_plots,
 )
 from eemsync.allan import AllanPlot, _default_m_grid
+from eemsync.scenarios import _Artifacts
 from eemsync.presets import demo_ensemble, demo_noise_params
 
 
@@ -367,10 +368,14 @@ class TestPlots:
     def test_write_plots_round_trip(self, tmp_path):
         h = np.array([0.0, 1.0] * 8)
         plots = {"demo": allan_plot(h, 1.0, m_subset=[1, 2, 3])}
-        index = write_allan_plots(plots, tmp_path)
+        art = _Artifacts(str(tmp_path))
+        art.write_allan(plots, "allan")
+        assert (tmp_path / "allan_index.json").is_file()
+        index = json.loads((tmp_path / "allan_index.json").read_text())
         path = tmp_path / index["demo"]
         lines = path.read_text().splitlines()
         assert lines[0] == "interval_s,allan_variance"
         data = np.loadtxt(path, delimiter=",", skiprows=1)
         assert data.shape == (3, 2)
-        assert (tmp_path / "allan_index.json").is_file()
+        assert np.array_equal(data, np.column_stack([plots["demo"].intervals, plots["demo"].values]))
+        assert sorted(art.names) == ["allan_demo.csv", "allan_index.json"]

@@ -2,11 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from eemsync import (
     Decomposition,
     EnsembleWeight,
     NoiseParams,
+    NumericalError,
     build_ensemble,
     decompose,
     expand_input,
@@ -294,3 +297,42 @@ class TestStructuralProperties:
             assert np.max(np.abs(xi_obar[k + 1] - pred)) <= 1e-12 * max(
                 1.0, np.max(np.abs(xi_obar[: k + 2]))
             )
+
+
+# ---------------------------------------------------------------------------
+# properties over ensemble sizes and weights
+
+
+IDENTITY_TOL = 1e-10  # the identity tolerance decompose itself enforces
+
+
+def property_model(n):
+    """n clocks with the bundled noise repeated every ten clocks."""
+    params = [demo_noise_params()[i % 10] for i in range(n)]
+    return build_ensemble(params, star_measurement(n), np.diag(np.full(n - 1, 1e-29)), 1.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(2, 12), seed=st.integers(0, 2**32 - 1))
+def test_property_weight_basis_identities(n, seed):
+    model = property_model(n)
+    q = np.random.default_rng(seed).dirichlet(np.ones(n))
+    d = decompose(model, q)
+    assert np.max(np.abs(d.T @ d.Tinv - np.eye(2 * n))) <= IDENTITY_TOL
+    assert np.max(np.abs(d.V @ d.Vplus - np.eye(n - 1))) <= IDENTITY_TOL
+    assert np.max(np.abs(q @ d.Vplus)) <= IDENTITY_TOL
+    assert np.all(d.coupling == 0.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(2, 12), seed=st.integers(0, 2**32 - 1))
+def test_property_general_basis_round_trip(n, seed):
+    model = property_model(n)
+    rng = np.random.default_rng(seed)
+    try:
+        d = decompose(model, rng.standard_normal((2, 2 * n)))
+    except (ValueError, NumericalError):
+        assume(False)
+    x = rng.standard_normal((3, 2 * n))
+    back = reconstruct_state(*project_state(x, d), d)
+    assert np.max(np.abs(back - x)) <= IDENTITY_TOL * np.max(np.abs(x))

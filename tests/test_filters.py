@@ -34,11 +34,11 @@ from eemsync import (
     unobservable_gain_from_observable,
     weight_long,
     weight_short,
-    write_gains_json,
 )
 from eemsync.decomp import Decomposition
 from eemsync.filters import InputPair, StationaryGains, _spd_solve_gain, _sym
 from eemsync.presets import DEMO_MEAS_STD, DEMO_SIGMA1, DEMO_SIGMA2, demo_ensemble
+from eemsync.scenarios import _gains_doc, _write_json
 
 
 # ---------------------------------------------------------------------------
@@ -784,7 +784,7 @@ class TestStationary:
         d = decompose(model, np.full(3, 1 / 3))
         g = solve_stationary(d, model.meas.R)
         path = tmp_path / "gains.json"
-        write_gains_json(g, path)
+        _write_json(str(path), _gains_doc(g))
         doc = json.loads(path.read_text())
         assert set(doc) == {
             "P_oo_star",

@@ -1,10 +1,11 @@
-"""The package surface: every ``__all__`` entry exists, and every name the
+"""The package surface: every ``__all__`` entry exists, every name the
 package re-exports from a module that declares ``__all__`` is listed
-there."""
+there, and only ``scenarios`` writes files."""
 
 import ast
 import importlib
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -43,3 +44,30 @@ def test_reexports_are_listed_in_all():
 
 def test_reexports_resolve_on_the_package():
     assert [n for _, n in _reexports() if not hasattr(eemsync, n)] == []
+
+
+def _file_writes(tree):
+    """Line numbers of the calls in ``tree`` that create or write files:
+    ``open`` with a mode holding "w", ``np.save``, ``json.dump`` and
+    ``os.makedirs``."""
+    lines = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = ast.unparse(node.func)
+        if func == "open":
+            modes = node.args[1:2] + [k.value for k in node.keywords if k.arg == "mode"]
+            if any(isinstance(m, ast.Constant) and "w" in str(m.value) for m in modes):
+                lines.append(node.lineno)
+        elif func in ("np.save", "json.dump", "os.makedirs"):
+            lines.append(node.lineno)
+    return lines
+
+
+def test_only_scenarios_writes_files():
+    writers = {}
+    for path in sorted(Path(eemsync.__file__).parent.glob("*.py")):
+        lines = _file_writes(ast.parse(path.read_text(encoding="utf-8")))
+        if lines:
+            writers[path.name] = lines
+    assert sorted(writers) == ["scenarios.py"], writers

@@ -425,6 +425,49 @@ class TestRunScenario:
         assert manifest["status"] == "ok"
         assert calls == [600]
 
+    def test_controller_without_allan_output_skips_allan(self, tmp_path, monkeypatch):
+        # the clock curves and their interval grid serve only the Allan files
+        raw = json.loads((_bundled_dir() / "sync_simple_average.json").read_text())
+        raw["horizon"] = 2_000
+        calls = []
+        plot = scen.allan_plot
+
+        def counted(*args, **kwargs):
+            calls.append(args[0].shape)
+            return plot(*args, **kwargs)
+
+        monkeypatch.setattr(scen, "allan_plot", counted)
+        run_scenario(validate_config(raw), str(tmp_path / "default"))
+        assert len(calls) == 1
+        calls.clear()
+        raw["outputs"] = ["summary"]
+        manifest = run_scenario(validate_config(raw), str(tmp_path / "summary"))
+        assert calls == []
+        out = tmp_path / "summary" / raw["name"]
+        assert [f["name"] for f in manifest["files"]] == ["summary.json"]
+        assert not [p.name for p in out.iterdir() if p.name.startswith(("allan_", "reference_"))]
+        default_summary = tmp_path / "default" / raw["name"] / "summary.json"
+        assert (out / "summary.json").read_bytes() == default_summary.read_bytes()
+
+    @pytest.mark.parametrize("kind, selector", [("free-run", "analytical"), ("balanced", "allan")])
+    def test_reference_plots_carry_the_measured_grid(self, tmp_path, monkeypatch, kind, selector):
+        references = {}
+        write = scen._Artifacts.write_allan
+
+        def spy(art, plots, prefix):
+            if prefix == "reference":
+                references.update(plots)
+            return write(art, plots, prefix)
+
+        monkeypatch.setattr(scen._Artifacts, "write_allan", spy)
+        raw = raw_config(kind, horizon=2_000, outputs=[selector])
+        raw["model"]["tau"] = 0.5
+        run_scenario(validate_config(raw), str(tmp_path))
+        assert len(references) == (3 if kind == "free-run" else 2)
+        for name, plot in references.items():
+            assert plot.m_set.size > 13, name
+            assert np.array_equal(plot.m_set * 0.5, plot.intervals), name
+
     def test_suboptimal_kind_runs(self, tmp_path):
         cfg = validate_config(raw_config("standard-kf-suboptimal", horizon=300))
         manifest = run_scenario(cfg, str(tmp_path))

@@ -17,10 +17,11 @@ from eemsync import (
     star_measurement,
     step,
     validate_config,
-    write_csv,
 )
+from eemsync.allan import AllanPlot
 from eemsync.decomp import weight_vector
 from eemsync.presets import DEMO_MEAS_STD, demo_ensemble, demo_noise_params
+from eemsync.scenarios import _Artifacts
 
 
 def unit_scale_model(n=2, tau=1.0):
@@ -272,33 +273,30 @@ class TestRecordHelpers:
         assert np.array_equal(data[:, 3:], rec.u)
 
     def test_csv_writer_matches_savetxt_bytes(self, tmp_path):
+        # the Allan CSVs of scenario artifacts, on zeros of both signs,
+        # NaN, infinities, subnormals and extreme exponents
         rng = np.random.default_rng(3)
-        T = 1100  # crosses two formatting blocks
+        T = 1100
         values = rng.normal(size=(T, 6)) * 10.0 ** rng.integers(-300, 300, size=(T, 6))
         values[0] = [0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324]
         values[1] = [2.2250738585072014e-308, -1e-310, 1.0, -1.0, 1e308, -1e-320]
-        data = np.column_stack([np.arange(T), values])
-        header = ["k"] + [f"c_{i + 1}" for i in range(6)]
-        write_csv(tmp_path / "ours.csv", header, data)
-        np.savetxt(
-            tmp_path / "ref.csv",
-            data,
-            delimiter=",",
-            header=",".join(header),
-            comments="",
-            fmt=["%d"] + ["%.16e"] * 6,
-        )
-        assert (tmp_path / "ours.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
-
-        write_csv(tmp_path / "plain.csv", header[1:], values, index=False)
-        np.savetxt(
-            tmp_path / "plain_ref.csv",
-            values,
-            delimiter=",",
-            header=",".join(header[1:]),
-            comments="",
-            fmt="%.16e",
-        )
-        assert (tmp_path / "plain.csv").read_bytes() == (tmp_path / "plain_ref.csv").read_bytes()
-        with pytest.raises(ValueError, match="header"):
-            write_csv(tmp_path / "bad.csv", header, values)
+        intervals = rng.normal(size=T) * 10.0 ** rng.integers(-300, 300, size=T)
+        intervals[:6] = values[0]
+        m_set = np.arange(1, T + 1)
+        plots = {
+            "vector": AllanPlot(m_set=m_set, intervals=intervals, values=values),
+            "scalar": AllanPlot(m_set=m_set, intervals=intervals, values=values[:, 2].copy()),
+        }
+        _Artifacts(str(tmp_path)).write_allan(plots, "allan")
+        expected = {f"allan_vector_{i + 1}.csv": values[:, i] for i in range(6)}
+        expected["allan_scalar.csv"] = values[:, 2]
+        for name, column in expected.items():
+            np.savetxt(
+                tmp_path / "ref.csv",
+                np.column_stack([intervals, column]),
+                delimiter=",",
+                header="interval_s,allan_variance",
+                comments="",
+                fmt="%.16e",
+            )
+            assert (tmp_path / name).read_bytes() == (tmp_path / "ref.csv").read_bytes(), name
