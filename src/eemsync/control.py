@@ -59,17 +59,24 @@ def default_collective_gain(m: int, tau: float, coeffs=DEFAULT_COLLECTIVE_GAIN_C
     return np.array([[coeffs[0] / (m * tau), coeffs[1]]])
 
 
+def _closed_loop_radius(step: float, K: np.ndarray, n: int) -> float:
+    """Spectral radius of A - B K for n clocks advanced by ``step`` (A and B
+    of the clock model, kron I_n); inf when that loop is not finite."""
+    eye = np.eye(n)
+    with np.errstate(over="ignore", invalid="ignore"):
+        loop = np.kron([[1.0, step], [0.0, 1.0]], eye) - np.kron([[step], [1.0]], eye) @ K
+    if not np.isfinite(loop).all():
+        return float("inf")
+    return float(np.max(np.abs(np.linalg.eigvals(loop))))
+
+
 def check_obs_gain(F_o: np.ndarray, N: int, tau: float) -> float:
     """Spectral radius of the observable closed loop Ao - Bo F_o."""
     F_o = np.asarray(F_o, dtype=float)
     n_obs = 2 * (N - 1)
     if F_o.shape != (N - 1, n_obs):
         raise ValueError(f"F_o must have shape ({N - 1}, {n_obs}), got {F_o.shape}")
-    A = np.array([[1.0, tau], [0.0, 1.0]])
-    B = np.array([tau, 1.0])
-    Ao = np.kron(A, np.eye(N - 1))
-    Bo = np.kron(B.reshape(2, 1), np.eye(N - 1))
-    return float(np.max(np.abs(np.linalg.eigvals(Ao - Bo @ F_o))))
+    return _closed_loop_radius(tau, F_o, N - 1)
 
 
 def check_collective_gain(K_bo: np.ndarray, m: int, tau: float) -> float:
@@ -81,9 +88,7 @@ def check_collective_gain(K_bo: np.ndarray, m: int, tau: float) -> float:
     K = np.asarray(K_bo, dtype=float).reshape(1, 2)
     if m < 1:
         raise ValueError(f"period must be >= 1, got {m}")
-    Am = np.array([[1.0, m * tau], [0.0, 1.0]])
-    Bm = np.array([[m * tau], [1.0]])
-    return float(np.max(np.abs(np.linalg.eigvals(Am - Bm @ K))))
+    return _closed_loop_radius(m * tau, K, 1)
 
 
 @dataclass(frozen=True)

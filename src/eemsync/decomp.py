@@ -173,7 +173,9 @@ def decompose(
     unobservable coordinates.  A general basis must have full row rank,
     Wbar (I2 kron 1) nonsingular, and a kernel that complements the
     unobservable subspace; violations raise ``ValueError`` naming the
-    condition.
+    condition.  A basis that meets them but is so ill-conditioned that
+    the transform pair misses T Tinv = I by more than 1e-10 raises
+    ``NumericalError`` (a few random Gaussian bases in a thousand do).
     """
     N = model.N
     n_obs = 2 * (N - 1)

@@ -43,7 +43,8 @@ class NoiseParams:
 
     sigma1 is the white FM intensity, sigma2 the random-walk FM intensity,
     both in 1/sqrt(s) units of fractional frequency.  Variances, not
-    standard deviations, enter the model as sigma**2.
+    standard deviations, enter the model as sigma**2; both must be finite
+    and one nonzero.  Each error message starts with the field at fault.
     """
 
     sigma1: float
@@ -55,8 +56,8 @@ class NoiseParams:
             if not np.isfinite(val) or val < 0:
                 raise ValueError(f"{name} must be finite and >= 0, got {val!r}")
             _check_finite_power(name, val, 2)
-        if self.sigma1 == 0 and self.sigma2 == 0:
-            raise ValueError("sigma1 and sigma2 must not both be zero")
+        if self.sigma1 ** 2 == 0 and self.sigma2 ** 2 == 0:
+            raise ValueError(f"sigma1**2 and sigma2**2 must not both be zero, got {self}")
 
 
 @dataclass(frozen=True)

@@ -32,7 +32,7 @@ from .control import (  # noqa: F401
     destination_trajectory,
     sync_error,
 )
-from .decomp import decompose, reconstruct_state  # noqa: F401
+from .decomp import decompose, reconstruct_state, weight_vector  # noqa: F401
 from .errors import ConfigError, ConvergenceError, NumericalError
 from .filters import (  # noqa: F401
     StationaryGains,
@@ -42,7 +42,8 @@ from .filters import (  # noqa: F401
     solve_stationary,
     standard_kf_step,
 )
-from .models import EnsembleModel, NoiseParams, build_ensemble, star_measurement
+from .models import EnsembleModel, MeasurementStructure, NoiseParams, build_ensemble, discretize
+from .models import star_measurement
 from .presets import (
     DEFAULT_COLLECTIVE_GAIN_COEFFS,
     DEFAULT_COLLECTIVE_PERIOD,
@@ -91,9 +92,27 @@ class KindSpec:
 
 
 def _is_number(value, integer: bool = False) -> bool:
-    """An int, or unless ``integer`` a float; JSON true/false parse to bool,
-    which Python would otherwise accept as the int 1 or 0."""
-    return isinstance(value, int if integer else (int, float)) and not isinstance(value, bool)
+    """An int, or unless ``integer`` a float, finite as a float; JSON true/false
+    parse to bool (else the int 1 or 0) and Python's json parses NaN and Infinity."""
+    number = isinstance(value, int if integer else (int, float)) and not isinstance(value, bool)
+    return number and abs(value) <= np.finfo(float).max
+
+
+def _is_pair(value) -> bool:
+    return isinstance(value, (list, tuple)) and len(value) == 2 and all(_is_number(x) for x in value)
+
+
+def _is_count(least: int) -> Callable[[object], bool]:
+    return lambda value: _is_number(value, integer=True) and value >= least
+
+
+# every controller setting: default, test, and the requirement its message names
+_SETTINGS = {
+    "obs_gain_coeffs": (DEFAULT_OBS_GAIN_COEFFS, _is_pair, "pair of numbers"),
+    "collective_gain_coeffs": (DEFAULT_COLLECTIVE_GAIN_COEFFS, _is_pair, "pair of numbers"),
+    "period": (DEFAULT_COLLECTIVE_PERIOD, _is_count(1), "integer >= 1"),
+    "phase": (0, _is_count(0), "nonnegative integer"),
+}
 
 
 def _resolve_weight(given, model: EnsembleModel, problems: List[str]) -> Optional[np.ndarray]:
@@ -124,18 +143,11 @@ def _resolve_weight(given, model: EnsembleModel, problems: List[str]) -> Optiona
     if not isinstance(given, (list, tuple)) or not all(_is_number(x) for x in given):
         problems.append(f"controller.weight: not a number list: {given!r}")
         return None
-    q = np.asarray(given, dtype=float)
-    if q.shape != (model.N,):
-        problems.append(
-            f"controller.weight: expected {model.N} entries, got shape {q.shape}"
-        )
+    try:
+        return weight_vector(given, model.N)
+    except ValueError as exc:
+        problems.append(f"controller.weight: {exc}")
         return None
-    if abs(q.sum() - 1.0) > 1e-9:
-        problems.append(
-            f"controller.weight: entries must sum to 1 (normalization), got {q.sum()!r}"
-        )
-        return None
-    return q
 
 
 def _build_model(raw_model, problems: List[str]) -> Optional[EnsembleModel]:
@@ -143,70 +155,64 @@ def _build_model(raw_model, problems: List[str]) -> Optional[EnsembleModel]:
         problems.append("model: must be an object")
         return None
     n = raw_model.get("n_clocks")
-    tau = raw_model.get("tau", 1.0)
     if not _is_number(n, integer=True) or n < 2:
         problems.append(f"model.n_clocks: integer >= 2 required, got {n!r}")
         return None
-    if not _is_number(tau) or tau <= 0:
-        problems.append(f"model.tau: positive number required, got {tau!r}")
-        return None
+    found = len(problems)
 
-    def float_list(key: str, length: int) -> Optional[np.ndarray]:
+    def float_list(key: str, length: int) -> Optional[list]:
         val = raw_model.get(key)
         if val is None:
             problems.append(f"model.{key}: missing (need {length} values)")
             return None
-        if not isinstance(val, (list, tuple)) or not all(_is_number(x) for x in val):
-            problems.append(f"model.{key}: not a number list")
+        if not isinstance(val, (list, tuple)) or not all(_is_number(x) and x >= 0 for x in val):
+            problems.append(f"model.{key}: not a list of numbers >= 0")
             return None
-        arr = np.asarray(val, dtype=float)
-        if arr.shape != (length,):
-            problems.append(f"model.{key}: expected {length} values, got shape {arr.shape}")
+        if len(val) != length:
+            problems.append(f"model.{key}: expected {length} values, got {len(val)}")
             return None
-        if not np.all(np.isfinite(arr)) or np.any(arr < 0):
-            problems.append(f"model.{key}: values must be finite and >= 0")
-            return None
-        return arr
+        return [float(x) for x in val]
 
+    tau = raw_model.get("tau", 1.0)
     sigma1 = float_list("sigma1", n)
     sigma2 = float_list("sigma2", n)
     meas_std = float_list("meas_std", n - 1)
-    if sigma1 is None or sigma2 is None or meas_std is None:
+    # the model types check every value; their messages start with the field
+    tau_ok = _is_number(tau)
+    if not tau_ok:
+        problems.append(f"model.tau: number required, got {tau!r}")
+    else:
+        tau = float(tau)
+        try:
+            discretize(NoiseParams(1.0, 0.0), tau)
+        except ValueError as exc:
+            problems.append(f"model.{exc}")
+            tau_ok = False
+    params = []
+    for i, pair in enumerate(zip(sigma1 or [], sigma2 or []), 1):
+        try:
+            params.append(NoiseParams(*pair))
+            if tau_ok:
+                discretize(params[-1], tau)
+        except ValueError as exc:
+            problems.append(f"model.{exc} (clock {i})")
+    if meas_std is not None:
+        try:
+            meas = MeasurementStructure(star_measurement(n), np.diag([x * x for x in meas_std]))
+        except ValueError as exc:
+            problems.append(f"model.meas_std: {exc}")
+    if len(problems) > found:
         return None
-    if np.any(meas_std <= 0):
-        problems.append("model.meas_std: entries must be positive")
-        return None
-    # squares of finite inputs can still overflow to inf or underflow to 0;
-    # the model rejects those too, but here each problem names its field
-    with np.errstate(over="ignore", under="ignore"):
-        squares = {"sigma1": sigma1**2, "sigma2": sigma2**2, "meas_std": meas_std**2}
-        tau_cubed = np.float64(tau) ** 3
-    bad = [
-        f"model.{key}: squares overflow, so the variances are not finite"
-        for key, var in squares.items()
-        if not np.isfinite(var).all()
-    ]
-    if np.any(squares["meas_std"] == 0.0):
-        bad.append("model.meas_std: squares underflow to 0, so R is not positive definite")
-    if not np.isfinite(tau_cubed):
-        bad.append(f"model.tau: tau**3 overflows, got {tau!r}")
-    if bad:
-        problems.extend(bad)
-        return None
-    try:
-        params = [NoiseParams(a, b) for a, b in zip(sigma1, sigma2)]
-        return build_ensemble(params, star_measurement(n), np.diag(squares["meas_std"]), float(tau))
-    except ValueError as exc:
-        problems.append(f"model: {exc}")
-        return None
+    return build_ensemble(params, meas.V, meas.R, tau)
 
 
 def validate_config(raw) -> ScenarioConfig:
     """Parse and eagerly validate one scenario document.
 
     Accepts a dict or a JSON string.  Applies kind defaults (weights,
-    gains, schedule) and runs every cheap structural check up front;
-    all violations are reported together.  For the kinds that step a
+    gains, schedule) and checks the document's shape; the model, weight
+    and controller types check its values, and every violation is
+    reported together under its config field.  For the kinds that step a
     time-varying Kalman filter it also loads SciPy's LAPACK, so a missing
     SciPy is a config error before anything is written.
     """
@@ -275,34 +281,14 @@ def validate_config(raw) -> ScenarioConfig:
 
     mode = spec.mode
     if model is not None and weight is not None and mode is not None:
-        tau = model.tau
-        obs_coeffs = settings.get("obs_gain_coeffs", list(DEFAULT_OBS_GAIN_COEFFS))
-        coll_coeffs = settings.get(
-            "collective_gain_coeffs", list(DEFAULT_COLLECTIVE_GAIN_COEFFS)
-        )
-        period = settings.get("period", DEFAULT_COLLECTIVE_PERIOD)
-        phase = settings.get("phase", 0)
         if mode == "balanced":
             # the summary samples the mean against the long-term weight
             _resolve_weight("long", model, problems)
-        ok_pair = (
-            lambda v: isinstance(v, (list, tuple))
-            and len(v) == 2
-            and all(_is_number(x) for x in v)
-        )
-        if not ok_pair(obs_coeffs):
-            problems.append(f"controller.obs_gain_coeffs: pair of numbers required, got {obs_coeffs!r}")
-        if not ok_pair(coll_coeffs):
-            problems.append(
-                f"controller.collective_gain_coeffs: pair of numbers required, got {coll_coeffs!r}"
-            )
-        period_ok = _is_number(period, integer=True) and period >= 1
-        phase_ok = _is_number(phase, integer=True) and phase >= 0
-        if not period_ok:
-            problems.append(f"controller.period: integer >= 1 required, got {period!r}")
-        if not phase_ok:
-            problems.append(f"controller.phase: nonnegative integer required, got {phase!r}")
-        if mode == "balanced" and horizon_ok and period_ok and phase_ok:
+        value = {key: settings.get(key, default) for key, (default, _, _) in _SETTINGS.items()}
+        bad = [key for key, (_, ok, _) in _SETTINGS.items() if not ok(value[key])]
+        problems.extend(f"controller.{k}: {_SETTINGS[k][2]} required, got {value[k]!r}" for k in bad)
+        period, phase = value["period"], value["phase"]
+        if mode == "balanced" and horizon_ok and "period" not in bad and "phase" not in bad:
             # the summary fits a trend to the mean sampled at the kicks
             # k = phase % period (mod period); it needs three samples
             need = phase % period + 2 * period
@@ -316,13 +302,13 @@ def validate_config(raw) -> ScenarioConfig:
             try:
                 controller = ControllerConfig(
                     q=weight,
-                    F_o=default_obs_gain(model.N, tau, tuple(obs_coeffs)),
-                    K_bo=default_collective_gain(period, tau, tuple(coll_coeffs))
+                    F_o=default_obs_gain(model.N, model.tau, value["obs_gain_coeffs"]),
+                    K_bo=default_collective_gain(period, model.tau, value["collective_gain_coeffs"])
                     if mode == "balanced"
                     else None,
                     m=period,
                     mode=mode,
-                    tau=tau,
+                    tau=model.tau,
                     phase=phase,
                 )
             except ConfigError as exc:
@@ -413,19 +399,22 @@ def _trend_statistics(series: np.ndarray, n_blocks: int = 50) -> dict:
 
 
 class _Artifacts:
+    """The files of one run; a name is recorded once its file is written."""
+
     def __init__(self, directory: str):
         self.directory = directory
         self.names: List[str] = []
         os.makedirs(directory, exist_ok=True)
 
-    def path(self, name: str) -> str:
+    def write_json(self, name: str, doc: dict) -> None:
+        _write_json(os.path.join(self.directory, name), doc)
         self.names.append(name)
-        return os.path.join(self.directory, name)
 
     def save(self, name: str, array: np.ndarray) -> None:
         """One long series as a C-contiguous float64 ``.npy``; ``np.save``
         writes no timestamp, so same-seed runs hash the same."""
-        np.save(self.path(name), np.ascontiguousarray(array, dtype=np.float64))
+        np.save(os.path.join(self.directory, name), np.ascontiguousarray(array, dtype=np.float64))
+        self.names.append(name)
 
     def write_allan(self, plots: Dict[str, AllanPlot], prefix: str) -> None:
         """One ``<prefix>_<series>.csv`` per series and a ``<prefix>_index.json``
@@ -445,10 +434,11 @@ class _Artifacts:
                 series = f"{name}_{col + 1}" if len(columns) > 1 else name
                 index[series] = f"{prefix}_{series}.csv"
                 rows = [v for pair in zip(intervals, values) for v in pair]
-                with open(self.path(index[series]), "w", encoding="utf-8") as fh:
+                with open(os.path.join(self.directory, index[series]), "w", encoding="utf-8") as fh:
                     fh.write("interval_s,allan_variance\n")
                     fh.write("%.16e,%.16e\n" * len(intervals) % tuple(rows))
-        _write_json(self.path(f"{prefix}_index.json"), index)
+                self.names.append(index[series])
+        self.write_json(f"{prefix}_index.json", index)
 
     def manifest_files(self) -> List[dict]:
         entries = []
@@ -511,7 +501,7 @@ def _run_standard_kf(cfg: ScenarioConfig, art: _Artifacts) -> dict:
         art.write_allan({"timescale": plot}, "allan")
     if "gains" in cfg.outputs:
         d = decompose(cfg.model, np.full(cfg.model.N, 1.0 / cfg.model.N))
-        _write_json(art.path("gains.json"), _gains_doc(solve_stationary(d, cfg.model.meas.R)))
+        art.write_json("gains.json", _gains_doc(solve_stationary(d, cfg.model.meas.R)))
     if "trajectory" in cfg.outputs:
         art.save("trajectory.npy", _indexed(rec.h[: rec.T], rec.u))
     final = increments[-1]
@@ -576,7 +566,7 @@ def _run_controller(cfg: ScenarioConfig, art: _Artifacts) -> dict:
     q_inf = weight_long(np.diag(model.Sigma2)).q if balanced else None
 
     if "gains" in cfg.outputs:
-        _write_json(art.path("gains.json"), _gains_doc(gains))
+        art.write_json("gains.json", _gains_doc(gains))
     if "commands" in cfg.outputs:
         art.save("commands.npy", _indexed(omega_o, omega_obar, rec.u))
     if "delta" in cfg.outputs:
@@ -701,7 +691,7 @@ def run_scenario(cfg: ScenarioConfig, out_dir: str, jobs: int = 1) -> dict:
     try:
         summary = KINDS[cfg.kind].run(cfg, art)
         if "summary" in cfg.outputs:
-            _write_json(art.path("summary.json"), summary)
+            art.write_json("summary.json", summary)
     except (NumericalError, ConvergenceError) as exc:
         caught = exc
     manifest = {

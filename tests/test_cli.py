@@ -1,5 +1,6 @@
 """Command-line interface tests: spec resolution, exit codes, artifacts."""
 
+import hashlib
 import json
 
 import pytest
@@ -203,3 +204,49 @@ def test_run_reports_numerical_failure(tmp_path, capsys, free_run_raises):
     path = write_config(tmp_path)
     assert main(["run", str(path), "--out", str(tmp_path / "artifacts")]) == 3
     assert "numerical failure" in capsys.readouterr().err
+
+
+def test_run_names_tau_and_sigma_together(tmp_path, capsys):
+    # tau is checked by its owner even when a clock's noise fails
+    path = write_config(tmp_path, kind="standard-kf")
+    cfg = json.loads(path.read_text())
+    cfg["model"]["tau"] = 1e200
+    cfg["model"]["sigma1"][0] = 1e200
+    path.write_text(json.dumps(cfg))
+    assert main(["run", str(path), "--out", str(tmp_path / "artifacts")]) == 2
+    err = capsys.readouterr().err
+    assert "model.tau" in err and "model.sigma1" in err
+    assert not (tmp_path / "artifacts").exists()
+
+
+def test_run_rejects_literal_nan_weight(tmp_path, capsys):
+    # Python's json parses NaN, Infinity and -Infinity
+    path = write_config(tmp_path, kind="determinate-kf")
+    cfg = json.loads(path.read_text())
+    cfg["controller"] = {"weight": [float("nan"), 0.5, 0.5]}
+    path.write_text(json.dumps(cfg))
+    assert "NaN" in path.read_text()
+    assert main(["run", str(path), "--out", str(tmp_path / "artifacts")]) == 2
+    assert "controller.weight" in capsys.readouterr().err
+    assert not (tmp_path / "artifacts").exists()
+
+
+def test_failed_gains_solve_leaves_a_partial_manifest(tmp_path, capsys):
+    # with no random-walk noise the stationary cross-covariance system is
+    # singular; gains.json is never written, so the manifest must not list it
+    path = write_config(tmp_path, kind="standard-kf")
+    cfg = json.loads(path.read_text())
+    cfg["model"]["sigma2"] = [0.0, 0.0, 0.0]
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "artifacts"
+    assert main(["run", str(path), "--out", str(out)]) == 3
+    assert "numerical failure" in capsys.readouterr().err
+    manifest = json.loads((out / "tiny" / "manifest.json").read_text())
+    assert manifest["status"] == "failed"
+    assert manifest["partial"] is True
+    names = [entry["name"] for entry in manifest["files"]]
+    assert "gains.json" not in names and not (out / "tiny" / "gains.json").exists()
+    assert "increments.npy" in names
+    for entry in manifest["files"]:
+        data = (out / "tiny" / entry["name"]).read_bytes()
+        assert hashlib.sha256(data).hexdigest() == entry["sha256"]

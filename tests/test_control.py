@@ -11,6 +11,8 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eemsync import (
     ConfigError,
@@ -18,7 +20,9 @@ from eemsync import (
     Decomposition,
     DeterminateKFState,
     EemPolicy,
+    NoiseParams,
     StationaryGains,
+    build_ensemble,
     check_collective_gain,
     check_obs_gain,
     closed_loop,
@@ -33,9 +37,11 @@ from eemsync import (
     run_scenario,
     simulate,
     solve_stationary,
+    star_measurement,
     sync_error,
     validate_config,
 )
+from eemsync.presets import DEMO_MEAS_STD, DEMO_SIGMA1, DEMO_SIGMA2
 
 
 # ---------------------------------------------------------------------------
@@ -176,6 +182,13 @@ class TestGainDesign:
         with pytest.raises(ValueError, match="period"):
             check_collective_gain(np.zeros((1, 2)), 0, 1.0)
 
+    def test_non_finite_loops_have_infinite_radius(self):
+        F_o = default_obs_gain(3, 1.0)
+        F_o[0, 0] = np.nan
+        assert check_obs_gain(F_o, 3, 1.0) == np.inf
+        # finite coefficients whose loop overflows
+        assert check_collective_gain(np.array([[1e308, 1e308]]), 200, 1.0) == np.inf
+
 
 class TestControllerConfig:
     def test_balanced_requires_collective_gain(self):
@@ -233,6 +246,17 @@ class TestControllerConfig:
                 m=10,
                 mode="balanced",
             )
+
+    @pytest.mark.parametrize("loop", ["observable", "collective"])
+    def test_non_finite_loop_is_not_contractive(self, loop):
+        F_o = default_obs_gain(4, 1.0)
+        K_bo = default_collective_gain(10, 1.0)
+        if loop == "observable":
+            F_o[0, 0] = np.inf
+        else:
+            K_bo = np.array([[1e308, 1e308]])
+        with pytest.raises(ConfigError, match=f"{loop} closed loop is not contractive"):
+            ControllerConfig(q=np.full(4, 0.25), F_o=F_o, K_bo=K_bo, m=10, mode="balanced")
 
     def test_field_coercion(self):
         cfg = ControllerConfig(
@@ -560,6 +584,49 @@ class TestClosedLoopMatchesPolicy:
         Wbar = np.kron(np.eye(2), np.full(4, 0.25)) + 0.01 * rng.normal(size=(2, 8))
         with pytest.raises(ValueError, match="weight-basis"):
             closed_loop(model4, cfg, decompose(model4, Wbar), g, 10, 0)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    n_clocks=st.integers(2, 12),
+    seed=st.integers(0, 2**32 - 1),
+    period=st.one_of(st.none(), st.integers(2, 120)),
+    phase=st.integers(0, 400),
+)
+def test_property_closed_loop_matches_policy(n_clocks, seed, period, phase):
+    # period None is sync-only; a balanced phase past the horizon leaves
+    # omega_obar all zero, which the bound below then asks to match exactly
+    T = 300
+    rng = np.random.default_rng(seed)
+    levels = rng.integers(0, 10, size=n_clocks)
+    params = [NoiseParams(DEMO_SIGMA1[i], DEMO_SIGMA2[i]) for i in levels]
+    R = np.diag(DEMO_MEAS_STD[rng.integers(0, 9, size=n_clocks - 1)] ** 2)
+    model = build_ensemble(params, star_measurement(n_clocks), R, 1.0)
+    q = rng.dirichlet(np.ones(n_clocks))
+    d = decompose(model, q)
+    g = solve_stationary(d, model.meas.R)
+    balanced = period is not None
+    cfg = ControllerConfig(
+        q=q,
+        F_o=default_obs_gain(n_clocks, model.tau),
+        K_bo=default_collective_gain(period, model.tau) if balanced else None,
+        m=period if balanced else 1,
+        mode="balanced" if balanced else "sync-only",
+        phase=phase if balanced else 0,
+    )
+    policy = EemPolicy(cfg, d, gains=g)
+    ref = simulate(model, policy, T, seed=seed)
+    rec, omega_o, omega_obar = closed_loop(model, cfg, d, g, T, seed)
+    ref_o, ref_obar = policy.command_log()
+    for got, want in (
+        (rec.x, ref.x),
+        (rec.y, ref.y),
+        (rec.u, ref.u),
+        (omega_o, ref_o),
+        (omega_obar, ref_obar),
+    ):
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 class TestPolicyAndLogs:

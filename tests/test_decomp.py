@@ -188,6 +188,13 @@ class TestDecompose:
         with pytest.raises(ValueError):
             decompose(model_for(3), wbar)
 
+    def test_ill_conditioned_general_basis_raises_numerical_error(self):
+        # a valid but ill-conditioned Gaussian basis: the transform pair
+        # misses T Tinv = I by 9e-10, past the 1e-10 identity tolerance
+        wbar = np.random.default_rng(244).standard_normal((2, 18))
+        with pytest.raises(NumericalError, match="T Tinv = I"):
+            decompose(model_for(9), wbar)
+
     def test_weight_basis_is_special_case_of_general(self):
         model = model_for(4)
         q = np.array([0.4, 0.3, 0.2, 0.1])

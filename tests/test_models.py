@@ -83,6 +83,14 @@ class TestNoiseParams:
         with pytest.raises(ValueError):
             NoiseParams(0.0, 0.0)
 
+    def test_rejects_variances_that_both_square_to_zero(self):
+        # 1e-300**2 underflows to 0, which leaves the clock without noise
+        with pytest.raises(ValueError, match=r"sigma1\*\*2 and sigma2\*\*2"):
+            NoiseParams(1e-300, 1e-300)
+        with pytest.raises(ValueError, match="must not both be zero"):
+            NoiseParams(np.float64(1e-300), 0.0)
+        assert NoiseParams(1e-300, 1e-13).sigma2 == 1e-13
+
 
 def _r_with(value):
     R = np.eye(2)

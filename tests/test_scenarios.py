@@ -6,6 +6,7 @@ scenario kind get their full-length treatment in the acceptance suite.
 
 import copy
 import dataclasses
+import hashlib
 import json
 
 import numpy as np
@@ -13,6 +14,7 @@ import pytest
 
 from eemsync import (
     ConfigError,
+    ConvergenceError,
     KINDS,
     NoiseParams,
     NumericalError,
@@ -561,3 +563,69 @@ class TestRunScenario:
         assert manifest["partial"] is True
         assert manifest["error"].startswith("NumericalError")
         assert manifest["files"] == []
+
+
+NAN, INF = float("nan"), float("inf")
+
+# edge edits of a bundled (ten-clock) config, as {dotted key: value}; a
+# callable value maps the old value to the new one
+EDGE_EDITS = {
+    "none": {},
+    "horizon-4": {"horizon": 4},
+    "horizon-5": {"horizon": 5},
+    "tau-1e-300": {"model.tau": 1e-300},
+    "tau-1e-12": {"model.tau": 1e-12},
+    "tau-1e90": {"model.tau": 1e90},
+    "tau-nan": {"model.tau": NAN},
+    "sigma1-zero": {"model.sigma1": [0.0] * 10},
+    "sigma2-zero": {"model.sigma2": [0.0] * 10},
+    "sigma1-first-zero": {"model.sigma1": lambda old: [0.0] + old[1:]},
+    "meas_std-1e100": {"model.meas_std": [1e100] * 9},
+    "meas_std-1e-150": {"model.meas_std": [1e-150] * 9},
+    "sigma1-1e150": {"model.sigma1": [1e150] * 10},
+    "sigmas-1e-300": {"model.sigma1": [1e-300] * 10, "model.sigma2": [1e-300] * 10},
+    "weight-2-minus-1": {"controller.weight": [2.0, -1.0] + [0.0] * 8},
+    "weight-half-half": {"controller.weight": [0.5, 0.5] + [0.0] * 8},
+    "weight-nan": {"controller.weight": [NAN] + [0.1] * 9},
+    "weight-inf": {"controller.weight": [INF, -INF] + [0.125] * 8},
+    "period-1": {"controller.period": 1},
+    "phase-1e6": {"controller.phase": 10**6},
+    "obs-1.9": {"controller.obs_gain_coeffs": [1.9, 1.0]},
+    "obs-nan": {"controller.obs_gain_coeffs": [NAN, 1.0]},
+    "obs-inf": {"controller.obs_gain_coeffs": [INF, 1.0]},
+    "collective-1.9": {"controller.collective_gain_coeffs": [1.0, 1.9]},
+    "collective-1e308": {"controller.collective_gain_coeffs": [1e308, 1e308]},
+}
+
+
+@pytest.mark.parametrize("edit", list(EDGE_EDITS))
+@pytest.mark.parametrize("name", _bundled_names())
+def test_every_accepted_config_runs_to_a_manifest(tmp_path, name, edit):
+    # the validator rejects the config, or it runs (or fails numerically)
+    # to a manifest whose every file exists with its recorded hash
+    raw = json.loads((_bundled_dir() / f"{name}.json").read_text())
+    assert raw["model"]["n_clocks"] == 10
+    raw["horizon"] = 60
+    if raw["kind"] == "balanced":
+        # three kicks fit in 60 steps, so the controller checks are reached
+        raw["controller"]["period"] = 10
+    for dotted, value in EDGE_EDITS[edit].items():
+        *parents, key = dotted.split(".")
+        node = raw
+        for parent in parents:
+            node = node.setdefault(parent, {})
+        node[key] = value(node[key]) if callable(value) else value
+    try:
+        cfg = validate_config(raw)
+    except ConfigError:
+        return
+    with np.errstate(all="ignore"):
+        try:
+            run_scenario(cfg, str(tmp_path))
+        except (NumericalError, ConvergenceError):
+            pass
+    out = tmp_path / name
+    manifest = json.loads((out / "manifest.json").read_text())
+    for entry in manifest["files"]:
+        digest = hashlib.sha256((out / entry["name"]).read_bytes()).hexdigest()
+        assert digest == entry["sha256"], entry["name"]
