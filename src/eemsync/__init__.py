@@ -83,5 +83,4 @@ from .simkit import (
     digital_imitation,
     reference_timescale,
     simulate,
-    step,
 )

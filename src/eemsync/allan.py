@@ -68,15 +68,6 @@ def allan_pi(q: Union[EnsembleWeight, np.ndarray], Sigma1, Sigma2, tau: float) -
     return float(qv @ (g * qv) / tau**2)
 
 
-def _check_series(h, tau: float, min_samples: int) -> np.ndarray:
-    h = np.asarray(h, dtype=float)
-    if h.ndim not in (1, 2) or h.shape[0] < min_samples:
-        raise ValueError(f"series must be 1-D or 2-D with at least {min_samples} samples")
-    if tau <= 0:
-        raise ValueError(f"tau must be positive, got {tau}")
-    return h
-
-
 def _allan_values(h: np.ndarray, tau: float, m_set: Sequence[int]) -> np.ndarray:
     """The overlapping estimator at every m in ``m_set``, column by column.
 
@@ -103,23 +94,6 @@ def _allan_values(h: np.ndarray, tau: float, m_set: Sequence[int]) -> np.ndarray
     return values if h.ndim == 2 else values[:, 0]
 
 
-def statistical_allan(h: np.ndarray, tau: float, m: int) -> Union[float, np.ndarray]:
-    """Overlapping second-difference estimator at averaging interval m tau.
-
-    ``h`` is a reading series of length T+1 (optionally one column per
-    series); m must lie in the feasible set 1 <= m <= (T-1)//2.
-    """
-    h = _check_series(h, tau, 2)
-    if int(m) != m:
-        raise ValueError(f"m must be an integer, got {m!r}")
-    m = int(m)
-    T = h.shape[0] - 1
-    if m < 1 or 2 * m + 1 > T:
-        raise ValueError(f"m={m} is outside the feasible set 1..{max((T - 1) // 2, 0)}")
-    est = _allan_values(h, tau, [m])[0]
-    return float(est) if h.ndim == 1 else est
-
-
 @dataclass(frozen=True)
 class AllanPlot:
     """Statistical Allan variance over a grid of averaging intervals.
@@ -132,10 +106,6 @@ class AllanPlot:
     intervals: np.ndarray
     values: np.ndarray
 
-    @property
-    def points(self):
-        return list(zip(self.intervals.tolist(), self.values.tolist()))
-
 
 def _default_m_grid(m_max: int, per_decade: int = 30) -> np.ndarray:
     if m_max <= 1:
@@ -147,33 +117,46 @@ def _default_m_grid(m_max: int, per_decade: int = 30) -> np.ndarray:
     return grid[(grid >= 1) & (grid <= m_max)]
 
 
-def allan_plot(
-    h: np.ndarray,
-    tau: float,
-    m_subset: Optional[Sequence[int]] = None,
-    full_grid: bool = False,
-) -> AllanPlot:
-    """Evaluate the estimator over an interval grid.
+def allan_plot(h: np.ndarray, tau: float, m_subset: Optional[Sequence[int]] = None) -> AllanPlot:
+    """Overlapping second-difference estimator over an interval grid.
 
-    Defaults to a logarithmically spaced grid (about 30 points per
-    decade); ``full_grid`` evaluates every feasible m, which is
-    quadratic in the horizon.
+    ``h`` is a reading series of length T+1 >= 4 (optionally one column
+    per series).  ``m_subset`` lists the integer interval counts m to
+    evaluate, each in the feasible set 1 <= m <= m_max = (T-1)//2; a
+    non-integer or infeasible entry raises ``ValueError``.  Every
+    feasible m, ``np.arange(1, m_max + 1)``, costs time quadratic in the
+    horizon.  Defaults to a logarithmically spaced grid (about 30 points
+    per decade) that starts at m = 1.
     """
-    h = _check_series(h, tau, 4)
+    h = np.asarray(h, dtype=float)
+    if h.ndim not in (1, 2) or h.shape[0] < 4:
+        raise ValueError("series must be 1-D or 2-D with at least 4 samples")
+    if tau <= 0:
+        raise ValueError(f"tau must be positive, got {tau}")
     m_max = (h.shape[0] - 2) // 2
-    if m_subset is not None:
-        m_set = np.unique(np.asarray(m_subset, dtype=int))
-        if m_set.size == 0:
+    if m_subset is None:
+        m_set = _default_m_grid(m_max)
+    else:
+        requested = np.asarray(m_subset, dtype=float).ravel()
+        if requested.size == 0:
             raise ValueError("m_subset must be nonempty")
+        fractional = requested[~np.isfinite(requested) | (requested != np.round(requested))]
+        if fractional.size:
+            raise ValueError(f"intervals {fractional.tolist()} are not integers")
+        m_set = np.unique(requested)
         bad = m_set[(m_set < 1) | (m_set > m_max)]
         if bad.size:
-            raise ValueError(f"intervals {bad.tolist()} outside the feasible set 1..{m_max}")
-    elif full_grid:
-        m_set = np.arange(1, m_max + 1)
-    else:
-        m_set = _default_m_grid(m_max)
+            raise ValueError(f"intervals {[int(m) for m in bad]} outside the feasible set 1..{m_max}")
+        m_set = m_set.astype(int)
     values = _allan_values(h, tau, m_set)
     return AllanPlot(m_set=m_set, intervals=m_set * float(tau), values=values)
+
+
+def statistical_allan(h: np.ndarray, tau: float, m: int) -> Union[float, np.ndarray]:
+    """The estimator of :func:`allan_plot` at the one interval m tau: a
+    float for a scalar series, one entry per column for a vector one."""
+    values = allan_plot(h, tau, m_subset=[m]).values
+    return float(values[0]) if values.ndim == 1 else values[0]
 
 
 def _inverse_variance(s: np.ndarray, zero_message: str) -> EnsembleWeight:

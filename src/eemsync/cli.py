@@ -27,8 +27,11 @@ def _bundled_names() -> List[str]:
     return sorted(p.name[: -len(".json")] for p in _bundled_dir().iterdir() if p.name.endswith(".json"))
 
 
-def _load_raw(spec: str) -> dict:
-    """Read a config from a path, or from the bundled set by bare name."""
+def _load_raw(spec: str):
+    """Decode a config from a path, or from the bundled set by bare name.
+
+    Any JSON root comes back as decoded; ``validate_config`` rejects all
+    but an object."""
     path = Path(spec)
     if path.is_file():
         text = path.read_text(encoding="utf-8")
@@ -52,10 +55,10 @@ def _cmd_run(args) -> int:
     configs = []
     for spec in args.configs:
         raw = _load_raw(spec)
-        if args.seed is not None:
-            raw["seed"] = args.seed
-        if args.horizon is not None:
-            raw["horizon"] = args.horizon
+        if isinstance(raw, dict):  # validate_config rejects any other root
+            for key in ("seed", "horizon"):
+                if getattr(args, key) is not None:
+                    raw[key] = getattr(args, key)
         configs.append(validate_config(raw))
     names = [cfg.name for cfg in configs]
     shared = sorted({name for name in names if names.count(name) > 1})

@@ -134,7 +134,7 @@ class ControllerConfig:
             problems.append("balanced mode requires a collective gain K_bo")
         if problems:
             raise ConfigError(problems)
-        if self.validate and not problems:
+        if self.validate:
             rho_o = check_obs_gain(self.F_o, N, self.tau)
             if rho_o >= 1.0:
                 raise ConfigError(

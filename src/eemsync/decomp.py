@@ -97,10 +97,6 @@ class Decomposition:
     Qo: np.ndarray                # 2(N-1) x 2(N-1) observable process covariance
     Qbo: np.ndarray               # 2 x 2(N-1) cross process covariance
 
-    @property
-    def is_weight_basis(self) -> bool:
-        return self.q is not None
-
 
 def generalized_inverse(V: np.ndarray, q: Union[EnsembleWeight, np.ndarray]) -> np.ndarray:
     """Right inverse of V whose columns carry zero q-weighted mean.

@@ -20,7 +20,6 @@ from .models import DiscreteClockModel, EnsembleModel
 __all__ = [
     "NoiseSampler",
     "TrajectoryRecord",
-    "step",
     "simulate",
     "digital_imitation",
     "reference_timescale",
@@ -98,28 +97,12 @@ class TrajectoryRecord:
         return self.x[:, : self.N]
 
 
-def step(model: EnsembleModel, x: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """One exact model step: bigA x + bigB u + v."""
-    x = np.asarray(x, dtype=float)
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    n2 = 2 * model.N
-    if x.shape != (n2,):
-        raise ValueError(f"x must have shape ({n2},), got {x.shape}")
-    if u.shape != (model.N,):
-        raise ValueError(f"u must have shape ({model.N},), got {u.shape}")
-    if v.shape != (n2,):
-        raise ValueError(f"v must have shape ({n2},), got {v.shape}")
-    return model.bigA @ x + model.bigB @ u + v
-
-
 def simulate(
     model: EnsembleModel,
     policy: Optional[Policy],
     T: int,
     seed: int,
     x0: Optional[np.ndarray] = None,
-    noiseless: bool = False,
     record_noise: bool = False,
 ) -> TrajectoryRecord:
     """Run the closed loop for T steps and record everything.
@@ -129,11 +112,10 @@ def simulate(
     policy : callable (k, y[k]) -> u[k], or None for free run.  The policy
         sees only measurements, never the true state.  y[k] is drawn
         before the policy is invoked at step k.
-    seed : drives both noise sub-streams; equal seeds reproduce the
-        record bit-for-bit.
+    seed : drives both noise sub-streams, which every run draws; equal
+        seeds reproduce the record bit-for-bit.
     x0 : initial ensemble state, default zero.
-    noiseless : zero both noise streams (the generator is not consumed).
-    record_noise : keep the process-noise draws in the record.
+    record_noise : keep the process-noise draws in the record (v).
     """
     if T < 1:
         raise ValueError(f"T must be >= 1, got {T}")
@@ -146,13 +128,9 @@ def simulate(
         if x0.shape != (n2,):
             raise ValueError(f"x0 must have shape ({n2},), got {x0.shape}")
 
-    if noiseless:
-        v = np.zeros((T, n2))
-        w = np.zeros((T, N - 1))
-    else:
-        sampler = NoiseSampler(model, seed)
-        v = sampler.process_block(T)
-        w = sampler.measurement_block(T)
+    sampler = NoiseSampler(model, seed)
+    v = sampler.process_block(T)
+    w = sampler.measurement_block(T)
 
     if policy is None:
         xs = _free_run(model.tau, v[:, :N], v[:, N:], x0[:N], x0[N:])

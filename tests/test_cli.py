@@ -250,3 +250,22 @@ def test_failed_gains_solve_leaves_a_partial_manifest(tmp_path, capsys):
     for entry in manifest["files"]:
         data = (out / "tiny" / entry["name"]).read_bytes()
         assert hashlib.sha256(data).hexdigest() == entry["sha256"]
+
+
+@pytest.mark.parametrize(
+    "command",
+    [["run", "--out", "OUT"], ["run", "--out", "OUT", "--seed", "3", "--horizon", "50"], ["validate"]],
+    ids=["run", "run-with-overrides", "validate"],
+)
+def test_config_root_must_be_an_object(tmp_path, capsys, command):
+    # a list root, and a JSON string that holds a whole config: the CLI
+    # decodes a file once and applies no override to a non-object root
+    inner = json.loads(write_config(tmp_path).read_text())
+    out_dir = tmp_path / "artifacts"
+    for root in ([1, 2], json.dumps(inner)):
+        path = tmp_path / "root.json"
+        path.write_text(json.dumps(root))
+        argv = [command[0], str(path)] + [str(out_dir) if a == "OUT" else a for a in command[1:]]
+        assert main(argv) == 2
+        assert "config root must be an object" in capsys.readouterr().err
+        assert not out_dir.exists()

@@ -91,7 +91,7 @@ class TestDecompose:
     def test_weight_basis_fields(self):
         model = model_for(4, tau=2.0)
         d = decompose(model, np.full(4, 0.25))
-        assert d.is_weight_basis
+        assert d.q is not None
         assert d.N == 4 and d.tau == 2.0
         A = np.array([[1.0, 2.0], [0.0, 1.0]])
         assert np.array_equal(d.A, A)
@@ -139,7 +139,6 @@ class TestDecompose:
         rng = np.random.default_rng(2)
         wbar = rng.standard_normal((2, 6))
         d = decompose(model, wbar)
-        assert not d.is_weight_basis
         assert d.q is None and d.Vplus is None
         assert np.max(np.abs(d.T @ d.Tinv - np.eye(6))) <= 1e-10
         At = d.T @ model.bigA @ d.Tinv

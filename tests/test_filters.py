@@ -704,24 +704,13 @@ class TestStationary:
         P_next = _sym(d.Ao @ (g.P_oo_star - H @ CP) @ d.Ao.T + d.Qo)
         assert np.max(np.abs(P_next - g.P_oo_star)) <= 1e-10 * np.max(np.abs(g.P_oo_star))
 
-    def test_warm_start_reuses_observable_solution(self):
+    def test_observable_solution_does_not_depend_on_weight(self):
         model = demo_ensemble(n_clocks=4)
         d1 = decompose(model, np.full(4, 0.25))
         g1 = solve_stationary(d1, model.meas.R)
         d2 = decompose(model, np.array([0.4, 0.3, 0.2, 0.1]))
-        g2 = solve_stationary(d2, model.meas.R, warm_start=g1.P_oo_star)
-        assert g2.iterations <= 5
-        assert g2.iterations < g1.iterations
+        g2 = solve_stationary(d2, model.meas.R)
         assert np.max(np.abs(g2.P_oo_star - g1.P_oo_star)) <= 1e-10 * np.max(np.abs(g1.P_oo_star))
-
-    def test_distant_warm_start_falls_back_to_cold_solve(self):
-        model = demo_ensemble(n_clocks=4)
-        d = decompose(model, np.full(4, 0.25))
-        cold = solve_stationary(d, model.meas.R)
-        warm = solve_stationary(d, model.meas.R, warm_start=d.Qo)
-        assert warm.iterations == cold.iterations
-        assert np.array_equal(warm.P_oo_star, cold.P_oo_star)
-        assert np.array_equal(warm.H_bo_star, cold.H_bo_star)
 
     def test_iteration_cap_raises(self):
         model = demo_ensemble(n_clocks=3)
@@ -909,6 +898,40 @@ class TestLongTermWeightShortcuts:
         d = decompose(model, q)
         g = solve_stationary(d, model.meas.R)
         assert np.linalg.norm(g.H_bo_star) >= 1e-3 * np.linalg.norm(g.H_o_star)
+
+
+def transport_case(n_clocks: int, seed: int):
+    """The bundled noise levels cycled to n_clocks, a Dirichlet weight, and
+    the cold stationary solve of that weight."""
+    params = [NoiseParams(DEMO_SIGMA1[i % 10], DEMO_SIGMA2[i % 10]) for i in range(n_clocks)]
+    R = np.diag(np.resize(DEMO_MEAS_STD, n_clocks - 1) ** 2)
+    model = build_ensemble(params, star_measurement(n_clocks), R, 1.0)
+    d = decompose(model, np.random.default_rng(seed).dirichlet(np.ones(n_clocks)))
+    return model, d, solve_stationary(d, model.meas.R)
+
+
+@settings(max_examples=200, deadline=None)
+@given(n_clocks=st.integers(2, 12), seed=st.integers(0, 2**32 - 1))
+def test_property_weight_transport_matches_stationary_solve(n_clocks, seed):
+    # the worst relative gaps seen over 2,000 such cases were 2.3e-12
+    # (gain) and 1.0e-12 (covariance)
+    model, d, g = transport_case(n_clocks, seed)
+    gain = unobservable_gain_from_observable(d, g.H_o_star, model.Sigma2)
+    cov = unobservable_covariance_from_observable(d, g.P_oo_star, model.Sigma1, model.Sigma2)
+    assert np.max(np.abs(gain - g.H_bo_star)) <= 1e-10 * np.max(np.abs(g.H_bo_star))
+    assert np.max(np.abs(cov - g.P_bo_star)) <= 1e-10 * np.max(np.abs(g.P_bo_star))
+
+
+@pytest.mark.parametrize("n_clocks", [2, 5, 12])
+def test_weight_transport_rejects_a_general_basis(n_clocks):
+    model, d, g = transport_case(n_clocks, seed=n_clocks)
+    tilt = 0.01 * np.random.default_rng(n_clocks).normal(size=d.Wbar.shape)
+    general = decompose(model, d.Wbar + tilt)
+    assert general.q is None
+    with pytest.raises(ValueError, match="require a weight basis"):
+        unobservable_gain_from_observable(general, g.H_o_star, model.Sigma2)
+    with pytest.raises(ValueError, match="require a weight basis"):
+        unobservable_covariance_from_observable(general, g.P_oo_star, model.Sigma1, model.Sigma2)
 
 
 class TestInnovationCalibration:

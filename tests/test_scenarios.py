@@ -7,6 +7,7 @@ scenario kind get their full-length treatment in the acceptance suite.
 import copy
 import dataclasses
 import hashlib
+import inspect
 import json
 
 import numpy as np
@@ -262,25 +263,45 @@ class TestValidateConfig:
         with pytest.raises(ConfigError, match=f"{foreign!r} is not available for kind {kind!r}"):
             validate_config(raw_config(kind, outputs=[foreign]))
 
-    def test_json_string_accepted(self):
-        cfg = validate_config(json.dumps(raw_config()))
-        assert cfg.kind == "free-run"
-        with pytest.raises(ConfigError, match="not valid JSON"):
-            validate_config("{oops")
+    def test_json_string_rejected(self):
+        # JSON is decoded once, by the CLI; a string root is not a config
+        for raw in (json.dumps(raw_config()), json.dumps(raw_config()).encode(), [raw_config()]):
+            with pytest.raises(ConfigError, match="config root must be an object"):
+                validate_config(raw)
 
 
 def test_layer_entry_points_stay_module_attributes():
-    # perfbench/child.py wraps these names on the scenarios module
-    names = (
-        "simulate",
-        "solve_stationary",
-        "destination_trajectory",
-        "allan_plot",
-        "standard_kf_step",
-        "determinate_kf_step",
-        "reconstruct_state",
-    )
-    assert [n for n in names if not callable(getattr(scen, n, None))] == []
+    # every name perfbench/child.py wraps, calls or reads: a traced run
+    # replaces these attributes, so deleting one breaks the benchmark
+    from eemsync import control, simkit
+
+    wrapped = {
+        scen: (
+            "simulate",
+            "solve_stationary",
+            "destination_trajectory",
+            "allan_plot",
+            "standard_kf_step",
+            "determinate_kf_step",
+            "reconstruct_state",
+            "validate_config",
+            "run_scenario",
+        ),
+        control: ("determinate_kf_step", "reconstruct_state"),
+        control.EemPolicy: ("__call__",),
+        simkit.NoiseSampler: ("process_block", "measurement_block"),
+    }
+    missing = [
+        f"{owner.__name__}.{n}"
+        for owner, names in wrapped.items()
+        for n in names
+        if not callable(getattr(owner, n, None))
+    ]
+    assert missing == []
+    assert "jobs" in inspect.signature(scen.run_scenario).parameters
+    model = build_ensemble([NoiseParams(1.0, 0.5)] * 2, star_measurement(2), np.eye(1), 1.0)
+    rec = simulate(model, None, 4, seed=0)
+    assert [a for a in ("T", "x", "h", "y", "u", "v", "xhat") if not hasattr(rec, a)] == []
 
 
 class TestTrendStatistics:
