@@ -36,7 +36,6 @@ from .control import (
 )
 from .decomp import (
     Decomposition,
-    EnsembleWeight,
     decompose,
     expand_input,
     generalized_inverse,

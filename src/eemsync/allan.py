@@ -7,7 +7,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .decomp import EnsembleWeight, weight_vector
+from .decomp import weight_vector
 from .models import NoiseParams
 
 __all__ = [
@@ -24,31 +24,25 @@ __all__ = [
 ]
 
 
-def variance_vector(Sigma: Union[np.ndarray, Sequence[float]]) -> np.ndarray:
-    """Accept a diagonal covariance as a matrix or a 1-D variance vector."""
-    S = np.asarray(Sigma, dtype=float)
-    if S.ndim == 2:
-        if S.shape[0] != S.shape[1]:
-            raise ValueError(f"covariance must be square, got {S.shape}")
-        off = S - np.diag(np.diag(S))
-        if np.max(np.abs(off)) > 1e-12 * max(1.0, np.max(np.abs(S))):
-            raise ValueError("covariance must be diagonal")
-        S = np.diag(S).copy()
-    elif S.ndim != 1:
-        raise ValueError(f"expected a vector or square matrix, got shape {S.shape}")
+def variance_vector(variances: Union[np.ndarray, Sequence[float]]) -> np.ndarray:
+    """Validate one variance per clock, such as ``EnsembleModel.sigma1_sq``:
+    a 1-D array of finite, nonnegative entries; otherwise ``ValueError``."""
+    S = np.asarray(variances, dtype=float)
+    if S.ndim != 1:
+        raise ValueError(f"expected a 1-D variance vector, got shape {S.shape}")
     if not np.all(np.isfinite(S)) or np.any(S < 0):
         raise ValueError("variances must be finite and nonnegative")
     return S
 
 
-def gamma_matrix(Sigma1, Sigma2, tau: float) -> np.ndarray:
-    """Diagonal of the interval covariance Gamma(tau) = tau Sigma1 + (tau^3/3) Sigma2."""
+def gamma_matrix(sigma1_sq, sigma2_sq, tau: float) -> np.ndarray:
+    """Diagonal of the interval covariance Gamma(tau), tau sigma1_sq + (tau^3/3) sigma2_sq."""
     if tau <= 0:
         raise ValueError(f"tau must be positive, got {tau}")
-    s1 = variance_vector(Sigma1)
-    s2 = variance_vector(Sigma2)
+    s1 = variance_vector(sigma1_sq)
+    s2 = variance_vector(sigma2_sq)
     if s1.shape != s2.shape:
-        raise ValueError("Sigma1 and Sigma2 must have matching sizes")
+        raise ValueError("sigma1_sq and sigma2_sq must have matching sizes")
     return tau * s1 + (tau**3 / 3.0) * s2
 
 
@@ -59,10 +53,10 @@ def analytical_allan_clock(noise: NoiseParams, tau: float) -> float:
     return noise.sigma1**2 / tau + (tau / 3.0) * noise.sigma2**2
 
 
-def allan_pi(q: Union[EnsembleWeight, np.ndarray], Sigma1, Sigma2, tau: float) -> float:
+def allan_pi(q: np.ndarray, sigma1_sq, sigma2_sq, tau: float) -> float:
     """Allan variance of the weighted ensemble mean: q^T Gamma(tau) q / tau^2."""
     qv = weight_vector(q)
-    g = gamma_matrix(Sigma1, Sigma2, tau)
+    g = gamma_matrix(sigma1_sq, sigma2_sq, tau)
     if g.size != qv.size:
         raise ValueError(f"weight has {qv.size} entries, noise has {g.size}")
     return float(qv @ (g * qv) / tau**2)
@@ -159,31 +153,31 @@ def statistical_allan(h: np.ndarray, tau: float, m: int) -> Union[float, np.ndar
     return float(values[0]) if values.ndim == 1 else values[0]
 
 
-def _inverse_variance(s: np.ndarray, zero_message: str) -> EnsembleWeight:
+def _inverse_variance(s: np.ndarray, zero_message: str) -> np.ndarray:
     """Weights proportional to 1/s, normalized; a zero entry raises."""
     if np.any(s == 0.0):
         raise ValueError(zero_message)
     w = 1.0 / s
-    return EnsembleWeight(w / w.sum())
+    return weight_vector(w / w.sum())
 
 
-def optimal_weight(Sigma1, Sigma2, tau: float) -> EnsembleWeight:
+def optimal_weight(sigma1_sq, sigma2_sq, tau: float) -> np.ndarray:
     """Weight minimizing the ensemble-mean Allan variance at interval tau.
 
     Gamma(tau) is diagonal here, so the inverse-variance form is exact:
     q = Gamma^{-1} 1 / (1^T Gamma^{-1} 1).
     """
     return _inverse_variance(
-        gamma_matrix(Sigma1, Sigma2, tau), "Gamma(tau) is singular; a clock has zero interval variance"
+        gamma_matrix(sigma1_sq, sigma2_sq, tau), "Gamma(tau) is singular; a clock has zero interval variance"
     )
 
 
-def weight_short(Sigma1) -> EnsembleWeight:
+def weight_short(sigma1_sq) -> np.ndarray:
     """Short-term optimal weight: inverse white-noise variances, normalized."""
-    return _inverse_variance(variance_vector(Sigma1), "zero white-noise variance entry")
+    return _inverse_variance(variance_vector(sigma1_sq), "zero white-noise variance entry")
 
 
-def weight_long(Sigma2) -> EnsembleWeight:
+def weight_long(sigma2_sq) -> np.ndarray:
     """Long-term optimal weight: inverse random-walk variances, normalized."""
-    return _inverse_variance(variance_vector(Sigma2), "zero random-walk variance entry")
+    return _inverse_variance(variance_vector(sigma2_sq), "zero random-walk variance entry")
 

@@ -15,14 +15,15 @@ the destination the ensemble actually carries.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
-from typing import List, Optional, Tuple, Union
+from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .decomp import Decomposition, EnsembleWeight, expand_input, reconstruct_state, weight_vector
+# perfbench/child.py wraps determinate_kf_step and reconstruct_state as
+# attributes of this module
+from .decomp import Decomposition, expand_input, reconstruct_state, weight_vector  # noqa: F401
 from .errors import ConfigError
-from .filters import (
+from .filters import (  # noqa: F401
     DeterminateKFState,
     StationaryGains,
     determinate_kf_init,
@@ -45,8 +46,6 @@ __all__ = [
     "destination_from_noise",
     "sync_error",
 ]
-
-MODES = ("sync-only", "balanced")
 
 
 def default_obs_gain(N: int, tau: float, coeffs=DEFAULT_OBS_GAIN_COEFFS) -> np.ndarray:
@@ -91,20 +90,32 @@ def check_collective_gain(K_bo: np.ndarray, m: int, tau: float) -> float:
     return _closed_loop_radius(m * tau, K, 1)
 
 
+def _whole(value) -> Optional[int]:
+    """``value`` as an int when it is a finite whole number, else None."""
+    try:
+        whole = int(value)
+    except (TypeError, ValueError, OverflowError):
+        return None
+    return whole if whole == value else None
+
+
 @dataclass(frozen=True)
 class ControllerConfig:
     """Gains, weight, and schedule for the closed loop.
 
-    ``validate=False`` skips the spectral checks; the destabilized runs
-    used to exercise the instability direction of the synchronization
-    theorem need it.
+    ``K_bo`` is the collective gain on the ensemble mean: with it the loop
+    is balanced and kicks the mean at the steps k with
+    (k - phase) % m == 0; ``None`` only synchronizes.  Every problem with
+    F_o's shape, m (an integer >= 1), phase (an integer) or tau (finite,
+    > 0) is reported in one :class:`ConfigError`.  ``validate=False``
+    skips the spectral checks; the destabilized runs used to exercise the
+    instability direction of the synchronization theorem need it.
     """
 
     q: np.ndarray
     F_o: np.ndarray
     K_bo: Optional[np.ndarray]
     m: int
-    mode: str
     tau: float = 1.0
     phase: int = 0
     validate: bool = True
@@ -115,23 +126,24 @@ class ControllerConfig:
         object.__setattr__(self, "q", qv)
         F_o = np.asarray(self.F_o, dtype=float)
         problems: List[str] = []
-        if self.mode not in MODES:
-            problems.append(f"mode must be one of {MODES}, got {self.mode!r}")
         if F_o.shape != (N - 1, 2 * (N - 1)):
             problems.append(
                 f"F_o must have shape ({N - 1}, {2 * (N - 1)}), got {F_o.shape}"
             )
         object.__setattr__(self, "F_o", F_o)
-        if int(self.m) != self.m or self.m < 1:
+        m, phase = _whole(self.m), _whole(self.phase)
+        if m is None or m < 1:
             problems.append(f"period m must be an integer >= 1, got {self.m!r}")
         else:
-            object.__setattr__(self, "m", int(self.m))
-        if self.tau <= 0:
-            problems.append(f"tau must be positive, got {self.tau}")
+            object.__setattr__(self, "m", m)
+        if phase is None:
+            problems.append(f"phase must be an integer, got {self.phase!r}")
+        else:
+            object.__setattr__(self, "phase", phase)
+        if not (np.isfinite(self.tau) and self.tau > 0):
+            problems.append(f"tau must be finite and > 0, got {self.tau!r}")
         if self.K_bo is not None:
             object.__setattr__(self, "K_bo", np.asarray(self.K_bo, dtype=float).reshape(1, 2))
-        if self.mode == "balanced" and self.K_bo is None:
-            problems.append("balanced mode requires a collective gain K_bo")
         if problems:
             raise ConfigError(problems)
         if self.validate:
@@ -140,7 +152,7 @@ class ControllerConfig:
                 raise ConfigError(
                     [f"observable closed loop is not contractive (rho = {rho_o:.6f})"]
                 )
-            if self.mode == "balanced":
+            if self.K_bo is not None:
                 rho_c = check_collective_gain(self.K_bo, self.m, self.tau)
                 if rho_c >= 1.0:
                     raise ConfigError(
@@ -155,59 +167,36 @@ class ControllerConfig:
 class EemPolicy:
     """Measurement-feedback policy for the simulator loop.
 
-    Each call runs one observer step (the stationary filter on the
-    precomputed gains, or the full time-varying decomposed filter on R):
-    it predicts with the previous command and updates with y[k].  The
-    command then comes from that prior estimate, so ``estimates[k]``
-    (kept when ``record_estimates`` is set) is the reconstructed prior
-    that command k acted on.  Every command is logged.
+    Each call runs one step of the stationary filter on the precomputed
+    ``gains``: it predicts with the previous command and updates with
+    y[k].  The command then comes from that prior estimate, which
+    ``state`` holds after the call.  Every command is logged.
     """
 
-    def __init__(
-        self,
-        cfg: ControllerConfig,
-        d: Decomposition,
-        gains: Optional[StationaryGains] = None,
-        R: Optional[np.ndarray] = None,
-        record_estimates: bool = False,
-    ):
+    def __init__(self, cfg: ControllerConfig, d: Decomposition, gains: StationaryGains):
         if d.q is None:
             raise ValueError("the controller requires a weight-basis decomposition")
-        if gains is None and R is None:
-            raise ValueError("provide stationary gains or R for the time-varying filter")
         self.cfg = cfg
         self.d = d
-        self.record_estimates = record_estimates
+        self.gains = gains
         self.omega_o_log: List[np.ndarray] = []
         self.omega_obar_log: List[float] = []
-        self._estimates: List[np.ndarray] = []
-        # bound per instance, so a step patched onto this module is picked up
-        if gains is not None:
-            self._step = partial(stationary_kf_step, d, gains)
-        else:
-            self._step = partial(determinate_kf_step, d, np.asarray(R, dtype=float))
         self.state: DeterminateKFState = determinate_kf_init(d)
         self._last_omega = (np.zeros(d.N - 1), 0.0)
 
     def __call__(self, k: int, y: np.ndarray) -> np.ndarray:
         cfg = self.cfg
-        self.state = self._step(self.state, self._last_omega, y)
+        self.state = stationary_kf_step(self.d, self.gains, self.state, self._last_omega, y)
         prior_o, prior_obar = self.state.xi_o_hat, self.state.xi_obar_hat
         omega_o = -(cfg.F_o @ prior_o)
-        if cfg.mode == "balanced" and (k - cfg.phase) % cfg.m == 0:
+        if cfg.K_bo is not None and (k - cfg.phase) % cfg.m == 0:
             omega_obar = float(-(cfg.K_bo @ prior_obar)[0])
         else:
             omega_obar = 0.0
         self._last_omega = (omega_o, omega_obar)
         self.omega_o_log.append(omega_o)
         self.omega_obar_log.append(omega_obar)
-        if self.record_estimates:
-            self._estimates.append(reconstruct_state(prior_o, prior_obar, self.d))
         return expand_input(omega_o, omega_obar, self.d)
-
-    @property
-    def estimates(self) -> Optional[np.ndarray]:
-        return np.asarray(self._estimates) if self._estimates else None
 
     def command_log(self) -> tuple:
         return np.asarray(self.omega_o_log), np.asarray(self.omega_obar_log)
@@ -225,8 +214,8 @@ def closed_loop(
     T: int,
     seed: int,
 ) -> Tuple[TrajectoryRecord, np.ndarray, np.ndarray]:
-    """The stationary-gain loop of ``simulate(model, EemPolicy(cfg, d,
-    gains=gains), T, seed)``, run as one state-space recursion.
+    """The loop of ``simulate(model, EemPolicy(cfg, d, gains), T, seed)``,
+    run as one state-space recursion.
 
     With the gains frozen, plant and observer together are linear in
     z[k] = [xi_o_hat[k], xi_obar_hat[k], xi_o[k], xi_obar[k]]: the priors
@@ -236,15 +225,15 @@ def closed_loop(
 
         z[k+1] = M z[k] + [Ao H_o w[k]; A H_bo w[k]; T v[k]],
 
-    and in balanced mode the steps with (k - phase) % m == 0 add the
-    collective feedback to M.  For a weight basis q' Vplus = 0, so the
-    synchronization input drives only the relative states and the mean
-    moves by v and the kicks alone; the observer reads the relative
-    phases y - w directly instead of as differences of large phases.
-    Afterwards x = Tinv xi, y, the commands and u = Vplus omega_o +
-    1 omega_obar are formed in blocks; a clock whose row of Vplus is zero
-    (the steering weight's) gets an input of exactly 0.0.  Agrees with
-    the policy loop up to rounding.
+    and with a collective gain (``cfg.K_bo`` not ``None``) the steps with
+    (k - phase) % m == 0 add the collective feedback to M.  For a weight
+    basis q' Vplus = 0, so the synchronization input drives only the
+    relative states and the mean moves by v and the kicks alone; the
+    observer reads the relative phases y - w directly instead of as
+    differences of large phases.  Afterwards x = Tinv xi, y, the commands
+    and u = Vplus omega_o + 1 omega_obar are formed in blocks; a clock
+    whose row of Vplus is zero (the steering weight's) gets an input of
+    exactly 0.0.  Agrees with the policy loop up to rounding.
 
     Returns the record (``h`` is a view of ``x``; ``v`` holds the process
     noise, for :func:`destination_from_noise`) and the command logs
@@ -275,7 +264,7 @@ def closed_loop(
     M[obar, obar] = d.A
     M_kick = M.copy()
     kicks = np.zeros(T, dtype=bool)
-    if cfg.mode == "balanced":
+    if cfg.K_bo is not None:
         M_kick[obar_hat, obar_hat] -= np.outer(d.B, cfg.K_bo)
         M_kick[obar, obar_hat] = -np.outer(d.B, cfg.K_bo)
         kicks[cfg.phase % cfg.m :: cfg.m] = True
@@ -312,7 +301,7 @@ def closed_loop(
 
 def destination_trajectory(
     model: EnsembleModel,
-    q: Union[np.ndarray, EnsembleWeight],
+    q: np.ndarray,
     T: int,
     seed: int,
     x0: Optional[np.ndarray] = None,
@@ -330,7 +319,7 @@ def destination_trajectory(
 
 def destination_from_noise(
     model: EnsembleModel,
-    q: Union[np.ndarray, EnsembleWeight],
+    q: np.ndarray,
     v: np.ndarray,
     x0: Optional[np.ndarray] = None,
 ) -> np.ndarray:

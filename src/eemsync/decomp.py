@@ -10,7 +10,7 @@ parameterized either by an ensemble-mean weight vector q or by a general
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple, Union
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -18,7 +18,6 @@ from .errors import NumericalError
 from .models import EnsembleModel
 
 __all__ = [
-    "EnsembleWeight",
     "Decomposition",
     "generalized_inverse",
     "decompose",
@@ -33,35 +32,23 @@ __all__ = [
 _IDENTITY_TOL = 1e-10
 
 
-@dataclass(frozen=True)
-class EnsembleWeight:
-    """Ensemble-mean weight vector; components must sum to one."""
+def weight_vector(q, n: Optional[int] = None) -> np.ndarray:
+    """Validate an ensemble-mean weight and return it as a float vector.
 
-    q: np.ndarray
-
-    def __post_init__(self):
-        q = np.atleast_1d(np.asarray(self.q, dtype=float))
-        if q.ndim != 1 or q.size == 0:
-            raise ValueError("weight must be a nonempty vector")
-        if not np.all(np.isfinite(q)):
-            raise ValueError("weight entries must be finite")
-        total = q.sum()
-        if abs(total - 1.0) > 1e-9:
-            raise ValueError(f"weight entries must sum to 1, got {total!r}")
-        object.__setattr__(self, "q", q)
-
-    @property
-    def N(self) -> int:
-        return self.q.size
-
-
-def weight_vector(q: Union[EnsembleWeight, np.ndarray], n: Optional[int] = None) -> np.ndarray:
-    """Coerce q to a validated plain weight vector of length n (if given)."""
-    if not isinstance(q, EnsembleWeight):
-        q = EnsembleWeight(np.asarray(q, dtype=float))
-    if n is not None and q.N != n:
-        raise ValueError(f"weight has {q.N} entries, expected {n}")
-    return q.q
+    q must be a nonempty 1-D array of finite entries summing to 1 within
+    1e-9, with n entries when n is given; otherwise ``ValueError``.
+    """
+    q = np.atleast_1d(np.asarray(q, dtype=float))
+    if q.ndim != 1 or q.size == 0:
+        raise ValueError("weight must be a nonempty vector")
+    if not np.all(np.isfinite(q)):
+        raise ValueError("weight entries must be finite")
+    total = q.sum()
+    if abs(total - 1.0) > 1e-9:
+        raise ValueError(f"weight entries must sum to 1, got {total!r}")
+    if n is not None and q.size != n:
+        raise ValueError(f"weight has {q.size} entries, expected {n}")
+    return q
 
 
 @dataclass(frozen=True)
@@ -98,7 +85,7 @@ class Decomposition:
     Qbo: np.ndarray               # 2 x 2(N-1) cross process covariance
 
 
-def generalized_inverse(V: np.ndarray, q: Union[EnsembleWeight, np.ndarray]) -> np.ndarray:
+def generalized_inverse(V: np.ndarray, q: np.ndarray) -> np.ndarray:
     """Right inverse of V whose columns carry zero q-weighted mean.
 
     Solves the stacked nonsingular system [V; q^T] Vplus = [I; 0], which
@@ -158,20 +145,17 @@ def generalized_inverse(V: np.ndarray, q: Union[EnsembleWeight, np.ndarray]) -> 
     return vplus
 
 
-def decompose(
-    model: EnsembleModel,
-    basis: Union[EnsembleWeight, np.ndarray],
-) -> Decomposition:
+def decompose(model: EnsembleModel, basis: np.ndarray) -> Decomposition:
     """Build the observable canonical decomposition for one basis.
 
-    ``basis`` is either a weight vector / :class:`EnsembleWeight` (the
-    EEM family) or a general 2 x 2N array whose rows define the
-    unobservable coordinates.  A general basis must have full row rank,
-    Wbar (I2 kron 1) nonsingular, and a kernel that complements the
-    unobservable subspace; violations raise ``ValueError`` naming the
-    condition.  A basis that meets them but is so ill-conditioned that
-    the transform pair misses T Tinv = I by more than 1e-10 raises
-    ``NumericalError`` (a few random Gaussian bases in a thousand do).
+    ``basis`` is either a length-N weight vector (the EEM family) or a
+    general 2 x 2N array whose rows define the unobservable coordinates.
+    A general basis must have full row rank, Wbar (I2 kron 1)
+    nonsingular, and a kernel that complements the unobservable
+    subspace; violations raise ``ValueError`` naming the condition.  A
+    basis that meets them but is so ill-conditioned that the transform
+    pair misses T Tinv = I by more than 1e-10 raises ``NumericalError``
+    (a few random Gaussian bases in a thousand do).
     """
     N = model.N
     n_obs = 2 * (N - 1)
@@ -179,7 +163,7 @@ def decompose(
     kIV = np.kron(np.eye(2), V)
     ones_col = np.kron(np.eye(2), np.ones((N, 1)))
 
-    basis_arr = basis.q if isinstance(basis, EnsembleWeight) else np.asarray(basis, dtype=float)
+    basis_arr = np.asarray(basis, dtype=float)
     if basis_arr.ndim == 1:
         qv = weight_vector(basis_arr, N)
         vplus = generalized_inverse(V, qv)

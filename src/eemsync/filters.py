@@ -19,7 +19,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .allan import weight_long
+from .allan import variance_vector, weight_long
 from .decomp import Decomposition, generalized_inverse
 from .errors import ConvergenceError, NumericalError
 from .models import EnsembleModel
@@ -439,17 +439,19 @@ class StationaryGains:
     spectral_radius: float      # rho(Ao (I - H_o_star Co)), < 1 at a valid fixed point
 
 
-# relative Frobenius increment at which the stationary solve stops
+# relative Frobenius increment at which the stationary solve stops, and
+# the doublings it may take to get there (about twenty at N = 10)
 _STATIONARY_TOL = 1e-13
+_MAX_DOUBLINGS = 64
 
 
-def solve_stationary(d: Decomposition, R: np.ndarray, max_iter: int = 64) -> StationaryGains:
+def solve_stationary(d: Decomposition, R: np.ndarray) -> StationaryGains:
     """Stationary covariances and gains for one decomposition.
 
     The observable prior covariance solves the filter Riccati equation by
     structure-preserving doubling (Chu, Fan & Lin, 2005), always from
     zero: doubling k yields the covariance recursion's 2^k-th iterate, so
-    ``iterations`` counts doublings (at most ``max_iter``) until the
+    ``iterations`` counts doublings (at most 64) until the
     relative Frobenius increment drops to 1e-13.  That takes about twenty
     doublings and a few milliseconds at N = 10; the observable fixed
     point does not depend on the weight.  The cross covariance then
@@ -471,7 +473,7 @@ def solve_stationary(d: Decomposition, R: np.ndarray, max_iter: int = 64) -> Sta
     # doubling for X = A^T X (I + G X)^{-1} A + H with A = Ao^T, G = Co^T R^{-1} Co, H = Qo
     A, G, P = d.Ao.T, _sym(d.Co.T @ R_inv_Co), d.Qo
     rel = np.inf
-    for iterations in range(1, max_iter + 1):
+    for iterations in range(1, _MAX_DOUBLINGS + 1):
         try:
             WA, WG = np.hsplit(np.linalg.solve(np.eye(n_obs) + G @ P, np.hstack([A, G])), 2)
         except np.linalg.LinAlgError as exc:
@@ -483,7 +485,7 @@ def solve_stationary(d: Decomposition, R: np.ndarray, max_iter: int = 64) -> Sta
             break
     else:
         raise ConvergenceError(
-            f"observable covariance did not converge in {max_iter} doublings "
+            f"observable covariance did not converge in {_MAX_DOUBLINGS} doublings "
             f"(last relative increment {rel:.3e})"
         )
 
@@ -559,16 +561,16 @@ def stationary_kf_step(
 # weight-transport shortcuts for the unobservable part
 
 
-def _transport(d: Decomposition, Sigma2: np.ndarray) -> np.ndarray:
+def _transport(d: Decomposition, sigma2_sq: np.ndarray) -> np.ndarray:
     if d.q is None:
         raise ValueError("the weight-transport shortcuts require a weight basis")
-    q_inf = weight_long(Sigma2).q
+    q_inf = weight_long(sigma2_sq)
     v_inf_plus = generalized_inverse(d.V, q_inf)
     return np.kron(np.eye(2), (d.q @ v_inf_plus)[None, :])
 
 
 def unobservable_gain_from_observable(
-    d: Decomposition, H_o_star: np.ndarray, Sigma2: np.ndarray
+    d: Decomposition, H_o_star: np.ndarray, sigma2_sq: np.ndarray
 ) -> np.ndarray:
     """Unobservable stationary gain without solving the cross equation.
 
@@ -576,26 +578,23 @@ def unobservable_gain_from_observable(
     generalized inverse taken at the long-term weight.  Vanishes exactly
     when q equals that weight.
     """
-    return _transport(d, Sigma2) @ np.asarray(H_o_star, dtype=float)
+    return _transport(d, sigma2_sq) @ np.asarray(H_o_star, dtype=float)
 
 
 def unobservable_covariance_from_observable(
     d: Decomposition,
     P_oo_star: np.ndarray,
-    Sigma1: np.ndarray,
-    Sigma2: np.ndarray,
+    sigma1_sq: np.ndarray,
+    sigma2_sq: np.ndarray,
 ) -> np.ndarray:
     """Unobservable stationary cross covariance by weight transport.
 
     Adds the weight-independent offset whose only nonzero block couples
     the mean phase to the observable frequency coordinates.
     """
-    base = _transport(d, Sigma2) @ np.asarray(P_oo_star, dtype=float)
-    q_inf = weight_long(Sigma2).q
-    Sigma1 = np.asarray(Sigma1, dtype=float)
-    if Sigma1.ndim == 1:
-        Sigma1 = np.diag(Sigma1)
+    base = _transport(d, sigma2_sq) @ np.asarray(P_oo_star, dtype=float)
+    q_inf = weight_long(sigma2_sq)
     offset = np.zeros_like(base)
-    offset[0, d.N - 1 :] = -(q_inf @ Sigma1 @ d.V.T)
+    offset[0, d.N - 1 :] = -((q_inf * variance_vector(sigma1_sq)) @ d.V.T)
     return base + offset
 

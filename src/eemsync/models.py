@@ -174,15 +174,15 @@ class EnsembleModel:
     """The full measured ensemble: dynamics, noise, and measurement.
 
     bigA = A kron I_N, bigB = B kron I_N, bigC = C kron V, with the
-    phase-block-first state ordering.  Sigma1/Sigma2 are the diagonal
-    noise-variance matrices of the member clocks; bigQ is the exact
-    one-interval covariance of the stacked process noise.
+    phase-block-first state ordering.  sigma1_sq/sigma2_sq are the member
+    clocks' white-FM and random-walk FM variances, one entry per clock;
+    bigQ is the exact one-interval covariance of the stacked process noise.
     """
 
     N: int
     tau: float
-    Sigma1: np.ndarray
-    Sigma2: np.ndarray
+    sigma1_sq: np.ndarray
+    sigma2_sq: np.ndarray
     bigQ: np.ndarray
     meas: MeasurementStructure
     bigA: np.ndarray
@@ -212,7 +212,8 @@ def build_ensemble(
     R : (N-1, N-1) symmetric positive-definite measurement covariance.
     tau : sampling interval in seconds.
 
-    The stacked process covariance has the block form
+    With Sigma1 = diag(sigma1_sq) and Sigma2 = diag(sigma2_sq), the
+    per-clock variances sigma**2, the stacked process covariance is
 
         bigQ = [[tau*Sigma1 + tau^3/3*Sigma2, tau^2/2*Sigma2],
                 [tau^2/2*Sigma2,              tau*Sigma2    ]]
@@ -224,13 +225,13 @@ def build_ensemble(
     if len(params) != N:
         raise ValueError(f"got {len(params)} NoiseParams for N = {N} clocks")
     clock = discretize(params[0], tau)  # checks tau, including tau**3
-    Sigma1 = np.diag([p.sigma1 ** 2 for p in params])
-    Sigma2 = np.diag([p.sigma2 ** 2 for p in params])
+    s1 = np.array([p.sigma1 ** 2 for p in params])
+    s2 = np.array([p.sigma2 ** 2 for p in params])
     with np.errstate(over="ignore"):  # an overflow is reported below
         bigQ = np.block(
             [
-                [tau * Sigma1 + tau ** 3 / 3.0 * Sigma2, tau ** 2 / 2.0 * Sigma2],
-                [tau ** 2 / 2.0 * Sigma2, tau * Sigma2],
+                [np.diag(tau * s1 + tau ** 3 / 3.0 * s2), np.diag(tau ** 2 / 2.0 * s2)],
+                [np.diag(tau ** 2 / 2.0 * s2), np.diag(tau * s2)],
             ]
         )
     if not np.isfinite(bigQ).all():
@@ -242,8 +243,8 @@ def build_ensemble(
     return EnsembleModel(
         N=N,
         tau=tau,
-        Sigma1=Sigma1,
-        Sigma2=Sigma2,
+        sigma1_sq=s1,
+        sigma2_sq=s2,
         bigQ=bigQ,
         meas=meas,
         bigA=bigA,

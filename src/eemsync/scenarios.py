@@ -81,7 +81,7 @@ class KindSpec:
     weight: Optional[str] = None
     # controller keys a config may set
     settings: Tuple[str, ...] = ()
-    # controller mode; None for the offline kinds
+    # controller mode ("balanced" sets a collective gain); None for the offline kinds
     mode: Optional[str] = None
     # steps a time-varying Kalman filter, so it needs SciPy's LAPACK
     riccati: bool = False
@@ -126,8 +126,8 @@ def _resolve_weight(given, model: EnsembleModel, problems: List[str]) -> Optiona
             try:
                 with np.errstate(over="ignore", invalid="ignore"):
                     if given == "short":
-                        return weight_short(np.diag(model.Sigma1)).q
-                    return weight_long(np.diag(model.Sigma2)).q
+                        return weight_short(model.sigma1_sq)
+                    return weight_long(model.sigma2_sq)
             except ValueError as exc:
                 problems.append(f"model.{field}: no {given}-term weight for these variances ({exc})")
                 return None
@@ -285,14 +285,15 @@ def validate_config(raw: dict) -> ScenarioConfig:
         problems.extend(f"controller.{k}: {_SETTINGS[k][2]} required, got {value[k]!r}" for k in bad)
         period, phase = value["period"], value["phase"]
         if mode == "balanced" and horizon_ok and "period" not in bad and "phase" not in bad:
-            # the summary fits a trend to the mean sampled at the kicks
-            # k = phase % period (mod period); it needs three samples
-            need = phase % period + 2 * period
+            # the summary fits a trend to the final half of the mean sampled
+            # at the (horizon - phase % period) // period + 1 kick steps
+            # k = phase % period (mod period); that half needs three samples
+            need = phase % period + 4 * period
             if horizon < need:
                 problems.append(
-                    f"horizon: kind 'balanced' needs horizon >= phase % period + 2 * period "
-                    f"= {need} (three collective kicks) with controller.period = {period} "
-                    f"and controller.phase = {phase}, got {horizon}"
+                    f"horizon: kind 'balanced' needs horizon >= phase % period + 4 * period "
+                    f"= {need} (five kick samples, three in the fitted final half) with "
+                    f"controller.period = {period} and controller.phase = {phase}, got {horizon}"
                 )
         if not problems:
             try:
@@ -303,7 +304,6 @@ def validate_config(raw: dict) -> ScenarioConfig:
                     if mode == "balanced"
                     else None,
                     m=period,
-                    mode=mode,
                     tau=model.tau,
                     phase=phase,
                 )
@@ -464,8 +464,7 @@ def _run_free_run(cfg: ScenarioConfig, art: _Artifacts) -> dict:
     plot = allan_plot(rec.h, cfg.model.tau)
     if "allan" in cfg.outputs:
         art.write_allan({"clock": plot}, "allan")
-    s1 = np.diag(cfg.model.Sigma1)
-    s2 = np.diag(cfg.model.Sigma2)
+    s1, s2 = cfg.model.sigma1_sq, cfg.model.sigma2_sq
     # m = 1 leads the default grid, which holds it from horizon 4 on
     at_one = plot.values[0]
     summary = {"clocks": {}}
@@ -511,8 +510,8 @@ def _run_standard_kf(cfg: ScenarioConfig, art: _Artifacts) -> dict:
 
 def _averaged_model(model: EnsembleModel) -> EnsembleModel:
     """Same ensemble with every clock assigned the average noise variances."""
-    s1 = float(np.diag(model.Sigma1).mean())
-    s2 = float(np.diag(model.Sigma2).mean())
+    s1 = float(model.sigma1_sq.mean())
+    s2 = float(model.sigma2_sq.mean())
     params = [NoiseParams(np.sqrt(s1), np.sqrt(s2)) for _ in range(model.N)]
     return build_ensemble(params, model.meas.V, model.meas.R, model.tau)
 
@@ -559,8 +558,8 @@ def _run_controller(cfg: ScenarioConfig, art: _Artifacts) -> dict:
     rec, omega_o, omega_obar = closed_loop(model, cfg.controller, d, gains, cfg.horizon, cfg.seed)
     delta = sync_error(rec, destination_from_noise(model, cfg.weight, rec.v))
     rel_phase = delta[:, : model.N] @ d.V.T  # common mode removed
-    balanced = cfg.controller.mode == "balanced"
-    q_inf = weight_long(np.diag(model.Sigma2)).q if balanced else None
+    balanced = cfg.controller.K_bo is not None
+    q_inf = weight_long(model.sigma2_sq) if balanced else None
 
     if "gains" in cfg.outputs:
         art.write_json("gains.json", _gains_doc(gains))
@@ -577,8 +576,7 @@ def _run_controller(cfg: ScenarioConfig, art: _Artifacts) -> dict:
         # destination on the same grid
         plot = allan_plot(rec.h, model.tau)
         art.write_allan({"clock": plot}, "allan")
-        s1 = np.diag(model.Sigma1)
-        s2 = np.diag(model.Sigma2)
+        s1, s2 = model.sigma1_sq, model.sigma2_sq
         weights = {"destination": cfg.weight}
         if balanced:
             weights["destination_long"] = q_inf

@@ -266,9 +266,9 @@ class TestCriterion04:
 
 class TestCriterion05:
     def test_long_term_weight_kills_cross_gain(self, model):
-        s1 = np.diag(model.Sigma1)
-        s2 = np.diag(model.Sigma2)
-        q_inf = weight_long(s2).q
+        s1 = model.sigma1_sq
+        s2 = model.sigma2_sq
+        q_inf = weight_long(s2)
         d_inf = decompose(model, q_inf)
         g_inf = solve_stationary(d_inf, model.meas.R)
         ratio_inf = np.linalg.norm(g_inf.H_bo_star) / np.linalg.norm(g_inf.H_o_star)
@@ -324,20 +324,20 @@ class TestCriterion05:
 
 class TestCriterion06:
     def test_optimal_weight_minimizes_allan(self, model):
-        s1 = np.diag(model.Sigma1)
-        s2 = np.diag(model.Sigma2)
+        s1 = model.sigma1_sq
+        s2 = model.sigma2_sq
         rng = np.random.default_rng(606)
         center = np.eye(10) - np.full((10, 10), 0.1)
         worst_excess = -np.inf
         for tau in (1.0, 1e3, 1e6):
-            q_a = optimal_weight(s1, s2, tau).q
+            q_a = optimal_weight(s1, s2, tau)
             pi_a = allan_pi(q_a, s1, s2, tau)
             for _ in range(1000):
                 q_prime = q_a + center @ rng.normal(scale=0.1, size=10)
                 excess = pi_a / allan_pi(q_prime, s1, s2, tau) - 1.0
                 worst_excess = max(worst_excess, excess)
-        dev_short = np.linalg.norm(optimal_weight(s1, s2, 1e-6).q - weight_short(s1).q)
-        dev_long = np.linalg.norm(optimal_weight(s1, s2, 1e9).q - weight_long(s2).q)
+        dev_short = np.linalg.norm(optimal_weight(s1, s2, 1e-6) - weight_short(s1))
+        dev_long = np.linalg.norm(optimal_weight(s1, s2, 1e9) - weight_long(s2))
         ok = worst_excess <= 1e-12 and dev_short <= 1e-4 and dev_long <= 1e-4
         report(
             6,
@@ -354,8 +354,8 @@ class TestCriterion07:
     def test_allan_estimator_fidelity(self, model, free_run_million):
         started = time.perf_counter()
         rec = free_run_million
-        s1 = np.sqrt(np.diag(model.Sigma1))
-        s2 = np.sqrt(np.diag(model.Sigma2))
+        s1 = np.sqrt(model.sigma1_sq)
+        s2 = np.sqrt(model.sigma2_sq)
         worst = 0.0
         for i in range(10):
             noise = NoiseParams(s1[i], s2[i])
@@ -397,7 +397,7 @@ class TestCriterion08:
         q = np.full(10, 0.1)
         T = 100_000
         cfg = ControllerConfig(
-            q=q, F_o=default_obs_gain(10, 1.0), K_bo=None, m=1, mode="sync-only"
+            q=q, F_o=default_obs_gain(10, 1.0), K_bo=None, m=1
         )
         traj, _, _ = closed_loop(model, cfg, d, g, T, 808)
         dest = destination_trajectory(model, q, T, seed=808)
@@ -412,7 +412,6 @@ class TestCriterion08:
             F_o=np.zeros((9, 18)),
             K_bo=None,
             m=1,
-            mode="sync-only",
             validate=False,
         )
         traj0, _, _ = closed_loop(model, cfg0, d, g, T, 808)
@@ -433,7 +432,7 @@ class TestCriterion08:
         d_s = decompose(model, q_steer)
         g_s = solve_stationary(d_s, model.meas.R)
         cfg_s = ControllerConfig(
-            q=q_steer, F_o=default_obs_gain(10, 1.0), K_bo=None, m=1, mode="sync-only"
+            q=q_steer, F_o=default_obs_gain(10, 1.0), K_bo=None, m=1
         )
         traj_s, _, _ = closed_loop(model, cfg_s, d_s, g_s, T, 809)
         untouched = bool(np.all(traj_s.u[:, -1] == 0.0))
@@ -464,7 +463,7 @@ def balanced_run(model):
     test_control checks it against ``simulate`` + ``EemPolicy``.
     """
     started = time.perf_counter()
-    q0 = weight_short(np.diag(model.Sigma1)).q
+    q0 = weight_short(model.sigma1_sq)
     d = decompose(model, q0)
     g = solve_stationary(d, model.meas.R)
     cfg = ControllerConfig(
@@ -472,7 +471,6 @@ def balanced_run(model):
         F_o=default_obs_gain(10, 1.0),
         K_bo=default_collective_gain(BALANCED_PERIOD, 1.0),
         m=BALANCED_PERIOD,
-        mode="balanced",
     )
     traj, _, _ = closed_loop(model, cfg, d, g, 1_000_000, 901)
     return traj, time.perf_counter() - started
@@ -483,10 +481,10 @@ class TestCriterion09:
         traj, sim_elapsed = balanced_run
         started = time.perf_counter()
         N, T, m_period = 10, traj.T, BALANCED_PERIOD
-        s1 = np.diag(model.Sigma1)
-        s2 = np.diag(model.Sigma2)
-        q0 = weight_short(s1).q
-        q_inf = weight_long(s2).q
+        s1 = model.sigma1_sq
+        s2 = model.sigma2_sq
+        q0 = weight_short(s1)
+        q_inf = weight_long(s2)
 
         short_ratios = {}
         for m in (1, 10):
@@ -535,10 +533,10 @@ class TestCriterion09:
         # mean, which is what the balanced loop actually shapes, does sit
         # within 2x of both destination lines
         traj, _ = balanced_run
-        s1 = np.diag(model.Sigma1)
-        s2 = np.diag(model.Sigma2)
-        q0 = weight_short(s1).q
-        q_inf = weight_long(s2).q
+        s1 = model.sigma1_sq
+        s2 = model.sigma2_sq
+        q0 = weight_short(s1)
+        q_inf = weight_long(s2)
         mean_series = traj.h @ q0
         ratios = {
             m: statistical_allan(mean_series, 1.0, m) / allan_pi(q0, s1, s2, float(m))
@@ -565,8 +563,8 @@ class TestCriterion10:
         eps_opt = filter_pass(model, rec.y, x=rec.x).eps
         eps_sub = filter_pass(_averaged_model(model), rec.y, x=rec.x).eps
 
-        s1 = np.sqrt(np.diag(model.Sigma1))
-        s2 = np.sqrt(np.diag(model.Sigma2))
+        s1 = np.sqrt(model.sigma1_sq)
+        s2 = np.sqrt(model.sigma2_sq)
         ms = np.unique(np.round(np.logspace(0, 3, 25)).astype(int))
         worst = 0.0
         for m in ms:

@@ -143,7 +143,8 @@ def test_run_propagates_validation_failure(tmp_path, capsys):
 
 def test_run_rejects_balanced_horizon_short_of_three_kicks(tmp_path, capsys):
     out_dir = tmp_path / "artifacts"
-    assert main(["run", "balanced", "--horizon", "300", "--out", str(out_dir)]) == 2
+    # the bundled period 200 and phase 0 need horizon >= 800
+    assert main(["run", "balanced", "--horizon", "799", "--out", str(out_dir)]) == 2
     err = capsys.readouterr().err
     assert "horizon" in err and "controller.period" in err
     assert not out_dir.exists()

@@ -33,7 +33,6 @@ from eemsync import (
     destination_from_noise,
     destination_trajectory,
     expand_input,
-    project_state,
     run_scenario,
     simulate,
     solve_stationary,
@@ -79,14 +78,14 @@ def eem_controller_step(
     """One closed-loop step: feedback from the prior estimates, then the
     observer update.
 
-    The collective input fires only in balanced mode and only when k is
+    The collective input fires only with a collective gain and only when k is
     on the configured schedule; otherwise it is exactly zero, so the
     steering weight keeps its designated clock untouched bit-for-bit.
     """
     xo = state.xi_o_hat
     xb = state.xi_obar_hat
     omega_o = -(cfg.F_o @ xo)
-    if cfg.mode == "balanced" and (k - cfg.phase) % cfg.m == 0:
+    if cfg.K_bo is not None and (k - cfg.phase) % cfg.m == 0:
         omega_obar = float(-(cfg.K_bo @ xb)[0])
     else:
         omega_obar = 0.0
@@ -190,16 +189,6 @@ class TestGainDesign:
 
 
 class TestControllerConfig:
-    def test_balanced_requires_collective_gain(self):
-        with pytest.raises(ConfigError, match="collective gain"):
-            ControllerConfig(
-                q=np.full(4, 0.25),
-                F_o=default_obs_gain(4, 1.0),
-                K_bo=None,
-                m=200,
-                mode="balanced",
-            )
-
     def test_aggregates_all_problems(self):
         with pytest.raises(ConfigError) as excinfo:
             ControllerConfig(
@@ -207,12 +196,39 @@ class TestControllerConfig:
                 F_o=np.zeros((2, 2)),
                 K_bo=None,
                 m=0,
-                mode="bogus",
+                tau=-1.0,
+                phase=0.5,
             )
+        assert len(excinfo.value.problems) == 4
         message = str(excinfo.value)
-        assert "mode" in message
         assert "shape" in message
         assert "period" in message
+        assert "tau" in message
+        assert "phase" in message
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("m", float("nan")),
+            ("m", float("inf")),
+            ("m", 2.5),
+            ("phase", 1.5),
+            ("phase", float("nan")),
+            ("tau", float("nan")),
+            ("tau", float("inf")),
+            ("tau", 0.0),
+        ],
+    )
+    def test_schedule_values_rejected_by_name(self, field, value):
+        # each used to pass (phase 1.5, which closed_loop cannot slice by),
+        # raise a bare ValueError or OverflowError (m nan or inf), or read
+        # as a non-contractive loop (tau nan or inf)
+        fields = {"q": np.full(4, 0.25), "F_o": default_obs_gain(4, 1.0), "K_bo": None, "m": 1}
+        fields[field] = value
+        with pytest.raises(ConfigError) as excinfo:
+            ControllerConfig(**fields)
+        assert len(excinfo.value.problems) == 1
+        assert excinfo.value.problems[0].startswith("period m" if field == "m" else field)
 
     def test_marginal_gain_rejected(self):
         with pytest.raises(ConfigError, match="not contractive"):
@@ -221,7 +237,6 @@ class TestControllerConfig:
                 F_o=np.zeros((3, 6)),
                 K_bo=None,
                 m=1,
-                mode="sync-only",
             )
 
     def test_validate_false_skips_spectral_checks(self):
@@ -230,10 +245,9 @@ class TestControllerConfig:
             F_o=np.zeros((3, 6)),
             K_bo=None,
             m=1,
-            mode="sync-only",
             validate=False,
         )
-        assert cfg.mode == "sync-only"
+        assert cfg.K_bo is None
         assert cfg.N == 4
 
     def test_unstable_collective_gain_rejected(self):
@@ -243,7 +257,6 @@ class TestControllerConfig:
                 F_o=default_obs_gain(4, 1.0),
                 K_bo=np.array([[-0.01, -1.0]]),
                 m=10,
-                mode="balanced",
             )
 
     @pytest.mark.parametrize("loop", ["observable", "collective"])
@@ -255,7 +268,7 @@ class TestControllerConfig:
         else:
             K_bo = np.array([[1e308, 1e308]])
         with pytest.raises(ConfigError, match=f"{loop} closed loop is not contractive"):
-            ControllerConfig(q=np.full(4, 0.25), F_o=F_o, K_bo=K_bo, m=10, mode="balanced")
+            ControllerConfig(q=np.full(4, 0.25), F_o=F_o, K_bo=K_bo, m=10)
 
     def test_field_coercion(self):
         cfg = ControllerConfig(
@@ -263,9 +276,11 @@ class TestControllerConfig:
             F_o=default_obs_gain(4, 1.0),
             K_bo=[0.01, 1.0],
             m=3.0,
-            mode="balanced",
+            phase=2.0,
         )
         assert cfg.m == 3 and isinstance(cfg.m, int)
+        # closed_loop slices its kick schedule by phase
+        assert cfg.phase == 2 and isinstance(cfg.phase, int)
         assert cfg.K_bo.shape == (1, 2)
         assert isinstance(cfg.q, np.ndarray)
         assert cfg.N == 4
@@ -307,7 +322,7 @@ class TestDestinationTrajectory:
     def test_closed_loop_noise_gives_the_same_destination(self, model4, uniform4):
         q, d, g = uniform4
         cfg = ControllerConfig(
-            q=q, F_o=default_obs_gain(4, model4.tau), K_bo=None, m=1, mode="sync-only"
+            q=q, F_o=default_obs_gain(4, model4.tau), K_bo=None, m=1
         )
         rec, _, _ = closed_loop(model4, cfg, d, g, 300, seed=31)
         assert rec.v.shape == (300, 8)
@@ -327,7 +342,6 @@ def step_setup():
         F_o=default_obs_gain(3, model.tau),
         K_bo=default_collective_gain(3, model.tau),
         m=3,
-        mode="balanced",
         phase=1,
     )
     return model, d, g, cfg
@@ -393,7 +407,7 @@ LOOP_SEED = 5
 def controlled(model4, uniform4):
     q, d, g = uniform4
     cfg = ControllerConfig(
-        q=q, F_o=default_obs_gain(4, model4.tau), K_bo=None, m=1, mode="sync-only"
+        q=q, F_o=default_obs_gain(4, model4.tau), K_bo=None, m=1
     )
     policy = EemPolicy(cfg, d, gains=g)
     traj = simulate(model4, policy, LOOP_T, seed=LOOP_SEED)
@@ -406,7 +420,7 @@ class TestClosedLoop:
     def test_steering_weight_never_touches_its_clock(self, model4, steer4):
         q, d, g = steer4
         cfg = ControllerConfig(
-            q=q, F_o=default_obs_gain(4, model4.tau), K_bo=None, m=1, mode="sync-only"
+            q=q, F_o=default_obs_gain(4, model4.tau), K_bo=None, m=1
         )
         traj = simulate(model4, EemPolicy(cfg, d, gains=g), 400, seed=101)
         assert np.all(traj.u[:, -1] == 0.0)
@@ -420,7 +434,6 @@ class TestClosedLoop:
             F_o=np.zeros((3, 6)),
             K_bo=None,
             m=1,
-            mode="sync-only",
             validate=False,
         )
         free = simulate(model4, EemPolicy(cfg_free, d, gains=g), LOOP_T, seed=LOOP_SEED)
@@ -448,7 +461,6 @@ class TestClosedLoop:
             F_o=default_obs_gain(4, model4.tau),
             K_bo=default_collective_gain(20, model4.tau, (0.5, 1.0)),
             m=20,
-            mode="balanced",
         )
         policy = EemPolicy(cfg_b, d, gains=g)
         traj_b = simulate(model4, policy, LOOP_T, seed=LOOP_SEED)
@@ -492,7 +504,7 @@ class TestPolicyMatchesReference:
     def test_sync_only(self, model4, uniform4):
         q, d, g = uniform4
         cfg = ControllerConfig(
-            q=q, F_o=default_obs_gain(4, model4.tau), K_bo=None, m=1, mode="sync-only"
+            q=q, F_o=default_obs_gain(4, model4.tau), K_bo=None, m=1
         )
         traj, _ = self._run_both(model4, cfg, d, g, seed=31)
         assert np.max(np.abs(traj.u)) > 0.0
@@ -504,7 +516,6 @@ class TestPolicyMatchesReference:
             F_o=default_obs_gain(4, model4.tau),
             K_bo=default_collective_gain(20, model4.tau, (0.5, 1.0)),
             m=20,
-            mode="balanced",
             phase=7,
         )
         _, policy = self._run_both(model4, cfg, d, g, seed=32)
@@ -514,7 +525,7 @@ class TestPolicyMatchesReference:
     def test_steering_weight(self, model4, steer4):
         q, d, g = steer4
         cfg = ControllerConfig(
-            q=q, F_o=default_obs_gain(4, model4.tau), K_bo=None, m=1, mode="sync-only"
+            q=q, F_o=default_obs_gain(4, model4.tau), K_bo=None, m=1
         )
         traj, _ = self._run_both(model4, cfg, d, g, seed=33)
         assert np.all(traj.u[:, -1] == 0.0)
@@ -549,7 +560,6 @@ class TestClosedLoopMatchesPolicy:
             F_o=default_obs_gain(N, model.tau),
             K_bo=default_collective_gain(50, model.tau) if balanced else None,
             m=50 if balanced else 1,
-            mode="balanced" if balanced else "sync-only",
             phase=37 if balanced else 0,
         )
         seed = 70 + n_clocks
@@ -577,7 +587,7 @@ class TestClosedLoopMatchesPolicy:
     def test_requires_weight_basis(self, model4, uniform4):
         q, _, g = uniform4
         cfg = ControllerConfig(
-            q=q, F_o=default_obs_gain(4, model4.tau), K_bo=None, m=1, mode="sync-only"
+            q=q, F_o=default_obs_gain(4, model4.tau), K_bo=None, m=1
         )
         rng = np.random.default_rng(0)
         Wbar = np.kron(np.eye(2), np.full(4, 0.25)) + 0.01 * rng.normal(size=(2, 8))
@@ -610,7 +620,6 @@ def test_property_closed_loop_matches_policy(n_clocks, seed, period, phase):
         F_o=default_obs_gain(n_clocks, model.tau),
         K_bo=default_collective_gain(period, model.tau) if balanced else None,
         m=period if balanced else 1,
-        mode="balanced" if balanced else "sync-only",
         phase=phase if balanced else 0,
     )
     policy = EemPolicy(cfg, d, gains=g)
@@ -632,75 +641,15 @@ class TestPolicyAndLogs:
     def test_policy_requires_weight_basis_and_a_filter(self, model4, uniform4):
         q, d, g = uniform4
         cfg = ControllerConfig(
-            q=q, F_o=default_obs_gain(4, model4.tau), K_bo=None, m=1, mode="sync-only"
+            q=q, F_o=default_obs_gain(4, model4.tau), K_bo=None, m=1
         )
         rng = np.random.default_rng(0)
         Wbar = np.kron(np.eye(2), np.full(4, 0.25)) + 0.01 * rng.normal(size=(2, 8))
         d_gen = decompose(model4, Wbar)
         with pytest.raises(ValueError, match="weight-basis"):
             EemPolicy(cfg, d_gen, gains=g)
-        with pytest.raises(ValueError, match="gains or R"):
+        with pytest.raises(TypeError, match="gains"):
             EemPolicy(cfg, d)
-
-    def test_policy_records_estimates_and_commands(self, model4, uniform4):
-        q, d, g = uniform4
-        cfg = ControllerConfig(
-            q=q, F_o=default_obs_gain(4, model4.tau), K_bo=None, m=1, mode="sync-only"
-        )
-        T = 50
-        policy = EemPolicy(cfg, d, gains=g, record_estimates=True)
-        simulate(model4, policy, T, seed=9)
-        omega_o, omega_obar = policy.command_log()
-        assert omega_o.shape == (T, 3)
-        assert omega_obar.shape == (T,)
-        assert np.all(omega_obar == 0.0)
-        assert policy.estimates.shape == (T, 8)
-        assert np.all(np.isfinite(policy.estimates))
-
-        silent = EemPolicy(cfg, d, gains=g)
-        assert silent.estimates is None
-
-    @pytest.mark.parametrize("observer", ["gains", "R"])
-    def test_estimates_are_the_priors_commands_used(self, model4, uniform4, observer):
-        q, d, g = uniform4
-        cfg = ControllerConfig(
-            q=q, F_o=default_obs_gain(4, model4.tau), K_bo=None, m=1, mode="sync-only"
-        )
-        if observer == "gains":
-            policy = EemPolicy(cfg, d, gains=g, record_estimates=True)
-        else:
-            policy = EemPolicy(cfg, d, R=model4.meas.R, record_estimates=True)
-        T = 200
-        simulate(model4, policy, T, seed=14)
-        omega_o, _ = policy.command_log()
-        recomputed = np.array(
-            [-(cfg.F_o @ project_state(policy.estimates[k], d)[0]) for k in range(T)]
-        )
-        scale = np.max(np.abs(omega_o), axis=1, keepdims=True)
-        assert np.all(scale[1:] > 0.0)
-        assert np.all(np.abs(recomputed - omega_o) <= 1e-12 * scale)
-
-    def test_time_varying_mode_mechanics(self, model4, uniform4):
-        q, d, _ = uniform4
-        cfg = ControllerConfig(
-            q=q,
-            F_o=default_obs_gain(4, model4.tau),
-            K_bo=default_collective_gain(5, model4.tau),
-            m=5,
-            mode="balanced",
-        )
-        policy = EemPolicy(cfg, d, R=model4.meas.R)
-        for k in range(12):
-            u = policy(k, np.zeros(3))
-            assert np.all(u == 0.0)  # nothing measured, nothing commanded
-        omega_o, omega_obar = policy.command_log()
-        assert np.all(omega_o == 0.0) and np.all(omega_obar == 0.0)
-
-        noisy = EemPolicy(cfg, d, R=model4.meas.R)
-        traj = simulate(model4, noisy, 40, seed=30)
-        assert np.all(np.isfinite(traj.u))
-        _, omega_obar = noisy.command_log()
-        assert np.all(omega_obar[[k for k in range(40) if k % 5 != 0]] == 0.0)
 
     def test_command_log_round_trip(self, tmp_path):
         raw = {

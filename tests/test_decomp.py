@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from eemsync import (
     Decomposition,
-    EnsembleWeight,
     NoiseParams,
     NumericalError,
     build_ensemble,
@@ -39,12 +38,12 @@ def random_weight(rng, n):
 
 class TestEnsembleWeight:
     def test_accepts_convex_weights(self):
-        w = EnsembleWeight(np.array([0.2, 0.3, 0.5]))
-        assert w.N == 3
+        w = weight_vector(np.array([0.2, 0.3, 0.5]))
+        assert w.shape == (3,)
 
     def test_rejects_bad_sum(self):
         with pytest.raises(ValueError, match="sum to 1"):
-            EnsembleWeight(np.array([0.5, 0.4]))
+            weight_vector(np.array([0.5, 0.4]))
 
     def test_weight_vector_coercion(self):
         assert np.array_equal(weight_vector([0.5, 0.5]), [0.5, 0.5])

@@ -35,6 +35,7 @@ from eemsync import (
     weight_long,
     weight_short,
 )
+from eemsync import filters
 from eemsync.decomp import Decomposition
 from eemsync.filters import InputPair, StationaryGains, _spd_solve_gain, _sym
 from eemsync.presets import DEMO_MEAS_STD, DEMO_SIGMA1, DEMO_SIGMA2, demo_ensemble
@@ -712,11 +713,12 @@ class TestStationary:
         g2 = solve_stationary(d2, model.meas.R)
         assert np.max(np.abs(g2.P_oo_star - g1.P_oo_star)) <= 1e-10 * np.max(np.abs(g1.P_oo_star))
 
-    def test_iteration_cap_raises(self):
+    def test_iteration_cap_raises(self, monkeypatch):
+        monkeypatch.setattr(filters, "_MAX_DOUBLINGS", 3)
         model = demo_ensemble(n_clocks=3)
         d = decompose(model, np.full(3, 1 / 3))
-        with pytest.raises(ConvergenceError):
-            solve_stationary(d, model.meas.R, max_iter=3)
+        with pytest.raises(ConvergenceError, match="in 3 doublings"):
+            solve_stationary(d, model.meas.R)
 
     def test_indefinite_noise_raises_numerical_error(self):
         model = demo_ensemble(n_clocks=3)
@@ -792,9 +794,9 @@ def _oracle_weight(model, name):
     if name == "uniform":
         return np.full(model.N, 1.0 / model.N)
     if name == "short":
-        return weight_short(np.diag(model.Sigma1)).q
+        return weight_short(model.sigma1_sq)
     if name == "long":
-        return weight_long(np.diag(model.Sigma2)).q
+        return weight_long(model.sigma2_sq)
     return np.random.default_rng(21).dirichlet(np.ones(model.N))
 
 
@@ -865,7 +867,7 @@ class TestDoublingAgainstReference:
 class TestLongTermWeightShortcuts:
     def test_cross_gain_vanishes_at_long_term_weight(self):
         model = demo_ensemble(n_clocks=4)
-        q_inf = weight_long(model.Sigma2).q
+        q_inf = weight_long(model.sigma2_sq)
         d = decompose(model, q_inf)
         g = solve_stationary(d, model.meas.R)
         assert np.linalg.norm(g.H_bo_star) <= 1e-10 * np.linalg.norm(g.H_o_star)
@@ -875,18 +877,18 @@ class TestLongTermWeightShortcuts:
         for q in (np.full(4, 0.25), np.array([0.4, 0.3, 0.2, 0.1])):
             d = decompose(model, q)
             g = solve_stationary(d, model.meas.R)
-            shortcut = unobservable_gain_from_observable(d, g.H_o_star, model.Sigma2)
+            shortcut = unobservable_gain_from_observable(d, g.H_o_star, model.sigma2_sq)
             assert np.max(np.abs(shortcut - g.H_bo_star)) <= 1e-10 * np.max(
                 np.abs(g.H_bo_star)
             )
 
     def test_cross_covariance_shortcut(self):
         model = demo_ensemble(n_clocks=4)
-        q_inf = weight_long(model.Sigma2).q
+        q_inf = weight_long(model.sigma2_sq)
         d = decompose(model, q_inf)
         g = solve_stationary(d, model.meas.R)
         shortcut = unobservable_covariance_from_observable(
-            d, g.P_oo_star, model.Sigma1, model.Sigma2
+            d, g.P_oo_star, model.sigma1_sq, model.sigma2_sq
         )
         assert np.max(np.abs(shortcut - g.P_bo_star)) <= 1e-10 * np.max(np.abs(g.P_bo_star))
 
@@ -916,8 +918,8 @@ def test_property_weight_transport_matches_stationary_solve(n_clocks, seed):
     # the worst relative gaps seen over 2,000 such cases were 2.3e-12
     # (gain) and 1.0e-12 (covariance)
     model, d, g = transport_case(n_clocks, seed)
-    gain = unobservable_gain_from_observable(d, g.H_o_star, model.Sigma2)
-    cov = unobservable_covariance_from_observable(d, g.P_oo_star, model.Sigma1, model.Sigma2)
+    gain = unobservable_gain_from_observable(d, g.H_o_star, model.sigma2_sq)
+    cov = unobservable_covariance_from_observable(d, g.P_oo_star, model.sigma1_sq, model.sigma2_sq)
     assert np.max(np.abs(gain - g.H_bo_star)) <= 1e-10 * np.max(np.abs(g.H_bo_star))
     assert np.max(np.abs(cov - g.P_bo_star)) <= 1e-10 * np.max(np.abs(g.P_bo_star))
 
@@ -929,9 +931,9 @@ def test_weight_transport_rejects_a_general_basis(n_clocks):
     general = decompose(model, d.Wbar + tilt)
     assert general.q is None
     with pytest.raises(ValueError, match="require a weight basis"):
-        unobservable_gain_from_observable(general, g.H_o_star, model.Sigma2)
+        unobservable_gain_from_observable(general, g.H_o_star, model.sigma2_sq)
     with pytest.raises(ValueError, match="require a weight basis"):
-        unobservable_covariance_from_observable(general, g.P_oo_star, model.Sigma1, model.Sigma2)
+        unobservable_covariance_from_observable(general, g.P_oo_star, model.sigma1_sq, model.sigma2_sq)
 
 
 class TestInnovationCalibration:

@@ -9,6 +9,7 @@ import dataclasses
 import hashlib
 import inspect
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -51,7 +52,8 @@ def raw_config(kind="free-run", **over):
             "sigma2": [1.507e-13, 0.532e-13, 0.167e-13],
             "meas_std": [0.4353e-14, 0.0759e-14],
         },
-        "horizon": 400,
+        # the balanced kind's shortest horizon at its default period 200
+        "horizon": 800 if kind == "balanced" else 400,
         "seed": 42,
     }
     cfg.update(over)
@@ -90,9 +92,9 @@ def named_weight(name, model):
     if name == "uniform":
         return np.full(model.N, 1.0 / model.N)
     if name == "short":
-        return weight_short(np.diag(model.Sigma1)).q
+        return weight_short(model.sigma1_sq)
     if name == "long":
-        return weight_long(np.diag(model.Sigma2)).q
+        return weight_long(model.sigma2_sq)
     assert name == "last-clock"
     return np.eye(model.N)[-1]
 
@@ -157,17 +159,17 @@ class TestValidateConfig:
     def test_kind_defaults_fill_controller(self):
         cfg = validate_config(raw_config("balanced"))
         assert cfg.controller is not None
-        assert cfg.controller.mode == "balanced"
+        assert cfg.controller.K_bo is not None
         assert cfg.controller.m == 200
         assert check_obs_gain(cfg.controller.F_o, 3, 1.0) < 1.0
         assert check_collective_gain(cfg.controller.K_bo, 200, 1.0) < 1.0
         s1 = np.asarray(raw_config()["model"]["sigma1"]) ** 2
-        np.testing.assert_allclose(cfg.weight, weight_short(s1).q, rtol=1e-12)
+        np.testing.assert_allclose(cfg.weight, weight_short(s1), rtol=1e-12)
 
         cfg_long = validate_config(raw_config("sync-best-long"))
         s2 = np.asarray(raw_config()["model"]["sigma2"]) ** 2
-        np.testing.assert_allclose(cfg_long.weight, weight_long(s2).q, rtol=1e-12)
-        assert cfg_long.controller.mode == "sync-only"
+        np.testing.assert_allclose(cfg_long.weight, weight_long(s2), rtol=1e-12)
+        assert cfg_long.controller.K_bo is None
 
     @pytest.mark.parametrize(
         "section, field, value",
@@ -202,14 +204,15 @@ class TestValidateConfig:
             validate_config(raw)
         message = "; ".join(info.value.problems)
         assert "horizon" in message and "controller.period" in message
-        # phase 150 puts the kicks at 150, 350, 550
-        raw = raw_config("balanced", horizon=549)
+        # phase 150 puts the kicks at 150, 350, ..., 950: five samples, the
+        # last three in the fitted final half
+        raw = raw_config("balanced", horizon=949)
         raw["controller"] = {"period": 200, "phase": 150}
         with pytest.raises(ConfigError, match="horizon"):
             validate_config(raw)
-        raw["horizon"] = 550
-        assert validate_config(raw).horizon == 550
-        assert validate_config(raw_config("balanced")).horizon == 400
+        raw["horizon"] = 950
+        assert validate_config(raw).horizon == 950
+        assert validate_config(raw_config("balanced")).horizon == 800
 
     @pytest.mark.parametrize(
         "kind, key, value",
@@ -256,7 +259,9 @@ class TestValidateConfig:
             assert cfg.weight is None
         else:
             assert np.array_equal(cfg.weight, named_weight(weight_name, cfg.model))
-        assert (cfg.controller.mode if cfg.controller else None) == mode
+        assert KINDS[kind].mode == mode
+        if cfg.controller is not None:
+            assert (cfg.controller.K_bo is not None) == (mode == "balanced")
         assert cfg.outputs == outputs
         for sel in outputs + opt_in:
             assert validate_config(raw_config(kind, outputs=[sel])).outputs == (sel,)
@@ -406,7 +411,7 @@ class TestRunScenario:
         assert "sampled_mean_phase_trend" in manifest["summary"]
 
     def test_balanced_at_shortest_horizon_writes_strict_json(self, tmp_path):
-        # horizon 400 with period 200 leaves the three kick samples 0, 200, 400
+        # horizon 800 with period 200 leaves the five kick samples 0, ..., 800
         run_scenario(validate_config(raw_config("balanced")), str(tmp_path))
 
         def reject(constant):
@@ -415,6 +420,20 @@ class TestRunScenario:
         text = (tmp_path / "case" / "summary.json").read_text()
         summary = json.loads(text, parse_constant=reject)
         assert np.isfinite(summary["sampled_mean_phase_trend"]["slope"])
+
+    @pytest.mark.parametrize("period, phase", [(200, 0), (200, 150), (50, 37)])
+    def test_balanced_trend_has_three_blocks_at_shortest_horizon(self, tmp_path, period, phase):
+        # the trend is fitted to the final half of the kick samples, so the
+        # shortest horizon leaves three of them (one residual degree of
+        # freedom); one step less leaves two and an exact fit
+        need = phase % period + 4 * period
+        raw = raw_config("balanced", horizon=need - 1)
+        raw["controller"] = {"period": period, "phase": phase}
+        with pytest.raises(ConfigError, match="horizon"):
+            validate_config(raw)
+        raw["horizon"] = need
+        manifest = run_scenario(validate_config(raw), str(tmp_path))
+        assert manifest["summary"]["sampled_mean_phase_trend"]["blocks"] >= 3
 
     def test_balanced_samples_the_mean_at_the_kicks(self, tmp_path):
         raw = raw_config("balanced", horizon=4000)
@@ -425,7 +444,7 @@ class TestRunScenario:
         d = decompose(model, cfg.weight)
         gains = solve_stationary(d, model.meas.R)
         rec, _, _ = closed_loop(model, cfg.controller, d, gains, cfg.horizon, cfg.seed)
-        q_inf = weight_long(np.diag(model.Sigma2)).q
+        q_inf = weight_long(model.sigma2_sq)
         delta = sync_error(rec, destination_trajectory(model, q_inf, cfg.horizon, cfg.seed))
         kicks = [k for k in range(cfg.horizon + 1) if (k - 37) % 50 == 0]
         expected = scen._trend_statistics(delta[kicks, : model.N] @ q_inf)
@@ -444,9 +463,9 @@ class TestRunScenario:
             return draw(sampler, T)
 
         monkeypatch.setattr(simkit.NoiseSampler, "process_block", counted)
-        manifest = run_scenario(validate_config(raw_config(kind, horizon=600)), str(tmp_path))
+        manifest = run_scenario(validate_config(raw_config(kind, horizon=800)), str(tmp_path))
         assert manifest["status"] == "ok"
-        assert calls == [600]
+        assert calls == [800]
 
     def test_controller_without_allan_output_skips_allan(self, tmp_path, monkeypatch):
         # the clock curves and their interval grid serve only the Allan files
@@ -563,9 +582,9 @@ class TestRunScenario:
         # innovation covariance is not finite
         n = 3
         model = build_ensemble([NoiseParams(1e-10, 1e-13)] * n, star_measurement(n), np.eye(n - 1) * 1e-28, 1.0)
-        Sigma1, bigQ = model.Sigma1.copy(), model.bigQ.copy()
-        Sigma1[0, 0] = bigQ[0, 0] = np.inf
-        model = dataclasses.replace(model, Sigma1=Sigma1, bigQ=bigQ)
+        sigma1_sq, bigQ = model.sigma1_sq.copy(), model.bigQ.copy()
+        sigma1_sq[0] = bigQ[0, 0] = np.inf
+        model = dataclasses.replace(model, sigma1_sq=sigma1_sq, bigQ=bigQ)
         cfg = scen.ScenarioConfig(
             name="overflow",
             kind=kind,
@@ -584,6 +603,37 @@ class TestRunScenario:
         assert manifest["partial"] is True
         assert manifest["error"].startswith("NumericalError")
         assert manifest["files"] == []
+
+
+# summaries of the bundled configs at horizon 2,000 from a reference build;
+# a change that moves one on purpose regenerates the file and says why
+GOLDEN_SUMMARIES = Path(__file__).parent / "data" / "bundled_summaries.json"
+# summary values at rounding level, held to their bound instead
+ROUNDING_BOUNDS = {"max_rel_deviation": 1e-10}
+
+
+def assert_summary_matches(got, want, where):
+    """ints, bools and strings exactly, floats within 1e-9 relative."""
+    if isinstance(want, dict):
+        assert sorted(got) == sorted(want), where
+        for key, value in want.items():
+            if key in ROUNDING_BOUNDS:
+                assert 0.0 <= got[key] <= ROUNDING_BOUNDS[key], f"{where}.{key}"
+            else:
+                assert_summary_matches(got[key], value, f"{where}.{key}")
+    elif isinstance(want, float):
+        assert isinstance(got, float) and got == pytest.approx(want, rel=1e-9, abs=0.0), where
+    else:
+        assert type(got) is type(want) and got == want, where
+
+
+@pytest.mark.parametrize("name", _bundled_names())
+def test_bundled_summary_matches_golden(tmp_path, name):
+    raw = json.loads((_bundled_dir() / f"{name}.json").read_text())
+    raw["horizon"] = 2_000
+    run_scenario(validate_config(raw), str(tmp_path))
+    got = json.loads((tmp_path / name / "summary.json").read_text())
+    assert_summary_matches(got, json.loads(GOLDEN_SUMMARIES.read_text())[name], name)
 
 
 NAN, INF = float("nan"), float("inf")
