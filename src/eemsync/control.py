@@ -32,7 +32,7 @@ from .filters import (  # noqa: F401
 )
 from .models import EnsembleModel
 from .presets import DEFAULT_COLLECTIVE_GAIN_COEFFS, DEFAULT_OBS_GAIN_COEFFS
-from .simkit import NoiseSampler, TrajectoryRecord, _free_run
+from .simkit import BLOCK, NoiseSampler, TrajectoryRecord, _free_run
 
 __all__ = [
     "ControllerConfig",
@@ -106,10 +106,11 @@ class ControllerConfig:
     ``K_bo`` is the collective gain on the ensemble mean: with it the loop
     is balanced and kicks the mean at the steps k with
     (k - phase) % m == 0; ``None`` only synchronizes.  Every problem with
-    F_o's shape, m (an integer >= 1), phase (an integer) or tau (finite,
-    > 0) is reported in one :class:`ConfigError`.  ``validate=False``
-    skips the spectral checks; the destabilized runs used to exercise the
-    instability direction of the synchronization theorem need it.
+    F_o's shape, K_bo (2 numbers), m (an integer >= 1), phase (an
+    integer) or tau (finite, > 0) is reported in one :class:`ConfigError`.
+    ``validate=False`` skips the spectral checks; the destabilized runs
+    used to exercise the instability direction of the synchronization
+    theorem need it.
     """
 
     q: np.ndarray
@@ -143,7 +144,14 @@ class ControllerConfig:
         if not (np.isfinite(self.tau) and self.tau > 0):
             problems.append(f"tau must be finite and > 0, got {self.tau!r}")
         if self.K_bo is not None:
-            object.__setattr__(self, "K_bo", np.asarray(self.K_bo, dtype=float).reshape(1, 2))
+            try:
+                K_bo = np.asarray(self.K_bo, dtype=float)
+            except (TypeError, ValueError):
+                K_bo = None
+            if K_bo is None or K_bo.size != 2:
+                problems.append(f"K_bo must hold 2 numbers, got {self.K_bo!r}")
+            else:
+                object.__setattr__(self, "K_bo", K_bo.reshape(1, 2))
         if problems:
             raise ConfigError(problems)
         if self.validate:
@@ -202,10 +210,6 @@ class EemPolicy:
         return np.asarray(self.omega_o_log), np.asarray(self.omega_obar_log)
 
 
-# steps per block of the fused recursion: bounds its work array, not the result
-_LOOP_BLOCK = 4096
-
-
 def closed_loop(
     model: EnsembleModel,
     cfg: ControllerConfig,
@@ -230,10 +234,12 @@ def closed_loop(
     basis q' Vplus = 0, so the synchronization input drives only the
     relative states and the mean moves by v and the kicks alone; the
     observer reads the relative phases y - w directly instead of as
-    differences of large phases.  Afterwards x = Tinv xi, y, the commands
-    and u = Vplus omega_o + 1 omega_obar are formed in blocks; a clock
-    whose row of Vplus is zero (the steering weight's) gets an input of
-    exactly 0.0.  Agrees with the policy loop up to rounding.
+    differences of large phases.  The recursion runs in blocks of
+    ``BLOCK`` steps, each drawing its own measurement noise; after each
+    block its x = Tinv xi, y and commands are formed, and at the end
+    u = Vplus omega_o + 1 omega_obar; a clock whose row of Vplus is zero
+    (the steering weight's) gets an input of exactly 0.0.  Agrees with the
+    policy loop up to rounding.
 
     Returns the record (``h`` is a view of ``x``; ``v`` holds the process
     noise, for :func:`destination_from_noise`) and the command logs
@@ -250,7 +256,6 @@ def closed_loop(
     obs, obar = slice(n2, 2 * n2 - 2), slice(2 * n2 - 2, 2 * n2)
     sampler = NoiseSampler(model, seed)
     v = sampler.process_block(T)
-    w = sampler.measurement_block(T)
 
     H_o, H_bo = gains.H_o_star, gains.H_bo_star
     M = np.zeros((2 * n2, 2 * n2))
@@ -277,17 +282,18 @@ def closed_loop(
     y = np.empty((T, N - 1))
     omega_o = np.empty((T, N - 1))
     omega_obar = np.zeros(T)
-    Z = np.empty((min(T, _LOOP_BLOCK) + 1, 2 * n2))
+    Z = np.empty((min(T, BLOCK) + 1, 2 * n2))
     Z[0] = 0.0
     rows = list(Z)
-    for k0 in range(0, T, _LOOP_BLOCK):
-        n = min(_LOOP_BLOCK, T - k0)
-        Z[1 : n + 1, :n2] = w[k0 : k0 + n] @ w_gain
+    for k0 in range(0, T, BLOCK):
+        n = min(BLOCK, T - k0)
+        w = sampler.measurement_block(n)
+        Z[1 : n + 1, :n2] = w @ w_gain
         Z[1 : n + 1, n2:] = v[k0 : k0 + n] @ d.T.T
         for prev, nxt, kick in zip(rows[:n], rows[1 : n + 1], kicks[k0 : k0 + n].tolist()):
             nxt += prev @ (M_kick_T if kick else M_T)
         x[k0 + 1 : k0 + n + 1] = Z[1 : n + 1, n2:] @ d.Tinv.T
-        y[k0 : k0 + n] = Z[:n, obs] @ d.Co.T + w[k0 : k0 + n]
+        y[k0 : k0 + n] = Z[:n, obs] @ d.Co.T + w
         omega_o[k0 : k0 + n] = -(Z[:n, obs_hat] @ cfg.F_o.T)
         at = np.flatnonzero(kicks[k0 : k0 + n])
         if at.size:
@@ -335,7 +341,8 @@ def destination_from_noise(
         if x0.shape != (2 * N,):
             raise ValueError(f"x0 must have shape ({2 * N},), got {x0.shape}")
         r0 = (x0[:N] @ qv, x0[N:] @ qv)
-    return _free_run(model.tau, (v[:, :N] @ qv)[:, None], (v[:, N:] @ qv)[:, None], *r0)
+    v_mean = np.column_stack([v[:, :N] @ qv, v[:, N:] @ qv])
+    return _free_run(model.tau, [v_mean], np.empty((len(v) + 1, 2)), *r0)
 
 
 def sync_error(traj, dest: np.ndarray) -> np.ndarray:

@@ -23,6 +23,7 @@ from .allan import variance_vector, weight_long
 from .decomp import Decomposition, generalized_inverse
 from .errors import ConvergenceError, NumericalError
 from .models import EnsembleModel
+from .simkit import BLOCK
 
 __all__ = [
     "StandardKFState",
@@ -342,10 +343,6 @@ class FilterPass:
     det_increments: Optional[np.ndarray] = None
 
 
-# rows of posterior phases that filter_pass holds at once
-_PASS_BLOCK = 4096
-
-
 def _increment_row(row: np.ndarray, k: int, a, a_prev, b, b_prev) -> None:
     row[1], row[3] = _fro(a), _fro(b)
     if k == 0:
@@ -379,7 +376,7 @@ def filter_pass(
     eps = None
     if x is not None:
         eps = np.empty(T)
-        phases = np.empty((min(T, _PASS_BLOCK), N))  # posterior phases of one block
+        phases = np.empty((min(T, BLOCK), N))  # posterior phases of one block
     inc = np.empty((T, 4)) if increments else None
     deviation = det_inc = None
     if d is not None:
@@ -396,7 +393,7 @@ def filter_pass(
         prev = (H, Pm)
         xhat, P, _, Pm, H = _standard_update(model, xhat, P, None, y[k])
         if eps is not None:
-            i = k % _PASS_BLOCK
+            i = k % BLOCK
             phases[i] = xhat[:N]
             if i == len(phases) - 1 or k == T - 1:
                 # reference_timescale(x[k] - xhat) row by row: each row is

@@ -27,6 +27,10 @@ __all__ = [
 
 Policy = Callable[[int, np.ndarray], np.ndarray]
 
+# rows per block of noise, and of every streamed pass over a run: bounds
+# the work arrays, not the result
+BLOCK = 4096
+
 
 def _sqrt_factor_lower(M: np.ndarray) -> np.ndarray:
     """Lower-triangular L with L L^T = M for symmetric PSD M.
@@ -44,8 +48,23 @@ def _sqrt_factor_lower(M: np.ndarray) -> np.ndarray:
         return r.T
 
 
+def _colour(z: np.ndarray, chol: np.ndarray) -> np.ndarray:
+    """z @ chol.T with every row rounded as in a longer product: numpy
+    sends a one-row product to gemv, whose sums round unlike gemm's rows."""
+    if z.shape[0] == 1:
+        return (np.repeat(z, 2, axis=0) @ chol.T)[:1]
+    return z @ chol.T
+
+
 class NoiseSampler:
-    """Gaussian process/measurement noise with reproducible sub-streams."""
+    """Gaussian process/measurement noise with reproducible sub-streams.
+
+    Each draw continues its sub-stream, and each row of noise depends
+    only on its own standard normals.  So successive
+    ``process_block(a)`` and ``process_block(b)`` calls together equal
+    one ``process_block(a + b)`` bit for bit, and the same holds for
+    ``measurement_block``: a run may draw its noise block by block.
+    """
 
     def __init__(self, model: EnsembleModel, seed: int):
         self.seed = int(seed)
@@ -57,13 +76,11 @@ class NoiseSampler:
 
     def process_block(self, T: int) -> np.ndarray:
         """Draw T process-noise vectors v[0..T-1], shape (T, 2N)."""
-        z = self._proc.standard_normal((T, self.chol_q.shape[0]))
-        return z @ self.chol_q.T
+        return _colour(self._proc.standard_normal((T, self.chol_q.shape[0])), self.chol_q)
 
     def measurement_block(self, T: int) -> np.ndarray:
         """Draw T measurement-noise vectors w[0..T-1], shape (T, N-1)."""
-        z = self._meas.standard_normal((T, self.chol_r.shape[0]))
-        return z @ self.chol_r.T
+        return _colour(self._meas.standard_normal((T, self.chol_r.shape[0])), self.chol_r)
 
 
 @dataclass
@@ -72,8 +89,10 @@ class TrajectoryRecord:
 
     State series x and h have T+1 entries (k = 0..T); the
     measurement-aligned series y, u, and the optional xhat and v have T
-    entries (k = 0..T-1), since step T receives no input.  Treat records
-    as immutable once returned.
+    entries (k = 0..T-1), since step T receives no input.  The process
+    noise v is kept only by :func:`eemsync.control.closed_loop`, for its
+    destination; :func:`simulate` draws its noise one block at a time and
+    keeps none.  Treat records as immutable once returned.
     """
 
     tau: float
@@ -103,9 +122,8 @@ def simulate(
     T: int,
     seed: int,
     x0: Optional[np.ndarray] = None,
-    record_noise: bool = False,
 ) -> TrajectoryRecord:
-    """Run the closed loop for T steps and record everything.
+    """Run the closed loop for T steps and record x, y and u.
 
     Parameters
     ----------
@@ -115,7 +133,10 @@ def simulate(
     seed : drives both noise sub-streams, which every run draws; equal
         seeds reproduce the record bit-for-bit.
     x0 : initial ensemble state, default zero.
-    record_noise : keep the process-noise draws in the record (v).
+
+    The noise is drawn, and used, in blocks of ``BLOCK`` rows, so besides
+    the record a run holds one block of noise; by the block property of
+    :class:`NoiseSampler` the record is the one whole draws would give.
     """
     if T < 1:
         raise ValueError(f"T must be >= 1, got {T}")
@@ -129,55 +150,76 @@ def simulate(
             raise ValueError(f"x0 must have shape ({n2},), got {x0.shape}")
 
     sampler = NoiseSampler(model, seed)
-    v = sampler.process_block(T)
-    w = sampler.measurement_block(T)
+    spans = [(k0, min(k0 + BLOCK, T)) for k0 in range(0, T, BLOCK)]
+    xs = np.empty((T + 1, n2))
+    ys = np.empty((T, N - 1))
 
     if policy is None:
-        xs = _free_run(model.tau, v[:, :N], v[:, N:], x0[:N], x0[N:])
-        ys = xs[:T, :N] @ model.meas.V.T + w
+        process = (sampler.process_block(k1 - k0) for k0, k1 in spans)
+        _free_run(model.tau, process, xs, x0[:N], x0[N:])
+        # one product over every row: a one-row block would round otherwise
+        np.matmul(xs[:T, :N], model.meas.V.T, out=ys)
+        for k0, k1 in spans:
+            ys[k0:k1] += sampler.measurement_block(k1 - k0)
         us = np.zeros((T, N))
     else:
-        xs = np.empty((T + 1, n2))
-        ys = np.empty((T, N - 1))
         us = np.empty((T, N))
         xs[0] = x0
         bigA, bigB, bigC = model.bigA, model.bigB, model.bigC
         x = x0
-        for k in range(T):
-            y = bigC @ x + w[k]
-            u = np.asarray(policy(k, y), dtype=float)
-            if u.shape != (N,):
-                raise ValueError(
-                    f"policy returned input of shape {u.shape}, expected ({N},)"
-                )
-            ys[k] = y
-            us[k] = u
-            x = bigA @ x + bigB @ u + v[k]
-            xs[k + 1] = x
+        for k0, k1 in spans:
+            v = sampler.process_block(k1 - k0)
+            w = sampler.measurement_block(k1 - k0)
+            for k in range(k0, k1):
+                y = bigC @ x + w[k - k0]
+                u = np.asarray(policy(k, y), dtype=float)
+                if u.shape != (N,):
+                    raise ValueError(
+                        f"policy returned input of shape {u.shape}, expected ({N},)"
+                    )
+                ys[k] = y
+                us[k] = u
+                x = bigA @ x + bigB @ u + v[k - k0]
+                xs[k + 1] = x
 
-    return TrajectoryRecord(tau=model.tau, x=xs, y=ys, u=us, v=v if record_noise else None)
+    return TrajectoryRecord(tau=model.tau, x=xs, y=ys, u=us)
 
 
-def _free_run(tau: float, v_phase, v_freq, phase0, freq0) -> np.ndarray:
-    """States of n free-running clocks, shape (T+1, 2n): phases, then
-    frequencies.
+def _free_run(tau: float, blocks, out: np.ndarray, phase0, freq0) -> np.ndarray:
+    """Fill ``out``, shape (T+1, 2n), with the states of n free-running
+    clocks, phases then frequencies, and return it.
 
-    Integrates x[k+1] = A x[k] + v[k] by cumulative sums, in place in the
-    one array it returns: freq[k] = freq0 + sum_{j<k} v_freq[j], then
-    phase[k] = phase0 + sum_{j<k} (tau freq[j] + v_phase[j]).  The noise
-    blocks have shape (T, n).
+    Integrates x[k+1] = A x[k] + v[k] by cumulative sums, in place:
+    freq[k] = freq0 + sum_{j<k} v_freq[j], then
+    phase[k] = phase0 + sum_{j<k} (tau freq[j] + v_phase[j]).  ``blocks``
+    yields the noise v[0..T-1] as consecutive blocks of shape (b, 2n),
+    v_phase then v_freq.  Each block's sums go on from the raw sums of
+    the block before, and a cumulative sum adds in order, so the states
+    do not depend on how the noise is blocked.
     """
-    T, n = v_freq.shape
-    out = np.empty((T + 1, 2 * n))
+    n = out.shape[1] // 2
     phase, freq = out[:, :n], out[:, n:]
     phase[0] = phase0
     freq[0] = freq0
-    np.cumsum(v_freq, axis=0, out=freq[1:])
-    freq[1:] += freq0
-    np.multiply(tau, freq[:-1], out=phase[1:])
-    phase[1:] += v_phase
-    np.cumsum(phase[1:], axis=0, out=phase[1:])
-    phase[1:] += phase0
+    k = 0
+    for v in blocks:
+        v_phase, v_freq = v[:, :n], v[:, n:]
+        k1 = k + len(v)
+        f, p = freq[k + 1 : k1 + 1], phase[k + 1 : k1 + 1]
+        f[...] = v_freq
+        if k:
+            f[0] += raw_freq
+        np.cumsum(f, axis=0, out=f)
+        raw_freq = f[-1].copy()
+        f += freq0
+        np.multiply(tau, freq[k:k1], out=p)
+        p += v_phase
+        if k:
+            p[0] += raw_phase
+        np.cumsum(p, axis=0, out=p)
+        raw_phase = p[-1].copy()
+        p += phase0
+        k = k1
     return out
 
 
@@ -194,8 +236,8 @@ def digital_imitation(model: DiscreteClockModel, u: np.ndarray) -> np.ndarray:
         raise ValueError(f"u must be a scalar series, got shape {u.shape}")
     if not np.all(np.isfinite(u)):
         raise ValueError("u must be finite")
-    u = u[:, None]
-    return _free_run(model.tau, model.tau * u, u, 0.0, 0.0)[:, 0]
+    v = np.column_stack([model.tau * u, u])
+    return _free_run(model.tau, [v], np.empty((len(u) + 1, 2)), 0.0, 0.0)[:, 0]
 
 
 def reference_timescale(e: np.ndarray, N: int) -> np.ndarray:

@@ -7,6 +7,7 @@ synchronization feedback does, and the collective input moves every
 relative coordinate by exactly nothing.
 """
 
+import tracemalloc
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -21,6 +22,7 @@ from eemsync import (
     DeterminateKFState,
     EemPolicy,
     NoiseParams,
+    NoiseSampler,
     StationaryGains,
     build_ensemble,
     check_collective_gain,
@@ -41,6 +43,7 @@ from eemsync import (
     validate_config,
 )
 from eemsync.presets import DEMO_MEAS_STD, DEMO_SIGMA1, DEMO_SIGMA2
+from eemsync.simkit import TrajectoryRecord
 
 
 # ---------------------------------------------------------------------------
@@ -270,6 +273,14 @@ class TestControllerConfig:
         with pytest.raises(ConfigError, match=f"{loop} closed loop is not contractive"):
             ControllerConfig(q=np.full(4, 0.25), F_o=F_o, K_bo=K_bo, m=10)
 
+    @pytest.mark.parametrize("K_bo", [[1.0, 2.0, 3.0], "x", [[0.01], [1.0, 2.0]]])
+    def test_malformed_collective_gain_rejected_by_name(self, K_bo):
+        # each used to raise a bare ValueError from reshape or float()
+        with pytest.raises(ConfigError) as excinfo:
+            ControllerConfig(q=np.full(4, 0.25), F_o=np.zeros((2, 2)), K_bo=K_bo, m=0)
+        assert len(excinfo.value.problems) == 3
+        assert any(p.startswith("K_bo") for p in excinfo.value.problems)
+
     def test_field_coercion(self):
         cfg = ControllerConfig(
             q=[0.25, 0.25, 0.25, 0.25],
@@ -306,11 +317,11 @@ class TestDestinationTrajectory:
     def test_recursion_on_recorded_noise(self, model4):
         q = np.full(4, 0.25)
         T = 200
-        free = simulate(model4, None, T, seed=21, record_noise=True)
+        v = NoiseSampler(model4, seed=21).process_block(T)
         dest = destination_trajectory(model4, q, T, seed=21)
         A = np.array([[1.0, model4.tau], [0.0, 1.0]])
         kicked = dest[:-1] @ A.T
-        driven = np.column_stack([free.v[:, :4] @ q, free.v[:, 4:] @ q])
+        driven = np.column_stack([v[:, :4] @ q, v[:, 4:] @ q])
         np.testing.assert_allclose(dest[1:], kicked + driven, rtol=1e-9, atol=1e-24)
 
     def test_horizon_validation(self, model4):
@@ -537,6 +548,118 @@ FUSED_T = 5000
 @pytest.fixture(scope="module")
 def model10():
     return demo_ensemble()
+
+
+def reference_closed_loop(model, cfg, d, gains, T, seed):
+    """closed_loop as it was when it drew all of v and w before the
+    recursion: returns the record and the command logs."""
+    N = model.N
+    n2 = 2 * N
+    obs_hat, obar_hat = slice(0, n2 - 2), slice(n2 - 2, n2)
+    obs, obar = slice(n2, 2 * n2 - 2), slice(2 * n2 - 2, 2 * n2)
+    sampler = NoiseSampler(model, seed)
+    v = sampler.process_block(T)
+    w = sampler.measurement_block(T)
+
+    H_o, H_bo = gains.H_o_star, gains.H_bo_star
+    M = np.zeros((2 * n2, 2 * n2))
+    M[obs_hat, obs_hat] = d.Ao @ (np.eye(n2 - 2) - H_o @ d.Co) - d.Bo @ cfg.F_o
+    M[obs_hat, obs] = d.Ao @ H_o @ d.Co
+    M[obar_hat, obs_hat] = -(d.A @ H_bo @ d.Co)
+    M[obar_hat, obar_hat] = d.A
+    M[obar_hat, obs] = d.A @ H_bo @ d.Co
+    M[obs, obs_hat] = -(d.Bo @ cfg.F_o)
+    M[obs, obs] = d.Ao
+    M[obar, obar] = d.A
+    M_kick = M.copy()
+    kicks = np.zeros(T, dtype=bool)
+    if cfg.K_bo is not None:
+        M_kick[obar_hat, obar_hat] -= np.outer(d.B, cfg.K_bo)
+        M_kick[obar, obar_hat] = -np.outer(d.B, cfg.K_bo)
+        kicks[cfg.phase % cfg.m :: cfg.m] = True
+    M_T, M_kick_T = M.T.copy(), M_kick.T.copy()
+    w_gain = np.vstack([d.Ao @ H_o, d.A @ H_bo]).T
+
+    block = 4096
+    x = np.empty((T + 1, n2))
+    x[0] = 0.0
+    y = np.empty((T, N - 1))
+    omega_o = np.empty((T, N - 1))
+    omega_obar = np.zeros(T)
+    Z = np.empty((min(T, block) + 1, 2 * n2))
+    Z[0] = 0.0
+    rows = list(Z)
+    for k0 in range(0, T, block):
+        n = min(block, T - k0)
+        Z[1 : n + 1, :n2] = w[k0 : k0 + n] @ w_gain
+        Z[1 : n + 1, n2:] = v[k0 : k0 + n] @ d.T.T
+        for prev, nxt, kick in zip(rows[:n], rows[1 : n + 1], kicks[k0 : k0 + n].tolist()):
+            nxt += prev @ (M_kick_T if kick else M_T)
+        x[k0 + 1 : k0 + n + 1] = Z[1 : n + 1, n2:] @ d.Tinv.T
+        y[k0 : k0 + n] = Z[:n, obs] @ d.Co.T + w[k0 : k0 + n]
+        omega_o[k0 : k0 + n] = -(Z[:n, obs_hat] @ cfg.F_o.T)
+        at = np.flatnonzero(kicks[k0 : k0 + n])
+        if at.size:
+            omega_obar[k0 + at] = -(Z[at, obar_hat] @ cfg.K_bo[0])
+        Z[0] = Z[n]
+
+    u = omega_o @ d.Vplus.T + omega_obar[:, None]
+    return TrajectoryRecord(tau=model.tau, x=x, y=y, u=u, v=v), omega_o, omega_obar
+
+
+class TestStreamedClosedLoop:
+    @pytest.mark.parametrize("T", [1, 4095, 4096, 4097, 3 * 4096 + 5])
+    @pytest.mark.parametrize("tau", [1.0, 0.7])
+    @pytest.mark.parametrize("case", ["sync-only", "balanced", "steering"])
+    @pytest.mark.parametrize("n_clocks", [4, 10])
+    def test_matches_whole_draws(self, n_clocks, case, tau, T):
+        model = demo_ensemble(n_clocks=n_clocks, tau=tau)
+        q = np.full(n_clocks, 1.0 / n_clocks)
+        if case == "steering":
+            q = np.zeros(n_clocks)
+            q[-1] = 1.0
+        d = decompose(model, q)
+        g = solve_stationary(d, model.meas.R)
+        balanced = case == "balanced"
+        cfg = ControllerConfig(
+            q=q,
+            F_o=default_obs_gain(n_clocks, tau),
+            K_bo=default_collective_gain(50, tau) if balanced else None,
+            m=50 if balanced else 1,
+            tau=tau,
+            phase=37 if balanced else 0,
+        )
+        rec, omega_o, omega_obar = closed_loop(model, cfg, d, g, T, seed=T)
+        ref, ref_o, ref_obar = reference_closed_loop(model, cfg, d, g, T, seed=T)
+        for got, want in (
+            (rec.x, ref.x),
+            (rec.y, ref.y),
+            (rec.u, ref.u),
+            (rec.v, ref.v),
+            (omega_o, ref_o),
+            (omega_obar, ref_obar),
+        ):
+            assert got.shape == want.shape
+            assert np.array_equal(got, want)
+
+    def test_peak_memory(self):
+        model = demo_ensemble()
+        N, T = model.N, 20_000
+        q = np.full(N, 1.0 / N)
+        d = decompose(model, q)
+        g = solve_stationary(d, model.meas.R)
+        cfg = ControllerConfig(
+            q=q, F_o=default_obs_gain(N, model.tau), K_bo=default_collective_gain(200, model.tau), m=200
+        )
+        closed_loop(model, cfg, d, g, 2, seed=3)
+        tracemalloc.start()
+        try:
+            closed_loop(model, cfg, d, g, T, seed=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # x, y, u, v and omega_o, and one block of the recursion: 4.64 state arrays
+        assert peak <= 4.85 * (T + 1) * 2 * N * 8
 
 
 class TestClosedLoopMatchesPolicy:

@@ -605,8 +605,9 @@ class TestRunScenario:
         assert manifest["files"] == []
 
 
-# summaries of the bundled configs at horizon 2,000 from a reference build;
-# a change that moves one on purpose regenerates the file and says why
+# summaries of the bundled configs, keyed by horizon, from a reference
+# build: 2,000 steps fit in one noise block, 10,000 span three; a change
+# that moves one on purpose regenerates the file and says why
 GOLDEN_SUMMARIES = Path(__file__).parent / "data" / "bundled_summaries.json"
 # summary values at rounding level, held to their bound instead
 ROUNDING_BOUNDS = {"max_rel_deviation": 1e-10}
@@ -627,13 +628,18 @@ def assert_summary_matches(got, want, where):
         assert type(got) is type(want) and got == want, where
 
 
-@pytest.mark.parametrize("name", _bundled_names())
-def test_bundled_summary_matches_golden(tmp_path, name):
+@pytest.mark.parametrize(
+    "name, horizon",
+    [pytest.param(name, 2_000, id=name) for name in _bundled_names()]
+    + [pytest.param(name, 10_000, id=f"{name}-10000") for name in _bundled_names()],
+)
+def test_bundled_summary_matches_golden(tmp_path, name, horizon):
     raw = json.loads((_bundled_dir() / f"{name}.json").read_text())
-    raw["horizon"] = 2_000
+    raw["horizon"] = horizon
     run_scenario(validate_config(raw), str(tmp_path))
     got = json.loads((tmp_path / name / "summary.json").read_text())
-    assert_summary_matches(got, json.loads(GOLDEN_SUMMARIES.read_text())[name], name)
+    want = json.loads(GOLDEN_SUMMARIES.read_text())[str(horizon)][name]
+    assert_summary_matches(got, want, name)
 
 
 NAN, INF = float("nan"), float("inf")

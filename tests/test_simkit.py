@@ -55,6 +55,31 @@ class TestReproducibility:
         assert np.array_equal(w1, w2)
 
 
+class TestBlockDraws:
+    @pytest.mark.parametrize("sizes", [(1, 4095), (4096, 1), (4097, 3)])
+    @pytest.mark.parametrize("n_clocks", [3, 10])
+    def test_split_draws_equal_one_draw(self, n_clocks, sizes):
+        # a one-row draw must round like a row of a longer one, which
+        # numpy's one-row product (gemv) did not
+        model = demo_ensemble(n_clocks=n_clocks)
+        whole, split = NoiseSampler(model, seed=5), NoiseSampler(model, seed=5)
+        for draw in ("process_block", "measurement_block"):
+            want = getattr(whole, draw)(sum(sizes))
+            got = np.concatenate([getattr(split, draw)(n) for n in sizes])
+            assert np.array_equal(got, want), draw
+
+    @pytest.mark.parametrize("T", [2, 4097])
+    def test_draw_colours_the_philox_sub_streams(self, T):
+        # the rows of a draw of two or more are those of one product z @ L.T
+        model = demo_ensemble()
+        sampler = NoiseSampler(model, seed=9)
+        proc, meas = (np.random.Generator(np.random.Philox(s)) for s in np.random.SeedSequence(9).spawn(2))
+        z_v = proc.standard_normal((T, 2 * model.N))
+        z_w = meas.standard_normal((T, model.N - 1))
+        assert np.array_equal(sampler.process_block(T), z_v @ sampler.chol_q.T)
+        assert np.array_equal(sampler.measurement_block(T), z_w @ sampler.chol_r.T)
+
+
 class TestNoiseStatistics:
     def test_process_covariance_matches_model(self):
         model = unit_scale_model(tau=2.0)
@@ -87,11 +112,13 @@ class TestSimulate:
         assert np.max(np.abs(free.x - looped.x)) <= 1e-12 * scale
         assert np.max(np.abs(free.y - looped.y)) <= 1e-12 * max(scale, np.max(np.abs(looped.y)))
 
-    def test_recorded_noise_closes_the_recursion(self):
+    def test_replayed_noise_closes_the_recursion(self):
         model = unit_scale_model(n=3)
-        rec = simulate(model, lambda k, y: np.full(3, 0.1), 100, seed=13, record_noise=True)
+        rec = simulate(model, lambda k, y: np.full(3, 0.1), 100, seed=13)
+        v = NoiseSampler(model, seed=13).process_block(100)
+        assert rec.v is None
         for k in range(rec.T):
-            expected = model.bigA @ rec.x[k] + model.bigB @ rec.u[k] + rec.v[k]
+            expected = model.bigA @ rec.x[k] + model.bigB @ rec.u[k] + v[k]
             assert np.array_equal(rec.x[k + 1], expected)
 
     def test_policy_sees_measurement_of_current_state(self):
@@ -159,14 +186,15 @@ class TestFreeRunIntegrator:
     def test_matches_reference_bit_for_bit(self, n_clocks, with_x0, tau, T):
         model = demo_ensemble(n_clocks=n_clocks, tau=tau)
         x0 = np.random.default_rng(n_clocks).normal(scale=1e-9, size=2 * model.N) if with_x0 else None
-        rec = simulate(model, None, T, seed=40 + n_clocks, x0=x0, record_noise=True)
+        rec = simulate(model, None, T, seed=40 + n_clocks, x0=x0)
+        v = NoiseSampler(model, seed=40 + n_clocks).process_block(T)
         start = np.zeros(2 * model.N) if x0 is None else x0
-        assert np.array_equal(rec.x, reference_free_run(model, start, rec.v))
+        assert np.array_equal(rec.x, reference_free_run(model, start, v))
         assert np.shares_memory(rec.h, rec.x)
         q = np.random.default_rng(T).dirichlet(np.ones(model.N))
         assert np.array_equal(
-            destination_from_noise(model, q, rec.v, x0),
-            reference_destination_from_noise(model, q, rec.v, x0),
+            destination_from_noise(model, q, v, x0),
+            reference_destination_from_noise(model, q, v, x0),
         )
 
     def test_free_run_peak_memory(self):
@@ -179,8 +207,61 @@ class TestFreeRunIntegrator:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # v, w, x, y and u, with the phase block h a view of x
-        assert peak <= 3.5 * (T + 1) * 2 * model.N * 8
+        # x, y and u, with the phase block h a view of x, and one block of
+        # noise: 2.07 state arrays
+        assert peak <= 2.27 * (T + 1) * 2 * model.N * 8
+
+
+def reference_simulate(model, policy, T, seed, x0=None):
+    """simulate as it was when it drew all of v and w before the run:
+    returns x, y and u."""
+    N = model.N
+    x0 = np.zeros(2 * N) if x0 is None else x0
+    sampler = NoiseSampler(model, seed)
+    v = sampler.process_block(T)
+    w = sampler.measurement_block(T)
+    if policy is None:
+        xs = reference_free_run(model, x0, v)
+        return xs, xs[:T, :N] @ model.meas.V.T + w, np.zeros((T, N))
+    xs = np.empty((T + 1, 2 * N))
+    ys = np.empty((T, N - 1))
+    us = np.empty((T, N))
+    xs[0] = x0
+    x = x0
+    for k in range(T):
+        y = model.bigC @ x + w[k]
+        u = np.asarray(policy(k, y), dtype=float)
+        ys[k] = y
+        us[k] = u
+        x = model.bigA @ x + model.bigB @ u + v[k]
+        xs[k + 1] = x
+    return xs, ys, us
+
+
+def feedback_policy(k, y):
+    """Steers every clock but the last against its relative phase."""
+    return np.append(-0.1 * y, 0.0) * (1.0 + (k % 3))
+
+
+# horizons around the noise block of 4096 rows
+STREAM_T = [1, 4095, 4096, 4097, 3 * 4096 + 5]
+
+
+class TestStreamedSimulate:
+    @pytest.mark.parametrize("T", STREAM_T)
+    @pytest.mark.parametrize("tau", [1.0, 0.7])
+    @pytest.mark.parametrize("with_x0", [False, True])
+    @pytest.mark.parametrize("case", ["free-3", "free-10", "policy-3"])
+    def test_matches_whole_draws(self, case, with_x0, tau, T):
+        kind, n_clocks = case.split("-")
+        model = demo_ensemble(n_clocks=int(n_clocks), tau=tau)
+        x0 = np.random.default_rng(T).normal(scale=1e-6, size=2 * model.N) if with_x0 else None
+        policy = None if kind == "free" else feedback_policy
+        rec = simulate(model, policy, T, seed=T, x0=x0)
+        assert rec.v is None
+        for got, want in zip((rec.x, rec.y, rec.u), reference_simulate(model, policy, T, T, x0)):
+            assert got.shape == want.shape
+            assert np.array_equal(got, want)
 
 
 class TestPaperClock:
