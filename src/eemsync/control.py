@@ -8,14 +8,14 @@ unobservable ensemble mean without disturbing any relative state.
 simulator; ``closed_loop`` runs the same loop on stationary gains as one
 linear recursion over plant and observer together.  The
 synchronization destination is the free-running weighted-mean process,
-co-simulated on the recorded noise so that errors are measured against
-the destination the ensemble actually carries.
+driven by the very process noise the loop draws, so that errors are
+measured against the destination the ensemble actually carries.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -32,7 +32,7 @@ from .filters import (  # noqa: F401
 )
 from .models import EnsembleModel
 from .presets import DEFAULT_COLLECTIVE_GAIN_COEFFS, DEFAULT_OBS_GAIN_COEFFS
-from .simkit import BLOCK, NoiseSampler, TrajectoryRecord, _free_run
+from .simkit import BLOCK, NoiseSampler, TrajectoryRecord, _free_run, _spans
 
 __all__ = [
     "ControllerConfig",
@@ -43,7 +43,6 @@ __all__ = [
     "default_obs_gain",
     "default_collective_gain",
     "destination_trajectory",
-    "destination_from_noise",
     "sync_error",
 ]
 
@@ -217,7 +216,8 @@ def closed_loop(
     gains: StationaryGains,
     T: int,
     seed: int,
-) -> Tuple[TrajectoryRecord, np.ndarray, np.ndarray]:
+    weights: Sequence[np.ndarray] = (),
+) -> Tuple[TrajectoryRecord, np.ndarray, np.ndarray, List[np.ndarray]]:
     """The loop of ``simulate(model, EemPolicy(cfg, d, gains), T, seed)``,
     run as one state-space recursion.
 
@@ -235,15 +235,17 @@ def closed_loop(
     relative states and the mean moves by v and the kicks alone; the
     observer reads the relative phases y - w directly instead of as
     differences of large phases.  The recursion runs in blocks of
-    ``BLOCK`` steps, each drawing its own measurement noise; after each
-    block its x = Tinv xi, y and commands are formed, and at the end
+    ``BLOCK`` steps, each drawing its own process and measurement noise;
+    after each block its x = Tinv xi, y and commands are formed, and its
+    process noise is projected on ``weights`` and dropped.  At the end
     u = Vplus omega_o + 1 omega_obar; a clock whose row of Vplus is zero
     (the steering weight's) gets an input of exactly 0.0.  Agrees with the
     policy loop up to rounding.
 
-    Returns the record (``h`` is a view of ``x``; ``v`` holds the process
-    noise, for :func:`destination_from_noise`) and the command logs
-    (omega_o, omega_obar), as ``EemPolicy.command_log`` gives them.
+    Returns the record (``h`` is a view of ``x``; ``v`` is ``None``), the
+    command logs (omega_o, omega_obar), as ``EemPolicy.command_log`` gives
+    them, and for each of ``weights`` its destination, shape (T+1, 2):
+    bit for bit ``destination_trajectory(model, q, T, seed)``.
     """
     if d.q is None:
         raise ValueError("the controller requires a weight-basis decomposition")
@@ -251,11 +253,11 @@ def closed_loop(
         raise ValueError(f"T must be >= 1, got {T}")
     N = model.N
     n2 = 2 * N
+    Q = np.array([weight_vector(q, N) for q in weights]).reshape(-1, N)
     # z[:n2] holds the estimates, z[n2:] the state, each as (xi_o, xi_obar)
     obs_hat, obar_hat = slice(0, n2 - 2), slice(n2 - 2, n2)
     obs, obar = slice(n2, 2 * n2 - 2), slice(2 * n2 - 2, 2 * n2)
     sampler = NoiseSampler(model, seed)
-    v = sampler.process_block(T)
 
     H_o, H_bo = gains.H_o_star, gains.H_bo_star
     M = np.zeros((2 * n2, 2 * n2))
@@ -282,27 +284,48 @@ def closed_loop(
     y = np.empty((T, N - 1))
     omega_o = np.empty((T, N - 1))
     omega_obar = np.zeros(T)
-    Z = np.empty((min(T, BLOCK) + 1, 2 * n2))
-    Z[0] = 0.0
-    rows = list(Z)
-    for k0 in range(0, T, BLOCK):
-        n = min(BLOCK, T - k0)
-        w = sampler.measurement_block(n)
-        Z[1 : n + 1, :n2] = w @ w_gain
-        Z[1 : n + 1, n2:] = v[k0 : k0 + n] @ d.T.T
-        for prev, nxt, kick in zip(rows[:n], rows[1 : n + 1], kicks[k0 : k0 + n].tolist()):
-            nxt += prev @ (M_kick_T if kick else M_T)
-        x[k0 + 1 : k0 + n + 1] = Z[1 : n + 1, n2:] @ d.Tinv.T
-        y[k0 : k0 + n] = Z[:n, obs] @ d.Co.T + w
-        omega_o[k0 : k0 + n] = -(Z[:n, obs_hat] @ cfg.F_o.T)
-        at = np.flatnonzero(kicks[k0 : k0 + n])
-        if at.size:
-            omega_obar[k0 + at] = -(Z[at, obar_hat] @ cfg.K_bo[0])
-        Z[0] = Z[n]
 
-    u = omega_o @ d.Vplus.T + omega_obar[:, None]
-    record = TrajectoryRecord(tau=model.tau, x=x, y=y, u=u, v=v)
-    return record, omega_o, omega_obar
+    def run():
+        # the recursion, block by block; yields each block's process noise
+        # projected on the weights, which the destinations' free run sums
+        Z = np.empty((min(T, BLOCK) + 1, 2 * n2))
+        Z[0] = 0.0
+        rows = list(Z)
+        for k0, k1 in _spans(T):
+            n = k1 - k0
+            v = sampler.process_block(n)
+            w = sampler.measurement_block(n)
+            Z[1 : n + 1, :n2] = w @ w_gain
+            Z[1 : n + 1, n2:] = v @ d.T.T
+            for prev, nxt, kick in zip(rows[:n], rows[1 : n + 1], kicks[k0:k1].tolist()):
+                nxt += prev @ (M_kick_T if kick else M_T)
+            x[k0 + 1 : k1 + 1] = Z[1 : n + 1, n2:] @ d.Tinv.T
+            y[k0:k1] = Z[:n, obs] @ d.Co.T + w
+            omega_o[k0:k1] = -(Z[:n, obs_hat] @ cfg.F_o.T)
+            at = np.flatnonzero(kicks[k0:k1])
+            if at.size:
+                omega_obar[k0 + at] = -(Z[at, obar_hat] @ cfg.K_bo[0])
+            Z[0] = Z[n]
+            yield _project(v, Q)
+
+    # every destination starts from the zero state, as the loop does
+    dest = _free_run(model.tau, run(), np.empty((T + 1, 2 * len(Q))), 0.0, 0.0)
+    u = omega_o @ d.Vplus.T
+    u += omega_obar[:, None]
+    record = TrajectoryRecord(tau=model.tau, x=x, y=y, u=u)
+    return record, omega_o, omega_obar, [dest[:, j :: len(Q)] for j in range(len(Q))]
+
+
+def _project(v: np.ndarray, Q: np.ndarray) -> np.ndarray:
+    """The process noise v, shape (b, 2N), projected on each weight (row)
+    of Q: shape (b, 2W), the W weighted-mean phase noises, then the W
+    frequency noises, as :func:`_free_run` takes W clocks."""
+    N, W = Q.shape[1], Q.shape[0]
+    out = np.empty((len(v), 2 * W))
+    for j, q in enumerate(Q):
+        out[:, j] = v[:, :N] @ q
+        out[:, W + j] = v[:, N:] @ q
+    return out
 
 
 def destination_trajectory(
@@ -314,24 +337,15 @@ def destination_trajectory(
 ) -> np.ndarray:
     """Free-running weighted-mean states r[0..T], shape (T+1, 2).
 
-    Replays the process-noise sub-stream of ``seed``, so a simulation
-    run with the same seed shares its noise with the destination
-    exactly; the measurement sub-stream is untouched.
+    Replays the process-noise sub-stream of ``seed``, one block of
+    ``BLOCK`` rows at a time, projecting each block on q as
+    :func:`closed_loop` does; so a simulation run with the same seed
+    shares its noise with the destination exactly, and
+    ``closed_loop(..., weights=[q])`` returns this destination bit for
+    bit.  The measurement sub-stream is untouched.
     """
     if T < 1:
         raise ValueError(f"T must be >= 1, got {T}")
-    return destination_from_noise(model, q, NoiseSampler(model, seed).process_block(T), x0)
-
-
-def destination_from_noise(
-    model: EnsembleModel,
-    q: np.ndarray,
-    v: np.ndarray,
-    x0: Optional[np.ndarray] = None,
-) -> np.ndarray:
-    """:func:`destination_trajectory` on process noise already drawn:
-    ``v`` holds v[0..T-1], shape (T, 2N), such as the ``v`` of the record
-    ``closed_loop`` returns."""
     qv = weight_vector(q, model.N)
     N = model.N
     if x0 is None:
@@ -341,8 +355,9 @@ def destination_from_noise(
         if x0.shape != (2 * N,):
             raise ValueError(f"x0 must have shape ({2 * N},), got {x0.shape}")
         r0 = (x0[:N] @ qv, x0[N:] @ qv)
-    v_mean = np.column_stack([v[:, :N] @ qv, v[:, N:] @ qv])
-    return _free_run(model.tau, [v_mean], np.empty((len(v) + 1, 2)), *r0)
+    sampler = NoiseSampler(model, seed)
+    noise = (_project(sampler.process_block(k1 - k0), qv[None]) for k0, k1 in _spans(T))
+    return _free_run(model.tau, noise, np.empty((T + 1, 2)), *r0)
 
 
 def sync_error(traj, dest: np.ndarray) -> np.ndarray:

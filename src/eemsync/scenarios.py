@@ -28,7 +28,6 @@ from .control import (  # noqa: F401
     closed_loop,
     default_collective_gain,
     default_obs_gain,
-    destination_from_noise,
     destination_trajectory,
     sync_error,
 )
@@ -49,7 +48,7 @@ from .presets import (
     DEFAULT_COLLECTIVE_PERIOD,
     DEFAULT_OBS_GAIN_COEFFS,
 )
-from .simkit import simulate
+from .simkit import BLOCK, _spans, simulate
 
 __all__ = ["ScenarioConfig", "KINDS", "validate_config", "run_scenario"]
 
@@ -368,6 +367,11 @@ def _gains_doc(g: StationaryGains) -> dict:
     }
 
 
+def _max_abs(a: np.ndarray) -> float:
+    """max |a| without an |a| array; 0.0, not -0.0, for an all-zero a."""
+    return abs(float(max(a.max(), -a.min())))
+
+
 def _trend_statistics(series: np.ndarray, n_blocks: int = 50) -> dict:
     """Slope of the final-half trend, fitted on block means.
 
@@ -406,10 +410,26 @@ class _Artifacts:
         _write_json(os.path.join(self.directory, name), doc)
         self.names.append(name)
 
-    def save(self, name: str, array: np.ndarray) -> None:
-        """One long series as a C-contiguous float64 ``.npy``; ``np.save``
-        writes no timestamp, so same-seed runs hash the same."""
-        np.save(os.path.join(self.directory, name), np.ascontiguousarray(array, dtype=np.float64))
+    def save(self, name: str, rows: range, *columns: np.ndarray) -> None:
+        """One long series as a float64 ``.npy`` whose row i is rows[i]
+        followed by row i of each of ``columns`` (1-D or 2-D).
+
+        Writes the ``np.lib.format`` 1.0 header, then the rows through one
+        buffer of ``BLOCK`` rows, so no stacked copy of the columns is
+        made; the bytes are those of
+        ``np.save(np.column_stack([rows, *columns]))``, which hold no
+        timestamp, so same-seed runs hash the same.
+        """
+        n = len(rows)
+        width = 1 + sum(1 if c.ndim == 1 else c.shape[1] for c in columns)
+        header = {"descr": "<f8", "fortran_order": False, "shape": (n, width)}
+        buf = np.empty((min(n, BLOCK), width))
+        with open(os.path.join(self.directory, name), "wb") as fh:
+            np.lib.format.write_array_header_1_0(fh, header)
+            for k0, k1 in _spans(n):
+                parts = [np.asarray(rows[k0:k1])[:, None]]
+                parts += [c[k0:k1].reshape(k1 - k0, -1) for c in columns]
+                np.concatenate(parts, axis=1, out=buf[: k1 - k0]).tofile(fh)
         self.names.append(name)
 
     def write_allan(self, plots: Dict[str, AllanPlot], prefix: str) -> None:
@@ -450,11 +470,6 @@ class _Artifacts:
         return entries
 
 
-def _indexed(*columns: np.ndarray) -> np.ndarray:
-    """The columns side by side after a step index k = 0, 1, ..."""
-    return np.column_stack([np.arange(len(columns[0])), *columns])
-
-
 # ---------------------------------------------------------------------------
 # scenario pipelines
 
@@ -481,7 +496,7 @@ def _run_free_run(cfg: ScenarioConfig, art: _Artifacts) -> dict:
     if "analytical" in cfg.outputs:
         art.write_allan(analytical, "reference")
     if "trajectory" in cfg.outputs:
-        art.save("trajectory.npy", _indexed(rec.h[: rec.T], rec.u))
+        art.save("trajectory.npy", range(rec.T), rec.h[: rec.T], rec.u)
     return summary
 
 
@@ -491,7 +506,7 @@ def _run_standard_kf(cfg: ScenarioConfig, art: _Artifacts) -> dict:
     eps, increments = run.eps, run.increments
     if "increments" in cfg.outputs:
         # k, gain and prior covariance: increment and norm (Frobenius)
-        art.save("increments.npy", _indexed(increments))
+        art.save("increments.npy", range(len(increments)), increments)
     plot = allan_plot(eps, cfg.model.tau)
     if "allan" in cfg.outputs:
         art.write_allan({"timescale": plot}, "allan")
@@ -499,7 +514,7 @@ def _run_standard_kf(cfg: ScenarioConfig, art: _Artifacts) -> dict:
         d = decompose(cfg.model, np.full(cfg.model.N, 1.0 / cfg.model.N))
         art.write_json("gains.json", _gains_doc(solve_stationary(d, cfg.model.meas.R)))
     if "trajectory" in cfg.outputs:
-        art.save("trajectory.npy", _indexed(rec.h[: rec.T], rec.u))
+        art.save("trajectory.npy", range(rec.T), rec.h[: rec.T], rec.u)
     final = increments[-1]
     return {
         "final_gain_rel_increment": float(final[0] / final[1]),
@@ -540,10 +555,10 @@ def _run_determinate_kf(cfg: ScenarioConfig, art: _Artifacts) -> dict:
     deviation, increments = run.deviation, run.det_increments
     increments[0] = np.nan  # no increment into k = 0
     if "equivalence" in cfg.outputs:
-        art.save("equivalence.npy", _indexed(deviation))
+        art.save("equivalence.npy", range(len(deviation)), deviation)
     if "increments" in cfg.outputs:
         # k, observable and cross gain: increment and norm (Frobenius)
-        art.save("increments.npy", _indexed(increments))
+        art.save("increments.npy", range(len(increments)), increments)
     return {
         "max_rel_deviation": float(np.nanmax(deviation)),
         "final_obs_gain_rel_increment": float(increments[-1, 0] / increments[-1, 1]),
@@ -555,21 +570,25 @@ def _run_controller(cfg: ScenarioConfig, art: _Artifacts) -> dict:
     model = cfg.model
     d = decompose(model, cfg.weight)
     gains = solve_stationary(d, model.meas.R)
-    rec, omega_o, omega_obar = closed_loop(model, cfg.controller, d, gains, cfg.horizon, cfg.seed)
-    delta = sync_error(rec, destination_from_noise(model, cfg.weight, rec.v))
-    rel_phase = delta[:, : model.N] @ d.V.T  # common mode removed
     balanced = cfg.controller.K_bo is not None
     q_inf = weight_long(model.sigma2_sq) if balanced else None
+    weights = [cfg.weight, q_inf] if balanced else [cfg.weight]
+    rec, omega_o, omega_obar, dests = closed_loop(
+        model, cfg.controller, d, gains, cfg.horizon, cfg.seed, weights
+    )
+    dest = dests[0]
 
     if "gains" in cfg.outputs:
         art.write_json("gains.json", _gains_doc(gains))
     if "commands" in cfg.outputs:
-        art.save("commands.npy", _indexed(omega_o, omega_obar, rec.u))
+        art.save("commands.npy", range(cfg.horizon), omega_o, omega_obar, rec.u)
     if "delta" in cfg.outputs:
-        rows = np.arange(0, delta.shape[0], max(1, cfg.horizon // 10_000))
-        art.save("delta.npy", np.column_stack([rows, delta[rows]]))
+        # the synchronization error at every step-th state only
+        step = max(1, cfg.horizon // 10_000)
+        rows = range(0, cfg.horizon + 1, step)
+        art.save("delta.npy", rows, sync_error(replace(rec, x=rec.x[::step]), dest[::step]))
     if "trajectory" in cfg.outputs:
-        art.save("trajectory.npy", _indexed(rec.h[: rec.T], rec.u))
+        art.save("trajectory.npy", range(rec.T), rec.h[: rec.T], rec.u)
 
     if "allan" in cfg.outputs:
         # every clock's Allan curve, and the analytical curve of each
@@ -577,29 +596,33 @@ def _run_controller(cfg: ScenarioConfig, art: _Artifacts) -> dict:
         plot = allan_plot(rec.h, model.tau)
         art.write_allan({"clock": plot}, "allan")
         s1, s2 = model.sigma1_sq, model.sigma2_sq
-        weights = {"destination": cfg.weight}
-        if balanced:
-            weights["destination_long"] = q_inf
         references = {
             name: replace(plot, values=np.array([allan_pi(q, s1, s2, t) for t in plot.intervals]))
-            for name, q in weights.items()
+            for name, q in zip(("destination", "destination_long"), weights)
         }
         art.write_allan(references, "reference")
 
+    # (V delta_phase)[0], the first measured relative phase of the
+    # synchronization error; V[0]'s zero entries add nothing, so only the
+    # clocks it measures are read
+    V0 = d.V[0]
+    measured = np.flatnonzero(V0)
+    rel_phase = (rec.x[:, measured] - dest[:, [0]]) @ V0[measured]
     summary = {
-        "relative_phase_trend": _trend_statistics(rel_phase[:, 0]),
-        "max_abs_input": float(np.max(np.abs(rec.u))),
+        "relative_phase_trend": _trend_statistics(rel_phase),
+        "max_abs_input": _max_abs(rec.u),
         "stationary_iterations": gains.iterations,
         "spectral_radius": gains.spectral_radius,
     }
     if cfg.kind == "steer-to-clock":
-        summary["steered_clock_max_abs_input"] = float(np.max(np.abs(rec.u[:, -1])))
+        summary["steered_clock_max_abs_input"] = _max_abs(rec.u[:, -1])
     if balanced:
         # at the kick instants, k = phase (mod m), the mean should ride
         # the long-term destination
         m = cfg.controller.m
-        delta_long = sync_error(rec, destination_from_noise(model, q_inf, rec.v))
-        sampled_mean = delta_long[cfg.controller.phase % m :: m, : model.N] @ q_inf
+        kicks = slice(cfg.controller.phase % m, None, m)
+        sampled = sync_error(replace(rec, x=rec.x[kicks]), dests[1][kicks])
+        sampled_mean = sampled[:, : model.N] @ q_inf
         summary["collective_kicks"] = int(np.count_nonzero(omega_obar))
         summary["sampled_mean_phase_trend"] = _trend_statistics(sampled_mean)
     return summary

@@ -32,6 +32,11 @@ Policy = Callable[[int, np.ndarray], np.ndarray]
 BLOCK = 4096
 
 
+def _spans(T: int) -> list:
+    """The (k0, k1) row ranges of a T-row pass in blocks of ``BLOCK``."""
+    return [(k0, min(k0 + BLOCK, T)) for k0 in range(0, T, BLOCK)]
+
+
 def _sqrt_factor_lower(M: np.ndarray) -> np.ndarray:
     """Lower-triangular L with L L^T = M for symmetric PSD M.
 
@@ -88,11 +93,13 @@ class TrajectoryRecord:
     """One finished simulation run.
 
     State series x and h have T+1 entries (k = 0..T); the
-    measurement-aligned series y, u, and the optional xhat and v have T
-    entries (k = 0..T-1), since step T receives no input.  The process
-    noise v is kept only by :func:`eemsync.control.closed_loop`, for its
-    destination; :func:`simulate` draws its noise one block at a time and
-    keeps none.  Treat records as immutable once returned.
+    measurement-aligned series y and u have T entries (k = 0..T-1), since
+    step T receives no input.  :func:`simulate` and
+    :func:`eemsync.control.closed_loop` draw their noise one block at a
+    time and keep none, so ``v`` (the process noise) and ``xhat`` (state
+    estimates) are ``None`` from both; the fields stay because
+    ``perfbench/child.py`` reads them.  Treat records as immutable once
+    returned.
     """
 
     tau: float
@@ -150,7 +157,7 @@ def simulate(
             raise ValueError(f"x0 must have shape ({n2},), got {x0.shape}")
 
     sampler = NoiseSampler(model, seed)
-    spans = [(k0, min(k0 + BLOCK, T)) for k0 in range(0, T, BLOCK)]
+    spans = _spans(T)
     xs = np.empty((T + 1, n2))
     ys = np.empty((T, N - 1))
 

@@ -399,7 +399,7 @@ class TestCriterion08:
         cfg = ControllerConfig(
             q=q, F_o=default_obs_gain(10, 1.0), K_bo=None, m=1
         )
-        traj, _, _ = closed_loop(model, cfg, d, g, T, 808)
+        traj, *_ = closed_loop(model, cfg, d, g, T, 808)
         dest = destination_trajectory(model, q, T, seed=808)
         # one scalar series for the whole measured sync error: the squared
         # norm of the relative phase deviations, so the 95% trend test is
@@ -414,7 +414,7 @@ class TestCriterion08:
             m=1,
             validate=False,
         )
-        traj0, _, _ = closed_loop(model, cfg0, d, g, T, 808)
+        traj0, *_ = closed_loop(model, cfg0, d, g, T, 808)
         sq0 = np.sum((sync_error(traj0, dest)[:, :10] @ model.meas.V.T) ** 2, axis=1)
         stats0 = _trend_statistics(sq0)
         mag_ctrl = float(np.mean(sq[T // 2 :]))
@@ -434,7 +434,7 @@ class TestCriterion08:
         cfg_s = ControllerConfig(
             q=q_steer, F_o=default_obs_gain(10, 1.0), K_bo=None, m=1
         )
-        traj_s, _, _ = closed_loop(model, cfg_s, d_s, g_s, T, 809)
+        traj_s, *_ = closed_loop(model, cfg_s, d_s, g_s, T, 809)
         untouched = bool(np.all(traj_s.u[:, -1] == 0.0))
 
         ok = stats["trend_free"] and grows and separated and untouched
@@ -472,7 +472,7 @@ def balanced_run(model):
         K_bo=default_collective_gain(BALANCED_PERIOD, 1.0),
         m=BALANCED_PERIOD,
     )
-    traj, _, _ = closed_loop(model, cfg, d, g, 1_000_000, 901)
+    traj, *_ = closed_loop(model, cfg, d, g, 1_000_000, 901)
     return traj, time.perf_counter() - started
 
 

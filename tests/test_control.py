@@ -32,7 +32,6 @@ from eemsync import (
     default_collective_gain,
     default_obs_gain,
     demo_ensemble,
-    destination_from_noise,
     destination_trajectory,
     expand_input,
     run_scenario,
@@ -43,7 +42,7 @@ from eemsync import (
     validate_config,
 )
 from eemsync.presets import DEMO_MEAS_STD, DEMO_SIGMA1, DEMO_SIGMA2
-from eemsync.simkit import TrajectoryRecord
+from eemsync.simkit import TrajectoryRecord, _free_run
 
 
 # ---------------------------------------------------------------------------
@@ -297,6 +296,16 @@ class TestControllerConfig:
         assert cfg.N == 4
 
 
+def reference_destination_trajectory(model, q, T, seed, x0=None):
+    """The destination from one whole draw of the process noise: the
+    replay before it streamed, kept as the oracle for the streamed one."""
+    v = NoiseSampler(model, seed).process_block(T)
+    N = model.N
+    r0 = (0.0, 0.0) if x0 is None else (x0[:N] @ q, x0[N:] @ q)
+    v_mean = np.column_stack([v[:, :N] @ q, v[:, N:] @ q])
+    return _free_run(model.tau, [v_mean], np.empty((T + 1, 2)), *r0)
+
+
 class TestDestinationTrajectory:
     def test_matches_weighted_free_run(self, model4):
         q = np.array([0.4, 0.3, 0.2, 0.1])
@@ -335,11 +344,24 @@ class TestDestinationTrajectory:
         cfg = ControllerConfig(
             q=q, F_o=default_obs_gain(4, model4.tau), K_bo=None, m=1
         )
-        rec, _, _ = closed_loop(model4, cfg, d, g, 300, seed=31)
-        assert rec.v.shape == (300, 8)
-        for weight in (q, np.array([0.4, 0.3, 0.2, 0.1])):
-            dest = destination_trajectory(model4, weight, 300, seed=31)
-            assert np.array_equal(destination_from_noise(model4, weight, rec.v), dest)
+        weights = (q, np.array([0.4, 0.3, 0.2, 0.1]))
+        rec, _, _, dests = closed_loop(model4, cfg, d, g, 300, seed=31, weights=weights)
+        assert rec.v is None
+        assert len(dests) == 2
+        for weight, got in zip(weights, dests):
+            assert got.shape == (301, 2)
+            assert np.array_equal(got, destination_trajectory(model4, weight, 300, seed=31))
+        assert closed_loop(model4, cfg, d, g, 300, seed=31)[3] == []
+
+    @pytest.mark.parametrize("T", [1, 4095, 4096, 4097, 3 * 4096 + 5])
+    @pytest.mark.parametrize("with_x0", [False, True])
+    @pytest.mark.parametrize("n_clocks", [4, 10])
+    def test_streamed_replay_matches_whole_draw(self, n_clocks, with_x0, T):
+        model = demo_ensemble(n_clocks=n_clocks, tau=0.7)
+        q = np.random.default_rng(n_clocks).dirichlet(np.ones(n_clocks))
+        x0 = np.random.default_rng(T).normal(scale=1e-9, size=2 * n_clocks) if with_x0 else None
+        got = destination_trajectory(model, q, T, seed=T, x0=x0)
+        assert np.array_equal(got, reference_destination_trajectory(model, q, T, T, x0))
 
 
 @pytest.fixture(scope="module")
@@ -604,7 +626,7 @@ def reference_closed_loop(model, cfg, d, gains, T, seed):
         Z[0] = Z[n]
 
     u = omega_o @ d.Vplus.T + omega_obar[:, None]
-    return TrajectoryRecord(tau=model.tau, x=x, y=y, u=u, v=v), omega_o, omega_obar
+    return TrajectoryRecord(tau=model.tau, x=x, y=y, u=u), omega_o, omega_obar
 
 
 class TestStreamedClosedLoop:
@@ -629,18 +651,21 @@ class TestStreamedClosedLoop:
             tau=tau,
             phase=37 if balanced else 0,
         )
-        rec, omega_o, omega_obar = closed_loop(model, cfg, d, g, T, seed=T)
+        # the loop's own weight and one it does not run on
+        weights = (q, np.random.default_rng(T).dirichlet(np.ones(n_clocks)))
+        rec, omega_o, omega_obar, dests = closed_loop(model, cfg, d, g, T, seed=T, weights=weights)
         ref, ref_o, ref_obar = reference_closed_loop(model, cfg, d, g, T, seed=T)
         for got, want in (
             (rec.x, ref.x),
             (rec.y, ref.y),
             (rec.u, ref.u),
-            (rec.v, ref.v),
             (omega_o, ref_o),
             (omega_obar, ref_obar),
+            *((dest, destination_trajectory(model, w, T, seed=T)) for w, dest in zip(weights, dests)),
         ):
             assert got.shape == want.shape
             assert np.array_equal(got, want)
+        assert rec.v is None
 
     def test_peak_memory(self):
         model = demo_ensemble()
@@ -658,8 +683,9 @@ class TestStreamedClosedLoop:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # x, y, u, v and omega_o, and one block of the recursion: 4.64 state arrays
-        assert peak <= 4.85 * (T + 1) * 2 * N * 8
+        # x, y, u and omega_o, and one block of the recursion and its
+        # noise: 3.25 state arrays
+        assert peak <= 3.41 * (T + 1) * 2 * N * 8
 
 
 class TestClosedLoopMatchesPolicy:
@@ -688,7 +714,7 @@ class TestClosedLoopMatchesPolicy:
         seed = 70 + n_clocks
         policy = EemPolicy(cfg, d, gains=g)
         ref = simulate(model, policy, FUSED_T, seed=seed)
-        rec, omega_o, omega_obar = closed_loop(model, cfg, d, g, FUSED_T, seed)
+        rec, omega_o, omega_obar, _ = closed_loop(model, cfg, d, g, FUSED_T, seed)
         ref_o, ref_obar = policy.command_log()
         assert np.shares_memory(rec.h, rec.x) and np.shares_memory(ref.h, ref.x)
         for got, want in (
@@ -747,7 +773,7 @@ def test_property_closed_loop_matches_policy(n_clocks, seed, period, phase):
     )
     policy = EemPolicy(cfg, d, gains=g)
     ref = simulate(model, policy, T, seed=seed)
-    rec, omega_o, omega_obar = closed_loop(model, cfg, d, g, T, seed)
+    rec, omega_o, omega_obar, _ = closed_loop(model, cfg, d, g, T, seed)
     ref_o, ref_obar = policy.command_log()
     for got, want in (
         (rec.x, ref.x),
@@ -792,7 +818,7 @@ class TestPolicyAndLogs:
         run_scenario(cfg, str(tmp_path))
         d = decompose(cfg.model, cfg.weight)
         gains = solve_stationary(d, cfg.model.meas.R)
-        rec, omega_o, omega_obar = closed_loop(cfg.model, cfg.controller, d, gains, 6, 12)
+        rec, omega_o, omega_obar, _ = closed_loop(cfg.model, cfg.controller, d, gains, 6, 12)
         data = np.load(tmp_path / "log" / "commands.npy")
         assert data.dtype == np.float64 and data.flags.c_contiguous
         # k, omega_o_1, omega_o_2, omega_obar, u_1, u_2, u_3

@@ -8,7 +8,9 @@ import copy
 import dataclasses
 import hashlib
 import inspect
+import io
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -332,7 +334,7 @@ def expected_arrays(cfg):
     if cfg.controller is not None:
         d = decompose(model, cfg.weight)
         gains = solve_stationary(d, model.meas.R)
-        rec, omega_o, omega_obar = closed_loop(model, cfg.controller, d, gains, T, cfg.seed)
+        rec, omega_o, omega_obar, _ = closed_loop(model, cfg.controller, d, gains, T, cfg.seed)
         delta = sync_error(rec, destination_trajectory(model, cfg.weight, T, cfg.seed))
         rows = np.arange(0, T + 1, max(1, T // 10_000))
         arrays["commands.npy"] = np.column_stack([k, omega_o, omega_obar, rec.u])
@@ -443,7 +445,7 @@ class TestRunScenario:
         model = cfg.model
         d = decompose(model, cfg.weight)
         gains = solve_stationary(d, model.meas.R)
-        rec, _, _ = closed_loop(model, cfg.controller, d, gains, cfg.horizon, cfg.seed)
+        rec, *_ = closed_loop(model, cfg.controller, d, gains, cfg.horizon, cfg.seed)
         q_inf = weight_long(model.sigma2_sq)
         delta = sync_error(rec, destination_trajectory(model, q_inf, cfg.horizon, cfg.seed))
         kicks = [k for k in range(cfg.horizon + 1) if (k - 37) % 50 == 0]
@@ -563,6 +565,42 @@ class TestRunScenario:
             assert np.array_equal(got, want, equal_nan=fname == "increments.npy")
         for stem in ("commands", "delta", "trajectory", "increments", "equivalence"):
             assert not (out / f"{stem}.csv").exists()
+
+    @pytest.mark.parametrize("horizon", [4, 4095, 4096, 4097, 25_000])
+    def test_block_writer_matches_np_save(self, tmp_path, horizon):
+        # each long artifact is, byte for byte, np.save of its columns
+        # stacked whole; at 25,000 steps delta.npy keeps every second row
+        written = set()
+        for kind in ("sync-simple-average", "standard-kf", "determinate-kf"):
+            raw = raw_config(kind, horizon=horizon, name=kind, outputs=list(KINDS[kind].outputs))
+            cfg = validate_config(raw)
+            run_scenario(cfg, str(tmp_path))
+            for fname, want in expected_arrays(cfg).items():
+                reference = io.BytesIO()
+                np.save(reference, want)
+                assert (tmp_path / kind / fname).read_bytes() == reference.getvalue(), fname
+                written.add(fname)
+        assert written == {
+            "commands.npy", "delta.npy", "trajectory.npy", "increments.npy", "equivalence.npy"
+        }
+
+    def test_balanced_run_heap_peak(self, tmp_path):
+        raw = json.loads((_bundled_dir() / "balanced.json").read_text())
+        raw["horizon"] = 20_000
+        warm = dict(raw, horizon=800)
+        run_scenario(validate_config(warm), str(tmp_path / "warm"))
+        cfg = validate_config(raw)
+        tracemalloc.start()
+        try:
+            run_scenario(cfg, str(tmp_path / "run"))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the record (x, y, u), omega_o and the two destinations once, and
+        # one block of the loop: 3.50 state arrays at ten clocks
+        state = (cfg.horizon + 1) * 2 * cfg.model.N * 8
+        assert cfg.model.N == 10
+        assert peak <= 3.68 * state
 
     def test_numerical_failure_partial_manifest(self, tmp_path, free_run_raises):
         cfg = validate_config(raw_config())

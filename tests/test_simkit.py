@@ -9,7 +9,7 @@ from eemsync import (
     NoiseParams,
     NoiseSampler,
     build_ensemble,
-    destination_from_noise,
+    destination_trajectory,
     digital_imitation,
     reference_timescale,
     run_scenario,
@@ -193,7 +193,7 @@ class TestFreeRunIntegrator:
         assert np.shares_memory(rec.h, rec.x)
         q = np.random.default_rng(T).dirichlet(np.ones(model.N))
         assert np.array_equal(
-            destination_from_noise(model, q, v, x0),
+            destination_trajectory(model, q, T, seed=40 + n_clocks, x0=x0),
             reference_destination_from_noise(model, q, v, x0),
         )
 
