@@ -2,6 +2,7 @@
 
 import json
 import re
+import tracemalloc
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -24,7 +25,7 @@ from eemsync import (
     weight_long,
     weight_short,
 )
-from eemsync.allan import AllanPlot, _default_m_grid
+from eemsync.allan import AllanPlot, _LEAF, _default_m_grid
 from eemsync.scenarios import _Artifacts
 from eemsync.presets import demo_ensemble, demo_noise_params
 
@@ -179,6 +180,78 @@ class TestKernelMatchesReference:
                 fn(h, -1.0, 1)
 
 
+def leaf_tree_sum(a: np.ndarray, leaf: int) -> float:
+    """``np.add.reduce(a)`` summed as the kernel sums it: split pairwise,
+    the left half rounded down to a multiple of 8, down to leaves of at
+    most ``leaf`` samples, each summed by ``np.add.reduce``."""
+    n = a.size
+    if n > leaf:
+        n2 = n // 2 - (n // 2) % 8
+        return leaf_tree_sum(a[:n2], leaf) + leaf_tree_sum(a[n2:], leaf)
+    return np.add.reduce(a)
+
+
+# interval sample counts n = T - 2m on both sides of one and two leaves
+LEAF_EDGES = [_LEAF - 1, _LEAF, _LEAF + 1, _LEAF + 8, 2 * _LEAF + 7]
+LONG_T = 300_007
+
+
+@pytest.fixture(scope="module")
+def long_record():
+    return simulate(demo_ensemble(n_clocks=3), None, LONG_T, seed=41)
+
+
+def assert_subset_matches(h: np.ndarray, tau: float, subset: Sequence[int]) -> None:
+    assert_plots_equal(allan_plot(h, tau, m_subset=subset), reference_allan_plot(h, tau, m_subset=subset))
+
+
+class TestLeafBoundaries:
+    def test_leaf_tree_is_numpy_pairwise_sum(self):
+        # the split rule the kernel relies on; a numpy that sums a
+        # contiguous array another way fails here by name
+        rng = np.random.default_rng(5)
+        for n in [*rng.integers(4_000, 400_000, size=20), *LEAF_EDGES, 2 * _LEAF]:
+            a = rng.standard_normal(int(n)) ** 2
+            for leaf in (256, 4096, _LEAF):
+                assert leaf_tree_sum(a, leaf) == np.add.reduce(a), (n, leaf)
+
+    @pytest.mark.parametrize("tau", [1.0, 0.7])
+    @pytest.mark.parametrize("n", LEAF_EDGES)
+    def test_interval_lengths_at_leaf_edges(self, long_record, n, tau):
+        # each series holds n = T - 2m samples at m = 1 and at m = 37
+        for m in (1, 37):
+            T = n + 2 * m
+            subset = [1, m, (T - 1) // 2]
+            assert_subset_matches(random_phases(T, 1, seed=n + m)[:, 0], tau, subset)
+            column = long_record.h[: T + 1, 1]
+            assert not column.flags.c_contiguous
+            assert_subset_matches(column, tau, subset)
+
+    @pytest.mark.parametrize("tau", [1.0, 0.7])
+    def test_long_record(self, long_record, tau):
+        subset = [1, 2, 1_000, LONG_T // 2 - _LEAF, 84_000, (LONG_T - 1) // 2]
+        plot = allan_plot(long_record.h, tau, m_subset=subset)
+        for i in range(long_record.h.shape[1]):
+            column = long_record.h[:, i]
+            ref = reference_allan_plot(column, tau, m_subset=subset)
+            assert np.array_equal(plot.values[:, i], ref.values)
+            assert_plots_equal(allan_plot(column, tau, m_subset=subset), ref)
+        assert_subset_matches(np.ascontiguousarray(long_record.h[:, 0]), tau, subset)
+
+    def test_work_buffer_is_one_leaf(self):
+        # a contiguous series is read in place, so the second-difference
+        # buffer, at most one leaf, is the only large work array
+        h = random_phases(300_000, 1, seed=42)[:, 0]
+        tracemalloc.start()
+        try:
+            plot = allan_plot(h, 1.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        results = plot.values.nbytes + plot.m_set.nbytes + plot.intervals.nbytes
+        assert peak <= 1.1 * _LEAF * 8 + results
+
+
 @settings(max_examples=150, deadline=None)
 @given(
     T=st.integers(min_value=4, max_value=3000),
@@ -272,6 +345,25 @@ class TestAnalytical:
         q = np.array([0.6, 0.4])
         g = np.diag(gamma_matrix(s1, s2, 3.0))
         assert allan_pi(q, s1, s2, 3.0) == pytest.approx(q @ g @ q / 9.0)
+
+
+S1, S2 = np.array([1.0, 4.0]), np.array([3.0, 0.5])
+TAU_ENTRY_POINTS = {
+    "allan_plot": lambda tau: allan_plot(np.arange(12.0) ** 2, tau),
+    "statistical_allan": lambda tau: statistical_allan(np.arange(12.0) ** 2, tau, 2),
+    "gamma_matrix": lambda tau: gamma_matrix(S1, S2, tau),
+    "analytical_allan_clock": lambda tau: analytical_allan_clock(NoiseParams(2.0, 3.0), tau),
+    "allan_pi": lambda tau: allan_pi(np.array([0.5, 0.5]), S1, S2, tau),
+    "optimal_weight": lambda tau: optimal_weight(S1, S2, tau),
+}
+
+
+@pytest.mark.parametrize("tau", [np.nan, np.inf, 0.0, -1.0])
+@pytest.mark.parametrize("entry", sorted(TAU_ENTRY_POINTS))
+def test_entry_points_refuse_bad_tau(entry, tau):
+    # unchecked, a non-finite interval gives NaN, inf or zero values
+    with pytest.raises(ValueError, match=r"tau must be finite and > 0"):
+        TAU_ENTRY_POINTS[entry](tau)
 
 
 class TestWeights:
