@@ -8,7 +8,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .decomp import weight_vector
-from .models import NoiseParams
+from .models import NoiseParams, _check_finite_power
 
 __all__ = [
     "AllanPlot",
@@ -44,6 +44,7 @@ def _check_tau(tau: float) -> None:
 def gamma_matrix(sigma1_sq, sigma2_sq, tau: float) -> np.ndarray:
     """Diagonal of the interval covariance Gamma(tau), tau sigma1_sq + (tau^3/3) sigma2_sq."""
     _check_tau(tau)
+    _check_finite_power("tau", tau, 3)
     s1 = variance_vector(sigma1_sq)
     s2 = variance_vector(sigma2_sq)
     if s1.shape != s2.shape:

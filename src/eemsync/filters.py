@@ -12,7 +12,6 @@ arbitrary weight basis through the observable solution.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cache
 from typing import Optional, Tuple
@@ -23,7 +22,6 @@ from .allan import variance_vector, weight_long
 from .decomp import Decomposition, generalized_inverse
 from .errors import ConvergenceError, NumericalError
 from .models import EnsembleModel
-from .simkit import BLOCK
 
 __all__ = [
     "StandardKFState",
@@ -44,9 +42,9 @@ __all__ = [
 InputPair = Optional[Tuple[np.ndarray, float]]
 
 
-def _sym(P: np.ndarray) -> np.ndarray:
+def _sym(P: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
     # symmetrize after every update to suppress drift: 0.5 * (P + P.T)
-    out = P + P.T
+    out = np.add(P, P.T, out=out)
     out *= 0.5
     return out
 
@@ -101,10 +99,11 @@ def _spd_solve(S: np.ndarray, B: np.ndarray, what: str = "innovation covariance"
     return np.linalg.solve(S, B)
 
 
-def _fro(a: np.ndarray) -> float:
-    # what np.linalg.norm(a, "fro") (or the 2-norm of a vector) computes
-    flat = a.ravel(order="K")
-    return math.sqrt(flat.dot(flat))
+def _norms(a: np.ndarray) -> np.ndarray:
+    # np.linalg.norm(a[i], "fro") (or the 2-norm of a vector) for each i:
+    # the sqrt of one ddot over a[i] in memory order, the same call per row
+    flat = a.reshape(len(a), 1, -1)
+    return np.sqrt(flat @ flat.transpose(0, 2, 1)).ravel()
 
 
 def _input_pair(omega_prev: InputPair, n_obs_inputs: int) -> Tuple[np.ndarray, float]:
@@ -142,32 +141,36 @@ def standard_kf_init(model: EnsembleModel) -> StandardKFState:
     return StandardKFState(xhat=np.zeros(2 * model.N), P=model.bigQ.copy())
 
 
-def _standard_update(model: EnsembleModel, xhat, P, u_prev, y):
+def _standard_update(model: EnsembleModel, xhat, P, u_prev, y, out=(None,) * 4, work=(None,) * 4):
     """One cycle of the five-line recursion on bare arrays.
 
-    Returns the fields of :class:`StandardKFState` in order; ``u_prev`` is
-    a float array or ``None``, whose zero input product is skipped.
+    Returns the fields of :class:`StandardKFState` in order, written into
+    the caller's ``out`` (which must not alias ``xhat`` or ``P``) and
+    workspace ``work`` as :func:`filter_pass` allocates them, or into new
+    arrays for each ``None``; ``u_prev`` is a float array or ``None``,
+    whose zero input product is skipped.
     """
     bigA, bigC = model.bigA, model.bigC
-    xm = bigA @ xhat
+    (xhat_new, P_new, xm, Pm), (W, CP, S, innov) = out, work
+    xm = np.matmul(bigA, xhat, out=xm)
     if u_prev is not None:
         xm += model.bigB @ u_prev
-    Pm = bigA @ P @ bigA.T
-    Pm += model.bigQ
-    Pm = _sym(Pm)
+    W = np.matmul(np.matmul(bigA, P, out=P_new), bigA.T, out=W)
+    W += model.bigQ
+    Pm = _sym(W, Pm)
 
-    CP = bigC @ Pm
-    S = CP @ bigC.T
+    CP = np.matmul(bigC, Pm, out=CP)
+    S = np.matmul(CP, bigC.T, out=S)
     S += model.meas.R
     H = _spd_solve_gain(S, CP)
 
-    P = H @ CP
-    np.subtract(Pm, P, out=P)
-    innov = bigC @ xm
+    W = np.matmul(H, CP, out=W)
+    P_new = _sym(np.subtract(Pm, W, out=W), P_new)
+    innov = np.matmul(bigC, xm, out=innov)
     np.subtract(y, innov, out=innov)
-    xhat = H @ innov
-    xhat += xm
-    return xhat, _sym(P), xm, Pm, H
+    xhat_new = np.matmul(H, innov, out=xhat_new)
+    xhat_new += xm
+    return xhat_new, P_new, xm, Pm, H
 
 
 def standard_kf_step(
@@ -232,16 +235,16 @@ def determinate_kf_init(d: Decomposition) -> DeterminateKFState:
     )
 
 
-def _predict_decomposed(d: Decomposition, xi_o, xi_obar, omega_prev: InputPair):
-    """Prior means of the decomposed recursion; the products of a zero
-    input (``None``) and of the coupling of a weight basis (exactly zero)
-    are skipped."""
-    xo_m = d.Ao @ xi_o
+def _predict_decomposed(d: Decomposition, xi_o, xi_obar, omega_prev: InputPair, xo_m=None, xb_m=None):
+    """Prior means of the decomposed recursion, into ``xo_m`` / ``xb_m``
+    when given; the products of a zero input (``None``) and of the
+    coupling of a weight basis (exactly zero) are skipped."""
+    xo_m = np.matmul(d.Ao, xi_o, out=xo_m)
     if d.q is None:
-        xb_m = d.coupling @ xi_o
+        xb_m = np.matmul(d.coupling, xi_o, out=xb_m)
         xb_m += d.A @ xi_obar
     else:
-        xb_m = d.A @ xi_obar
+        xb_m = np.matmul(d.A, xi_obar, out=xb_m)
     if omega_prev is not None:
         omega_o, omega_obar = _input_pair(omega_prev, d.N - 1)
         xo_m += d.Bo @ omega_o
@@ -249,43 +252,48 @@ def _predict_decomposed(d: Decomposition, xi_o, xi_obar, omega_prev: InputPair):
     return xo_m, xb_m
 
 
-def _determinate_update(d: Decomposition, R, xi_o, xi_obar, P_oo, P_bo, omega_prev, y):
+def _determinate_update(
+    d: Decomposition, R, xi_o, xi_obar, P_oo, P_bo, omega_prev, y, out=(None,) * 8, work=(None,) * 5
+):
     """One cycle of the five-block recursion on bare arrays.
 
-    Returns the fields of :class:`DeterminateKFState` in order.
+    Returns the fields of :class:`DeterminateKFState` in order, written
+    like :func:`_standard_update`'s into the caller's buffers or into new
+    arrays.
     """
-    Ao, Co = d.Ao, d.Co
-    xo_m, xb_m = _predict_decomposed(d, xi_o, xi_obar, omega_prev)
-    Poo_m = Ao @ P_oo @ Ao.T
-    Poo_m += d.Qo
-    Poo_m = _sym(Poo_m)
+    Ao, Co, AoT, n_obs = d.Ao, d.Co, d.Ao.T, len(xi_o)
+    xi_o_new, xi_obar_new, P_oo_new, P_bo_new, xo_m, xb_m, Poo_m, Pbo_m = out
+    W, W_bo, rhs, S, innov = work
+    xo_m, xb_m = _predict_decomposed(d, xi_o, xi_obar, omega_prev, xo_m, xb_m)
+    W = np.matmul(np.matmul(Ao, P_oo, out=P_oo_new), AoT, out=W)
+    W += d.Qo
+    Poo_m = _sym(W, Poo_m)
+    Pbo_m = np.matmul(np.matmul(d.A, P_bo, out=W_bo), AoT, out=Pbo_m)
     if d.q is None:
-        Pbo_m = d.coupling @ P_oo @ Ao.T
-        Pbo_m += d.A @ P_bo @ Ao.T
-    else:
-        Pbo_m = d.A @ P_bo @ Ao.T
+        Pbo_m += np.matmul(np.matmul(d.coupling, P_oo, out=W_bo), AoT, out=P_bo_new)
     Pbo_m += d.Qbo
 
-    CP = Co @ Poo_m
-    S = CP @ Co.T
-    S += R
     # both gains from one potrs over [C P_oo- | C P_bo-^T]
-    HT = _cho_solve(_cho_factor(S), np.concatenate((CP, Co @ Pbo_m.T), axis=1))
-    n_obs = CP.shape[1]
+    rhs = np.empty((len(y), n_obs + 2)) if rhs is None else rhs
+    CP = np.matmul(Co, Poo_m, out=rhs[:, :n_obs])
+    S = np.matmul(CP, Co.T, out=S)
+    S += R
+    np.matmul(Co, Pbo_m.T, out=rhs[:, n_obs:])
+    HT = _cho_solve(_cho_factor(S), rhs)
     H_o, H_bo = HT[:, :n_obs].T, HT[:, n_obs:].T
 
-    P_oo = H_o @ CP
-    np.subtract(Poo_m, P_oo, out=P_oo)
-    P_bo = H_bo @ CP
-    np.subtract(Pbo_m, P_bo, out=P_bo)
+    W = np.matmul(H_o, CP, out=W)
+    P_oo_new = _sym(np.subtract(Poo_m, W, out=W), P_oo_new)
+    P_bo_new = np.matmul(H_bo, CP, out=P_bo_new)
+    np.subtract(Pbo_m, P_bo_new, out=P_bo_new)
 
-    innov = Co @ xo_m
+    innov = np.matmul(Co, xo_m, out=innov)
     np.subtract(y, innov, out=innov)
-    xi_o = H_o @ innov
-    xi_o += xo_m
-    xi_obar = H_bo @ innov
-    xi_obar += xb_m
-    return xi_o, xi_obar, _sym(P_oo), P_bo, xo_m, xb_m, Poo_m, Pbo_m, H_o, H_bo
+    xi_o_new = np.matmul(H_o, innov, out=xi_o_new)
+    xi_o_new += xo_m
+    xi_obar_new = np.matmul(H_bo, innov, out=xi_obar_new)
+    xi_obar_new += xb_m
+    return xi_o_new, xi_obar_new, P_oo_new, P_bo_new, xo_m, xb_m, Poo_m, Pbo_m, H_o, H_bo
 
 
 def determinate_kf_step(
@@ -334,7 +342,8 @@ class FilterPass:
     the determinate gains.  Row 0 has no previous step, so its increments
     are NaN.  ``deviation`` (with ``d``) is the Lemma-1 relative deviation
     |reconstructed determinate posterior - standard posterior| / |standard
-    posterior|.
+    posterior|.  Rows are formed per 32-step sub-block, as each step would
+    give them alone.
     """
 
     eps: Optional[np.ndarray] = None
@@ -343,12 +352,15 @@ class FilterPass:
     det_increments: Optional[np.ndarray] = None
 
 
-def _increment_row(row: np.ndarray, k: int, a, a_prev, b, b_prev) -> None:
-    row[1], row[3] = _fro(a), _fro(b)
-    if k == 0:
-        row[0] = row[2] = np.nan
-    else:
-        row[0], row[2] = _fro(a - a_prev), _fro(b - b_prev)
+# steps per sub-block of filter_pass: what its reductions read is stored
+# for one sub-block (under 250 KB at N = 10) and reduced at its end
+_SUB = 32
+
+
+def _increments(out: np.ndarray, a: np.ndarray) -> None:
+    # out[j - 1] = [|a_j - a_j-1|, |a_j|] of the stored a[1:], a[0] being the step before
+    out[:, 0] = _norms(a[1:] - a[:-1])
+    out[:, 1] = _norms(a[1:])
 
 
 def filter_pass(
@@ -359,62 +371,76 @@ def filter_pass(
     increments: bool = False,
 ) -> FilterPass:
     """Run the standard filter from :func:`standard_kf_init` over the
-    measurements ``y`` (T rows) of a free run and reduce every step as it
-    goes.
+    measurements ``y`` (T rows) of a free run, with ``x`` its true states.
 
     The steps are those of :func:`standard_kf_step` (and, with ``d``,
     :func:`determinate_kf_step` from :func:`determinate_kf_init` on
-    ``model.meas.R``), bit for bit, but no state object is built per step
-    and posteriors are held for one block of at most 4096 steps at a time.
-    Both filters see zero input.  ``x`` holds the true states, which
-    ``eps`` is measured against.
+    ``model.meas.R``), bit for bit, written into buffers allocated once
+    per pass; both filters see zero input.  The posteriors, and the gains
+    and priors that the increments need, are stored for a sub-block of 32
+    steps, whose rows of every output are then formed together by batched
+    products that give the per-step values bit for bit.
     """
     y = np.asarray(y, dtype=float)
     T, N = y.shape[0], model.N
-    xhat, P = np.zeros(2 * N), model.bigQ.copy()
-    H = Pm = None
-    eps = None
-    if x is not None:
-        eps = np.empty(T)
-        phases = np.empty((min(T, BLOCK), N))  # posterior phases of one block
-    inc = np.empty((T, 4)) if increments else None
-    deviation = det_inc = None
+    n, p = 2 * N, N - 1
+    # slot 0 of a store holds the step before the sub-block (NaN gains and
+    # priors before step 0: no increment); steps index lists of row views
+    xs = np.zeros((_SUB + 1, n))  # standard posteriors
+    stored, x_rows = [xs], list(xs)
+    P = model.bigQ.copy()
+    P_next, xm, Pm, *work = (np.empty(s) for s in ((n, n), n, (n, n), (n, n), (p, n), (p, p), p))
+    Pm_rows = [Pm] * (_SUB + 1)  # the priors, unless stored
+    eps = np.empty(T) if x is not None else None
+    inc = deviation = det_inc = None
+    if increments:
+        inc = np.empty((T, 4))
+        Hs, Pms = np.full((_SUB + 1, n, p), np.nan), np.full((_SUB + 1, n, n), np.nan)
+        stored += [Hs, Pms]
+        Pm_rows = list(Pms)
     if d is not None:
-        R = model.meas.R
-        n_obs = 2 * (N - 1)
-        xi_o, xi_obar, P_oo, P_bo = np.zeros(n_obs), np.zeros(2), d.Qo.copy(), d.Qbo.copy()
-        H_o = H_bo = None
-        TinvT = d.Tinv.T
-        z = np.empty(2 * N)
-        deviation = np.empty(T)
-        det_inc = np.empty((T, 4))
+        R, TinvT, n_obs = model.meas.R, d.Tinv.T, n - 2
+        zs = np.zeros((_SUB + 1, n))  # determinate posteriors [xi_o | xi_obar]
+        Hos, Hbos = np.full((_SUB + 1, n_obs, p), np.nan), np.full((_SUB + 1, 2, p), np.nan)
+        stored += [zs, Hos, Hbos]
+        z_rows = [(z[:n_obs], z[n_obs:]) for z in zs]
+        P_oo, P_bo = d.Qo.copy(), d.Qbo.copy()
+        P_oo_next, P_bo_next = np.empty((n_obs, n_obs)), np.empty((2, n_obs))
+        det_prior = tuple(np.empty(s) for s in (n_obs, 2, (n_obs, n_obs), (2, n_obs)))
+        det_work = tuple(np.empty(s) for s in ((n_obs, n_obs), (2, n_obs), (p, n), (p, p), p))
+        deviation, det_inc = np.empty(T), np.empty((T, 4))
 
-    for k in range(T):
-        prev = (H, Pm)
-        xhat, P, _, Pm, H = _standard_update(model, xhat, P, None, y[k])
+    for k0 in range(0, T, _SUB):
+        b = min(_SUB, T - k0)
+        for j, yk in enumerate(y[k0 : k0 + b], 1):
+            out = (x_rows[j], P_next, xm, Pm_rows[j])
+            H = _standard_update(model, x_rows[j - 1], P, None, yk, out, work)[4]
+            P, P_next = P_next, P
+            if inc is not None:
+                Hs[j] = H
+            if d is not None:
+                out = (*z_rows[j], P_oo_next, P_bo_next, *det_prior)
+                out = _determinate_update(d, R, *z_rows[j - 1], P_oo, P_bo, None, yk, out, det_work)
+                P_oo, P_oo_next, P_bo, P_bo_next = P_oo_next, P_oo, P_bo_next, P_bo
+                Hos[j], Hbos[j] = out[8:]
+
+        rows, xhat = slice(k0, k0 + b), xs[1 : b + 1]
         if eps is not None:
-            i = k % BLOCK
-            phases[i] = xhat[:N]
-            if i == len(phases) - 1 or k == T - 1:
-                # reference_timescale(x[k] - xhat) row by row: each row is
-                # summed alone, as the 1-D sum of one step would be
-                k0 = k - i
-                eps[k0 : k + 1] = np.add.reduce(x[k0 : k + 1, :N] - phases[: i + 1], axis=1) / N
+            # reference_timescale(x[k] - xhat) row by row: each row is
+            # summed alone, as the 1-D sum of one step would be
+            eps[rows] = np.add.reduce(x[rows, :N] - xhat[:, :N], axis=1) / N
         if inc is not None:
-            _increment_row(inc[k], k, H, prev[0], Pm, prev[1])
+            _increments(inc[rows, :2], Hs[: b + 1])
+            _increments(inc[rows, 2:], Pms[: b + 1])
         if d is not None:
-            prev = (H_o, H_bo)
-            out = _determinate_update(d, R, xi_o, xi_obar, P_oo, P_bo, None, y[k])
-            xi_o, xi_obar, P_oo, P_bo = out[:4]
-            H_o, H_bo = out[8:]
-            _increment_row(det_inc[k], k, H_o, prev[0], H_bo, prev[1])
-            # reconstruct_state(xi_o, xi_obar, d), one row at a time
-            z[:n_obs] = xi_o
-            z[n_obs:] = xi_obar
-            gap = z @ TinvT
+            _increments(det_inc[rows, :2], Hos[: b + 1])
+            _increments(det_inc[rows, 2:], Hbos[: b + 1])
+            # reconstruct_state(xi_o, xi_obar, d) with one gemv per row
+            gap = (zs[1 : b + 1, None] @ TinvT)[:, 0]
             gap -= xhat
-            deviation[k] = _fro(gap) / max(_fro(xhat), 1e-300)
-
+            deviation[rows] = _norms(gap) / np.maximum(_norms(xhat), 1e-300)
+        for a in stored:
+            a[0] = a[b]
     return FilterPass(eps=eps, increments=inc, deviation=deviation, det_increments=det_inc)
 
 

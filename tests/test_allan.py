@@ -366,6 +366,21 @@ def test_entry_points_refuse_bad_tau(entry, tau):
         TAU_ENTRY_POINTS[entry](tau)
 
 
+@pytest.mark.parametrize("tau", [1e200, np.float64(1e200)], ids=["float", "float64"])
+@pytest.mark.parametrize("entry", ["gamma_matrix", "allan_pi", "optimal_weight"])
+def test_tau_cubed_overflow_is_named(entry, tau):
+    # unchecked, a Python float raised OverflowError and a float64 gave inf,
+    # which optimal_weight reported only as non-finite weight entries
+    s1, s2 = np.array([1.0, 4.0]), np.array([3.0, 0.5])
+    call = {
+        "gamma_matrix": lambda: gamma_matrix(s1, s2, tau),
+        "allan_pi": lambda: allan_pi(np.array([0.5, 0.5]), s1, s2, tau),
+        "optimal_weight": lambda: optimal_weight(s1, s2, tau),
+    }[entry]
+    with pytest.raises(ValueError, match=r"tau\*\*3 overflows"):
+        call()
+
+
 class TestWeights:
     def test_short_term_inverse_variance(self):
         q = weight_short(np.array([1.0, 4.0]))

@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from eemsync.cli import main
+from eemsync.cli import _bundled_dir, main
 
 
 def write_config(tmp_path, name="tiny", **over):
@@ -251,6 +251,26 @@ def test_failed_gains_solve_leaves_a_partial_manifest(tmp_path, capsys):
     for entry in manifest["files"]:
         data = (out / "tiny" / entry["name"]).read_bytes()
         assert hashlib.sha256(data).hexdigest() == entry["sha256"]
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+@pytest.mark.parametrize("name", ["standard_kf", "standard_kf_suboptimal", "determinate_kf"])
+def test_filter_overflow_inside_the_pass_leaves_a_partial_manifest(tmp_path, capsys, name):
+    # random-walk FM of 1.5e152 passes the validator; the standard filter's
+    # innovation covariance overflows at step 48, inside the pass's second
+    # 32-step sub-block
+    cfg = json.loads((_bundled_dir() / f"{name}.json").read_text())
+    cfg["model"]["sigma2"] = [1.5e152] * cfg["model"]["n_clocks"]
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "artifacts"
+    assert main(["run", str(path), "--out", str(out), "--horizon", "60"]) == 3
+    assert "numerical failure" in capsys.readouterr().err
+    manifest = json.loads((out / cfg["name"] / "manifest.json").read_text())
+    assert manifest["status"] == "failed"
+    assert manifest["partial"] is True
+    assert manifest["error"] == "NumericalError: innovation covariance is not finite"
+    assert manifest["files"] == []
 
 
 @pytest.mark.parametrize(

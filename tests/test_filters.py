@@ -1,6 +1,8 @@
 """Filter checks: decomposed-filter equivalence, stationary solutions."""
 
+import dataclasses
 import time
+import tracemalloc
 from dataclasses import fields
 from typing import Optional, Tuple
 
@@ -501,6 +503,107 @@ class TestFilterPass:
         assert np.array_equal(run.det_increments, det_inc, equal_nan=True)
         assert run.eps is None and run.increments is None
         assert np.max(run.deviation) < 1e-8
+
+
+def _assert_pass_equal(run, eps, inc, deviation, det_inc) -> None:
+    assert np.array_equal(run.eps, eps)
+    assert np.array_equal(run.increments, inc, equal_nan=True)
+    assert np.array_equal(run.deviation, deviation)
+    assert np.array_equal(run.det_increments, det_inc, equal_nan=True)
+
+
+class TestFilterPassSubBlocks:
+    """``filter_pass`` reduces its steps in sub-blocks of ``filters._SUB``;
+    every row equals the step loop's at and across their edges."""
+
+    def test_sub_block_length(self):
+        assert filters._SUB == 32
+
+    @pytest.mark.parametrize("T", [1, 2, 31, 32, 33, 4097])
+    @pytest.mark.parametrize("n_clocks", [2, 3, 10])
+    @pytest.mark.parametrize("basis", ["weight", "general"])
+    def test_matches_step_loop(self, basis, n_clocks, T):
+        model = demo_ensemble(n_clocks=n_clocks)
+        d = decompose(model, _basis(model, basis))
+        rec = simulate(model, None, T, seed=57)
+        ref = loop_over_steps(model, rec.y, x=rec.x, d=d)
+        _assert_pass_equal(filter_pass(model, rec.y, x=rec.x, d=d, increments=True), *ref)
+        # each output alone: a pass stores only the matrices its outputs need
+        eps, inc, deviation, det_inc = ref
+        assert np.array_equal(filter_pass(model, rec.y, x=rec.x).eps, eps)
+        assert np.array_equal(filter_pass(model, rec.y, increments=True).increments, inc, equal_nan=True)
+        twin = filter_pass(model, rec.y, d=d)
+        assert np.array_equal(twin.deviation, deviation)
+        assert np.array_equal(twin.det_increments, det_inc, equal_nan=True)
+
+    @staticmethod
+    def _overflowing():
+        # random-walk FM of 1.5e152: the standard filter's diverging
+        # unobservable block overflows the innovation covariance at step 48
+        params = [NoiseParams(DEMO_SIGMA1[i], 1.5e152) for i in range(10)]
+        model = build_ensemble(params, star_measurement(10), np.diag(np.asarray(DEMO_MEAS_STD) ** 2), 1.0)
+        return model, model
+
+    @staticmethod
+    def _indefinite():
+        # a negative process covariance patched in (build_ensemble refuses
+        # it) shrinks the prior each step, until S turns indefinite at step 48
+        model = build_ensemble([NoiseParams(1e-10, 1e-13)] * 3, star_measurement(3), np.eye(2) * 3.0e-17, 1.0)
+        return dataclasses.replace(model, bigQ=-model.bigQ), model
+
+    @pytest.mark.parametrize("with_d", [False, True])
+    @pytest.mark.parametrize("case", ["_overflowing", "_indefinite"])
+    def test_failure_inside_a_sub_block_matches_step_loop(self, case, with_d):
+        model, source = getattr(self, case)()
+        rec = simulate(source, None, 60, seed=3)
+        d = decompose(model, np.full(model.N, 1.0 / model.N)) if with_d else None
+        with np.errstate(all="ignore"):
+            with pytest.raises(NumericalError) as ref:
+                loop_over_steps(model, rec.y, x=rec.x, d=d)
+            with pytest.raises(NumericalError) as got:
+                filter_pass(model, rec.y, x=rec.x, d=d, increments=True)
+            # the failing step is 48, the 17th of the second sub-block
+            filter_pass(model, rec.y[:48], x=rec.x, d=d, increments=True)
+            with pytest.raises(NumericalError):
+                filter_pass(model, rec.y[:49], x=rec.x, d=d, increments=True)
+        assert type(got.value) is type(ref.value)
+        assert str(got.value) == str(ref.value)
+
+    def test_heap_is_one_sub_block(self):
+        # beyond the arrays it returns, the pass holds a sub-block of
+        # posteriors and gains and its reduction temporaries, whatever T
+        model = demo_ensemble()
+        d = decompose(model, _basis(model, "weight"))
+        rec = simulate(model, None, 40_000, seed=59)
+        filter_pass(model, rec.y[:40], d=d)
+        extra = []
+        for T in (20_000, 40_000):
+            tracemalloc.start()
+            try:
+                run = filter_pass(model, rec.y[:T], d=d)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            extra.append(peak - run.deviation.nbytes - run.det_increments.nbytes)
+        assert extra[0] <= 0.5e6
+        assert extra[1] <= extra[0]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n_clocks=st.integers(2, 12),
+    T=st.integers(1, 100),
+    general=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_property_filter_pass_matches_step_loop(n_clocks, T, general, seed):
+    model = _property_model(n_clocks)
+    rng = np.random.default_rng(seed)
+    q = rng.dirichlet(np.ones(n_clocks))
+    d = decompose(model, _general_basis(n_clocks, q, rng) if general else q)
+    rec = simulate(model, None, T, seed=seed)
+    run = filter_pass(model, rec.y, x=rec.x, d=d, increments=True)
+    _assert_pass_equal(run, *loop_over_steps(model, rec.y, x=rec.x, d=d))
 
 
 class TestNonFiniteCovariance:

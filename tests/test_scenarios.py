@@ -699,6 +699,9 @@ EDGE_EDITS = {
     "meas_std-1e-150": {"model.meas_std": [1e-150] * 9},
     "sigma1-1e150": {"model.sigma1": [1e150] * 10},
     "sigmas-1e-300": {"model.sigma1": [1e-300] * 10, "model.sigma2": [1e-300] * 10},
+    # the offline kinds' standard filter overflows at step 48, inside the
+    # filter pass's second sub-block
+    "sigma2-1.5e152": {"model.sigma2": [1.5e152] * 10},
     "weight-2-minus-1": {"controller.weight": [2.0, -1.0] + [0.0] * 8},
     "weight-half-half": {"controller.weight": [0.5, 0.5] + [0.0] * 8},
     "weight-nan": {"controller.weight": [NAN] + [0.1] * 9},
