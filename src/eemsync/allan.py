@@ -8,7 +8,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .decomp import weight_vector
-from .models import NoiseParams, _check_finite_power
+from .models import _check_tau, _interval_covariance
 
 __all__ = [
     "AllanPlot",
@@ -35,27 +35,26 @@ def variance_vector(variances: Union[np.ndarray, Sequence[float]]) -> np.ndarray
     return S
 
 
-def _check_tau(tau: float) -> None:
-    """Refuse a sampling interval that is not finite and positive."""
-    if not np.isfinite(tau) or tau <= 0:
-        raise ValueError(f"tau must be finite and > 0, got {tau!r}")
-
-
-def gamma_matrix(sigma1_sq, sigma2_sq, tau: float) -> np.ndarray:
-    """Diagonal of the interval covariance Gamma(tau), tau sigma1_sq + (tau^3/3) sigma2_sq."""
-    _check_tau(tau)
-    _check_finite_power("tau", tau, 3)
+def _variance_pair(sigma1_sq, sigma2_sq) -> tuple:
+    """Both variance vectors, validated, of matching sizes."""
     s1 = variance_vector(sigma1_sq)
     s2 = variance_vector(sigma2_sq)
     if s1.shape != s2.shape:
         raise ValueError("sigma1_sq and sigma2_sq must have matching sizes")
-    return tau * s1 + (tau**3 / 3.0) * s2
+    return s1, s2
 
 
-def analytical_allan_clock(noise: NoiseParams, tau: float) -> float:
-    """Two-noise single-clock Allan variance: sigma1^2/tau + (tau/3) sigma2^2."""
+def gamma_matrix(sigma1_sq, sigma2_sq, tau: float) -> np.ndarray:
+    """Diagonal of the interval covariance Gamma(tau): each clock's phase
+    entry of Q(tau), tau sigma1_sq + (tau^3/3) sigma2_sq."""
+    return _interval_covariance(*_variance_pair(sigma1_sq, sigma2_sq), tau)[0]
+
+
+def analytical_allan_clock(sigma1_sq, sigma2_sq, tau: float) -> np.ndarray:
+    """Two-noise Allan variance of each clock: sigma1_sq/tau + (tau/3) sigma2_sq."""
     _check_tau(tau)
-    return noise.sigma1**2 / tau + (tau / 3.0) * noise.sigma2**2
+    s1, s2 = _variance_pair(sigma1_sq, sigma2_sq)
+    return s1 / tau + (tau / 3.0) * s2
 
 
 def allan_pi(q: np.ndarray, sigma1_sq, sigma2_sq, tau: float) -> float:

@@ -30,7 +30,7 @@ from .filters import (  # noqa: F401
     determinate_kf_step,
     stationary_kf_step,
 )
-from .models import EnsembleModel
+from .models import EnsembleModel, _check_tau
 from .presets import DEFAULT_COLLECTIVE_GAIN_COEFFS, DEFAULT_OBS_GAIN_COEFFS
 from .simkit import BLOCK, NoiseSampler, TrajectoryRecord, _free_run, _spans
 
@@ -106,7 +106,7 @@ class ControllerConfig:
     is balanced and kicks the mean at the steps k with
     (k - phase) % m == 0; ``None`` only synchronizes.  Every problem with
     F_o's shape, K_bo (2 numbers), m (an integer >= 1), phase (an
-    integer) or tau (finite, > 0) is reported in one :class:`ConfigError`.
+    integer) or tau (finite, > 0, tau**3 normal) is reported in one :class:`ConfigError`.
     ``validate=False`` skips the spectral checks; the destabilized runs
     used to exercise the instability direction of the synchronization
     theorem need it.
@@ -140,8 +140,10 @@ class ControllerConfig:
             problems.append(f"phase must be an integer, got {self.phase!r}")
         else:
             object.__setattr__(self, "phase", phase)
-        if not (np.isfinite(self.tau) and self.tau > 0):
-            problems.append(f"tau must be finite and > 0, got {self.tau!r}")
+        try:
+            _check_tau(self.tau)
+        except ValueError as exc:
+            problems.append(str(exc))
         if self.K_bo is not None:
             try:
                 K_bo = np.asarray(self.K_bo, dtype=float)
@@ -308,8 +310,7 @@ def closed_loop(
             Z[0] = Z[n]
             yield _project(v, Q)
 
-    # every destination starts from the zero state, as the loop does
-    dest = _free_run(model.tau, run(), np.empty((T + 1, 2 * len(Q))), 0.0, 0.0)
+    dest = _free_run(model.tau, run(), np.empty((T + 1, 2 * len(Q))))
     u = omega_o @ d.Vplus.T
     u += omega_obar[:, None]
     record = TrajectoryRecord(tau=model.tau, x=x, y=y, u=u)
@@ -333,9 +334,8 @@ def destination_trajectory(
     q: np.ndarray,
     T: int,
     seed: int,
-    x0: Optional[np.ndarray] = None,
 ) -> np.ndarray:
-    """Free-running weighted-mean states r[0..T], shape (T+1, 2).
+    """Free-running weighted-mean states r[0..T] from zero, shape (T+1, 2).
 
     Replays the process-noise sub-stream of ``seed``, one block of
     ``BLOCK`` rows at a time, projecting each block on q as
@@ -347,22 +347,14 @@ def destination_trajectory(
     if T < 1:
         raise ValueError(f"T must be >= 1, got {T}")
     qv = weight_vector(q, model.N)
-    N = model.N
-    if x0 is None:
-        r0 = (0.0, 0.0)
-    else:
-        x0 = np.asarray(x0, dtype=float)
-        if x0.shape != (2 * N,):
-            raise ValueError(f"x0 must have shape ({2 * N},), got {x0.shape}")
-        r0 = (x0[:N] @ qv, x0[N:] @ qv)
     sampler = NoiseSampler(model, seed)
     noise = (_project(sampler.process_block(k1 - k0), qv[None]) for k0, k1 in _spans(T))
-    return _free_run(model.tau, noise, np.empty((T + 1, 2)), *r0)
+    return _free_run(model.tau, noise, np.empty((T + 1, 2)))
 
 
-def sync_error(traj, dest: np.ndarray) -> np.ndarray:
-    """Deviation of every clock from the destination: x - (I2 kron 1) r."""
-    x = np.asarray(traj.x, dtype=float)
+def sync_error(x: np.ndarray, dest: np.ndarray) -> np.ndarray:
+    """Deviation of state rows x, (K, 2N), from destination rows r, (K, 2): x - (I2 kron 1) r."""
+    x = np.asarray(x, dtype=float)
     r = np.asarray(dest, dtype=float)
     if r.ndim != 2 or r.shape[1] != 2:
         raise ValueError(f"destination must have shape (T+1, 2), got {r.shape}")

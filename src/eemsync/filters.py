@@ -410,37 +410,39 @@ def filter_pass(
         det_work = tuple(np.empty(s) for s in ((n_obs, n_obs), (2, n_obs), (p, n), (p, p), p))
         deviation, det_inc = np.empty(T), np.empty((T, 4))
 
-    for k0 in range(0, T, _SUB):
-        b = min(_SUB, T - k0)
-        for j, yk in enumerate(y[k0 : k0 + b], 1):
-            out = (x_rows[j], P_next, xm, Pm_rows[j])
-            H = _standard_update(model, x_rows[j - 1], P, None, yk, out, work)[4]
-            P, P_next = P_next, P
-            if inc is not None:
-                Hs[j] = H
-            if d is not None:
-                out = (*z_rows[j], P_oo_next, P_bo_next, *det_prior)
-                out = _determinate_update(d, R, *z_rows[j - 1], P_oo, P_bo, None, yk, out, det_work)
-                P_oo, P_oo_next, P_bo, P_bo_next = P_oo_next, P_oo, P_bo_next, P_bo
-                Hos[j], Hbos[j] = out[8:]
+    # a step that meets a non-finite covariance raises NumericalError
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k0 in range(0, T, _SUB):
+            b = min(_SUB, T - k0)
+            for j, yk in enumerate(y[k0 : k0 + b], 1):
+                out = (x_rows[j], P_next, xm, Pm_rows[j])
+                H = _standard_update(model, x_rows[j - 1], P, None, yk, out, work)[4]
+                P, P_next = P_next, P
+                if inc is not None:
+                    Hs[j] = H
+                if d is not None:
+                    out = (*z_rows[j], P_oo_next, P_bo_next, *det_prior)
+                    out = _determinate_update(d, R, *z_rows[j - 1], P_oo, P_bo, None, yk, out, det_work)
+                    P_oo, P_oo_next, P_bo, P_bo_next = P_oo_next, P_oo, P_bo_next, P_bo
+                    Hos[j], Hbos[j] = out[8:]
 
-        rows, xhat = slice(k0, k0 + b), xs[1 : b + 1]
-        if eps is not None:
-            # reference_timescale(x[k] - xhat) row by row: each row is
-            # summed alone, as the 1-D sum of one step would be
-            eps[rows] = np.add.reduce(x[rows, :N] - xhat[:, :N], axis=1) / N
-        if inc is not None:
-            _increments(inc[rows, :2], Hs[: b + 1])
-            _increments(inc[rows, 2:], Pms[: b + 1])
-        if d is not None:
-            _increments(det_inc[rows, :2], Hos[: b + 1])
-            _increments(det_inc[rows, 2:], Hbos[: b + 1])
-            # reconstruct_state(xi_o, xi_obar, d) with one gemv per row
-            gap = (zs[1 : b + 1, None] @ TinvT)[:, 0]
-            gap -= xhat
-            deviation[rows] = _norms(gap) / np.maximum(_norms(xhat), 1e-300)
-        for a in stored:
-            a[0] = a[b]
+            rows, xhat = slice(k0, k0 + b), xs[1 : b + 1]
+            if eps is not None:
+                # reference_timescale(x[k] - xhat) row by row: each row is
+                # summed alone, as the 1-D sum of one step would be
+                eps[rows] = np.add.reduce(x[rows, :N] - xhat[:, :N], axis=1) / N
+            if inc is not None:
+                _increments(inc[rows, :2], Hs[: b + 1])
+                _increments(inc[rows, 2:], Pms[: b + 1])
+            if d is not None:
+                _increments(det_inc[rows, :2], Hos[: b + 1])
+                _increments(det_inc[rows, 2:], Hbos[: b + 1])
+                # reconstruct_state(xi_o, xi_obar, d) with one gemv per row
+                gap = (zs[1 : b + 1, None] @ TinvT)[:, 0]
+                gap -= xhat
+                deviation[rows] = _norms(gap) / np.maximum(_norms(xhat), 1e-300)
+            for a in stored:
+                a[0] = a[b]
     return FilterPass(eps=eps, increments=inc, deviation=deviation, det_increments=det_inc)
 
 
@@ -533,7 +535,8 @@ def solve_stationary(d: Decomposition, R: np.ndarray) -> StationaryGains:
 
     residual_oo = rel_diff(P, advance(P))
     residual_bo = rel_diff(P_bo, d.A @ P_bo @ Z.T + X)
-    if residual_oo > 1e-10 or residual_bo > 1e-10:
+    # fails closed: a NaN residual (norms that overflow) fails too
+    if not (residual_oo <= 1e-10 and residual_bo <= 1e-10):
         raise ConvergenceError(
             f"stationary solution failed its fixed-point residual check "
             f"(observable {residual_oo:.3e}, cross {residual_bo:.3e})"

@@ -37,6 +37,26 @@ def _check_finite_power(name: str, value, exponent: int) -> None:
         raise ValueError(f"{name}**{exponent} overflows, so the model is not finite; got {name} = {value!r}")
 
 
+def _check_tau(tau) -> None:
+    """The one rule for a sampling interval, else ValueError: finite, > 0,
+    and tau**3 a finite normal float (tau >= about 2.8e-103, below which
+    Q's random-walk term and the Allan estimator's (m tau)**2 underflow)."""
+    if not np.isfinite(tau) or tau <= 0:
+        raise ValueError(f"tau must be finite and > 0, got {tau!r}")
+    _check_finite_power("tau", tau, 3)
+    if np.float64(tau) ** 3 < np.finfo(float).tiny:
+        raise ValueError(f"tau**3 underflows below the smallest normal float; got tau = {tau!r}")
+
+
+def _interval_covariance(s1, s2, tau: float) -> tuple:
+    """Phase, cross and frequency entries of the one-interval covariance
+    Q(tau) for white-FM variance s1 and random-walk FM variance s2 (scalars
+    or per-clock vectors); checks tau, and an overflow is left as inf."""
+    _check_tau(tau)
+    with np.errstate(over="ignore"):
+        return tau * s1 + tau ** 3 / 3.0 * s2, tau ** 2 / 2.0 * s2, tau * s2
+
+
 @dataclass(frozen=True)
 class NoiseParams:
     """Continuous-time noise intensities of one clock.
@@ -89,21 +109,11 @@ def discretize(noise: NoiseParams, tau: float) -> DiscreteClockModel:
 
     with s1 = noise.sigma1 and s2 = noise.sigma2.
     """
-    if not np.isfinite(tau) or tau <= 0:
-        raise ValueError(f"tau must be finite and > 0, got {tau!r}")
-    _check_finite_power("tau", tau, 3)
-    s1sq = noise.sigma1 ** 2
-    s2sq = noise.sigma2 ** 2
+    phase, cross, freq = _interval_covariance(noise.sigma1 ** 2, noise.sigma2 ** 2, tau)
     A = np.array([[1.0, tau], [0.0, 1.0]])
     B = np.array([tau, 1.0])
     C = np.array([1.0, 0.0])
-    with np.errstate(over="ignore"):  # an overflow is reported below
-        Q = np.array(
-            [
-                [tau * s1sq + tau ** 3 / 3.0 * s2sq, tau ** 2 / 2.0 * s2sq],
-                [tau ** 2 / 2.0 * s2sq, tau * s2sq],
-            ]
-        )
+    Q = np.array([[phase, cross], [cross, freq]])
     if not np.isfinite(Q).all():
         raise ValueError(f"tau = {tau!r} with {noise} leaves the process covariance Q not finite")
     return DiscreteClockModel(A=A, B=B, C=C, Q=Q, tau=tau)
@@ -212,28 +222,18 @@ def build_ensemble(
     R : (N-1, N-1) symmetric positive-definite measurement covariance.
     tau : sampling interval in seconds.
 
-    With Sigma1 = diag(sigma1_sq) and Sigma2 = diag(sigma2_sq), the
-    per-clock variances sigma**2, the stacked process covariance is
-
-        bigQ = [[tau*Sigma1 + tau^3/3*Sigma2, tau^2/2*Sigma2],
-                [tau^2/2*Sigma2,              tau*Sigma2    ]]
-
-    whose per-clock marginals coincide with discretize(params[i], tau).Q.
+    The stacked process covariance bigQ holds each clock's
+    discretize(params[i], tau).Q on the diagonals of its four N x N blocks.
     """
     meas = MeasurementStructure(V=np.asarray(V, dtype=float), R=np.asarray(R, dtype=float))
     N = meas.N
     if len(params) != N:
         raise ValueError(f"got {len(params)} NoiseParams for N = {N} clocks")
-    clock = discretize(params[0], tau)  # checks tau, including tau**3
+    clock = discretize(params[0], tau)  # checks tau
     s1 = np.array([p.sigma1 ** 2 for p in params])
     s2 = np.array([p.sigma2 ** 2 for p in params])
-    with np.errstate(over="ignore"):  # an overflow is reported below
-        bigQ = np.block(
-            [
-                [np.diag(tau * s1 + tau ** 3 / 3.0 * s2), np.diag(tau ** 2 / 2.0 * s2)],
-                [np.diag(tau ** 2 / 2.0 * s2), np.diag(tau * s2)],
-            ]
-        )
+    phase, cross, freq = map(np.diag, _interval_covariance(s1, s2, tau))
+    bigQ = np.block([[phase, cross], [cross, freq]])
     if not np.isfinite(bigQ).all():
         raise ValueError(f"tau = {tau!r} with these sigma1 and sigma2 leaves the process covariance bigQ not finite")
     eye = np.eye(N)

@@ -42,7 +42,7 @@ from .filters import (  # noqa: F401
     standard_kf_step,
 )
 from .models import EnsembleModel, MeasurementStructure, NoiseParams, build_ensemble, discretize
-from .models import star_measurement
+from .models import _check_tau, star_measurement
 from .presets import (
     DEFAULT_COLLECTIVE_GAIN_COEFFS,
     DEFAULT_COLLECTIVE_PERIOD,
@@ -183,7 +183,7 @@ def _build_model(raw_model, problems: List[str]) -> Optional[EnsembleModel]:
     else:
         tau = float(tau)
         try:
-            discretize(NoiseParams(1.0, 0.0), tau)
+            _check_tau(tau)
         except ValueError as exc:
             problems.append(f"model.{exc}")
             tau_ok = False
@@ -348,10 +348,22 @@ def validate_config(raw: dict) -> ScenarioConfig:
 # artifact helpers
 
 
+def _json_text(doc: dict) -> str:
+    """``doc`` as strict JSON, indented by two spaces with sorted keys.  A
+    NaN or an infinity raises NumericalError naming its line, such as
+    ``"slope": NaN``, since strict JSON has no form for it."""
+    try:
+        return json.dumps(doc, indent=2, sort_keys=True, default=float, allow_nan=False) + "\n"
+    except ValueError:
+        lines = json.dumps(doc, indent=2, sort_keys=True, default=float).splitlines()
+        bad = [line.strip(" ,") for line in lines if line.rstrip(",").endswith(("NaN", "Infinity"))]
+        raise NumericalError(f"not finite, so not strict JSON: {'; '.join(bad[:3])}") from None
+
+
 def _write_json(path: str, doc: dict) -> None:
+    text = _json_text(doc)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True, default=float)
-        fh.write("\n")
+        fh.write(text)
 
 
 def _gains_doc(g: StationaryGains) -> dict:
@@ -480,18 +492,17 @@ def _run_free_run(cfg: ScenarioConfig, art: _Artifacts) -> dict:
     if "allan" in cfg.outputs:
         art.write_allan({"clock": plot}, "allan")
     s1, s2 = cfg.model.sigma1_sq, cfg.model.sigma2_sq
-    # m = 1 leads the default grid, which holds it from horizon 4 on
-    at_one = plot.values[0]
+    # one row per interval, one column per clock; m = 1 leads the default
+    # grid, which holds it from horizon 4 on, so row 0 is at tau
+    lines = np.array([analytical_allan_clock(s1, s2, t) for t in plot.intervals])
     summary = {"clocks": {}}
     analytical = {}
     for i in range(cfg.model.N):
         name = f"clock_{i + 1}"
-        noise = NoiseParams(np.sqrt(s1[i]), np.sqrt(s2[i]))
-        line = np.array([analytical_allan_clock(noise, t) for t in plot.intervals])
-        analytical[f"{name}_analytical"] = replace(plot, values=line)
+        analytical[f"{name}_analytical"] = replace(plot, values=lines[:, i])
         summary["clocks"][name] = {
-            "allan_at_1s": float(at_one[i]),
-            "analytical_at_1s": analytical_allan_clock(noise, cfg.model.tau),
+            "allan_at_1s": float(plot.values[0, i]),
+            "analytical_at_1s": float(lines[0, i]),
         }
     if "analytical" in cfg.outputs:
         art.write_allan(analytical, "reference")
@@ -586,7 +597,7 @@ def _run_controller(cfg: ScenarioConfig, art: _Artifacts) -> dict:
         # the synchronization error at every step-th state only
         step = max(1, cfg.horizon // 10_000)
         rows = range(0, cfg.horizon + 1, step)
-        art.save("delta.npy", rows, sync_error(replace(rec, x=rec.x[::step]), dest[::step]))
+        art.save("delta.npy", rows, sync_error(rec.x[::step], dest[::step]))
     if "trajectory" in cfg.outputs:
         art.save("trajectory.npy", range(rec.T), rec.h[: rec.T], rec.u)
 
@@ -621,7 +632,7 @@ def _run_controller(cfg: ScenarioConfig, art: _Artifacts) -> dict:
         # the long-term destination
         m = cfg.controller.m
         kicks = slice(cfg.controller.phase % m, None, m)
-        sampled = sync_error(replace(rec, x=rec.x[kicks]), dests[1][kicks])
+        sampled = sync_error(rec.x[kicks], dests[1][kicks])
         sampled_mean = sampled[:, : model.N] @ q_inf
         summary["collective_kicks"] = int(np.count_nonzero(omega_obar))
         summary["sampled_mean_phase_trend"] = _trend_statistics(sampled_mean)
@@ -708,10 +719,12 @@ def run_scenario(cfg: ScenarioConfig, out_dir: str, jobs: int = 1) -> dict:
     summary: dict = {}
     try:
         summary = KINDS[cfg.kind].run(cfg, art)
+        _json_text(summary)  # checked even when not written: the manifest holds it
         if "summary" in cfg.outputs:
             art.write_json("summary.json", summary)
     except (NumericalError, ConvergenceError) as exc:
         caught = exc
+        summary = {}
     manifest = {
         "name": cfg.name,
         "kind": cfg.kind,

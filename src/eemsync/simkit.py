@@ -15,7 +15,7 @@ from typing import Callable, Optional
 import numpy as np
 import numpy.random  # noqa: F401  numpy 2 loads it lazily; every simulation draws from it
 
-from .models import DiscreteClockModel, EnsembleModel
+from .models import EnsembleModel, _check_tau
 
 __all__ = [
     "NoiseSampler",
@@ -40,17 +40,20 @@ def _spans(T: int) -> list:
 def _sqrt_factor_lower(M: np.ndarray) -> np.ndarray:
     """Lower-triangular L with L L^T = M for symmetric PSD M.
 
-    Cholesky when M is definite; otherwise an eigen square root
-    re-triangularized through QR (a sigma of zero makes bigQ singular).
+    Rows and columns with a zero diagonal (a clock without random-walk
+    FM gives bigQ one) stay exactly zero, so the draws of each row of
+    noise round alike in any block size; the rest is factored by
+    Cholesky, or failing that by an eigen root re-triangularized by QR.
     """
+    keep = np.ix_(*[np.flatnonzero(np.diag(M) > 0)] * 2)
     try:
-        return np.linalg.cholesky(M)
+        root = np.linalg.cholesky(M[keep])
     except np.linalg.LinAlgError:
-        w, u = np.linalg.eigh(M)
-        w = np.clip(w, 0.0, None)
-        root = u * np.sqrt(w)
-        _, r = np.linalg.qr(root.T)
-        return r.T
+        w, u = np.linalg.eigh(M[keep])
+        root = np.linalg.qr((u * np.sqrt(np.clip(w, 0.0, None))).T)[1].T
+    L = np.zeros_like(M)
+    L[keep] = root
+    return L
 
 
 def _colour(z: np.ndarray, chol: np.ndarray) -> np.ndarray:
@@ -128,9 +131,8 @@ def simulate(
     policy: Optional[Policy],
     T: int,
     seed: int,
-    x0: Optional[np.ndarray] = None,
 ) -> TrajectoryRecord:
-    """Run the closed loop for T steps and record x, y and u.
+    """Run the closed loop from the zero state for T steps; record x, y, u.
 
     Parameters
     ----------
@@ -139,7 +141,6 @@ def simulate(
         before the policy is invoked at step k.
     seed : drives both noise sub-streams, which every run draws; equal
         seeds reproduce the record bit-for-bit.
-    x0 : initial ensemble state, default zero.
 
     The noise is drawn, and used, in blocks of ``BLOCK`` rows, so besides
     the record a run holds one block of noise; by the block property of
@@ -149,13 +150,6 @@ def simulate(
         raise ValueError(f"T must be >= 1, got {T}")
     N = model.N
     n2 = 2 * N
-    if x0 is None:
-        x0 = np.zeros(n2)
-    else:
-        x0 = np.asarray(x0, dtype=float)
-        if x0.shape != (n2,):
-            raise ValueError(f"x0 must have shape ({n2},), got {x0.shape}")
-
     sampler = NoiseSampler(model, seed)
     spans = _spans(T)
     xs = np.empty((T + 1, n2))
@@ -163,7 +157,7 @@ def simulate(
 
     if policy is None:
         process = (sampler.process_block(k1 - k0) for k0, k1 in spans)
-        _free_run(model.tau, process, xs, x0[:N], x0[N:])
+        _free_run(model.tau, process, xs)
         # one product over every row: a one-row block would round otherwise
         np.matmul(xs[:T, :N], model.meas.V.T, out=ys)
         for k0, k1 in spans:
@@ -171,9 +165,8 @@ def simulate(
         us = np.zeros((T, N))
     else:
         us = np.empty((T, N))
-        xs[0] = x0
+        x = xs[0] = np.zeros(n2)
         bigA, bigB, bigC = model.bigA, model.bigB, model.bigC
-        x = x0
         for k0, k1 in spans:
             v = sampler.process_block(k1 - k0)
             w = sampler.measurement_block(k1 - k0)
@@ -192,13 +185,13 @@ def simulate(
     return TrajectoryRecord(tau=model.tau, x=xs, y=ys, u=us)
 
 
-def _free_run(tau: float, blocks, out: np.ndarray, phase0, freq0) -> np.ndarray:
+def _free_run(tau: float, blocks, out: np.ndarray) -> np.ndarray:
     """Fill ``out``, shape (T+1, 2n), with the states of n free-running
-    clocks, phases then frequencies, and return it.
+    clocks from the zero state, phases then frequencies, and return it.
 
     Integrates x[k+1] = A x[k] + v[k] by cumulative sums, in place:
-    freq[k] = freq0 + sum_{j<k} v_freq[j], then
-    phase[k] = phase0 + sum_{j<k} (tau freq[j] + v_phase[j]).  ``blocks``
+    freq[k] = sum_{j<k} v_freq[j], then
+    phase[k] = sum_{j<k} (tau freq[j] + v_phase[j]).  ``blocks``
     yields the noise v[0..T-1] as consecutive blocks of shape (b, 2n),
     v_phase then v_freq.  Each block's sums go on from the raw sums of
     the block before, and a cumulative sum adds in order, so the states
@@ -206,8 +199,7 @@ def _free_run(tau: float, blocks, out: np.ndarray, phase0, freq0) -> np.ndarray:
     """
     n = out.shape[1] // 2
     phase, freq = out[:, :n], out[:, n:]
-    phase[0] = phase0
-    freq[0] = freq0
+    out[0] = 0.0
     k = 0
     for v in blocks:
         v_phase, v_freq = v[:, :n], v[:, n:]
@@ -218,19 +210,17 @@ def _free_run(tau: float, blocks, out: np.ndarray, phase0, freq0) -> np.ndarray:
             f[0] += raw_freq
         np.cumsum(f, axis=0, out=f)
         raw_freq = f[-1].copy()
-        f += freq0
         np.multiply(tau, freq[k:k1], out=p)
         p += v_phase
         if k:
             p[0] += raw_phase
         np.cumsum(p, axis=0, out=p)
         raw_phase = p[-1].copy()
-        p += phase0
         k = k1
     return out
 
 
-def digital_imitation(model: DiscreteClockModel, u: np.ndarray) -> np.ndarray:
+def digital_imitation(tau: float, u: np.ndarray) -> np.ndarray:
     """Reading adjustments u' that imitate physically steering the clock.
 
     Iterates eps[k+1] = A eps[k] + B u[k] from eps[0] = 0 and returns
@@ -238,13 +228,14 @@ def digital_imitation(model: DiscreteClockModel, u: np.ndarray) -> np.ndarray:
     final input still shifts the reading after step T-1).  Adding u' to
     the free-running reading reproduces the steered reading exactly.
     """
+    _check_tau(tau)
     u = np.asarray(u, dtype=float)
     if u.ndim != 1:
         raise ValueError(f"u must be a scalar series, got shape {u.shape}")
     if not np.all(np.isfinite(u)):
         raise ValueError("u must be finite")
-    v = np.column_stack([model.tau * u, u])
-    return _free_run(model.tau, [v], np.empty((len(u) + 1, 2)), 0.0, 0.0)[:, 0]
+    v = np.column_stack([tau * u, u])
+    return _free_run(tau, [v], np.empty((len(u) + 1, 2)))[:, 0]
 
 
 def reference_timescale(e: np.ndarray, N: int) -> np.ndarray:

@@ -25,6 +25,7 @@ from eemsync import (
     weight_long,
     weight_short,
 )
+from eemsync import ControllerConfig, default_obs_gain, validate_config
 from eemsync.allan import AllanPlot, _LEAF, _default_m_grid
 from eemsync.scenarios import _Artifacts
 from eemsync.presets import demo_ensemble, demo_noise_params
@@ -310,8 +311,8 @@ class TestEstimatorHandValues:
 
 class TestAnalytical:
     def test_clock_line_hand_value(self):
-        assert analytical_allan_clock(NoiseParams(2.0, 3.0), 4.0) == pytest.approx(
-            4.0 / 4.0 + 4.0 / 3.0 * 9.0
+        assert analytical_allan_clock([4.0], [9.0], 4.0) == pytest.approx(
+            [4.0 / 4.0 + 4.0 / 3.0 * 9.0]
         )
 
     def test_gamma_matrix_hand_value(self):
@@ -335,9 +336,8 @@ class TestAnalytical:
         for i in range(2):
             q = np.zeros(2)
             q[i] = 1.0
-            noise = NoiseParams(np.sqrt(s1[i]), np.sqrt(s2[i]))
             assert allan_pi(q, s1, s2, 7.0) == pytest.approx(
-                analytical_allan_clock(noise, 7.0)
+                analytical_allan_clock(s1, s2, 7.0)[i]
             )
 
     def test_pi_quadratic_form(self):
@@ -352,17 +352,37 @@ TAU_ENTRY_POINTS = {
     "allan_plot": lambda tau: allan_plot(np.arange(12.0) ** 2, tau),
     "statistical_allan": lambda tau: statistical_allan(np.arange(12.0) ** 2, tau, 2),
     "gamma_matrix": lambda tau: gamma_matrix(S1, S2, tau),
-    "analytical_allan_clock": lambda tau: analytical_allan_clock(NoiseParams(2.0, 3.0), tau),
+    "analytical_allan_clock": lambda tau: analytical_allan_clock(S1, S2, tau),
     "allan_pi": lambda tau: allan_pi(np.array([0.5, 0.5]), S1, S2, tau),
     "optimal_weight": lambda tau: optimal_weight(S1, S2, tau),
+    # every other owner of tau applies the same rule
+    "ControllerConfig": lambda tau: ControllerConfig(
+        q=np.array([0.5, 0.5]), F_o=default_obs_gain(2, 1.0), K_bo=None, m=1, tau=tau
+    ),
+    "build_ensemble": lambda tau: build_ensemble(
+        [NoiseParams(1e-10, 1e-13)] * 2, star_measurement(2), np.eye(1), tau
+    ),
+    "validate_config": lambda tau: validate_config(
+        {
+            "name": "tau",
+            "kind": "free-run",
+            "model": {"n_clocks": 2, "tau": tau, "sigma1": [1e-10] * 2, "sigma2": [1e-13] * 2, "meas_std": [1e-11]},
+            "horizon": 10,
+            "seed": 0,
+        }
+    ),
 }
 
 
-@pytest.mark.parametrize("tau", [np.nan, np.inf, 0.0, -1.0])
+@pytest.mark.parametrize("tau", [np.nan, np.inf, 0.0, -1.0, 1e200, 1e-200])
 @pytest.mark.parametrize("entry", sorted(TAU_ENTRY_POINTS))
 def test_entry_points_refuse_bad_tau(entry, tau):
-    # unchecked, a non-finite interval gives NaN, inf or zero values
-    with pytest.raises(ValueError, match=r"tau must be finite and > 0"):
+    # unchecked, a non-finite interval gives NaN, inf or zero values, and
+    # one whose cube overflows or underflows gives inf or NaN statistics;
+    # the validator refuses a NaN or inf as no number before the rule
+    with pytest.raises(
+        ValueError, match=r"tau(: number required| must be finite and > 0|\*\*3 (overflows|underflows))"
+    ):
         TAU_ENTRY_POINTS[entry](tau)
 
 
@@ -440,7 +460,7 @@ class TestAgainstSimulation:
         rec = simulate(model, None, 100_000, seed=33)
         for m in (1, 10):
             est = statistical_allan(rec.h[:, 0], 1.0, m)
-            ref = analytical_allan_clock(noise, float(m))
+            ref = analytical_allan_clock([noise.sigma1**2], [noise.sigma2**2], float(m))[0]
             assert abs(est - ref) <= 0.2 * ref
 
 

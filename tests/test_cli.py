@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import warnings
 
 import pytest
 
@@ -253,18 +254,20 @@ def test_failed_gains_solve_leaves_a_partial_manifest(tmp_path, capsys):
         assert hashlib.sha256(data).hexdigest() == entry["sha256"]
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
 @pytest.mark.parametrize("name", ["standard_kf", "standard_kf_suboptimal", "determinate_kf"])
 def test_filter_overflow_inside_the_pass_leaves_a_partial_manifest(tmp_path, capsys, name):
     # random-walk FM of 1.5e152 passes the validator; the standard filter's
     # innovation covariance overflows at step 48, inside the pass's second
-    # 32-step sub-block
+    # 32-step sub-block, and is reported without a numpy RuntimeWarning
     cfg = json.loads((_bundled_dir() / f"{name}.json").read_text())
     cfg["model"]["sigma2"] = [1.5e152] * cfg["model"]["n_clocks"]
     path = tmp_path / "overflow.json"
     path.write_text(json.dumps(cfg))
     out = tmp_path / "artifacts"
-    assert main(["run", str(path), "--out", str(out), "--horizon", "60"]) == 3
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["run", str(path), "--out", str(out), "--horizon", "60"]) == 3
+    assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == []
     assert "numerical failure" in capsys.readouterr().err
     manifest = json.loads((out / cfg["name"] / "manifest.json").read_text())
     assert manifest["status"] == "failed"

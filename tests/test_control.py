@@ -44,6 +44,8 @@ from eemsync import (
 from eemsync.presets import DEMO_MEAS_STD, DEMO_SIGMA1, DEMO_SIGMA2
 from eemsync.simkit import TrajectoryRecord, _free_run
 
+from conftest import demo_model
+
 
 # ---------------------------------------------------------------------------
 # reference: the fused controller step that EemPolicy replaced, kept
@@ -296,14 +298,13 @@ class TestControllerConfig:
         assert cfg.N == 4
 
 
-def reference_destination_trajectory(model, q, T, seed, x0=None):
+def reference_destination_trajectory(model, q, T, seed):
     """The destination from one whole draw of the process noise: the
     replay before it streamed, kept as the oracle for the streamed one."""
     v = NoiseSampler(model, seed).process_block(T)
     N = model.N
-    r0 = (0.0, 0.0) if x0 is None else (x0[:N] @ q, x0[N:] @ q)
     v_mean = np.column_stack([v[:, :N] @ q, v[:, N:] @ q])
-    return _free_run(model.tau, [v_mean], np.empty((T + 1, 2)), *r0)
+    return _free_run(model.tau, [v_mean], np.empty((T + 1, 2)))
 
 
 class TestDestinationTrajectory:
@@ -315,13 +316,6 @@ class TestDestinationTrajectory:
         assert dest.shape == (T + 1, 2)
         np.testing.assert_allclose(dest[:, 0], free.h @ q, rtol=1e-9, atol=1e-24)
         np.testing.assert_allclose(dest[:, 1], free.x[:, 4:] @ q, rtol=1e-9, atol=1e-24)
-
-    def test_initial_state_projection(self, model4):
-        q = np.full(4, 0.25)
-        x0 = np.arange(8.0)
-        dest = destination_trajectory(model4, q, 5, seed=3, x0=x0)
-        assert dest[0, 0] == x0[:4] @ q
-        assert dest[0, 1] == x0[4:] @ q
 
     def test_recursion_on_recorded_noise(self, model4):
         q = np.full(4, 0.25)
@@ -336,8 +330,6 @@ class TestDestinationTrajectory:
     def test_horizon_validation(self, model4):
         with pytest.raises(ValueError, match="T must be"):
             destination_trajectory(model4, np.full(4, 0.25), 0, seed=1)
-        with pytest.raises(ValueError, match="x0"):
-            destination_trajectory(model4, np.full(4, 0.25), 5, seed=1, x0=np.zeros(3))
 
     def test_closed_loop_noise_gives_the_same_destination(self, model4, uniform4):
         q, d, g = uniform4
@@ -354,14 +346,13 @@ class TestDestinationTrajectory:
         assert closed_loop(model4, cfg, d, g, 300, seed=31)[3] == []
 
     @pytest.mark.parametrize("T", [1, 4095, 4096, 4097, 3 * 4096 + 5])
-    @pytest.mark.parametrize("with_x0", [False, True])
+    @pytest.mark.parametrize("singular_q", [False, True])
     @pytest.mark.parametrize("n_clocks", [4, 10])
-    def test_streamed_replay_matches_whole_draw(self, n_clocks, with_x0, T):
-        model = demo_ensemble(n_clocks=n_clocks, tau=0.7)
+    def test_streamed_replay_matches_whole_draw(self, n_clocks, singular_q, T):
+        model = demo_model(n_clocks, 0.7, singular_q)
         q = np.random.default_rng(n_clocks).dirichlet(np.ones(n_clocks))
-        x0 = np.random.default_rng(T).normal(scale=1e-9, size=2 * n_clocks) if with_x0 else None
-        got = destination_trajectory(model, q, T, seed=T, x0=x0)
-        assert np.array_equal(got, reference_destination_trajectory(model, q, T, T, x0))
+        got = destination_trajectory(model, q, T, seed=T)
+        assert np.array_equal(got, reference_destination_trajectory(model, q, T, T))
 
 
 @pytest.fixture(scope="module")
@@ -482,7 +473,7 @@ class TestClosedLoop:
         # the loop tracks the destination without ever measuring it
         dev = np.max(np.abs(traj.h @ q - dest[:, 0]))
         assert dev <= 1e-12 * np.max(np.abs(dest[:, 0]))
-        delta = sync_error(traj, dest)
+        delta = sync_error(traj.x, dest)
         assert delta.shape == (LOOP_T + 1, 8)
         np.testing.assert_allclose(delta[:, :4] @ q, 0.0, atol=1e-21)
 
@@ -831,20 +822,16 @@ class TestPolicyAndLogs:
 
 class TestSyncError:
     def test_hand_value(self):
-        from types import SimpleNamespace
-
-        traj = SimpleNamespace(x=np.array([[1.0, 2.0, 3.0, 4.0], [5.0, 6.0, 7.0, 8.0]]))
+        x = np.array([[1.0, 2.0, 3.0, 4.0], [5.0, 6.0, 7.0, 8.0]])
         dest = np.array([[0.5, 1.0], [1.0, 2.0]])
-        delta = sync_error(traj, dest)
+        delta = sync_error(x, dest)
         np.testing.assert_array_equal(
             delta, [[0.5, 1.5, 2.0, 3.0], [4.0, 5.0, 5.0, 6.0]]
         )
 
     def test_validation(self):
-        from types import SimpleNamespace
-
-        traj = SimpleNamespace(x=np.zeros((3, 4)))
+        x = np.zeros((3, 4))
         with pytest.raises(ValueError, match="shape"):
-            sync_error(traj, np.zeros((3, 3)))
+            sync_error(x, np.zeros((3, 3)))
         with pytest.raises(ValueError, match="destination has"):
-            sync_error(traj, np.zeros((2, 2)))
+            sync_error(x, np.zeros((2, 2)))

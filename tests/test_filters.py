@@ -823,6 +823,14 @@ class TestStationary:
         with pytest.raises(ConvergenceError, match="in 3 doublings"):
             solve_stationary(d, model.meas.R)
 
+    def test_nan_residual_fails_the_check(self):
+        # at tau = 1e90 the residuals' Frobenius norms overflow to NaN,
+        # which a "residual > bound" test let through as a solution
+        model = demo_ensemble(tau=1e90)
+        d = decompose(model, np.full(10, 0.1))
+        with np.errstate(all="ignore"), pytest.raises(ConvergenceError, match="residual check"):
+            solve_stationary(d, model.meas.R)
+
     def test_indefinite_noise_raises_numerical_error(self):
         model = demo_ensemble(n_clocks=3)
         d = decompose(model, np.full(3, 1 / 3))

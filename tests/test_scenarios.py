@@ -335,7 +335,7 @@ def expected_arrays(cfg):
         d = decompose(model, cfg.weight)
         gains = solve_stationary(d, model.meas.R)
         rec, omega_o, omega_obar, _ = closed_loop(model, cfg.controller, d, gains, T, cfg.seed)
-        delta = sync_error(rec, destination_trajectory(model, cfg.weight, T, cfg.seed))
+        delta = sync_error(rec.x, destination_trajectory(model, cfg.weight, T, cfg.seed))
         rows = np.arange(0, T + 1, max(1, T // 10_000))
         arrays["commands.npy"] = np.column_stack([k, omega_o, omega_obar, rec.u])
         arrays["delta.npy"] = np.column_stack([rows, delta[rows]])
@@ -447,7 +447,7 @@ class TestRunScenario:
         gains = solve_stationary(d, model.meas.R)
         rec, *_ = closed_loop(model, cfg.controller, d, gains, cfg.horizon, cfg.seed)
         q_inf = weight_long(model.sigma2_sq)
-        delta = sync_error(rec, destination_trajectory(model, q_inf, cfg.horizon, cfg.seed))
+        delta = sync_error(rec.x, destination_trajectory(model, q_inf, cfg.horizon, cfg.seed))
         kicks = [k for k in range(cfg.horizon + 1) if (k - 37) % 50 == 0]
         expected = scen._trend_statistics(delta[kicks, : model.N] @ q_inf)
         assert manifest["summary"]["sampled_mean_phase_trend"] == expected
@@ -743,7 +743,29 @@ def test_every_accepted_config_runs_to_a_manifest(tmp_path, name, edit):
         except (NumericalError, ConvergenceError):
             pass
     out = tmp_path / name
-    manifest = json.loads((out / "manifest.json").read_text())
+    manifest = json.loads((out / "manifest.json").read_text(), parse_constant=_refuse_constant)
     for entry in manifest["files"]:
-        digest = hashlib.sha256((out / entry["name"]).read_bytes()).hexdigest()
-        assert digest == entry["sha256"], entry["name"]
+        data = (out / entry["name"]).read_bytes()
+        assert hashlib.sha256(data).hexdigest() == entry["sha256"], entry["name"]
+        if entry["name"].endswith(".json"):
+            # strict JSON: no NaN or Infinity, which many readers refuse
+            json.loads(data, parse_constant=_refuse_constant)
+
+
+def _refuse_constant(name):
+    raise AssertionError(f"JSON artifact holds {name}")
+
+
+def test_non_finite_summary_value_is_named_and_never_written(tmp_path, monkeypatch):
+    # a NaN summary value fails the run before summary.json is opened, and
+    # the partial manifest, which would repeat the summary, stays strict
+    summary = {"clocks": {"clock_1": {"allan_at_1s": float("nan")}}}
+    spec = dataclasses.replace(scen.KINDS["free-run"], run=lambda cfg, art: summary)
+    monkeypatch.setitem(scen.KINDS, "free-run", spec)
+    raw = json.loads((_bundled_dir() / "free_run.json").read_text())
+    with pytest.raises(NumericalError, match='"allan_at_1s": NaN'):
+        run_scenario(validate_config(raw), str(tmp_path))
+    out = tmp_path / raw["name"]
+    manifest = json.loads((out / "manifest.json").read_text(), parse_constant=_refuse_constant)
+    assert manifest["status"] == "failed" and manifest["summary"] == {}
+    assert not (out / "summary.json").exists()

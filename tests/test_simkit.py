@@ -22,6 +22,8 @@ from eemsync.decomp import weight_vector
 from eemsync.presets import DEMO_MEAS_STD, demo_ensemble, demo_noise_params
 from eemsync.scenarios import _Artifacts
 
+from conftest import demo_model
+
 
 def unit_scale_model(n=2, tau=1.0):
     """O(1) noise so relative statistics are easy to read."""
@@ -123,78 +125,68 @@ class TestSimulate:
 
     def test_policy_sees_measurement_of_current_state(self):
         model = demo_ensemble(n_clocks=2)
-        # the first clock runs 1 s/s fast: x[0] reads 3 s apart, x[1] 4 s
-        x0 = np.array([4.0, 1.0, 1.0, 0.0])
+        # a kick of 1 s/s at step 0 sets the first clock fast: x[1] reads
+        # 1 s apart, x[2] 2 s
         seen = []
-        rec = simulate(model, lambda k, y: seen.append(y.copy()) or np.zeros(2), 3, seed=0, x0=x0)
+
+        def policy(k, y):
+            seen.append(y.copy())
+            return np.array([1.0 if k == 0 else 0.0, 0.0])
+
+        rec = simulate(model, policy, 3, seed=0)
         assert np.array_equal(seen, rec.y)
-        assert abs(seen[0][0] - 3.0) <= 1e-9  # y[0] measures x[0], not x[1]
+        assert abs(seen[1][0] - 1.0) <= 1e-9  # y[1] measures x[1], not x[2]
 
     def test_shape_validation(self):
         model = demo_ensemble(n_clocks=2)
         with pytest.raises(ValueError, match="T must be"):
             simulate(model, None, 0, seed=0)
-        with pytest.raises(ValueError, match="x0 must have shape"):
-            simulate(model, None, 5, seed=0, x0=np.zeros(3))
         with pytest.raises(ValueError, match="policy returned"):
             simulate(model, lambda k, y: np.zeros(3), 5, seed=0)
 
 
-def reference_free_run(model, x0, v):
-    """The free-run states as separate phase and frequency cumulative sums."""
+def reference_free_run(model, v):
+    """The free-run states from zero as separate phase and frequency
+    cumulative sums."""
     T = v.shape[0]
     N = model.N
     tau = model.tau
-    freq = np.empty((T + 1, N))
-    freq[0] = x0[N:]
+    freq = np.zeros((T + 1, N))
     np.cumsum(v[:, N:], axis=0, out=freq[1:])
-    freq[1:] += x0[N:]
-    phase = np.empty((T + 1, N))
-    phase[0] = x0[:N]
+    phase = np.zeros((T + 1, N))
     incr = tau * freq[:-1] + v[:, :N]
     np.cumsum(incr, axis=0, out=phase[1:])
-    phase[1:] += x0[:N]
     return np.hstack([phase, freq])
 
 
-def reference_destination_from_noise(model, q, v, x0=None):
-    """The weighted-mean free run as two scalar cumulative sums."""
+def reference_destination_from_noise(model, q, v):
+    """The weighted-mean free run from zero as two scalar cumulative sums."""
     qv = weight_vector(q, model.N)
     N, T = model.N, len(v)
     v_phase = v[:, :N] @ qv
     v_freq = v[:, N:] @ qv
-    if x0 is None:
-        r0 = np.zeros(2)
-    else:
-        r0 = np.array([x0[:N] @ qv, x0[N:] @ qv])
-    freq = np.empty(T + 1)
-    freq[0] = r0[1]
+    freq = np.zeros(T + 1)
     np.cumsum(v_freq, out=freq[1:])
-    freq[1:] += r0[1]
-    phase = np.empty(T + 1)
-    phase[0] = r0[0]
+    phase = np.zeros(T + 1)
     np.cumsum(model.tau * freq[:-1] + v_phase, out=phase[1:])
-    phase[1:] += r0[0]
     return np.column_stack([phase, freq])
 
 
 class TestFreeRunIntegrator:
     @pytest.mark.parametrize("T", [1, 5000])
     @pytest.mark.parametrize("tau", [1.0, 0.7])
-    @pytest.mark.parametrize("with_x0", [False, True])
+    @pytest.mark.parametrize("singular_q", [False, True])
     @pytest.mark.parametrize("n_clocks", [2, 3, 10])
-    def test_matches_reference_bit_for_bit(self, n_clocks, with_x0, tau, T):
-        model = demo_ensemble(n_clocks=n_clocks, tau=tau)
-        x0 = np.random.default_rng(n_clocks).normal(scale=1e-9, size=2 * model.N) if with_x0 else None
-        rec = simulate(model, None, T, seed=40 + n_clocks, x0=x0)
+    def test_matches_reference_bit_for_bit(self, n_clocks, singular_q, tau, T):
+        model = demo_model(n_clocks, tau, singular_q)
+        rec = simulate(model, None, T, seed=40 + n_clocks)
         v = NoiseSampler(model, seed=40 + n_clocks).process_block(T)
-        start = np.zeros(2 * model.N) if x0 is None else x0
-        assert np.array_equal(rec.x, reference_free_run(model, start, v))
+        assert np.array_equal(rec.x, reference_free_run(model, v))
         assert np.shares_memory(rec.h, rec.x)
         q = np.random.default_rng(T).dirichlet(np.ones(model.N))
         assert np.array_equal(
-            destination_trajectory(model, q, T, seed=40 + n_clocks, x0=x0),
-            reference_destination_from_noise(model, q, v, x0),
+            destination_trajectory(model, q, T, seed=40 + n_clocks),
+            reference_destination_from_noise(model, q, v),
         )
 
     def test_free_run_peak_memory(self):
@@ -212,22 +204,20 @@ class TestFreeRunIntegrator:
         assert peak <= 2.27 * (T + 1) * 2 * model.N * 8
 
 
-def reference_simulate(model, policy, T, seed, x0=None):
+def reference_simulate(model, policy, T, seed):
     """simulate as it was when it drew all of v and w before the run:
     returns x, y and u."""
     N = model.N
-    x0 = np.zeros(2 * N) if x0 is None else x0
     sampler = NoiseSampler(model, seed)
     v = sampler.process_block(T)
     w = sampler.measurement_block(T)
     if policy is None:
-        xs = reference_free_run(model, x0, v)
+        xs = reference_free_run(model, v)
         return xs, xs[:T, :N] @ model.meas.V.T + w, np.zeros((T, N))
     xs = np.empty((T + 1, 2 * N))
     ys = np.empty((T, N - 1))
     us = np.empty((T, N))
-    xs[0] = x0
-    x = x0
+    x = xs[0] = np.zeros(2 * N)
     for k in range(T):
         y = model.bigC @ x + w[k]
         u = np.asarray(policy(k, y), dtype=float)
@@ -250,16 +240,15 @@ STREAM_T = [1, 4095, 4096, 4097, 3 * 4096 + 5]
 class TestStreamedSimulate:
     @pytest.mark.parametrize("T", STREAM_T)
     @pytest.mark.parametrize("tau", [1.0, 0.7])
-    @pytest.mark.parametrize("with_x0", [False, True])
+    @pytest.mark.parametrize("singular_q", [False, True])
     @pytest.mark.parametrize("case", ["free-3", "free-10", "policy-3"])
-    def test_matches_whole_draws(self, case, with_x0, tau, T):
+    def test_matches_whole_draws(self, case, singular_q, tau, T):
         kind, n_clocks = case.split("-")
-        model = demo_ensemble(n_clocks=int(n_clocks), tau=tau)
-        x0 = np.random.default_rng(T).normal(scale=1e-6, size=2 * model.N) if with_x0 else None
+        model = demo_model(int(n_clocks), tau, singular_q)
         policy = None if kind == "free" else feedback_policy
-        rec = simulate(model, policy, T, seed=T, x0=x0)
+        rec = simulate(model, policy, T, seed=T)
         assert rec.v is None
-        for got, want in zip((rec.x, rec.y, rec.u), reference_simulate(model, policy, T, T, x0)):
+        for got, want in zip((rec.x, rec.y, rec.u), reference_simulate(model, policy, T, T)):
             assert got.shape == want.shape
             assert np.array_equal(got, want)
 
@@ -267,12 +256,12 @@ class TestStreamedSimulate:
 class TestPaperClock:
     def test_hand_example_unit_kick(self):
         clock = demo_ensemble(n_clocks=2).clock
-        out = digital_imitation(clock, np.array([1.0, 0.0, 0.0, 0.0]))
+        out = digital_imitation(clock.tau, np.array([1.0, 0.0, 0.0, 0.0]))
         assert np.array_equal(out, [0.0, 1.0, 2.0, 3.0, 4.0])
 
     def test_hand_example_tau_scaling(self):
         clock = demo_ensemble(n_clocks=2, tau=2.0).clock
-        out = digital_imitation(clock, np.array([1.0, 0.0, 0.0]))
+        out = digital_imitation(clock.tau, np.array([1.0, 0.0, 0.0]))
         assert np.array_equal(out, [0.0, 2.0, 4.0, 6.0])
 
     def test_adjustment_equals_physical_steering_exactly(self):
@@ -286,7 +275,7 @@ class TestPaperClock:
         for uk in u:
             eps = clock.A @ eps + clock.B * uk
             physical.append(eps[0])
-        assert np.array_equal(digital_imitation(clock, u), physical)
+        assert np.array_equal(digital_imitation(clock.tau, u), physical)
 
     def test_adjustment_tracks_physical_steering_generic(self):
         clock = demo_ensemble(n_clocks=2, tau=0.7).clock
@@ -298,7 +287,7 @@ class TestPaperClock:
             eps = clock.A @ eps + clock.B * uk
             physical.append(eps[0])
         physical = np.asarray(physical)
-        out = digital_imitation(clock, u)
+        out = digital_imitation(clock.tau, u)
         assert np.max(np.abs(out - physical)) <= 1e-12 * np.max(np.abs(physical))
 
 

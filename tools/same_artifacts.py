@@ -1,0 +1,120 @@
+"""Compare the artifacts of the bundled configs with those of a parent revision.
+
+    python3 tools/same_artifacts.py --parent REV
+
+REV's files are exported with ``git archive`` into a temporary directory,
+which leaves the repository itself untouched.  This checkout and REV then
+run every bundled config twice, each run in its own process: at horizon
+20,000 with every output selector of its kind, and at its bundled horizon
+with its default outputs.  The script prints every file whose sha256
+differs between the two sides (``manifest.json`` is compared without its
+timings and peak RSS) and the worst relative difference of each summary
+float, and exits 1 on any difference.  The temporary directory is removed
+on exit.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+SHORT_HORIZON = 20_000
+# manifest fields that measure the run, not what it computed
+VOLATILE = ("elapsed_s", "peak_rss_mb", "peak_rss_mb_at_start")
+
+
+def export(rev: str, dest: Path) -> None:
+    tar = subprocess.run(["git", "-C", str(ROOT), "archive", rev], check=True, capture_output=True).stdout
+    subprocess.run(["tar", "-x", "-C", str(dest)], input=tar, check=True)
+
+
+def run_side(src: Path, work: Path, selectors: dict) -> dict:
+    """Run every bundled config of ``src`` in both variants under ``work``;
+    returns {(variant, name): exit code}."""
+    codes = {}
+    env = dict(os.environ, PYTHONPATH=str(src / "src"))
+    for path in sorted((src / "src" / "eemsync" / "configs").glob("*.json")):
+        raw = json.loads(path.read_text())
+        short = dict(raw, horizon=SHORT_HORIZON, outputs=list(selectors[raw["kind"]]))
+        for variant, cfg in ((f"horizon-{SHORT_HORIZON}", short), ("bundled", raw)):
+            cfg_path = work / "configs" / variant / path.name
+            cfg_path.parent.mkdir(parents=True, exist_ok=True)
+            cfg_path.write_text(json.dumps(cfg))
+            argv = [sys.executable, "-m", "eemsync.cli", "run", str(cfg_path), "--out", str(work / variant)]
+            codes[variant, raw["name"]] = subprocess.run(argv, env=env, capture_output=True).returncode
+    return codes
+
+
+def fingerprint(path: Path) -> str:
+    if path.name == "manifest.json":
+        doc = json.loads(path.read_text())
+        for key in VOLATILE:
+            doc.pop(key, None)
+        return json.dumps(doc, sort_keys=True)
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def floats(doc, prefix: str = ""):
+    """(dotted key, value) for every float in a parsed summary."""
+    if isinstance(doc, dict):
+        for key, value in doc.items():
+            yield from floats(value, f"{prefix}.{key}" if prefix else key)
+    elif isinstance(doc, float):
+        yield prefix, doc
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--parent", required=True, help="revision to compare against")
+    args = parser.parse_args()
+    sys.path.insert(0, str(ROOT / "src"))
+    from eemsync.scenarios import KINDS
+
+    selectors = {kind: spec.outputs for kind, spec in KINDS.items()}
+    tmp = Path(tempfile.mkdtemp(prefix="same-artifacts-"))
+    try:
+        (tmp / "parent").mkdir()
+        export(args.parent, tmp / "parent")
+        codes = {
+            side: run_side(src, tmp / "runs" / side, selectors)
+            for side, src in (("parent", tmp / "parent"), ("this", ROOT))
+        }
+        differ, compared, worst = [], 0, {}
+        for (variant, name), code in sorted(codes["this"].items()):
+            if codes["parent"].get((variant, name)) != code:
+                differ.append(f"{variant}/{name}: exit {codes['parent'].get((variant, name))} -> {code}")
+            dirs = [tmp / "runs" / side / variant / name for side in ("parent", "this")]
+            files = sorted({p.name for d in dirs if d.is_dir() for p in d.iterdir()})
+            for file in files:
+                compared += 1
+                a, b = (d / file for d in dirs)
+                if not (a.is_file() and b.is_file()) or fingerprint(a) != fingerprint(b):
+                    differ.append(f"{variant}/{name}/{file}")
+            if all((d / "summary.json").is_file() for d in dirs):
+                old, new = (dict(floats(json.loads((d / "summary.json").read_text()))) for d in dirs)
+                for key in old.keys() & new.keys():
+                    x, y = old[key], new[key]
+                    rel = 0.0 if x == y else abs(x - y) / max(abs(x), abs(y))
+                    worst[f"{name}.{key}"] = max(worst.get(f"{name}.{key}", 0.0), rel)
+        for line in differ:
+            print(f"differs: {line}")
+        print("worst relative difference of each summary float:")
+        for key, rel in sorted(worst.items()):
+            print(f"  {key}: {rel:.3g}")
+        runs = len(codes["this"])
+        print(f"{runs} runs a side, {compared} files compared, {len(differ)} differ")
+        return 1 if differ else 0
+    finally:
+        shutil.rmtree(tmp, ignore_errors=True)
+
+
+if __name__ == "__main__":
+    sys.exit(main())
