@@ -43,8 +43,10 @@ InputPair = Optional[Tuple[np.ndarray, float]]
 
 
 def _sym(P: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
-    # symmetrize after every update to suppress drift: 0.5 * (P + P.T)
-    out = np.add(P, P.T, out=out)
+    # symmetrize after every update to suppress drift: 0.5 * (P + P.T), the
+    # transpose copied contiguous first (cheaper than adding the strided
+    # view, same values), which also lets ``out`` be ``P``
+    out = np.add(P, P.T.copy(), out=out)
     out *= 0.5
     return out
 
@@ -57,35 +59,38 @@ def _check_finite(a: np.ndarray, what: str) -> None:
 
 @cache
 def lapack_cholesky():
-    """LAPACK ``(dpotrf, dpotrs)`` from SciPy, imported on first use (an
-    ``ImportError`` without SciPy): only the per-step filter updates need
-    them, and importing SciPy costs more than the rest of eemsync."""
-    from scipy.linalg.lapack import dpotrf, dpotrs
+    """LAPACK ``dposv`` (Cholesky factorization and solve in one call)
+    from SciPy, imported on first use (an ``ImportError`` without SciPy):
+    only the per-step filter updates need it, and importing SciPy costs
+    more than the rest of eemsync."""
+    from scipy.linalg.lapack import dposv
 
-    return dpotrf, dpotrs
+    return dposv
 
 
-def _cho_factor(S: np.ndarray) -> np.ndarray:
-    """Lower Cholesky factor of S from LAPACK potrf, as ``cho_factor`` computes it."""
-    _check_finite(S, "innovation covariance")
-    dpotrf, _ = lapack_cholesky()
-    factor, info = dpotrf(S, lower=1, clean=0)
+def _gain_solve(BS: np.ndarray, B: np.ndarray, S: np.ndarray) -> np.ndarray:
+    """X = S^{-1} B by one LAPACK posv (the ``potrf`` + ``potrs`` of
+    ``cho_factor``/``cho_solve``); X^T is the gain.
+
+    ``BS`` holds [B | S], so one finiteness check covers both.  Its
+    failure is named as two separate checks would name it: a non-finite S
+    first, then an S that is not positive definite (whatever B holds),
+    then a non-finite B.
+    """
+    finite = np.count_nonzero(np.isfinite(BS)) == BS.size
+    if not finite:
+        _check_finite(S, "innovation covariance")
+    _, X, info = lapack_cholesky()(S, B, lower=1)
     if info:
         raise NumericalError("innovation covariance is not positive definite")
-    return factor
-
-
-def _cho_solve(factor: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Solve S X = B from the factor of :func:`_cho_factor` (LAPACK potrs)."""
-    _check_finite(B, "gain right-hand side")
-    _, dpotrs = lapack_cholesky()
-    X, _ = dpotrs(factor, B, lower=1)
+    if not finite:
+        raise NumericalError("gain right-hand side is not finite")
     return X
 
 
 def _spd_solve_gain(S: np.ndarray, CP: np.ndarray) -> np.ndarray:
     """Gain P C^T S^{-1} computed as solve(S, C P)^T via a PD factorization."""
-    return _cho_solve(_cho_factor(S), CP).T
+    return _gain_solve(np.hstack([CP, S]), CP, S).T
 
 
 def _spd_solve(S: np.ndarray, B: np.ndarray, what: str = "innovation covariance") -> np.ndarray:
@@ -141,34 +146,52 @@ def standard_kf_init(model: EnsembleModel) -> StandardKFState:
     return StandardKFState(xhat=np.zeros(2 * model.N), P=model.bigQ.copy())
 
 
-def _standard_update(model: EnsembleModel, xhat, P, u_prev, y, out=(None,) * 4, work=(None,) * 4):
+def _transposes(*mats: np.ndarray) -> tuple:
+    # constant right factors copied C-contiguous once: a product reads them
+    # faster than a transposed view, and gives the same values
+    return tuple(m.T.copy() for m in mats)
+
+
+def _standard_buffers(n: int, p: int) -> tuple:
+    """Fresh ``out`` and ``work`` of :func:`_standard_update` for n = 2N
+    states and p measurements: [C P- | S] is one (p, n + p) buffer, passed
+    with views of its two blocks."""
+    BS = np.empty((p, n + p))
+    out = (np.empty(n), np.empty((n, n)), np.empty(n), np.empty((n, n)))
+    return out, (np.empty((n, n)), BS, BS[:, :n], BS[:, n:], np.empty(p))
+
+
+def _standard_update(model: EnsembleModel, AT, CT, xhat, P, u_prev, y, out, work):
     """One cycle of the five-line recursion on bare arrays.
 
-    Returns the fields of :class:`StandardKFState` in order, written into
-    the caller's ``out`` (which must not alias ``xhat`` or ``P``) and
-    workspace ``work`` as :func:`filter_pass` allocates them, or into new
-    arrays for each ``None``; ``u_prev`` is a float array or ``None``,
-    whose zero input product is skipped.
+    ``AT`` and ``CT`` are ``model.bigA`` and ``model.bigC`` transposed
+    (:func:`_transposes`).  Returns the fields of :class:`StandardKFState`
+    in order, written into the caller's ``out`` (which must not alias
+    ``xhat`` or ``P``) and ``work``, laid out as :func:`_standard_buffers`
+    lays them out; ``u_prev`` is a float array or ``None``, whose zero
+    input product is skipped.  C P- and S share one buffer, so one
+    finiteness check and one LAPACK call (:func:`_gain_solve`) give the
+    gain.
     """
     bigA, bigC = model.bigA, model.bigC
-    (xhat_new, P_new, xm, Pm), (W, CP, S, innov) = out, work
-    xm = np.matmul(bigA, xhat, out=xm)
+    (xhat_new, P_new, xm, Pm), (W, BS, CP, S, innov) = out, work
+    np.matmul(bigA, xhat, out=xm)
     if u_prev is not None:
         xm += model.bigB @ u_prev
-    W = np.matmul(np.matmul(bigA, P, out=P_new), bigA.T, out=W)
+    np.matmul(np.matmul(bigA, P, out=P_new), AT, out=W)
     W += model.bigQ
-    Pm = _sym(W, Pm)
+    _sym(W, Pm)
 
-    CP = np.matmul(bigC, Pm, out=CP)
-    S = np.matmul(CP, bigC.T, out=S)
+    np.matmul(bigC, Pm, out=CP)
+    np.matmul(CP, CT, out=S)
     S += model.meas.R
-    H = _spd_solve_gain(S, CP)
+    H = _gain_solve(BS, CP, S).T
 
-    W = np.matmul(H, CP, out=W)
-    P_new = _sym(np.subtract(Pm, W, out=W), P_new)
-    innov = np.matmul(bigC, xm, out=innov)
+    np.matmul(H, CP, out=W)
+    _sym(np.subtract(Pm, W, out=W), P_new)
+    np.matmul(bigC, xm, out=innov)
     np.subtract(y, innov, out=innov)
-    xhat_new = np.matmul(H, innov, out=xhat_new)
+    np.matmul(H, innov, out=xhat_new)
     xhat_new += xm
     return xhat_new, P_new, xm, Pm, H
 
@@ -187,9 +210,10 @@ def standard_kf_step(
     """
     if u_prev is not None:
         u_prev = np.asarray(u_prev, dtype=float)
-    return StandardKFState(
-        *_standard_update(model, state.xhat, state.P, u_prev, np.asarray(y, dtype=float))
-    )
+    AT, CT = _transposes(model.bigA, model.bigC)
+    y = np.asarray(y, dtype=float)
+    out, work = _standard_buffers(len(AT), len(y))
+    return StandardKFState(*_standard_update(model, AT, CT, state.xhat, state.P, u_prev, y, out, work))
 
 
 # ---------------------------------------------------------------------------
@@ -252,46 +276,73 @@ def _predict_decomposed(d: Decomposition, xi_o, xi_obar, omega_prev: InputPair, 
     return xo_m, xb_m
 
 
-def _determinate_update(
-    d: Decomposition, R, xi_o, xi_obar, P_oo, P_bo, omega_prev, y, out=(None,) * 8, work=(None,) * 5
-):
+def _determinate_constants(d: Decomposition, R: np.ndarray) -> tuple:
+    """The operands of :func:`_determinate_update` that no step changes:
+    Ao^T and Co^T (:func:`_transposes`), the stacked [Qo; Qbo] and R."""
+    return (*_transposes(d.Ao, d.Co), np.vstack([d.Qo, d.Qbo]), R)
+
+
+def _blocks(P: np.ndarray) -> tuple:
+    # a stacked (2N, 2(N-1)) covariance [P_oo; P_bo] with views of its blocks
+    return P, P[: P.shape[1]], P[P.shape[1] :]
+
+
+def _determinate_buffers(n_obs: int, p: int) -> tuple:
+    """Fresh ``out`` and ``work`` of :func:`_determinate_update` for
+    n_obs = 2(N-1) and p measurements: each stacked covariance comes with
+    views of its blocks (:func:`_blocks`), and [RHS | S] is one
+    (p, n_obs + 2 + p) buffer, passed with views of RHS, of its first
+    block C P_oo- and of S."""
+    n = n_obs + 2
+    BS = np.empty((p, n + p))
+    out = (
+        np.empty(n_obs), np.empty(2), *_blocks(np.empty((n, n_obs))),
+        np.empty(n_obs), np.empty(2), *_blocks(np.empty((n, n_obs))),
+    )
+    return out, (np.empty((n, n_obs)), BS, BS[:, :n], BS[:, :n_obs], BS[:, n:], np.empty(p))
+
+
+def _determinate_update(d: Decomposition, const, xi_o, xi_obar, P_oo, P_bo, omega_prev, y, out, work):
     """One cycle of the five-block recursion on bare arrays.
 
-    Returns the fields of :class:`DeterminateKFState` in order, written
-    like :func:`_standard_update`'s into the caller's buffers or into new
-    arrays.
+    ``const`` is :func:`_determinate_constants`.  The covariances are
+    formed as one stacked block [P_oo; P_bo]: both blocks share the right
+    factor Ao^T and the gain's C P_oo-, so the product by Ao^T, the noise
+    [Qo; Qbo], the right-hand side Co [P_oo-; P_bo-]^T (P_oo- being
+    exactly symmetric) and the update [H_o; H_bo] C P_oo- are one call
+    each, and only the top block is symmetrized.  Returns the fields of
+    :class:`DeterminateKFState` in order (the covariances as block views),
+    written like :func:`_standard_update`'s into the caller's ``out`` and
+    ``work``, laid out as :func:`_determinate_buffers` lays them out.
     """
-    Ao, Co, AoT, n_obs = d.Ao, d.Co, d.Ao.T, len(xi_o)
-    xi_o_new, xi_obar_new, P_oo_new, P_bo_new, xo_m, xb_m, Poo_m, Pbo_m = out
-    W, W_bo, rhs, S, innov = work
-    xo_m, xb_m = _predict_decomposed(d, xi_o, xi_obar, omega_prev, xo_m, xb_m)
-    W = np.matmul(np.matmul(Ao, P_oo, out=P_oo_new), AoT, out=W)
-    W += d.Qo
-    Poo_m = _sym(W, Poo_m)
-    Pbo_m = np.matmul(np.matmul(d.A, P_bo, out=W_bo), AoT, out=Pbo_m)
+    AoT, CoT, Q, R = const
+    xi_o_new, xi_obar_new, P_new, P_oo_new, P_bo_new, xo_m, xb_m, Pm, Poo_m, Pbo_m = out
+    W, BS, RHS, CP, S, innov = work
+    _predict_decomposed(d, xi_o, xi_obar, omega_prev, xo_m, xb_m)
+    # the left products go to the posterior's blocks, free until the update
+    np.matmul(d.Ao, P_oo, out=P_oo_new)
+    np.matmul(d.A, P_bo, out=P_bo_new)
+    np.matmul(P_new, AoT, out=Pm)
     if d.q is None:
-        Pbo_m += np.matmul(np.matmul(d.coupling, P_oo, out=W_bo), AoT, out=P_bo_new)
-    Pbo_m += d.Qbo
+        Pbo_m += d.coupling @ P_oo @ AoT
+    Pm += Q
+    _sym(Poo_m, Poo_m)
 
-    # both gains from one potrs over [C P_oo- | C P_bo-^T]
-    rhs = np.empty((len(y), n_obs + 2)) if rhs is None else rhs
-    CP = np.matmul(Co, Poo_m, out=rhs[:, :n_obs])
-    S = np.matmul(CP, Co.T, out=S)
+    np.matmul(d.Co, Pm.T, out=RHS)
+    np.matmul(CP, CoT, out=S)
     S += R
-    np.matmul(Co, Pbo_m.T, out=rhs[:, n_obs:])
-    HT = _cho_solve(_cho_factor(S), rhs)
-    H_o, H_bo = HT[:, :n_obs].T, HT[:, n_obs:].T
+    H = _gain_solve(BS, RHS, S).T
+    H_o, H_bo = H[: len(xi_o)], H[len(xi_o) :]
 
-    W = np.matmul(H_o, CP, out=W)
-    P_oo_new = _sym(np.subtract(Poo_m, W, out=W), P_oo_new)
-    P_bo_new = np.matmul(H_bo, CP, out=P_bo_new)
-    np.subtract(Pbo_m, P_bo_new, out=P_bo_new)
+    np.matmul(H, CP, out=W)
+    np.subtract(Pm, W, out=P_new)
+    _sym(P_oo_new, P_oo_new)
 
-    innov = np.matmul(Co, xo_m, out=innov)
+    np.matmul(d.Co, xo_m, out=innov)
     np.subtract(y, innov, out=innov)
-    xi_o_new = np.matmul(H_o, innov, out=xi_o_new)
+    np.matmul(H_o, innov, out=xi_o_new)
     xi_o_new += xo_m
-    xi_obar_new = np.matmul(H_bo, innov, out=xi_obar_new)
+    np.matmul(H_bo, innov, out=xi_obar_new)
     xi_obar_new += xb_m
     return xi_o_new, xi_obar_new, P_oo_new, P_bo_new, xo_m, xb_m, Poo_m, Pbo_m, H_o, H_bo
 
@@ -312,17 +363,11 @@ def determinate_kf_step(
     non-finite or indefinite innovation covariance raises
     :class:`NumericalError`.
     """
+    y = np.asarray(y, dtype=float)
+    out, work = _determinate_buffers(len(state.xi_o_post), len(y))
+    xi, P = (state.xi_o_post, state.xi_obar_post), (state.P_oo, state.P_bo)
     return DeterminateKFState(
-        *_determinate_update(
-            d,
-            R,
-            state.xi_o_post,
-            state.xi_obar_post,
-            state.P_oo,
-            state.P_bo,
-            omega_prev,
-            np.asarray(y, dtype=float),
-        )
+        *_determinate_update(d, _determinate_constants(d, R), *xi, *P, omega_prev, y, out, work)
     )
 
 
@@ -388,8 +433,8 @@ def filter_pass(
     # priors before step 0: no increment); steps index lists of row views
     xs = np.zeros((_SUB + 1, n))  # standard posteriors
     stored, x_rows = [xs], list(xs)
-    P = model.bigQ.copy()
-    P_next, xm, Pm, *work = (np.empty(s) for s in ((n, n), n, (n, n), (n, n), (p, n), (p, p), p))
+    P, AT_CT = model.bigQ.copy(), _transposes(model.bigA, model.bigC)
+    (_, P_next, xm, Pm), work = _standard_buffers(n, p)
     Pm_rows = [Pm] * (_SUB + 1)  # the priors, unless stored
     eps = np.empty(T) if x is not None else None
     inc = deviation = det_inc = None
@@ -399,15 +444,14 @@ def filter_pass(
         stored += [Hs, Pms]
         Pm_rows = list(Pms)
     if d is not None:
-        R, TinvT, n_obs = model.meas.R, d.Tinv.T, n - 2
+        const, TinvT, n_obs = _determinate_constants(d, model.meas.R), d.Tinv.T, n - 2
         zs = np.zeros((_SUB + 1, n))  # determinate posteriors [xi_o | xi_obar]
         Hos, Hbos = np.full((_SUB + 1, n_obs, p), np.nan), np.full((_SUB + 1, 2, p), np.nan)
         stored += [zs, Hos, Hbos]
         z_rows = [(z[:n_obs], z[n_obs:]) for z in zs]
-        P_oo, P_bo = d.Qo.copy(), d.Qbo.copy()
-        P_oo_next, P_bo_next = np.empty((n_obs, n_obs)), np.empty((2, n_obs))
-        det_prior = tuple(np.empty(s) for s in (n_obs, 2, (n_obs, n_obs), (2, n_obs)))
-        det_work = tuple(np.empty(s) for s in ((n_obs, n_obs), (2, n_obs), (p, n), (p, p), p))
+        # the stacked posteriors [P_oo; P_bo] of this step and the next
+        det_out, det_work = _determinate_buffers(n_obs, p)
+        det_P, det_prior = [_blocks(const[2].copy()), det_out[2:5]], det_out[5:]
         deviation, det_inc = np.empty(T), np.empty((T, 4))
 
     # a step that meets a non-finite covariance raises NumericalError
@@ -416,14 +460,14 @@ def filter_pass(
             b = min(_SUB, T - k0)
             for j, yk in enumerate(y[k0 : k0 + b], 1):
                 out = (x_rows[j], P_next, xm, Pm_rows[j])
-                H = _standard_update(model, x_rows[j - 1], P, None, yk, out, work)[4]
+                H = _standard_update(model, *AT_CT, x_rows[j - 1], P, None, yk, out, work)[4]
                 P, P_next = P_next, P
                 if inc is not None:
                     Hs[j] = H
                 if d is not None:
-                    out = (*z_rows[j], P_oo_next, P_bo_next, *det_prior)
-                    out = _determinate_update(d, R, *z_rows[j - 1], P_oo, P_bo, None, yk, out, det_work)
-                    P_oo, P_oo_next, P_bo, P_bo_next = P_oo_next, P_oo, P_bo_next, P_bo
+                    out = (*z_rows[j], *det_P[1], *det_prior)
+                    out = _determinate_update(d, const, *z_rows[j - 1], *det_P[0][1:], None, yk, out, det_work)
+                    det_P.reverse()
                     Hos[j], Hbos[j] = out[8:]
 
             rows, xhat = slice(k0, k0 + b), xs[1 : b + 1]
@@ -498,21 +542,24 @@ def solve_stationary(d: Decomposition, R: np.ndarray) -> StationaryGains:
     # doubling for X = A^T X (I + G X)^{-1} A + H with A = Ao^T, G = Co^T R^{-1} Co, H = Qo
     A, G, P = d.Ao.T, _sym(d.Co.T @ R_inv_Co), d.Qo
     rel = np.inf
-    for iterations in range(1, _MAX_DOUBLINGS + 1):
-        try:
-            WA, WG = np.hsplit(np.linalg.solve(np.eye(n_obs) + G @ P, np.hstack([A, G])), 2)
-        except np.linalg.LinAlgError as exc:
-            raise NumericalError("doubling step: I + G H is singular") from exc
-        P_next = _sym(P + A.T @ P @ WA)
-        G, A = _sym(G + A @ WG @ A.T), A @ WA
-        rel, P = rel_diff(P_next, P), P_next
-        if rel <= _STATIONARY_TOL:
-            break
-    else:
-        raise ConvergenceError(
-            f"observable covariance did not converge in {_MAX_DOUBLINGS} doublings "
-            f"(last relative increment {rel:.3e})"
-        )
+    # an iterate or norm that overflows gives a NaN increment, which never
+    # converges: it fails closed without numpy's warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        for iterations in range(1, _MAX_DOUBLINGS + 1):
+            try:
+                WA, WG = np.hsplit(np.linalg.solve(np.eye(n_obs) + G @ P, np.hstack([A, G])), 2)
+            except np.linalg.LinAlgError as exc:
+                raise NumericalError("doubling step: I + G H is singular") from exc
+            P_next = _sym(P + A.T @ P @ WA)
+            G, A = _sym(G + A @ WG @ A.T), A @ WA
+            rel, P = rel_diff(P_next, P), P_next
+            if rel <= _STATIONARY_TOL:
+                break
+        else:
+            raise ConvergenceError(
+                f"observable covariance did not converge in {_MAX_DOUBLINGS} doublings "
+                f"(last relative increment {rel:.3e})"
+            )
 
     CP = d.Co @ P
     S = CP @ d.Co.T + R
@@ -533,8 +580,9 @@ def solve_stationary(d: Decomposition, R: np.ndarray) -> StationaryGains:
     P_bo = vec.reshape((2, n_obs), order="F")
     H_bo = _spd_solve(S, d.Co @ P_bo.T).T
 
-    residual_oo = rel_diff(P, advance(P))
-    residual_bo = rel_diff(P_bo, d.A @ P_bo @ Z.T + X)
+    with np.errstate(over="ignore", invalid="ignore"):
+        residual_oo = rel_diff(P, advance(P))
+        residual_bo = rel_diff(P_bo, d.A @ P_bo @ Z.T + X)
     # fails closed: a NaN residual (norms that overflow) fails too
     if not (residual_oo <= 1e-10 and residual_bo <= 1e-10):
         raise ConvergenceError(

@@ -324,6 +324,20 @@ def validate_config(raw: dict) -> ScenarioConfig:
                     f"(choose from {', '.join(sorted(allowed))})"
                 )
 
+    if model is not None and horizon_ok and (kind == "free-run" or (mode is not None and "allan" in outputs)):
+        # a free run's analytical lines and a controller's destination
+        # curves form Q(m tau) up to m = (horizon - 1) // 2, the Allan
+        # grid's last point: the tau rule holds there too
+        m_max = (horizon - 1) // 2
+        try:
+            _check_tau(m_max * model.tau)
+        except ValueError:
+            problems.append(
+                f"model.tau: at horizon {horizon} the Allan grid's longest interval, "
+                f"(horizon - 1) // 2 = {m_max} times tau = {m_max * model.tau:.4g}, "
+                f"breaks the tau rule (its cube overflows); lower model.tau or horizon"
+            )
+
     known_top = {"name", "kind", "model", "horizon", "seed", "controller", "outputs"}
     for key in raw:
         if key not in known_top:

@@ -2,10 +2,15 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import pytest
 
+import eemsync
 from eemsync.cli import _bundled_dir, main
 
 
@@ -274,6 +279,62 @@ def test_filter_overflow_inside_the_pass_leaves_a_partial_manifest(tmp_path, cap
     assert manifest["partial"] is True
     assert manifest["error"] == "NumericalError: innovation covariance is not finite"
     assert manifest["files"] == []
+
+
+def bundled_with(tmp_path, name, horizon, **model):
+    cfg = json.loads((_bundled_dir() / f"{name}.json").read_text())
+    cfg["horizon"] = horizon
+    cfg["model"].update(model)
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(cfg))
+    return path
+
+
+@pytest.mark.parametrize(
+    "name, tau, horizon, outputs",
+    [
+        # tau passes the tau rule, but the analytical line at m tau with
+        # m = 19, the grid's last interval, does not
+        ("free_run", 5.6e102, 40, None),
+        ("free_run", 5.6e102, 40, ["trajectory"]),
+        ("steer_to_clock", 6.1e100, 900, None),
+        ("balanced", 1e101, 800, ["summary", "allan"]),
+    ],
+)
+def test_run_rejects_tau_whose_allan_grid_breaks_the_tau_rule(tmp_path, capsys, name, tau, horizon, outputs):
+    path = bundled_with(tmp_path, name, horizon, tau=tau)
+    if outputs is not None:
+        path.write_text(json.dumps(dict(json.loads(path.read_text()), outputs=outputs)))
+    assert main(["run", str(path), "--out", str(tmp_path / "artifacts")]) == 2
+    err = capsys.readouterr().err
+    assert "model.tau" in err and "horizon" in err and "Allan grid" in err
+    assert not (tmp_path / "artifacts").exists()
+
+
+def test_controller_without_allan_output_keeps_a_large_tau(tmp_path, capsys):
+    # no destination curve is formed, so the Allan grid rule does not apply
+    path = bundled_with(tmp_path, "steer_to_clock", 900, tau=6.1e100)
+    path.write_text(json.dumps(dict(json.loads(path.read_text()), outputs=["summary", "gains"])))
+    assert main(["validate", str(path)]) == 0
+
+
+def test_stationary_overflow_exits_3_without_runtime_warnings(tmp_path):
+    # at tau = 1e90 the doubling iterates and the residual norms overflow;
+    # the run fails closed with no numpy warning, so warnings as errors
+    # leave its exit code and manifest unchanged
+    path = bundled_with(tmp_path, "balanced", 800, tau=1e90)
+    out = tmp_path / "artifacts"
+    env = dict(os.environ)
+    src = str(Path(eemsync.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join([src, env.get("PYTHONPATH", "")])
+    argv = [sys.executable, "-W", "error::RuntimeWarning", "-m", "eemsync.cli", "run", str(path), "--out", str(out)]
+    done = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 3, done.stderr
+    assert "Traceback" not in done.stderr and "Warning" not in done.stderr
+    assert "numerical failure" in done.stderr
+    manifest = json.loads((out / "balanced" / "manifest.json").read_text())
+    assert manifest["status"] == "failed" and manifest["partial"] is True
+    assert manifest["error"].startswith("ConvergenceError: stationary solution failed")
 
 
 @pytest.mark.parametrize(

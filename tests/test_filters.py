@@ -39,7 +39,7 @@ from eemsync import (
 )
 from eemsync import filters
 from eemsync.decomp import Decomposition
-from eemsync.filters import InputPair, StationaryGains, _spd_solve_gain, _sym
+from eemsync.filters import InputPair, StationaryGains, _gain_solve, _spd_solve_gain, _sym
 from eemsync.presets import DEMO_MEAS_STD, DEMO_SIGMA1, DEMO_SIGMA2, demo_ensemble
 from eemsync.scenarios import _gains_doc, _write_json
 
@@ -445,8 +445,9 @@ class TestLeanStepsMatchReference:
             _assert_states_equal(lean, ref)
 
 
-def loop_over_steps(model, y, x=None, d=None):
-    """``filter_pass``'s per-step results from a loop over the library steps."""
+def loop_over_steps(model, y, x=None, d=None, std_step=standard_kf_step, det_step=determinate_kf_step):
+    """``filter_pass``'s per-step results from a loop over the library
+    steps, or over the steps given (such as the reference steps)."""
     fro = np.linalg.norm
     T, N = y.shape[0], model.N
     eps, inc = np.empty(T), np.empty((T, 4))
@@ -455,7 +456,7 @@ def loop_over_steps(model, y, x=None, d=None):
     det = determinate_kf_init(d) if d is not None else None
     for k in range(T):
         prev = std
-        std = standard_kf_step(model, std, None, y[k])
+        std = std_step(model, std, None, y[k])
         if x is not None:
             eps[k] = reference_timescale(x[k] - std.xhat, N)
         inc[k] = (
@@ -466,7 +467,7 @@ def loop_over_steps(model, y, x=None, d=None):
         )
         if d is not None:
             prev = det
-            det = determinate_kf_step(d, model.meas.R, det, None, y[k])
+            det = det_step(d, model.meas.R, det, None, y[k])
             recon = reconstruct_state(det.xi_o_post, det.xi_obar_post, d)
             deviation[k] = fro(recon - std.xhat) / max(fro(std.xhat), 1e-300)
             det_inc[k] = (
@@ -587,6 +588,82 @@ class TestFilterPassSubBlocks:
             extra.append(peak - run.deviation.nbytes - run.det_increments.nbytes)
         assert extra[0] <= 0.5e6
         assert extra[1] <= extra[0]
+
+
+def _weight_or_basis(model, name: str) -> np.ndarray:
+    if name == "uniform":
+        return np.full(model.N, 1.0 / model.N)
+    if name == "short":
+        return weight_short(model.sigma1_sq)
+    if name == "last-clock":
+        return np.eye(model.N)[-1]
+    return _basis(model, "general")
+
+
+class TestFilterPassAgainstReferenceSteps:
+    """The offline pass, with its one posv per gain and its stacked
+    determinate covariance, against the scipy ``cho_factor``/``cho_solve``
+    reference steps, bit for bit, at and across the sub-block edges."""
+
+    @pytest.mark.parametrize("T", [1, 31, 32, 33, 65])
+    @pytest.mark.parametrize("basis", ["uniform", "short", "last-clock", "general"])
+    def test_determinate_and_eps_only_passes(self, basis, T):
+        model = demo_ensemble()
+        d = decompose(model, _weight_or_basis(model, basis))
+        rec = simulate(model, None, T, seed=61)
+        eps, _, deviation, det_inc = loop_over_steps(
+            model, rec.y, x=rec.x, d=d,
+            std_step=reference_standard_kf_step, det_step=reference_determinate_kf_step,
+        )
+        twin = filter_pass(model, rec.y, d=d)
+        assert np.array_equal(twin.deviation, deviation)
+        assert np.array_equal(twin.det_increments, det_inc, equal_nan=True)
+        assert np.array_equal(filter_pass(model, rec.y, x=rec.x).eps, eps)
+
+
+def _spd(rng, p: int, cond: float) -> np.ndarray:
+    # a random SPD matrix with eigenvalues spread log-uniformly over cond
+    Q, _ = np.linalg.qr(rng.standard_normal((p, p)))
+    S = (Q * np.logspace(0.0, -np.log10(cond), p)) @ Q.T
+    return 0.5 * (S + S.T) * 10.0 ** rng.uniform(-30, 0)
+
+
+class TestGainSolve:
+    # at 1e18, past double precision, about half the systems are not
+    # positive definite in floating point: both paths refuse the same ones
+    @pytest.mark.parametrize("cond", [1e0, 1e4, 1e8, 1e12, 1e15, 1e18])
+    def test_posv_matches_cho_factor_and_solve(self, cond):
+        rng = np.random.default_rng(int(np.log10(cond)))
+        for _ in range(100):
+            p, n = int(rng.integers(1, 13)), int(rng.integers(1, 25))
+            S, CP = _spd(rng, p, cond), rng.standard_normal((p, n)) * 10.0 ** rng.uniform(-20, 0)
+            try:
+                want = reference_spd_solve_gain(S, CP)
+            except NumericalError as exc:
+                with pytest.raises(NumericalError, match=str(exc)):
+                    _spd_solve_gain(S, CP)
+                continue
+            assert np.array_equal(_spd_solve_gain(S, CP), want)
+            # as the kernels call it, on views of one [CP | S] buffer
+            BS = np.hstack([CP, S])
+            assert np.array_equal(_gain_solve(BS, BS[:, :n], BS[:, n:]).T, want)
+
+    @pytest.mark.parametrize(
+        "S, rhs_entry, message",
+        [
+            # S is checked first, then its definiteness, then the right-hand side
+            ([[1.0, np.nan], [np.nan, 1.0]], 1.0, "innovation covariance is not finite"),
+            ([[np.inf, 0.0], [0.0, 1.0]], np.nan, "innovation covariance is not finite"),
+            ([[1.0, 2.0], [2.0, 1.0]], np.nan, "innovation covariance is not positive definite"),
+            ([[1.0, 2.0], [2.0, 1.0]], 1.0, "innovation covariance is not positive definite"),
+            ([[2.0, 1.0], [1.0, 2.0]], np.inf, "gain right-hand side is not finite"),
+        ],
+    )
+    def test_error_order(self, S, rhs_entry, message):
+        S, CP = np.array(S), np.ones((2, 3))
+        CP[1, 2] = rhs_entry
+        with np.errstate(invalid="ignore"), pytest.raises(NumericalError, match=f"^{message}$"):
+            _spd_solve_gain(S, CP)
 
 
 @settings(max_examples=40, deadline=None)

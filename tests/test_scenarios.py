@@ -691,6 +691,8 @@ EDGE_EDITS = {
     "tau-1e-300": {"model.tau": 1e-300},
     "tau-1e-12": {"model.tau": 1e-12},
     "tau-1e90": {"model.tau": 1e90},
+    # tau passes the tau rule, but m tau on the Allan grid does not
+    "tau-5.6e102": {"model.tau": 5.6e102},
     "tau-nan": {"model.tau": NAN},
     "sigma1-zero": {"model.sigma1": [0.0] * 10},
     "sigma2-zero": {"model.sigma2": [0.0] * 10},

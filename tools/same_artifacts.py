@@ -6,10 +6,13 @@ REV's files are exported with ``git archive`` into a temporary directory,
 which leaves the repository itself untouched.  This checkout and REV then
 run every bundled config twice, each run in its own process: at horizon
 20,000 with every output selector of its kind, and at its bundled horizon
-with its default outputs.  The script prints every file whose sha256
-differs between the two sides (``manifest.json`` is compared without its
-timings and peak RSS) and the worst relative difference of each summary
-float, and exits 1 on any difference.  The temporary directory is removed
+with its default outputs.  A kind in ``WEIGHTS`` also runs at horizon
+20,000 once with each ``controller.weight`` named there, so the
+determinate filter is compared on bases that its bundled uniform weight
+never reaches.  The script prints every file whose sha256 differs between
+the two sides (``manifest.json`` is compared without its timings and peak
+RSS) and the worst relative difference of each summary float, and exits 1
+on any difference.  The temporary directory is removed
 on exit.
 """
 
@@ -29,6 +32,8 @@ ROOT = Path(__file__).resolve().parents[1]
 SHORT_HORIZON = 20_000
 # manifest fields that measure the run, not what it computed
 VOLATILE = ("elapsed_s", "peak_rss_mb", "peak_rss_mb_at_start")
+# extra short-horizon runs with controller.weight set to each name
+WEIGHTS = {"determinate-kf": ("short", "last-clock")}
 
 
 def export(rev: str, dest: Path) -> None:
@@ -44,7 +49,12 @@ def run_side(src: Path, work: Path, selectors: dict) -> dict:
     for path in sorted((src / "src" / "eemsync" / "configs").glob("*.json")):
         raw = json.loads(path.read_text())
         short = dict(raw, horizon=SHORT_HORIZON, outputs=list(selectors[raw["kind"]]))
-        for variant, cfg in ((f"horizon-{SHORT_HORIZON}", short), ("bundled", raw)):
+        variants = [(f"horizon-{SHORT_HORIZON}", short), ("bundled", raw)]
+        variants += [
+            (f"horizon-{SHORT_HORIZON}-weight-{w}", dict(short, controller={"weight": w}))
+            for w in WEIGHTS.get(raw["kind"], ())
+        ]
+        for variant, cfg in variants:
             cfg_path = work / "configs" / variant / path.name
             cfg_path.parent.mkdir(parents=True, exist_ok=True)
             cfg_path.write_text(json.dumps(cfg))
