@@ -539,12 +539,13 @@ def solve_stationary(d: Decomposition, R: np.ndarray) -> StationaryGains:
     def rel_diff(a: np.ndarray, b: np.ndarray) -> float:
         return float(np.linalg.norm(a - b, "fro") / max(np.linalg.norm(a, "fro"), 1e-300))
 
-    # doubling for X = A^T X (I + G X)^{-1} A + H with A = Ao^T, G = Co^T R^{-1} Co, H = Qo
-    A, G, P = d.Ao.T, _sym(d.Co.T @ R_inv_Co), d.Qo
-    rel = np.inf
-    # an iterate or norm that overflows gives a NaN increment, which never
-    # converges: it fails closed without numpy's warnings
+    # an iterate, a solve or a norm that overflows gives NaN, which fails
+    # the convergence test or the residual check below: the solve fails
+    # closed without numpy's warnings
     with np.errstate(over="ignore", invalid="ignore"):
+        # doubling for X = A^T X (I + G X)^{-1} A + H with A = Ao^T, G = Co^T R^{-1} Co, H = Qo
+        A, G, P = d.Ao.T, _sym(d.Co.T @ R_inv_Co), d.Qo
+        rel = np.inf
         for iterations in range(1, _MAX_DOUBLINGS + 1):
             try:
                 WA, WG = np.hsplit(np.linalg.solve(np.eye(n_obs) + G @ P, np.hstack([A, G])), 2)
@@ -561,26 +562,25 @@ def solve_stationary(d: Decomposition, R: np.ndarray) -> StationaryGains:
                 f"(last relative increment {rel:.3e})"
             )
 
-    CP = d.Co @ P
-    S = CP @ d.Co.T + R
-    H_o = _spd_solve(S, CP).T
-    gain_complement = np.eye(n_obs) - H_o @ d.Co
-    Z = d.Ao @ gain_complement
+        CP = d.Co @ P
+        S = CP @ d.Co.T + R
+        H_o = _spd_solve(S, CP).T
+        gain_complement = np.eye(n_obs) - H_o @ d.Co
+        Z = d.Ao @ gain_complement
 
-    # cross equation P_bo = A P_bo Z^T + X, solved by column-major vectorization
-    X = d.Qbo if d.q is not None else d.Qbo + d.coupling @ P @ gain_complement.T @ d.Ao.T
-    M = np.eye(4 * (d.N - 1)) - np.kron(Z, d.A)
-    try:
-        vec = np.linalg.solve(M, X.flatten(order="F"))
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(
-            "vectorized cross-covariance system is singular; the observable "
-            "closed loop is not contractive"
-        ) from exc
-    P_bo = vec.reshape((2, n_obs), order="F")
-    H_bo = _spd_solve(S, d.Co @ P_bo.T).T
+        # cross equation P_bo = A P_bo Z^T + X, solved by column-major vectorization
+        X = d.Qbo if d.q is not None else d.Qbo + d.coupling @ P @ gain_complement.T @ d.Ao.T
+        M = np.eye(4 * (d.N - 1)) - np.kron(Z, d.A)
+        try:
+            vec = np.linalg.solve(M, X.flatten(order="F"))
+        except np.linalg.LinAlgError as exc:
+            raise NumericalError(
+                "vectorized cross-covariance system is singular; the observable "
+                "closed loop is not contractive"
+            ) from exc
+        P_bo = vec.reshape((2, n_obs), order="F")
+        H_bo = _spd_solve(S, d.Co @ P_bo.T).T
 
-    with np.errstate(over="ignore", invalid="ignore"):
         residual_oo = rel_diff(P, advance(P))
         residual_bo = rel_diff(P_bo, d.A @ P_bo @ Z.T + X)
     # fails closed: a NaN residual (norms that overflow) fails too

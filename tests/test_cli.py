@@ -318,11 +318,29 @@ def test_controller_without_allan_output_keeps_a_large_tau(tmp_path, capsys):
     assert main(["validate", str(path)]) == 0
 
 
-def test_stationary_overflow_exits_3_without_runtime_warnings(tmp_path):
-    # at tau = 1e90 the doubling iterates and the residual norms overflow;
-    # the run fails closed with no numpy warning, so warnings as errors
-    # leave its exit code and manifest unchanged
-    path = bundled_with(tmp_path, "balanced", 800, tau=1e90)
+def _scaled(name, key, scale, entry=None):
+    values = json.loads((_bundled_dir() / f"{name}.json").read_text())["model"][key]
+    return [x * scale if entry in (None, i) else x for i, x in enumerate(values)]
+
+
+@pytest.mark.parametrize(
+    "name, horizon, model",
+    [
+        # the doubling iterates and the residual norms overflow
+        ("balanced", 800, {"tau": 1e90}),
+        # the doubling converges, and the cross-covariance solve gives NaN
+        (
+            "standard_kf",
+            100,
+            {"sigma2": _scaled("standard_kf", "sigma2", 5.075e144, 6), "meas_std": _scaled("standard_kf", "meas_std", 1.1357e59)},
+        ),
+    ],
+    ids=["balanced-tau-1e90", "standard_kf-sigma2-meas_std"],
+)
+def test_stationary_overflow_exits_3_without_runtime_warnings(tmp_path, name, horizon, model):
+    # the stationary solve fails closed with no numpy warning, so warnings
+    # as errors leave the exit code and the partial manifest unchanged
+    path = bundled_with(tmp_path, name, horizon, **model)
     out = tmp_path / "artifacts"
     env = dict(os.environ)
     src = str(Path(eemsync.__file__).resolve().parents[1])
@@ -332,7 +350,7 @@ def test_stationary_overflow_exits_3_without_runtime_warnings(tmp_path):
     assert done.returncode == 3, done.stderr
     assert "Traceback" not in done.stderr and "Warning" not in done.stderr
     assert "numerical failure" in done.stderr
-    manifest = json.loads((out / "balanced" / "manifest.json").read_text())
+    manifest = json.loads((out / name / "manifest.json").read_text())
     assert manifest["status"] == "failed" and manifest["partial"] is True
     assert manifest["error"].startswith("ConvergenceError: stationary solution failed")
 
