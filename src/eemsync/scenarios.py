@@ -326,8 +326,8 @@ def validate_config(raw: dict) -> ScenarioConfig:
 
     if model is not None and horizon_ok and (kind == "free-run" or (mode is not None and "allan" in outputs)):
         # a free run's analytical lines and a controller's destination
-        # curves form Q(m tau) up to m = (horizon - 1) // 2, the Allan
-        # grid's last point: the tau rule holds there too
+        # curves apply the tau rule at each interval m tau of the Allan
+        # grid, whose last point is m = (horizon - 1) // 2
         m_max = (horizon - 1) // 2
         try:
             _check_tau(m_max * model.tau)
