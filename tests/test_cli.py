@@ -281,10 +281,12 @@ def test_filter_overflow_inside_the_pass_leaves_a_partial_manifest(tmp_path, cap
     assert manifest["files"] == []
 
 
-def bundled_with(tmp_path, name, horizon, **model):
+def bundled_with(tmp_path, name, horizon, outputs=None, **model):
     cfg = json.loads((_bundled_dir() / f"{name}.json").read_text())
     cfg["horizon"] = horizon
     cfg["model"].update(model)
+    if outputs is not None:
+        cfg["outputs"] = outputs
     path = tmp_path / f"{name}.json"
     path.write_text(json.dumps(cfg))
     return path
@@ -293,8 +295,8 @@ def bundled_with(tmp_path, name, horizon, **model):
 @pytest.mark.parametrize(
     "name, tau, horizon, outputs",
     [
-        # tau passes the tau rule, but the analytical line at m tau with
-        # m = 19, the grid's last interval, does not
+        # tau passes the tau rule, but m tau at the Allan grid's last
+        # interval does not (m = 19 at horizon 40)
         ("free_run", 5.6e102, 40, None),
         ("free_run", 5.6e102, 40, ["trajectory"]),
         ("steer_to_clock", 6.1e100, 900, None),
@@ -302,19 +304,16 @@ def bundled_with(tmp_path, name, horizon, **model):
     ],
 )
 def test_run_rejects_tau_whose_allan_grid_breaks_the_tau_rule(tmp_path, capsys, name, tau, horizon, outputs):
-    path = bundled_with(tmp_path, name, horizon, tau=tau)
-    if outputs is not None:
-        path.write_text(json.dumps(dict(json.loads(path.read_text()), outputs=outputs)))
+    path = bundled_with(tmp_path, name, horizon, outputs, tau=tau)
     assert main(["run", str(path), "--out", str(tmp_path / "artifacts")]) == 2
     err = capsys.readouterr().err
     assert "model.tau" in err and "horizon" in err and "Allan grid" in err
     assert not (tmp_path / "artifacts").exists()
 
 
-def test_controller_without_allan_output_keeps_a_large_tau(tmp_path, capsys):
+def test_controller_without_allan_output_keeps_a_large_tau(tmp_path):
     # no destination curve is formed, so the Allan grid rule does not apply
-    path = bundled_with(tmp_path, "steer_to_clock", 900, tau=6.1e100)
-    path.write_text(json.dumps(dict(json.loads(path.read_text()), outputs=["summary", "gains"])))
+    path = bundled_with(tmp_path, "steer_to_clock", 900, ["summary", "gains"], tau=6.1e100)
     assert main(["validate", str(path)]) == 0
 
 
