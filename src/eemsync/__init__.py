@@ -17,7 +17,6 @@ from .allan import (
     analytical_allan_clock,
     gamma_matrix,
     optimal_weight,
-    statistical_allan,
     variance_vector,
     weight_long,
     weight_short,
@@ -54,7 +53,6 @@ from .filters import (
     solve_stationary,
     standard_kf_init,
     standard_kf_step,
-    stationary_kf_step,
     unobservable_covariance_from_observable,
     unobservable_gain_from_observable,
 )

@@ -16,7 +16,6 @@ __all__ = [
     "gamma_matrix",
     "analytical_allan_clock",
     "allan_pi",
-    "statistical_allan",
     "allan_plot",
     "optimal_weight",
     "weight_short",
@@ -109,12 +108,15 @@ def _allan_values(h: np.ndarray, tau: float, m_set: Sequence[int]) -> np.ndarray
     # 15% slower (their vector loads and stores split cache lines)
     raw = np.empty(min(T, _LEAF) + 8)
     buf = raw[(-raw.ctypes.data % 64) // 8 :]
-    for i in range(columns.shape[1]):
-        c = np.ascontiguousarray(columns[:, i])
-        for j, m in enumerate(m_set):
-            m = int(m)
-            n = T - 2 * m
-            values[j, i] = _sum_squares(c, m, 0, n, buf) / n / (2.0 * (m * tau) ** 2)
+    # a square, a sum or a division that overflows gives inf (NaN from
+    # inf - inf) without numpy's warnings; a scenario refuses to write it
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(columns.shape[1]):
+            c = np.ascontiguousarray(columns[:, i])
+            for j, m in enumerate(m_set):
+                m = int(m)
+                n = T - 2 * m
+                values[j, i] = _sum_squares(c, m, 0, n, buf) / n / (2.0 * (m * tau) ** 2)
     return values if h.ndim == 2 else values[:, 0]
 
 
@@ -131,10 +133,11 @@ class AllanPlot:
     values: np.ndarray
 
 
-def _default_m_grid(m_max: int, per_decade: int = 30) -> np.ndarray:
+def _default_m_grid(m_max: int) -> np.ndarray:
     if m_max <= 1:
         return np.array([1])
-    count = int(np.ceil(per_decade * np.log10(m_max))) + 1
+    # about 30 points per decade
+    count = int(np.ceil(30 * np.log10(m_max))) + 1
     grid = np.round(np.logspace(0.0, np.log10(m_max), count)).astype(int)
     # sorted, so a repeat equals its left neighbour (np.unique imports numpy.ma)
     grid = grid[np.diff(grid, prepend=0) != 0]
@@ -173,13 +176,6 @@ def allan_plot(h: np.ndarray, tau: float, m_subset: Optional[Sequence[int]] = No
         m_set = m_set.astype(int)
     values = _allan_values(h, tau, m_set)
     return AllanPlot(m_set=m_set, intervals=m_set * float(tau), values=values)
-
-
-def statistical_allan(h: np.ndarray, tau: float, m: int) -> Union[float, np.ndarray]:
-    """The estimator of :func:`allan_plot` at the one interval m tau: a
-    float for a scalar series, one entry per column for a vector one."""
-    values = allan_plot(h, tau, m_subset=[m]).values
-    return float(values[0]) if values.ndim == 1 else values[0]
 
 
 def _inverse_variance(s: np.ndarray, zero_message: str) -> np.ndarray:

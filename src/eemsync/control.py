@@ -26,9 +26,9 @@ from .errors import ConfigError
 from .filters import (  # noqa: F401
     DeterminateKFState,
     StationaryGains,
+    _predict_decomposed,
     determinate_kf_init,
     determinate_kf_step,
-    stationary_kf_step,
 )
 from .models import EnsembleModel, _check_tau
 from .presets import DEFAULT_COLLECTIVE_GAIN_COEFFS, DEFAULT_OBS_GAIN_COEFFS
@@ -100,19 +100,21 @@ def _whole(value) -> Optional[int]:
 
 @dataclass(frozen=True)
 class ControllerConfig:
-    """Gains, weight, and schedule for the closed loop.
+    """Gains and schedule for the closed loop.
 
-    ``K_bo`` is the collective gain on the ensemble mean: with it the loop
-    is balanced and kicks the mean at the steps k with
-    (k - phase) % m == 0; ``None`` only synchronizes.  Every problem with
-    F_o's shape, K_bo (2 numbers), m (an integer >= 1), phase (an
+    ``F_o`` is the synchronization gain on the relative states, shape
+    (N-1, 2(N-1)).  ``K_bo`` is the collective gain on the ensemble mean:
+    with it the loop is balanced and kicks the mean at the steps k with
+    (k - phase) % m == 0; ``None`` only synchronizes.  The weight, and
+    with it the destination, is the one of the :class:`Decomposition`
+    that :func:`closed_loop` and :class:`EemPolicy` take.  Every problem
+    with F_o's shape, K_bo (2 numbers), m (an integer >= 1), phase (an
     integer) or tau (finite, > 0, tau**3 normal) is reported in one :class:`ConfigError`.
     ``validate=False`` skips the spectral checks; the destabilized runs
     used to exercise the instability direction of the synchronization
     theorem need it.
     """
 
-    q: np.ndarray
     F_o: np.ndarray
     K_bo: Optional[np.ndarray]
     m: int
@@ -121,15 +123,10 @@ class ControllerConfig:
     validate: bool = True
 
     def __post_init__(self):
-        qv = weight_vector(self.q)
-        N = qv.size
-        object.__setattr__(self, "q", qv)
         F_o = np.asarray(self.F_o, dtype=float)
         problems: List[str] = []
-        if F_o.shape != (N - 1, 2 * (N - 1)):
-            problems.append(
-                f"F_o must have shape ({N - 1}, {2 * (N - 1)}), got {F_o.shape}"
-            )
+        if F_o.ndim != 2 or F_o.size == 0 or F_o.shape[1] != 2 * F_o.shape[0]:
+            problems.append(f"F_o must have shape (n, 2n) with n >= 1, got {F_o.shape}")
         object.__setattr__(self, "F_o", F_o)
         m, phase = _whole(self.m), _whole(self.phase)
         if m is None or m < 1:
@@ -156,7 +153,7 @@ class ControllerConfig:
         if problems:
             raise ConfigError(problems)
         if self.validate:
-            rho_o = check_obs_gain(self.F_o, N, self.tau)
+            rho_o = check_obs_gain(self.F_o, len(self.F_o) + 1, self.tau)
             if rho_o >= 1.0:
                 raise ConfigError(
                     [f"observable closed loop is not contractive (rho = {rho_o:.6f})"]
@@ -167,10 +164,6 @@ class ControllerConfig:
                     raise ConfigError(
                         [f"collective closed loop is not contractive (rho = {rho_c:.6f})"]
                     )
-
-    @property
-    def N(self) -> int:
-        return self.q.size
 
 
 class EemPolicy:
@@ -185,6 +178,8 @@ class EemPolicy:
     def __init__(self, cfg: ControllerConfig, d: Decomposition, gains: StationaryGains):
         if d.q is None:
             raise ValueError("the controller requires a weight-basis decomposition")
+        if len(cfg.F_o) != d.N - 1:
+            raise ValueError(f"F_o has {len(cfg.F_o)} rows; the decomposition's {d.N} clocks need {d.N - 1}")
         self.cfg = cfg
         self.d = d
         self.gains = gains
@@ -194,18 +189,28 @@ class EemPolicy:
         self._last_omega = (np.zeros(d.N - 1), 0.0)
 
     def __call__(self, k: int, y: np.ndarray) -> np.ndarray:
-        cfg = self.cfg
-        self.state = stationary_kf_step(self.d, self.gains, self.state, self._last_omega, y)
-        prior_o, prior_obar = self.state.xi_o_hat, self.state.xi_obar_hat
-        omega_o = -(cfg.F_o @ prior_o)
+        cfg, d, g, post = self.cfg, self.d, self.gains, self.state
+        # determinate_kf_step with the gains frozen at the fixed point:
+        # predict from the posterior with the previous command, update with y
+        xo_m, xb_m = _predict_decomposed(d, post.xi_o_post, post.xi_obar_post, self._last_omega)
+        innov = d.Co @ xo_m
+        np.subtract(np.asarray(y, dtype=float), innov, out=innov)
+        xi_o = g.H_o_star @ innov
+        xi_o += xo_m
+        xi_obar = g.H_bo_star @ innov
+        xi_obar += xb_m
+        self.state = DeterminateKFState(
+            xi_o_post=xi_o, xi_obar_post=xi_obar, xi_o_hat=xo_m, xi_obar_hat=xb_m
+        )
+        omega_o = -(cfg.F_o @ xo_m)
         if cfg.K_bo is not None and (k - cfg.phase) % cfg.m == 0:
-            omega_obar = float(-(cfg.K_bo @ prior_obar)[0])
+            omega_obar = float(-(cfg.K_bo @ xb_m)[0])
         else:
             omega_obar = 0.0
         self._last_omega = (omega_o, omega_obar)
         self.omega_o_log.append(omega_o)
         self.omega_obar_log.append(omega_obar)
-        return expand_input(omega_o, omega_obar, self.d)
+        return expand_input(omega_o, omega_obar, d)
 
     def command_log(self) -> tuple:
         return np.asarray(self.omega_o_log), np.asarray(self.omega_obar_log)
@@ -251,6 +256,8 @@ def closed_loop(
     """
     if d.q is None:
         raise ValueError("the controller requires a weight-basis decomposition")
+    if len(cfg.F_o) != d.N - 1:
+        raise ValueError(f"F_o has {len(cfg.F_o)} rows; the decomposition's {d.N} clocks need {d.N - 1}")
     if T < 1:
         raise ValueError(f"T must be >= 1, got {T}")
     N = model.N
@@ -313,7 +320,7 @@ def closed_loop(
     dest = _free_run(model.tau, run(), np.empty((T + 1, 2 * len(Q))))
     u = omega_o @ d.Vplus.T
     u += omega_obar[:, None]
-    record = TrajectoryRecord(tau=model.tau, x=x, y=y, u=u)
+    record = TrajectoryRecord(x=x, y=y, u=u)
     return record, omega_o, omega_obar, [dest[:, j :: len(Q)] for j in range(len(Q))]
 
 

@@ -56,7 +56,9 @@ class Decomposition:
     """Transformation pair and decomposed system matrices for one basis.
 
     ``T`` maps ensemble coordinates to (xi_o, xi_obar); ``Tinv`` maps
-    back.  ``coupling`` is the 2 x 2(N-1) block feeding the observable
+    back.  Ubar, T's last two rows, reads the unobservable coordinates
+    (I2 kron q^T for a weight basis); U is Tinv's first 2(N-1) columns.
+    ``coupling`` is the 2 x 2(N-1) block feeding the observable
     state into the unobservable dynamics; it is exactly zero for every
     weight basis.  ``Vplus`` is present only for weight bases (it is
     what makes input expansion well defined).  Treat instances as
@@ -64,23 +66,17 @@ class Decomposition:
     """
 
     N: int
-    tau: float
     q: Optional[np.ndarray]       # weight vector, None for a general basis
     V: np.ndarray                 # (N-1) x N relative measurement matrix
     Vplus: Optional[np.ndarray]   # N x (N-1) generalized inverse of V
-    Wbar: np.ndarray              # 2 x 2N rows defining the unobservable coordinates
     T: np.ndarray                 # 2N x 2N forward transform [I2 kron V; Ubar]
     Tinv: np.ndarray              # 2N x 2N inverse transform [U, I2 kron 1]
-    U: np.ndarray                 # 2N x 2(N-1)
-    Ubar: np.ndarray              # 2 x 2N
     A: np.ndarray                 # 2 x 2 single-clock transition
     B: np.ndarray                 # (2,) single-clock input vector
     Ao: np.ndarray                # 2(N-1) x 2(N-1) observable transition
     Bo: np.ndarray                # 2(N-1) x (N-1) observable input map
     Co: np.ndarray                # (N-1) x 2(N-1) observable output map
     coupling: np.ndarray          # 2 x 2(N-1) block Ubar bigA U
-    Bu_o: np.ndarray              # 2(N-1) x N physical input into the observable part
-    Bu_obar: np.ndarray           # 2 x N physical input into the unobservable part
     Qo: np.ndarray                # 2(N-1) x 2(N-1) observable process covariance
     Qbo: np.ndarray               # 2 x 2(N-1) cross process covariance
 
@@ -168,7 +164,6 @@ def decompose(model: EnsembleModel, basis: np.ndarray) -> Decomposition:
         qv = weight_vector(basis_arr, N)
         vplus = generalized_inverse(V, qv)
         ubar = np.kron(np.eye(2), qv[None, :])
-        wbar = ubar
         u_mat = np.kron(np.eye(2), vplus)
         # A kron (q^T Vplus) vanishes identically for every weight basis
         coupling = np.zeros((2, n_obs))
@@ -222,23 +217,17 @@ def decompose(model: EnsembleModel, basis: np.ndarray) -> Decomposition:
     eye_o = np.eye(N - 1)
     return Decomposition(
         N=N,
-        tau=model.tau,
         q=qv,
         V=V,
         Vplus=vplus,
-        Wbar=wbar,
         T=t_fwd,
         Tinv=t_inv,
-        U=u_mat,
-        Ubar=ubar,
         A=clock.A,
         B=clock.B,
         Ao=np.kron(clock.A, eye_o),
         Bo=np.kron(clock.B.reshape(2, 1), eye_o),
         Co=np.kron(clock.C[None, :], eye_o),
         coupling=coupling,
-        Bu_o=np.kron(clock.B.reshape(2, 1), V),
-        Bu_obar=ubar @ model.bigB,
         Qo=kIV @ model.bigQ @ kIV.T,
         Qbo=ubar @ model.bigQ @ kIV.T,
     )

@@ -1,13 +1,14 @@
 """Kalman filters for the clock ensemble.
 
-Three variants share one model: the standard full-state filter (whose
+Two recursions share one model: the standard full-state filter (whose
 covariance diverges along the unobservable subspace while its gain still
-converges), the determinate decomposed filter (which never forms the
-diverging block), and the stationary filter running on precomputed
-fixed-point gains, which a structure-preserving doubling solve finds in
-about twenty steps.  The module also provides the weight-transport
-shortcuts that express the unobservable gain and covariance of an
-arbitrary weight basis through the observable solution.
+converges) and the determinate decomposed filter (which never forms the
+diverging block).  ``solve_stationary`` finds the decomposed filter's
+fixed-point gains by a structure-preserving doubling solve in about
+twenty steps; the stationary filter that runs on them is the observer
+step of ``eemsync.control.EemPolicy``.  The module also provides the
+weight-transport shortcuts that express the unobservable gain and
+covariance of an arbitrary weight basis through the observable solution.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ __all__ = [
     "FilterPass",
     "filter_pass",
     "solve_stationary",
-    "stationary_kf_step",
     "unobservable_gain_from_observable",
     "unobservable_covariance_from_observable",
 ]
@@ -228,8 +228,8 @@ class DeterminateKFState:
     ``xi_o_hat`` / ``xi_obar_hat`` are the prior estimates of the latest
     step, as propagated by the decomposed recursion; the ``*_post``
     fields hold the matching posteriors (consumed by the next predict).
-    ``P_oo`` / ``P_bo`` are posterior covariances; the stationary step
-    leaves every covariance and gain field ``None``.
+    ``P_oo`` / ``P_bo`` are posterior covariances; the stationary step of
+    ``EemPolicy`` leaves every covariance and gain field ``None``.
     """
 
     xi_o_post: Optional[np.ndarray] = None
@@ -600,34 +600,6 @@ def solve_stationary(d: Decomposition, R: np.ndarray) -> StationaryGains:
         residual_bo=residual_bo,
         iterations=iterations,
         spectral_radius=rho,
-    )
-
-
-def stationary_kf_step(
-    d: Decomposition,
-    g: StationaryGains,
-    state: DeterminateKFState,
-    omega_prev: InputPair,
-    y: np.ndarray,
-) -> DeterminateKFState:
-    """``determinate_kf_step`` with the gains frozen at the fixed point.
-
-    Same state and ordering: predict from the stored posterior with the
-    previous input, then update with ``y``.  The covariance fields stay
-    ``None`` because the gains hold them.
-    """
-    xo_m, xb_m = _predict_decomposed(d, state.xi_o_post, state.xi_obar_post, omega_prev)
-    innov = d.Co @ xo_m
-    np.subtract(np.asarray(y, dtype=float), innov, out=innov)
-    xi_o = g.H_o_star @ innov
-    xi_o += xo_m
-    xi_obar = g.H_bo_star @ innov
-    xi_obar += xb_m
-    return DeterminateKFState(
-        xi_o_post=xi_o,
-        xi_obar_post=xi_obar,
-        xi_o_hat=xo_m,
-        xi_obar_hat=xb_m,
     )
 
 

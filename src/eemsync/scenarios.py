@@ -297,7 +297,6 @@ def validate_config(raw: dict) -> ScenarioConfig:
         if not problems:
             try:
                 controller = ControllerConfig(
-                    q=weight,
                     F_o=default_obs_gain(model.N, model.tau, value["obs_gain_coeffs"]),
                     K_bo=default_collective_gain(period, model.tau, value["collective_gain_coeffs"])
                     if mode == "balanced"
@@ -461,7 +460,9 @@ class _Artifacts:
     def write_allan(self, plots: Dict[str, AllanPlot], prefix: str) -> None:
         """One ``<prefix>_<series>.csv`` per series and a ``<prefix>_index.json``
         mapping series names to files; a vector plot splits into numbered
-        per-column series.
+        per-column series.  A series holding an overflowed (inf or NaN)
+        value raises :class:`NumericalError` naming it, before its file is
+        opened.
 
         Each CSV has an ``interval_s,allan_variance`` header, then one row
         per interval with 17 significant digits: the bytes of ``np.savetxt``
@@ -471,10 +472,14 @@ class _Artifacts:
         index: Dict[str, str] = {}
         for name, plot in plots.items():
             intervals = plot.intervals.tolist()
-            columns = plot.values.reshape(len(intervals), -1).T.tolist()
+            table = plot.values.reshape(len(intervals), -1)
+            finite = np.isfinite(table).all(axis=0)
+            columns = table.T.tolist()
             for col, values in enumerate(columns):
                 series = f"{name}_{col + 1}" if len(columns) > 1 else name
                 index[series] = f"{prefix}_{series}.csv"
+                if not finite[col]:
+                    raise NumericalError(f"Allan variance of series {series!r} ({index[series]}) is not finite")
                 rows = [v for pair in zip(intervals, values) for v in pair]
                 with open(os.path.join(self.directory, index[series]), "w", encoding="utf-8") as fh:
                     fh.write("interval_s,allan_variance\n")
@@ -507,8 +512,10 @@ def _run_free_run(cfg: ScenarioConfig, art: _Artifacts) -> dict:
         art.write_allan({"clock": plot}, "allan")
     s1, s2 = cfg.model.sigma1_sq, cfg.model.sigma2_sq
     # one row per interval, one column per clock; m = 1 leads the default
-    # grid, which holds it from horizon 4 on, so row 0 is at tau
-    lines = np.array([analytical_allan_clock(s1, s2, t) for t in plot.intervals])
+    # grid, which holds it from horizon 4 on, so row 0 is at tau.  A line
+    # that overflows is refused where it is written or summarized
+    with np.errstate(over="ignore", invalid="ignore"):
+        lines = np.array([analytical_allan_clock(s1, s2, t) for t in plot.intervals])
     summary = {"clocks": {}}
     analytical = {}
     for i in range(cfg.model.N):
@@ -541,8 +548,11 @@ def _run_standard_kf(cfg: ScenarioConfig, art: _Artifacts) -> dict:
     if "trajectory" in cfg.outputs:
         art.save("trajectory.npy", range(rec.T), rec.h[: rec.T], rec.u)
     final = increments[-1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # a zero gain norm gives NaN or inf, which fails the strict summary
+        rel = final[0] / final[1]
     return {
-        "final_gain_rel_increment": float(final[0] / final[1]),
+        "final_gain_rel_increment": float(rel),
         "final_prior_cov_increment_fro": float(final[2]),
         "timescale_allan_at_1s": float(plot.values[plot.m_set == 1][0]),
     }
@@ -584,10 +594,13 @@ def _run_determinate_kf(cfg: ScenarioConfig, art: _Artifacts) -> dict:
     if "increments" in cfg.outputs:
         # k, observable and cross gain: increment and norm (Frobenius)
         art.save("increments.npy", range(len(increments)), increments)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # a zero gain norm gives NaN or inf, which fails the strict summary
+        obs, cross = increments[-1, 0] / increments[-1, 1], increments[-1, 2] / increments[-1, 3]
     return {
         "max_rel_deviation": float(np.nanmax(deviation)),
-        "final_obs_gain_rel_increment": float(increments[-1, 0] / increments[-1, 1]),
-        "final_cross_gain_rel_increment": float(increments[-1, 2] / increments[-1, 3]),
+        "final_obs_gain_rel_increment": float(obs),
+        "final_cross_gain_rel_increment": float(cross),
     }
 
 
@@ -621,10 +634,11 @@ def _run_controller(cfg: ScenarioConfig, art: _Artifacts) -> dict:
         plot = allan_plot(rec.h, model.tau)
         art.write_allan({"clock": plot}, "allan")
         s1, s2 = model.sigma1_sq, model.sigma2_sq
-        references = {
-            name: replace(plot, values=np.array([allan_pi(q, s1, s2, t) for t in plot.intervals]))
-            for name, q in zip(("destination", "destination_long"), weights)
-        }
+        with np.errstate(over="ignore", invalid="ignore"):
+            references = {
+                name: replace(plot, values=np.array([allan_pi(q, s1, s2, t) for t in plot.intervals]))
+                for name, q in zip(("destination", "destination_long"), weights)
+            }
         art.write_allan(references, "reference")
 
     # (V delta_phase)[0], the first measured relative phase of the

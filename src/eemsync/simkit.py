@@ -105,7 +105,6 @@ class TrajectoryRecord:
     returned.
     """
 
-    tau: float
     x: np.ndarray
     y: np.ndarray
     u: np.ndarray
@@ -182,7 +181,7 @@ def simulate(
                 x = bigA @ x + bigB @ u + v[k - k0]
                 xs[k + 1] = x
 
-    return TrajectoryRecord(tau=model.tau, x=xs, y=ys, u=us)
+    return TrajectoryRecord(x=xs, y=ys, u=us)
 
 
 def _free_run(tau: float, blocks, out: np.ndarray) -> np.ndarray:

@@ -28,6 +28,7 @@ from eemsync import (
     ControllerConfig,
     NoiseParams,
     allan_pi,
+    allan_plot,
     analytical_allan_clock,
     build_ensemble,
     closed_loop,
@@ -40,7 +41,6 @@ from eemsync import (
     simulate,
     solve_stationary,
     star_measurement,
-    statistical_allan,
     sync_error,
     weight_long,
     weight_short,
@@ -356,7 +356,7 @@ class TestCriterion07:
         worst = 0.0
         for i in range(10):
             for m in (1, 10, 100):
-                est = statistical_allan(rec.h[:, i], 1.0, m)
+                est = allan_plot(rec.h[:, i], 1.0, [m]).values[0]
                 ref = analytical_allan_clock(model.sigma1_sq, model.sigma2_sq, float(m))[i]
                 worst = max(worst, abs(est / ref - 1.0))
 
@@ -366,7 +366,7 @@ class TestCriterion07:
             mdl = build_ensemble(params, star_measurement(2), np.eye(1) * 1e-30, 1.0)
             h = simulate(mdl, None, 1_000_000, seed=702).h[:, 0]
             ms = np.array([1, 3, 10, 30, 100])
-            vals = [statistical_allan(h, 1.0, int(m)) for m in ms]
+            vals = [allan_plot(h, 1.0, [int(m)]).values[0] for m in ms]
             slopes[name] = np.polyfit(np.log10(ms), np.log10(vals), 1)[0]
         elapsed = time.perf_counter() - started
         ok = (
@@ -393,7 +393,7 @@ class TestCriterion08:
         q = np.full(10, 0.1)
         T = 100_000
         cfg = ControllerConfig(
-            q=q, F_o=default_obs_gain(10, 1.0), K_bo=None, m=1
+            F_o=default_obs_gain(10, 1.0), K_bo=None, m=1
         )
         traj, _, _, (dest,) = closed_loop(model, cfg, d, g, T, 808, weights=[q])
         # one scalar series for the whole measured sync error: the squared
@@ -403,7 +403,6 @@ class TestCriterion08:
         stats = _trend_statistics(sq)
 
         cfg0 = ControllerConfig(
-            q=q,
             F_o=np.zeros((9, 18)),
             K_bo=None,
             m=1,
@@ -427,7 +426,7 @@ class TestCriterion08:
         d_s = decompose(model, q_steer)
         g_s = solve_stationary(d_s, model.meas.R)
         cfg_s = ControllerConfig(
-            q=q_steer, F_o=default_obs_gain(10, 1.0), K_bo=None, m=1
+            F_o=default_obs_gain(10, 1.0), K_bo=None, m=1
         )
         traj_s, *_ = closed_loop(model, cfg_s, d_s, g_s, T, 809)
         untouched = bool(np.all(traj_s.u[:, -1] == 0.0))
@@ -464,7 +463,6 @@ def balanced_run(model):
     d = decompose(model, q0)
     g = solve_stationary(d, model.meas.R)
     cfg = ControllerConfig(
-        q=q0,
         F_o=default_obs_gain(10, 1.0),
         K_bo=default_collective_gain(BALANCED_PERIOD, 1.0),
         m=BALANCED_PERIOD,
@@ -487,11 +485,11 @@ class TestCriterion09:
         for m in (1, 10):
             ref = allan_pi(q0, s1, s2, float(m))
             short_ratios[m] = max(
-                statistical_allan(traj.h[:, i], 1.0, m) / ref for i in range(N)
+                allan_plot(traj.h[:, i], 1.0, [m]).values[0] / ref for i in range(N)
             )
         ref_inf = allan_pi(q_inf, s1, s2, 1e4)
         long_ratio = max(
-            statistical_allan(traj.h[:, i], 1.0, 10_000) / ref_inf for i in range(N)
+            allan_plot(traj.h[:, i], 1.0, [10_000]).values[0] / ref_inf for i in range(N)
         )
         sampled = sync_error(traj.x, dest_inf)[::m_period, :N] @ q_inf
         stats = _trend_statistics(sampled)
@@ -535,10 +533,10 @@ class TestCriterion09:
         q_inf = weight_long(s2)
         mean_series = traj.h @ q0
         ratios = {
-            m: statistical_allan(mean_series, 1.0, m) / allan_pi(q0, s1, s2, float(m))
+            m: allan_plot(mean_series, 1.0, [m]).values[0] / allan_pi(q0, s1, s2, float(m))
             for m in (1, 10)
         }
-        ratios[10_000] = statistical_allan(mean_series, 1.0, 10_000) / allan_pi(
+        ratios[10_000] = allan_plot(mean_series, 1.0, [10_000]).values[0] / allan_pi(
             q_inf, s1, s2, 1e4
         )
         ok = max(ratios.values()) <= 2.0
@@ -562,11 +560,11 @@ class TestCriterion10:
         ms = np.unique(np.round(np.logspace(0, 3, 25)).astype(int))
         worst = 0.0
         for m in ms:
-            est = statistical_allan(eps_opt, 1.0, int(m))
+            est = allan_plot(eps_opt, 1.0, [int(m)]).values[0]
             best_clock = analytical_allan_clock(model.sigma1_sq, model.sigma2_sq, float(m)).min()
             worst = max(worst, est / best_clock)
-        at1_opt = statistical_allan(eps_opt, 1.0, 1)
-        at1_sub = statistical_allan(eps_sub, 1.0, 1)
+        at1_opt = allan_plot(eps_opt, 1.0, [1]).values[0]
+        at1_sub = allan_plot(eps_sub, 1.0, [1]).values[0]
         elapsed = time.perf_counter() - started
         ok = worst < 1.0 and at1_sub < at1_opt
         report(

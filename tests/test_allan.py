@@ -20,7 +20,6 @@ from eemsync import (
     optimal_weight,
     simulate,
     star_measurement,
-    statistical_allan,
     variance_vector,
     weight_long,
     weight_short,
@@ -113,7 +112,7 @@ class TestKernelMatchesReference:
         every_m = np.arange(1, (T - 1) // 2 + 1)
         assert_plots_equal(allan_plot(h, 1.0, m_subset=every_m), reference_allan_plot(h, 1.0, full_grid=True))
         for m in range(1, (T - 1) // 2 + 1):
-            value = statistical_allan(h, 1.0, m)
+            value = allan_plot(h, 1.0, [m]).values[0]
             assert isinstance(value, float)
             assert value == reference_statistical_allan(h, 1.0, m)
 
@@ -146,7 +145,7 @@ class TestKernelMatchesReference:
             ref = reference_allan_plot(rec.h[:, i], 1.0)
             assert np.array_equal(plot.values[:, i], ref.values)
             for m in (1, 5, 100):
-                assert statistical_allan(rec.h, 1.0, m)[i] == reference_statistical_allan(rec.h[:, i], 1.0, m)
+                assert allan_plot(rec.h, 1.0, [m]).values[0][i] == reference_statistical_allan(rec.h[:, i], 1.0, m)
 
     def test_reference_two_dimensional_path_agrees_to_rounding(self):
         # The reference's 2-D path averages with mean(axis=0), which adds
@@ -174,7 +173,7 @@ class TestKernelMatchesReference:
                 fn(np.zeros((5, 2, 2)), 1.0)
             with pytest.raises(ValueError):
                 fn(h, 0.0)
-        for fn in (statistical_allan, reference_statistical_allan):
+        for fn in (lambda h, tau, m: allan_plot(h, tau, [m]).values[0], reference_statistical_allan):
             with pytest.raises(ValueError):
                 fn(h, 1.0, 2.5)
             with pytest.raises(ValueError):
@@ -278,35 +277,35 @@ def test_property_kernel_matches_reference(T, N, seed, grid, tau):
 class TestEstimatorHandValues:
     def test_alternating_phase(self):
         h = np.array([0.0, 1.0] * 6)
-        assert statistical_allan(h, 1.0, 1) == 2.0
+        assert allan_plot(h, 1.0, [1]).values[0] == 2.0
 
     def test_constant_and_ramp_are_silent(self):
         k = np.arange(40, dtype=float)
-        assert statistical_allan(np.full(40, 3.7), 1.0, 3) == 0.0
-        assert statistical_allan(2.0 + 0.5 * k, 1.0, 3) == 0.0
+        assert allan_plot(np.full(40, 3.7), 1.0, [3]).values[0] == 0.0
+        assert allan_plot(2.0 + 0.5 * k, 1.0, [3]).values[0] == 0.0
 
     def test_quadratic_ramp_m_scaling(self):
         # second difference of k^2 at lag m is exactly 2 m^2
         h = np.arange(101, dtype=float) ** 2
         for m in (1, 2, 7):
-            assert statistical_allan(h, 1.0, m) == pytest.approx(2.0 * m**2)
+            assert allan_plot(h, 1.0, [m]).values[0] == pytest.approx(2.0 * m**2)
 
     def test_tau_scaling(self):
         h = np.array([0.0, 1.0] * 6)
-        assert statistical_allan(h, 10.0, 1) == pytest.approx(0.02)
+        assert allan_plot(h, 10.0, [1]).values[0] == pytest.approx(0.02)
 
     def test_columnwise_series(self):
         h = np.stack([np.array([0.0, 1.0] * 6), np.zeros(12)], axis=1)
-        out = statistical_allan(h, 1.0, 1)
+        out = allan_plot(h, 1.0, [1]).values[0]
         assert np.array_equal(out, [2.0, 0.0])
 
     def test_interval_validation(self):
         h = np.zeros(11)  # T = 10, so m may reach (T-1)//2 = 4
-        statistical_allan(h, 1.0, 4)
+        allan_plot(h, 1.0, [4]).values[0]
         with pytest.raises(ValueError):
-            statistical_allan(h, 1.0, 5)
+            allan_plot(h, 1.0, [5]).values[0]
         with pytest.raises(ValueError):
-            statistical_allan(h, 1.0, 0)
+            allan_plot(h, 1.0, [0]).values[0]
 
 
 class TestAnalytical:
@@ -350,14 +349,15 @@ class TestAnalytical:
 S1, S2 = np.array([1.0, 4.0]), np.array([3.0, 0.5])
 TAU_ENTRY_POINTS = {
     "allan_plot": lambda tau: allan_plot(np.arange(12.0) ** 2, tau),
-    "statistical_allan": lambda tau: statistical_allan(np.arange(12.0) ** 2, tau, 2),
+    # the statistical Allan variance at one interval, through m_subset
+    "statistical_allan": lambda tau: allan_plot(np.arange(12.0) ** 2, tau, [2]).values[0],
     "gamma_matrix": lambda tau: gamma_matrix(S1, S2, tau),
     "analytical_allan_clock": lambda tau: analytical_allan_clock(S1, S2, tau),
     "allan_pi": lambda tau: allan_pi(np.array([0.5, 0.5]), S1, S2, tau),
     "optimal_weight": lambda tau: optimal_weight(S1, S2, tau),
     # every other owner of tau applies the same rule
     "ControllerConfig": lambda tau: ControllerConfig(
-        q=np.array([0.5, 0.5]), F_o=default_obs_gain(2, 1.0), K_bo=None, m=1, tau=tau
+        F_o=default_obs_gain(2, 1.0), K_bo=None, m=1, tau=tau
     ),
     "build_ensemble": lambda tau: build_ensemble(
         [NoiseParams(1e-10, 1e-13)] * 2, star_measurement(2), np.eye(1), tau
@@ -459,7 +459,7 @@ class TestAgainstSimulation:
         model = single_noise_model(noise.sigma1, noise.sigma2)
         rec = simulate(model, None, 100_000, seed=33)
         for m in (1, 10):
-            est = statistical_allan(rec.h[:, 0], 1.0, m)
+            est = allan_plot(rec.h[:, 0], 1.0, [m]).values[0]
             ref = analytical_allan_clock([noise.sigma1**2], [noise.sigma2**2], float(m))[0]
             assert abs(est - ref) <= 0.2 * ref
 
@@ -500,7 +500,7 @@ class TestPlots:
         with pytest.raises(ValueError, match=re.escape(f"intervals {named} are not integers")):
             allan_plot(np.zeros(11), 1.0, m_subset=subset)
         with pytest.raises(ValueError, match="not integers"):
-            statistical_allan(np.zeros(11), 1.0, subset[-1])
+            allan_plot(np.zeros(11), 1.0, [subset[-1]]).values[0]
 
     def test_write_plots_round_trip(self, tmp_path):
         h = np.array([0.0, 1.0] * 8)

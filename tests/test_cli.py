@@ -12,6 +12,7 @@ import pytest
 
 import eemsync
 from eemsync.cli import _bundled_dir, main
+from test_scenarios import CONTRACT_EDGES
 
 
 def write_config(tmp_path, name="tiny", **over):
@@ -340,7 +341,14 @@ def test_stationary_overflow_exits_3_without_runtime_warnings(tmp_path, name, ho
     # the stationary solve fails closed with no numpy warning, so warnings
     # as errors leave the exit code and the partial manifest unchanged
     path = bundled_with(tmp_path, name, horizon, **model)
-    out = tmp_path / "artifacts"
+    manifest = run_with_warnings_as_errors(path, tmp_path / "artifacts")[name]
+    assert manifest["error"].startswith("ConvergenceError: stationary solution failed")
+
+
+def run_with_warnings_as_errors(path, out) -> dict:
+    """Run the config at ``path`` in a fresh interpreter that turns every
+    RuntimeWarning into an error; check exit 3 without a traceback or a
+    warning, and return the failed, partial manifests by config name."""
     env = dict(os.environ)
     src = str(Path(eemsync.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join([src, env.get("PYTHONPATH", "")])
@@ -349,9 +357,23 @@ def test_stationary_overflow_exits_3_without_runtime_warnings(tmp_path, name, ho
     assert done.returncode == 3, done.stderr
     assert "Traceback" not in done.stderr and "Warning" not in done.stderr
     assert "numerical failure" in done.stderr
-    manifest = json.loads((out / name / "manifest.json").read_text())
-    assert manifest["status"] == "failed" and manifest["partial"] is True
-    assert manifest["error"].startswith("ConvergenceError: stationary solution failed")
+    manifests = {p.parent.name: json.loads(p.read_text()) for p in Path(out).glob("*/manifest.json")}
+    for manifest in manifests.values():
+        assert manifest["status"] == "failed" and manifest["partial"] is True
+    return manifests
+
+
+@pytest.mark.parametrize("edge", list(CONTRACT_EDGES))
+def test_overflowing_outputs_exit_3_without_runtime_warnings(tmp_path, edge):
+    # Allan values that overflow are refused before their CSV is written,
+    # and relative increments of a zero gain fail the strict summary, with
+    # no numpy warning on the way
+    raw, error = CONTRACT_EDGES[edge]
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(raw))
+    manifest = run_with_warnings_as_errors(path, tmp_path / "artifacts")[raw["name"]]
+    assert manifest["error"].startswith(error)
+    assert not [f for f in manifest["files"] if f["name"].endswith("_index.json")]
 
 
 @pytest.mark.parametrize(

@@ -196,7 +196,6 @@ class TestControllerConfig:
     def test_aggregates_all_problems(self):
         with pytest.raises(ConfigError) as excinfo:
             ControllerConfig(
-                q=np.full(4, 0.25),
                 F_o=np.zeros((2, 2)),
                 K_bo=None,
                 m=0,
@@ -227,7 +226,7 @@ class TestControllerConfig:
         # each used to pass (phase 1.5, which closed_loop cannot slice by),
         # raise a bare ValueError or OverflowError (m nan or inf), or read
         # as a non-contractive loop (tau nan or inf)
-        fields = {"q": np.full(4, 0.25), "F_o": default_obs_gain(4, 1.0), "K_bo": None, "m": 1}
+        fields = {"F_o": default_obs_gain(4, 1.0), "K_bo": None, "m": 1}
         fields[field] = value
         with pytest.raises(ConfigError) as excinfo:
             ControllerConfig(**fields)
@@ -237,7 +236,6 @@ class TestControllerConfig:
     def test_marginal_gain_rejected(self):
         with pytest.raises(ConfigError, match="not contractive"):
             ControllerConfig(
-                q=np.full(4, 0.25),
                 F_o=np.zeros((3, 6)),
                 K_bo=None,
                 m=1,
@@ -245,19 +243,16 @@ class TestControllerConfig:
 
     def test_validate_false_skips_spectral_checks(self):
         cfg = ControllerConfig(
-            q=np.full(4, 0.25),
             F_o=np.zeros((3, 6)),
             K_bo=None,
             m=1,
             validate=False,
         )
         assert cfg.K_bo is None
-        assert cfg.N == 4
 
     def test_unstable_collective_gain_rejected(self):
         with pytest.raises(ConfigError, match="collective closed loop"):
             ControllerConfig(
-                q=np.full(4, 0.25),
                 F_o=default_obs_gain(4, 1.0),
                 K_bo=np.array([[-0.01, -1.0]]),
                 m=10,
@@ -272,19 +267,18 @@ class TestControllerConfig:
         else:
             K_bo = np.array([[1e308, 1e308]])
         with pytest.raises(ConfigError, match=f"{loop} closed loop is not contractive"):
-            ControllerConfig(q=np.full(4, 0.25), F_o=F_o, K_bo=K_bo, m=10)
+            ControllerConfig(F_o=F_o, K_bo=K_bo, m=10)
 
     @pytest.mark.parametrize("K_bo", [[1.0, 2.0, 3.0], "x", [[0.01], [1.0, 2.0]]])
     def test_malformed_collective_gain_rejected_by_name(self, K_bo):
         # each used to raise a bare ValueError from reshape or float()
         with pytest.raises(ConfigError) as excinfo:
-            ControllerConfig(q=np.full(4, 0.25), F_o=np.zeros((2, 2)), K_bo=K_bo, m=0)
+            ControllerConfig(F_o=np.zeros((2, 2)), K_bo=K_bo, m=0)
         assert len(excinfo.value.problems) == 3
         assert any(p.startswith("K_bo") for p in excinfo.value.problems)
 
     def test_field_coercion(self):
         cfg = ControllerConfig(
-            q=[0.25, 0.25, 0.25, 0.25],
             F_o=default_obs_gain(4, 1.0),
             K_bo=[0.01, 1.0],
             m=3.0,
@@ -294,8 +288,6 @@ class TestControllerConfig:
         # closed_loop slices its kick schedule by phase
         assert cfg.phase == 2 and isinstance(cfg.phase, int)
         assert cfg.K_bo.shape == (1, 2)
-        assert isinstance(cfg.q, np.ndarray)
-        assert cfg.N == 4
 
 
 def reference_destination_trajectory(model, q, T, seed):
@@ -334,7 +326,7 @@ class TestDestinationTrajectory:
     def test_closed_loop_noise_gives_the_same_destination(self, model4, uniform4):
         q, d, g = uniform4
         cfg = ControllerConfig(
-            q=q, F_o=default_obs_gain(4, model4.tau), K_bo=None, m=1
+            F_o=default_obs_gain(4, model4.tau), K_bo=None, m=1
         )
         weights = (q, np.array([0.4, 0.3, 0.2, 0.1]))
         rec, _, _, dests = closed_loop(model4, cfg, d, g, 300, seed=31, weights=weights)
@@ -362,7 +354,6 @@ def step_setup():
     d = decompose(model, q)
     g = solve_stationary(d, model.meas.R)
     cfg = ControllerConfig(
-        q=q,
         F_o=default_obs_gain(3, model.tau),
         K_bo=default_collective_gain(3, model.tau),
         m=3,
@@ -431,7 +422,7 @@ LOOP_SEED = 5
 def controlled(model4, uniform4):
     q, d, g = uniform4
     cfg = ControllerConfig(
-        q=q, F_o=default_obs_gain(4, model4.tau), K_bo=None, m=1
+        F_o=default_obs_gain(4, model4.tau), K_bo=None, m=1
     )
     policy = EemPolicy(cfg, d, gains=g)
     traj = simulate(model4, policy, LOOP_T, seed=LOOP_SEED)
@@ -444,7 +435,7 @@ class TestClosedLoop:
     def test_steering_weight_never_touches_its_clock(self, model4, steer4):
         q, d, g = steer4
         cfg = ControllerConfig(
-            q=q, F_o=default_obs_gain(4, model4.tau), K_bo=None, m=1
+            F_o=default_obs_gain(4, model4.tau), K_bo=None, m=1
         )
         traj = simulate(model4, EemPolicy(cfg, d, gains=g), 400, seed=101)
         assert np.all(traj.u[:, -1] == 0.0)
@@ -454,7 +445,6 @@ class TestClosedLoop:
         q, d, g = uniform4
         traj, _, _ = controlled
         cfg_free = ControllerConfig(
-            q=q,
             F_o=np.zeros((3, 6)),
             K_bo=None,
             m=1,
@@ -481,7 +471,6 @@ class TestClosedLoop:
         q, d, g = uniform4
         traj_sync, _, _ = controlled
         cfg_b = ControllerConfig(
-            q=q,
             F_o=default_obs_gain(4, model4.tau),
             K_bo=default_collective_gain(20, model4.tau, (0.5, 1.0)),
             m=20,
@@ -528,7 +517,7 @@ class TestPolicyMatchesReference:
     def test_sync_only(self, model4, uniform4):
         q, d, g = uniform4
         cfg = ControllerConfig(
-            q=q, F_o=default_obs_gain(4, model4.tau), K_bo=None, m=1
+            F_o=default_obs_gain(4, model4.tau), K_bo=None, m=1
         )
         traj, _ = self._run_both(model4, cfg, d, g, seed=31)
         assert np.max(np.abs(traj.u)) > 0.0
@@ -536,7 +525,6 @@ class TestPolicyMatchesReference:
     def test_balanced_with_phase(self, model4, uniform4):
         q, d, g = uniform4
         cfg = ControllerConfig(
-            q=q,
             F_o=default_obs_gain(4, model4.tau),
             K_bo=default_collective_gain(20, model4.tau, (0.5, 1.0)),
             m=20,
@@ -549,7 +537,7 @@ class TestPolicyMatchesReference:
     def test_steering_weight(self, model4, steer4):
         q, d, g = steer4
         cfg = ControllerConfig(
-            q=q, F_o=default_obs_gain(4, model4.tau), K_bo=None, m=1
+            F_o=default_obs_gain(4, model4.tau), K_bo=None, m=1
         )
         traj, _ = self._run_both(model4, cfg, d, g, seed=33)
         assert np.all(traj.u[:, -1] == 0.0)
@@ -617,7 +605,7 @@ def reference_closed_loop(model, cfg, d, gains, T, seed):
         Z[0] = Z[n]
 
     u = omega_o @ d.Vplus.T + omega_obar[:, None]
-    return TrajectoryRecord(tau=model.tau, x=x, y=y, u=u), omega_o, omega_obar
+    return TrajectoryRecord(x=x, y=y, u=u), omega_o, omega_obar
 
 
 class TestStreamedClosedLoop:
@@ -635,7 +623,6 @@ class TestStreamedClosedLoop:
         g = solve_stationary(d, model.meas.R)
         balanced = case == "balanced"
         cfg = ControllerConfig(
-            q=q,
             F_o=default_obs_gain(n_clocks, tau),
             K_bo=default_collective_gain(50, tau) if balanced else None,
             m=50 if balanced else 1,
@@ -665,7 +652,7 @@ class TestStreamedClosedLoop:
         d = decompose(model, q)
         g = solve_stationary(d, model.meas.R)
         cfg = ControllerConfig(
-            q=q, F_o=default_obs_gain(N, model.tau), K_bo=default_collective_gain(200, model.tau), m=200
+            F_o=default_obs_gain(N, model.tau), K_bo=default_collective_gain(200, model.tau), m=200
         )
         closed_loop(model, cfg, d, g, 2, seed=3)
         tracemalloc.start()
@@ -696,7 +683,6 @@ class TestClosedLoopMatchesPolicy:
         g = solve_stationary(d, model.meas.R)
         balanced = case == "balanced"
         cfg = ControllerConfig(
-            q=q,
             F_o=default_obs_gain(N, model.tau),
             K_bo=default_collective_gain(50, model.tau) if balanced else None,
             m=50 if balanced else 1,
@@ -727,7 +713,7 @@ class TestClosedLoopMatchesPolicy:
     def test_requires_weight_basis(self, model4, uniform4):
         q, _, g = uniform4
         cfg = ControllerConfig(
-            q=q, F_o=default_obs_gain(4, model4.tau), K_bo=None, m=1
+            F_o=default_obs_gain(4, model4.tau), K_bo=None, m=1
         )
         rng = np.random.default_rng(0)
         Wbar = np.kron(np.eye(2), np.full(4, 0.25)) + 0.01 * rng.normal(size=(2, 8))
@@ -756,7 +742,6 @@ def test_property_closed_loop_matches_policy(n_clocks, seed, period, phase):
     g = solve_stationary(d, model.meas.R)
     balanced = period is not None
     cfg = ControllerConfig(
-        q=q,
         F_o=default_obs_gain(n_clocks, model.tau),
         K_bo=default_collective_gain(period, model.tau) if balanced else None,
         m=period if balanced else 1,
@@ -781,7 +766,7 @@ class TestPolicyAndLogs:
     def test_policy_requires_weight_basis_and_a_filter(self, model4, uniform4):
         q, d, g = uniform4
         cfg = ControllerConfig(
-            q=q, F_o=default_obs_gain(4, model4.tau), K_bo=None, m=1
+            F_o=default_obs_gain(4, model4.tau), K_bo=None, m=1
         )
         rng = np.random.default_rng(0)
         Wbar = np.kron(np.eye(2), np.full(4, 0.25)) + 0.01 * rng.normal(size=(2, 8))
@@ -790,6 +775,17 @@ class TestPolicyAndLogs:
             EemPolicy(cfg, d_gen, gains=g)
         with pytest.raises(TypeError, match="gains"):
             EemPolicy(cfg, d)
+
+    def test_gain_rows_must_match_the_decomposition(self, model4, uniform4):
+        # a three-clock gain on a four-clock decomposition: the weight and
+        # N come from the decomposition alone, so the mismatch is named
+        # before any step runs
+        _, d, g = uniform4
+        cfg = ControllerConfig(F_o=default_obs_gain(3, model4.tau), K_bo=None, m=1)
+        with pytest.raises(ValueError, match=r"F_o has 2 rows; the decomposition's 4 clocks need 3"):
+            EemPolicy(cfg, d, gains=g)
+        with pytest.raises(ValueError, match=r"F_o has 2 rows; the decomposition's 4 clocks need 3"):
+            closed_loop(model4, cfg, d, g, 10, 0)
 
     def test_command_log_round_trip(self, tmp_path):
         raw = {

@@ -91,7 +91,7 @@ class TestDecompose:
         model = model_for(4, tau=2.0)
         d = decompose(model, np.full(4, 0.25))
         assert d.q is not None
-        assert d.N == 4 and d.tau == 2.0
+        assert d.N == 4
         A = np.array([[1.0, 2.0], [0.0, 1.0]])
         assert np.array_equal(d.A, A)
         assert np.array_equal(d.B, [2.0, 1.0])
@@ -131,7 +131,7 @@ class TestDecompose:
         d = decompose(model, np.array([0.1, 0.2, 0.3, 0.4]))
         kIV = np.kron(np.eye(2), model.meas.V)
         assert np.max(np.abs(d.Qo - kIV @ model.bigQ @ kIV.T)) <= 1e-25
-        assert np.max(np.abs(d.Qbo - d.Ubar @ model.bigQ @ kIV.T)) <= 1e-25
+        assert np.max(np.abs(d.Qbo - d.T[-2:] @ model.bigQ @ kIV.T)) <= 1e-25
 
     def test_general_basis_round_trip(self):
         model = model_for(3)
@@ -163,12 +163,12 @@ class TestDecompose:
         assert kernel.shape == (2 * n_clocks, 2 * (n_clocks - 1))
         # U spans ker Wbar: compare orthogonal projectors, which do not
         # depend on the basis either kernel is given in
-        span = np.linalg.qr(d.U)[0]
+        span = np.linalg.qr(d.Tinv[:, :-2])[0]
         assert np.max(np.abs(span @ span.T - kernel @ kernel.T)) <= 1e-12
         # U is the right inverse of I2 kron V with that range
         kIV = np.kron(np.eye(2), model.meas.V)
         u_ref = np.linalg.solve((kIV @ kernel).T, kernel.T).T
-        assert np.max(np.abs(d.U - u_ref)) <= 1e-12 * np.max(np.abs(u_ref))
+        assert np.max(np.abs(d.Tinv[:, :-2] - u_ref)) <= 1e-12 * np.max(np.abs(u_ref))
 
     def test_general_basis_must_have_full_row_rank(self):
         model = model_for(3)
@@ -272,8 +272,10 @@ class TestExpandInput:
         w_o = rng.standard_normal(3)
         w_obar = float(rng.standard_normal())
         u = expand_input(w_o, w_obar, d)
-        assert np.max(np.abs(d.Bu_o @ u - d.Bo @ w_o)) <= 1e-12
-        assert np.max(np.abs(d.Bu_obar @ u - d.B * w_obar)) <= 1e-12
+        # the physical input matrix seen in each part: T bigB
+        Bu = d.T @ model.bigB
+        assert np.max(np.abs(Bu[:-2] @ u - d.Bo @ w_o)) <= 1e-12
+        assert np.max(np.abs(Bu[-2:] @ u - d.B * w_obar)) <= 1e-12
 
 
 class TestStructuralProperties:
@@ -298,7 +300,7 @@ class TestStructuralProperties:
         _, xi_obar = project_state(rec.x, d)
         v_obar = rec.x[1:] - rec.x[:-1] @ model.bigA.T  # realized process noise
         for k in range(50):
-            pred = d.A @ xi_obar[k] + d.Ubar @ v_obar[k]
+            pred = d.A @ xi_obar[k] + d.T[-2:] @ v_obar[k]
             assert np.max(np.abs(xi_obar[k + 1] - pred)) <= 1e-12 * max(
                 1.0, np.max(np.abs(xi_obar[: k + 2]))
             )

@@ -13,13 +13,17 @@ from hypothesis import strategies as st
 from scipy.linalg import cho_factor, cho_solve
 
 from eemsync import (
+    ControllerConfig,
     ConvergenceError,
     DeterminateKFState,
+    EemPolicy,
     NoiseParams,
     NumericalError,
     StandardKFState,
     build_ensemble,
     decompose,
+    default_collective_gain,
+    default_obs_gain,
     determinate_kf_init,
     determinate_kf_step,
     expand_input,
@@ -31,7 +35,6 @@ from eemsync import (
     standard_kf_init,
     standard_kf_step,
     star_measurement,
-    stationary_kf_step,
     unobservable_covariance_from_observable,
     unobservable_gain_from_observable,
     weight_long,
@@ -271,10 +274,10 @@ class TestLemmaOneEquivalence:
         kIV = np.kron(np.eye(2), model.meas.V)
         # init correspondence: P = bigQ projects onto (Qo, Qbo)
         assert np.allclose(kIV @ model.bigQ @ kIV.T, d.Qo)
-        assert np.allclose(d.Ubar @ model.bigQ @ kIV.T, d.Qbo)
+        assert np.allclose(d.T[-2:] @ model.bigQ @ kIV.T, d.Qbo)
         for std, det in rows:
             P_oo_ref = kIV @ std.P @ kIV.T
-            P_bo_ref = d.Ubar @ std.P @ kIV.T
+            P_bo_ref = d.T[-2:] @ std.P @ kIV.T
             # the projection cancels the growing unobservable block of
             # std.P, so its roundoff scales with std.P, not the result
             floor = 1e-13 * np.max(np.abs(std.P))
@@ -430,19 +433,27 @@ class TestLeanStepsMatchReference:
             _assert_states_equal(lean, ref)
 
     @pytest.mark.parametrize("with_inputs", [False, True])
-    @pytest.mark.parametrize("basis", ["weight", "general"])
+    @pytest.mark.parametrize("basis", ["weight"])  # EemPolicy refuses a general basis
     def test_stationary_step(self, basis, with_inputs):
+        # the frozen-gain step is EemPolicy's observer: each call predicts
+        # with the policy's previous command, zero throughout with zero gains
         model = demo_ensemble()
         d = decompose(model, _basis(model, basis))
         g = solve_stationary(d, model.meas.R)
+        n_obs = model.N - 1
+        if with_inputs:
+            gains = {"F_o": default_obs_gain(model.N, model.tau), "K_bo": default_collective_gain(7, model.tau)}
+        else:
+            gains = {"F_o": np.zeros((n_obs, 2 * n_obs)), "K_bo": None}
+        policy = EemPolicy(ControllerConfig(**gains, m=7, phase=3, validate=False), d, g)
         rec = simulate(model, None, self.T, seed=45)
-        rng = np.random.default_rng(46)
-        lean, ref = determinate_kf_init(d), determinate_kf_init(d)
+        ref = determinate_kf_init(d)
         for k in range(self.T):
-            omega = _omega(rng, model.N) if with_inputs and k else None
-            lean = stationary_kf_step(d, g, lean, omega, rec.y[k])
+            omega = policy._last_omega if with_inputs and k else None
+            policy(k, rec.y[k])
             ref = reference_stationary_kf_step(d, g, ref, omega, rec.y[k])
-            _assert_states_equal(lean, ref)
+            _assert_states_equal(policy.state, ref)
+        assert np.count_nonzero(policy.command_log()[1]) == (len(range(3, self.T, 7)) if with_inputs else 0)
 
 
 def loop_over_steps(model, y, x=None, d=None, std_step=standard_kf_step, det_step=determinate_kf_step):
@@ -946,7 +957,7 @@ class TestStationary:
         diffs, scale = [], 0.0
         for k in range(300):
             det = determinate_kf_step(d, model.meas.R, det, None, rec.y[k])
-            sta = stationary_kf_step(d, g, sta, None, rec.y[k])
+            sta = reference_stationary_kf_step(d, g, sta, None, rec.y[k])
             if k == 0:
                 gain_gap = np.max(np.abs(det.H_o - g.H_o_star))
                 assert gain_gap <= 1e-12 * np.max(np.abs(g.H_o_star))
@@ -1115,8 +1126,8 @@ def test_property_weight_transport_matches_stationary_solve(n_clocks, seed):
 @pytest.mark.parametrize("n_clocks", [2, 5, 12])
 def test_weight_transport_rejects_a_general_basis(n_clocks):
     model, d, g = transport_case(n_clocks, seed=n_clocks)
-    tilt = 0.01 * np.random.default_rng(n_clocks).normal(size=d.Wbar.shape)
-    general = decompose(model, d.Wbar + tilt)
+    tilt = 0.01 * np.random.default_rng(n_clocks).normal(size=(2, 2 * n_clocks))
+    general = decompose(model, d.T[-2:] + tilt)
     assert general.q is None
     with pytest.raises(ValueError, match="require a weight basis"):
         unobservable_gain_from_observable(general, g.H_o_star, model.sigma2_sq)

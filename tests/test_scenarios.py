@@ -4,17 +4,23 @@ Horizons here are deliberately tiny; the statistical claims behind each
 scenario kind get their full-length treatment in the acceptance suite.
 """
 
+import contextlib
 import copy
 import dataclasses
 import hashlib
 import inspect
 import io
 import json
+import re
+import tempfile
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import event, example, given, settings
+from hypothesis import strategies as st
 
 from eemsync import (
     ConfigError,
@@ -39,7 +45,7 @@ from eemsync import (
     weight_short,
 )
 from eemsync import scenarios as scen
-from eemsync.cli import _bundled_dir, _bundled_names
+from eemsync.cli import _bundled_dir, _bundled_names, main
 from test_allan import reference_statistical_allan
 
 
@@ -744,7 +750,13 @@ def test_every_accepted_config_runs_to_a_manifest(tmp_path, name, edit):
             run_scenario(cfg, str(tmp_path))
         except (NumericalError, ConvergenceError):
             pass
-    out = tmp_path / name
+    check_artifacts(tmp_path / name)
+
+
+def check_artifacts(out: Path) -> dict:
+    """The manifest in ``out``, after checking that every file it lists
+    exists with its recorded hash, that every JSON artifact is strict and
+    that every Allan CSV holds finite values only."""
     manifest = json.loads((out / "manifest.json").read_text(), parse_constant=_refuse_constant)
     for entry in manifest["files"]:
         data = (out / entry["name"]).read_bytes()
@@ -752,10 +764,117 @@ def test_every_accepted_config_runs_to_a_manifest(tmp_path, name, edit):
         if entry["name"].endswith(".json"):
             # strict JSON: no NaN or Infinity, which many readers refuse
             json.loads(data, parse_constant=_refuse_constant)
+        if entry["name"].endswith(".csv"):
+            values = np.loadtxt(io.BytesIO(data), delimiter=",", skiprows=1, ndmin=2)
+            assert np.isfinite(values).all(), entry["name"]
+    return manifest
 
 
 def _refuse_constant(name):
     raise AssertionError(f"JSON artifact holds {name}")
+
+
+def bundled_raw(name: str) -> dict:
+    return json.loads((_bundled_dir() / f"{name}.json").read_text())
+
+
+def edited(name: str, horizon: int, **model) -> dict:
+    """Bundled config ``name`` at ``horizon`` with model fields replaced."""
+    raw = bundled_raw(name)
+    raw["horizon"] = horizon
+    raw["model"].update(model)
+    return raw
+
+
+def one_entry(name: str, key: str, i: int, value: float) -> list:
+    """Model list ``key`` of bundled config ``name`` with entry i set to value."""
+    values = bundled_raw(name)["model"][key]
+    values[i] = value
+    return values
+
+
+# the configs at the edges of the run contract that warnings as errors
+# check, each with the error its partial manifest records: Allan values
+# that overflow (the division by (m tau)**2, the squared differences, and
+# both with the analytical lines), and relative gain increments of 0/0
+CONTRACT_EDGES = {
+    "balanced-tau-sigma1": (
+        edited("balanced", 800, tau=2.7e-31, sigma1=one_entry("balanced", "sigma1", 3, 1e80)),
+        "NumericalError: Allan variance of series 'clock_1'",
+    ),
+    "free_run-sigma2": (
+        edited("free_run", 800, sigma2=one_entry("free_run", "sigma2", 3, 1e150)),
+        "NumericalError: Allan variance of series 'clock_4'",
+    ),
+    "free_run-tau-sigma1": (
+        edited("free_run", 800, tau=2.7e-31, sigma1=one_entry("free_run", "sigma1", 3, 1e150)),
+        "NumericalError: Allan variance of series 'clock_4'",
+    ),
+    "determinate_kf-meas_std": (
+        edited(
+            "determinate_kf", 381, meas_std=[x * 5.1e115 for x in bundled_raw("determinate_kf")["model"]["meas_std"]]
+        ),
+        'NumericalError: not finite, so not strict JSON: "final_cross_gain_rel_increment": NaN',
+    ),
+}
+
+# the sweep of the run contract: every model field of a bundled config
+# scaled by c 10^e, 1 <= c < 10, as a whole list or at one entry; tau with
+# |e| <= 110, the others with |e| <= 160
+SWEEP_EXPONENTS = {"tau": 110, "sigma1": 160, "sigma2": 160, "meas_std": 160}
+# a config problem opens with the field it names
+CONFIG_FIELD = re.compile(r"(name|kind|model\.\w+|horizon|seed|controller(\.\w+)?|outputs)\b")
+
+
+@st.composite
+def swept_configs(draw) -> dict:
+    raw = bundled_raw(draw(st.sampled_from(_bundled_names())))
+    model = raw["model"]
+    for key, bound in SWEEP_EXPONENTS.items():
+        if not draw(st.booleans()):
+            continue
+        scale = draw(st.floats(1.0, 10.0, exclude_max=True)) * 10.0 ** draw(st.integers(-bound, bound))
+        if key == "tau":
+            model["tau"] = model.get("tau", 1.0) * scale
+        else:
+            entry = draw(st.one_of(st.none(), st.integers(0, len(model[key]) - 1)))
+            model[key] = [x * scale if entry in (None, i) else x for i, x in enumerate(model[key])]
+    # the balanced kind needs four periods of 200 steps
+    raw["horizon"] = draw(st.integers(800 if raw["kind"] == "balanced" else 40, 900))
+    return raw
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(raw=swept_configs())
+@example(raw=CONTRACT_EDGES["balanced-tau-sigma1"][0])
+@example(raw=CONTRACT_EDGES["free_run-sigma2"][0])
+@example(raw=CONTRACT_EDGES["free_run-tau-sigma1"][0])
+@example(raw=CONTRACT_EDGES["determinate_kf-meas_std"][0])
+def test_property_every_config_ends_in_the_run_contract(raw):
+    # through the CLI, a config ends in exit 0 (strict JSON, finite CSVs),
+    # exit 2 (every problem names a config field) or exit 3 (a failed,
+    # partial manifest), with no numpy RuntimeWarning on the way; any
+    # other exception fails the test (Claessen & Hughes, QuickCheck, 2000)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "config.json"
+        path.write_text(json.dumps(raw))
+        err = io.StringIO()
+        with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stderr(err):
+            warnings.simplefilter("always")
+            with contextlib.redirect_stdout(io.StringIO()):
+                code = main(["run", str(path), "--out", tmp])
+        event(f"exit {code}")
+        assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == []
+        if code == 2:
+            problems = [line[4:] for line in err.getvalue().splitlines() if line.startswith("  - ")]
+            assert problems and all(CONFIG_FIELD.match(p) for p in problems), problems
+            return
+        manifest = check_artifacts(Path(tmp) / raw["name"])
+        if code == 3:
+            assert manifest["status"] == "failed" and manifest["partial"] is True
+            assert manifest["error"].startswith(("NumericalError: ", "ConvergenceError: "))
+        else:
+            assert code == 0 and manifest["status"] == "ok", err.getvalue()
 
 
 def test_non_finite_summary_value_is_named_and_never_written(tmp_path, monkeypatch):

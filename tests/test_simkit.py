@@ -8,6 +8,7 @@ import pytest
 from eemsync import (
     NoiseParams,
     NoiseSampler,
+    NumericalError,
     build_ensemble,
     destination_trajectory,
     digital_imitation,
@@ -335,6 +336,13 @@ class TestRecordHelpers:
         intervals = rng.normal(size=T) * 10.0 ** rng.integers(-300, 300, size=T)
         intervals[:6] = values[0]
         m_set = np.arange(1, T + 1)
+        # a value that is not finite is refused, its series named, before
+        # its file is opened; the intervals keep NaN and the infinities
+        refused = tmp_path / "refused"
+        with pytest.raises(NumericalError, match="'vector_3'"):
+            _Artifacts(str(refused)).write_allan({"vector": AllanPlot(m_set, intervals, values)}, "allan")
+        assert sorted(p.name for p in refused.iterdir()) == ["allan_vector_1.csv", "allan_vector_2.csv"]
+        values[0, 2:5] = [-1.7976931348623157e308, 1.7976931348623157e308, -5e-324]
         plots = {
             "vector": AllanPlot(m_set=m_set, intervals=intervals, values=values),
             "scalar": AllanPlot(m_set=m_set, intervals=intervals, values=values[:, 2].copy()),
