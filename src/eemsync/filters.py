@@ -13,8 +13,11 @@ covariance of an arbitrary weight basis through the observable solution.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from functools import cache
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
+from importlib.util import module_from_spec
 from typing import Optional, Tuple
 
 import numpy as np
@@ -60,12 +63,26 @@ def _check_finite(a: np.ndarray, what: str) -> None:
 @cache
 def lapack_cholesky():
     """LAPACK ``dposv`` (Cholesky factorization and solve in one call)
-    from SciPy, imported on first use (an ``ImportError`` without SciPy):
-    only the per-step filter updates need it, and importing SciPy costs
-    more than the rest of eemsync."""
-    from scipy.linalg.lapack import dposv
+    from SciPy's LAPACK extension ``scipy.linalg._flapack``, loaded on
+    first use: only the per-step filter updates need it.
 
-    return dposv
+    The extension is loaded straight from the installed ``scipy``
+    package, without running ``scipy/linalg/__init__.py``, which would
+    import about 285 more modules (``numpy.f2py``, ``numpy.testing``,
+    ...) and double an offline run's start-up.  The routine is the very
+    object ``scipy.linalg.lapack.dposv``.  Raises ``ImportError`` without
+    SciPy, and one naming the extension when the package lacks it.
+    """
+    import scipy
+
+    name = "scipy.linalg._flapack"
+    directory = os.path.join(scipy.__path__[0], "linalg")
+    spec = FileFinder(directory, (ExtensionFileLoader, EXTENSION_SUFFIXES)).find_spec(name)
+    if spec is None:
+        raise ImportError(f"SciPy's LAPACK extension {name} is not in {directory}")
+    module = module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.dposv
 
 
 def _gain_solve(BS: np.ndarray, B: np.ndarray, S: np.ndarray) -> np.ndarray:

@@ -213,8 +213,8 @@ def validate_config(raw: dict) -> ScenarioConfig:
     the document's shape; the model, weight and controller types check
     its values, and every violation is reported together under its
     config field.  For the kinds that step a time-varying Kalman filter
-    it also loads SciPy's LAPACK, so a missing SciPy is a config error
-    before anything is written.
+    it also loads SciPy's LAPACK extension (``filters.lapack_cholesky``),
+    so a missing SciPy is a config error before anything is written.
     """
     if not isinstance(raw, dict):
         raise ConfigError(["config root must be an object"])
@@ -413,7 +413,10 @@ def _trend_statistics(series: np.ndarray, n_blocks: int = 50) -> dict:
     slope = float(x @ blocks / (x @ x))
     fit = blocks.mean() + slope * x
     dof = max(n_blocks - 2, 1)
-    se = float(np.sqrt(((blocks - fit) ** 2).sum() / dof / (x @ x)))
+    # residuals past about 1e154 square to inf: the infinite half-width
+    # then fails the strict summary (exit 3) without a RuntimeWarning
+    with np.errstate(over="ignore", invalid="ignore"):
+        se = float(np.sqrt(((blocks - fit) ** 2).sum() / dof / (x @ x)))
     half_width = 1.96 * se
     return {
         "slope": slope,

@@ -1,5 +1,6 @@
 """Import boundary: SciPy loads only for the kinds that step a time-varying
-Kalman filter.
+Kalman filter, and then only the bare package and its LAPACK extension,
+not ``scipy.linalg``.
 
 Each test runs a script in a fresh interpreter, because the test session
 itself has SciPy loaded already.  The script prints one JSON document.
@@ -35,7 +36,8 @@ def config(name, horizon=200):
 
 
 def loaded():
-    return sorted(m for m in ("scipy", "numpy.ma") if m in sys.modules)
+    watched = ("scipy", "scipy.linalg", "numpy.f2py", "numpy.testing", "numpy.ma")
+    return sorted(m for m in watched if m in sys.modules)
 """
 
 
@@ -68,13 +70,21 @@ def test_only_the_offline_filter_kinds_load_scipy():
             manifest = run_scenario(validate_config(config(name)), out)
             scipy_versions.append(manifest["versions"]["scipy"])
         report["scipy_versions"] = scipy_versions
+        report["offline_runs"] = loaded()
+        # loaded before scipy.linalg, the routine is still its dposv
+        from eemsync.filters import lapack_cholesky
+        import scipy.linalg.lapack
+
+        report["same_dposv"] = lapack_cholesky() is scipy.linalg.lapack.dposv
         """
     )
     assert report["import"] == []
     assert report["list"] == 0 and report["validate"] == 0
     assert report["cli"] == []
     assert report["runs"] == []
-    assert "scipy" in report["offline_validated"]
+    assert report["offline_validated"] == ["scipy"]
+    assert report["offline_runs"] == ["scipy"]
+    assert report["same_dposv"] is True
     first, second, offline, free_after = report["scipy_versions"]
     assert first is None and second is None
     assert isinstance(offline, str) and offline
@@ -102,3 +112,32 @@ def test_missing_scipy_is_a_config_error_for_the_offline_kinds():
         assert len(problems) == 1 and "needs SciPy" in problems[0]
     assert report["cli_validate"] == 2
     assert report["free_run"] == ["ok", None]
+
+
+def test_lapack_cholesky_is_scipy_dposv():
+    # the same routine object that scipy.linalg.lapack exports, so every
+    # gain solve is the one SciPy's own wrapper would make, bit for bit
+    import scipy.linalg.lapack
+
+    from eemsync.filters import lapack_cholesky
+
+    assert lapack_cholesky() is scipy.linalg.lapack.dposv
+
+
+def test_missing_lapack_extension_is_a_config_error():
+    # SciPy imports, but its LAPACK extension is not where the package says
+    report = run_script(
+        """
+        import contextlib, io
+        import scipy
+
+        scipy.__path__ = [out]  # an empty directory
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            report["code"] = main(["validate", "determinate_kf"])
+        report["problems"] = [line for line in err.getvalue().splitlines() if line.startswith("  - ")]
+        """
+    )
+    assert report["code"] == 2
+    assert len(report["problems"]) == 1
+    assert "needs SciPy" in report["problems"][0] and "scipy.linalg._flapack" in report["problems"][0]

@@ -796,7 +796,8 @@ def one_entry(name: str, key: str, i: int, value: float) -> list:
 # the configs at the edges of the run contract that warnings as errors
 # check, each with the error its partial manifest records: Allan values
 # that overflow (the division by (m tau)**2, the squared differences, and
-# both with the analytical lines), and relative gain increments of 0/0
+# both with the analytical lines), relative gain increments of 0/0, and a
+# trend fit whose squared residuals overflow
 CONTRACT_EDGES = {
     "balanced-tau-sigma1": (
         edited("balanced", 800, tau=2.7e-31, sigma1=one_entry("balanced", "sigma1", 3, 1e80)),
@@ -815,6 +816,18 @@ CONTRACT_EDGES = {
             "determinate_kf", 381, meas_std=[x * 5.1e115 for x in bundled_raw("determinate_kf")["model"]["meas_std"]]
         ),
         'NumericalError: not finite, so not strict JSON: "final_cross_gain_rel_increment": NaN',
+    ),
+    "balanced-summary-trend": (
+        {
+            **edited(
+                "balanced",
+                852,
+                sigma2=one_entry("balanced", "sigma2", 5, 1.53e72),
+                meas_std=one_entry("balanced", "meas_std", 6, 7.5e29),
+            ),
+            "outputs": ["summary"],
+        },
+        'NumericalError: not finite, so not strict JSON: "slope_ci_half_width": Infinity',
     ),
 }
 
@@ -841,6 +854,8 @@ def swept_configs(draw) -> dict:
             model[key] = [x * scale if entry in (None, i) else x for i, x in enumerate(model[key])]
     # the balanced kind needs four periods of 200 steps
     raw["horizon"] = draw(st.integers(800 if raw["kind"] == "balanced" else 40, 900))
+    selectors = scen.KINDS[raw["kind"]].outputs
+    raw["outputs"] = [sel for sel in selectors if draw(st.booleans())] or [draw(st.sampled_from(selectors))]
     return raw
 
 
@@ -850,6 +865,7 @@ def swept_configs(draw) -> dict:
 @example(raw=CONTRACT_EDGES["free_run-sigma2"][0])
 @example(raw=CONTRACT_EDGES["free_run-tau-sigma1"][0])
 @example(raw=CONTRACT_EDGES["determinate_kf-meas_std"][0])
+@example(raw=CONTRACT_EDGES["balanced-summary-trend"][0])
 def test_property_every_config_ends_in_the_run_contract(raw):
     # through the CLI, a config ends in exit 0 (strict JSON, finite CSVs),
     # exit 2 (every problem names a config field) or exit 3 (a failed,
