@@ -24,12 +24,11 @@ from .allan import (
 from .control import (
     ControllerConfig,
     EemPolicy,
-    check_collective_gain,
-    check_obs_gain,
     closed_loop,
     default_collective_gain,
     default_obs_gain,
     destination_trajectory,
+    loop_radii,
     sync_error,
 )
 from .decomp import (

@@ -133,6 +133,11 @@ class AllanPlot:
     values: np.ndarray
 
 
+def _longest_interval(T: int) -> int:
+    """Largest interval count m on T + 1 samples: T - 2 m >= 1 differences remain."""
+    return (T - 1) // 2
+
+
 def _default_m_grid(m_max: int) -> np.ndarray:
     if m_max <= 1:
         return np.array([1])
@@ -159,7 +164,7 @@ def allan_plot(h: np.ndarray, tau: float, m_subset: Optional[Sequence[int]] = No
     if h.ndim not in (1, 2) or h.shape[0] < 4:
         raise ValueError("series must be 1-D or 2-D with at least 4 samples")
     _check_tau(tau)
-    m_max = (h.shape[0] - 2) // 2
+    m_max = _longest_interval(h.shape[0] - 1)
     if m_subset is None:
         m_set = _default_m_grid(m_max)
     else:

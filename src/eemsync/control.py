@@ -6,16 +6,17 @@ states every step, while an intermittent collective input nudges the
 unobservable ensemble mean without disturbing any relative state.
 ``EemPolicy`` runs that loop one measurement at a time inside the
 simulator; ``closed_loop`` runs the same loop on stationary gains as one
-linear recursion over plant and observer together.  The
-synchronization destination is the free-running weighted-mean process,
-driven by the very process noise the loop draws, so that errors are
-measured against the destination the ensemble actually carries.
+linear recursion over plant and observer together; both check that the
+loops they close contract (``loop_radii``).  The synchronization
+destination is the free-running weighted-mean process, driven by the
+very process noise the loop draws, so that errors are measured against
+the destination the ensemble actually carries.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -30,19 +31,18 @@ from .filters import (  # noqa: F401
     determinate_kf_init,
     determinate_kf_step,
 )
-from .models import EnsembleModel, _check_tau
+from .models import EnsembleModel
 from .presets import DEFAULT_COLLECTIVE_GAIN_COEFFS, DEFAULT_OBS_GAIN_COEFFS
 from .simkit import BLOCK, NoiseSampler, TrajectoryRecord, _free_run, _spans
 
 __all__ = [
     "ControllerConfig",
     "EemPolicy",
-    "check_obs_gain",
-    "check_collective_gain",
     "closed_loop",
     "default_obs_gain",
     "default_collective_gain",
     "destination_trajectory",
+    "loop_radii",
     "sync_error",
 ]
 
@@ -55,38 +55,6 @@ def default_obs_gain(N: int, tau: float, coeffs=DEFAULT_OBS_GAIN_COEFFS) -> np.n
 def default_collective_gain(m: int, tau: float, coeffs=DEFAULT_COLLECTIVE_GAIN_COEFFS) -> np.ndarray:
     """Collective feedback [c1/(m tau), c2] acting once per period."""
     return np.array([[coeffs[0] / (m * tau), coeffs[1]]])
-
-
-def _closed_loop_radius(step: float, K: np.ndarray, n: int) -> float:
-    """Spectral radius of A - B K for n clocks advanced by ``step`` (A and B
-    of the clock model, kron I_n); inf when that loop is not finite."""
-    eye = np.eye(n)
-    with np.errstate(over="ignore", invalid="ignore"):
-        loop = np.kron([[1.0, step], [0.0, 1.0]], eye) - np.kron([[step], [1.0]], eye) @ K
-    if not np.isfinite(loop).all():
-        return float("inf")
-    return float(np.max(np.abs(np.linalg.eigvals(loop))))
-
-
-def check_obs_gain(F_o: np.ndarray, N: int, tau: float) -> float:
-    """Spectral radius of the observable closed loop Ao - Bo F_o."""
-    F_o = np.asarray(F_o, dtype=float)
-    n_obs = 2 * (N - 1)
-    if F_o.shape != (N - 1, n_obs):
-        raise ValueError(f"F_o must have shape ({N - 1}, {n_obs}), got {F_o.shape}")
-    return _closed_loop_radius(tau, F_o, N - 1)
-
-
-def check_collective_gain(K_bo: np.ndarray, m: int, tau: float) -> float:
-    """Spectral radius of the collective loop sampled at interval m tau.
-
-    Between kicks the mean free-runs, so the relevant pair is the
-    transition and input matrices of the m-step sampled system.
-    """
-    K = np.asarray(K_bo, dtype=float).reshape(1, 2)
-    if m < 1:
-        raise ValueError(f"period must be >= 1, got {m}")
-    return _closed_loop_radius(m * tau, K, 1)
 
 
 def _whole(value) -> Optional[int]:
@@ -107,18 +75,17 @@ class ControllerConfig:
     with it the loop is balanced and kicks the mean at the steps k with
     (k - phase) % m == 0; ``None`` only synchronizes.  The weight, and
     with it the destination, is the one of the :class:`Decomposition`
-    that :func:`closed_loop` and :class:`EemPolicy` take.  Every problem
-    with F_o's shape, K_bo (2 numbers), m (an integer >= 1), phase (an
-    integer) or tau (finite, > 0, tau**3 normal) is reported in one :class:`ConfigError`.
-    ``validate=False`` skips the spectral checks; the destabilized runs
-    used to exercise the instability direction of the synchronization
-    theorem need it.
+    that :func:`closed_loop` and :class:`EemPolicy` take; they check the
+    loops at the model's tau.  Every problem with F_o's shape, K_bo (2
+    numbers), m (an integer >= 1) or phase (an integer) is reported in
+    one :class:`ConfigError`.  ``validate=False`` skips the spectral
+    checks; the destabilized runs used to exercise the instability
+    direction of the synchronization theorem need it.
     """
 
     F_o: np.ndarray
     K_bo: Optional[np.ndarray]
     m: int
-    tau: float = 1.0
     phase: int = 0
     validate: bool = True
 
@@ -137,10 +104,6 @@ class ControllerConfig:
             problems.append(f"phase must be an integer, got {self.phase!r}")
         else:
             object.__setattr__(self, "phase", phase)
-        try:
-            _check_tau(self.tau)
-        except ValueError as exc:
-            problems.append(str(exc))
         if self.K_bo is not None:
             try:
                 K_bo = np.asarray(self.K_bo, dtype=float)
@@ -152,18 +115,47 @@ class ControllerConfig:
                 object.__setattr__(self, "K_bo", K_bo.reshape(1, 2))
         if problems:
             raise ConfigError(problems)
-        if self.validate:
-            rho_o = check_obs_gain(self.F_o, len(self.F_o) + 1, self.tau)
-            if rho_o >= 1.0:
-                raise ConfigError(
-                    [f"observable closed loop is not contractive (rho = {rho_o:.6f})"]
-                )
-            if self.K_bo is not None:
-                rho_c = check_collective_gain(self.K_bo, self.m, self.tau)
-                if rho_c >= 1.0:
-                    raise ConfigError(
-                        [f"collective closed loop is not contractive (rho = {rho_c:.6f})"]
-                    )
+
+
+def loop_radii(cfg: ControllerConfig, A: np.ndarray, B: np.ndarray) -> Dict[str, float]:
+    """Spectral radius of each loop ``cfg`` closes around clocks whose
+    one-step transition and input are A and B (``model.clock.A`` and
+    ``model.clock.B``, the same matrices as ``d.A`` and ``d.B``).
+
+    ``"observable"`` is kron(A, I) - kron(B, I) F_o; with a collective
+    gain, ``"collective"`` is the mean's loop sampled once per period,
+    A^m - A^(m-1) B K_bo, as the mean free-runs between kicks.  A loop
+    that is not finite has radius inf.
+    """
+    eye = np.eye(len(cfg.F_o))
+    with np.errstate(over="ignore", invalid="ignore"):
+        loops = {"observable": np.kron(A, eye) - np.kron(B[:, None], eye) @ cfg.F_o}
+        if cfg.K_bo is not None:
+            A_m1 = np.linalg.matrix_power(A, cfg.m - 1)
+            loops["collective"] = A_m1 @ A - np.outer(A_m1 @ B, cfg.K_bo)
+    return {
+        name: float(np.max(np.abs(np.linalg.eigvals(loop)))) if np.isfinite(loop).all() else float("inf")
+        for name, loop in loops.items()
+    }
+
+
+def _check_contractive(cfg: ControllerConfig, A: np.ndarray, B: np.ndarray) -> None:
+    """Unless ``cfg.validate`` is False, one :class:`ConfigError` naming
+    every loop of :func:`loop_radii` whose radius is not below 1."""
+    rho = loop_radii(cfg, A, B) if cfg.validate else {}
+    problems = [f"{name} closed loop is not contractive (rho = {r:.6f})" for name, r in rho.items() if r >= 1.0]
+    if problems:
+        raise ConfigError(problems)
+
+
+def _check_loop(cfg: ControllerConfig, d: Decomposition) -> None:
+    """What :func:`closed_loop` and :class:`EemPolicy` need: a weight basis,
+    one F_o row per relative clock, and loops that contract at d's tau."""
+    if d.q is None:
+        raise ValueError("the controller requires a weight-basis decomposition")
+    if len(cfg.F_o) != d.N - 1:
+        raise ValueError(f"F_o has {len(cfg.F_o)} rows; the decomposition's {d.N} clocks need {d.N - 1}")
+    _check_contractive(cfg, d.A, d.B)
 
 
 class EemPolicy:
@@ -176,10 +168,7 @@ class EemPolicy:
     """
 
     def __init__(self, cfg: ControllerConfig, d: Decomposition, gains: StationaryGains):
-        if d.q is None:
-            raise ValueError("the controller requires a weight-basis decomposition")
-        if len(cfg.F_o) != d.N - 1:
-            raise ValueError(f"F_o has {len(cfg.F_o)} rows; the decomposition's {d.N} clocks need {d.N - 1}")
+        _check_loop(cfg, d)
         self.cfg = cfg
         self.d = d
         self.gains = gains
@@ -254,10 +243,7 @@ def closed_loop(
     them, and for each of ``weights`` its destination, shape (T+1, 2):
     bit for bit ``destination_trajectory(model, q, T, seed)``.
     """
-    if d.q is None:
-        raise ValueError("the controller requires a weight-basis decomposition")
-    if len(cfg.F_o) != d.N - 1:
-        raise ValueError(f"F_o has {len(cfg.F_o)} rows; the decomposition's {d.N} clocks need {d.N - 1}")
+    _check_loop(cfg, d)
     if T < 1:
         raise ValueError(f"T must be >= 1, got {T}")
     N = model.N

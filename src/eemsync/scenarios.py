@@ -21,10 +21,12 @@ from .allan import (
     weight_long,
     weight_short,
 )
+from .allan import _longest_interval
 # perfbench/child.py wraps destination_trajectory, determinate_kf_step,
 # standard_kf_step and reconstruct_state as attributes of this module
 from .control import (  # noqa: F401
     ControllerConfig,
+    _check_contractive,
     closed_loop,
     default_collective_gain,
     default_obs_gain,
@@ -48,7 +50,7 @@ from .presets import (
     DEFAULT_COLLECTIVE_PERIOD,
     DEFAULT_OBS_GAIN_COEFFS,
 )
-from .simkit import BLOCK, _spans, simulate
+from .simkit import BLOCK, TrajectoryRecord, _spans, simulate
 
 __all__ = ["ScenarioConfig", "KINDS", "validate_config", "run_scenario"]
 
@@ -302,9 +304,9 @@ def validate_config(raw: dict) -> ScenarioConfig:
                     if mode == "balanced"
                     else None,
                     m=period,
-                    tau=model.tau,
                     phase=phase,
                 )
+                _check_contractive(controller, model.clock.A, model.clock.B)
             except ConfigError as exc:
                 problems.extend(f"controller: {p}" for p in exc.problems)
 
@@ -325,9 +327,8 @@ def validate_config(raw: dict) -> ScenarioConfig:
 
     if model is not None and horizon_ok and (kind == "free-run" or (mode is not None and "allan" in outputs)):
         # a free run's analytical lines and a controller's destination
-        # curves apply the tau rule at each interval m tau of the Allan
-        # grid, whose last point is m = (horizon - 1) // 2
-        m_max = (horizon - 1) // 2
+        # curves apply the tau rule at every interval m tau of the Allan grid
+        m_max = _longest_interval(horizon)
         try:
             _check_tau(m_max * model.tau)
         except ValueError:
@@ -508,15 +509,32 @@ class _Artifacts:
 # scenario pipelines
 
 
+def _save_trajectory(cfg: ScenarioConfig, art: _Artifacts, rec: TrajectoryRecord) -> None:
+    """The ``trajectory`` output: k, each clock's phase h[k] and input u[k]."""
+    if "trajectory" in cfg.outputs:
+        art.save("trajectory.npy", range(rec.T), rec.h[: rec.T], rec.u)
+
+
+def _at_tau(plot: AllanPlot) -> np.ndarray:
+    """Allan values at m = 1, which leads the default grid from horizon 4 on."""
+    return plot.values[0]
+
+
+def _final_rel_increments(increments: np.ndarray) -> np.ndarray:
+    """Each increment of the last row over the norm after it; a zero norm
+    gives NaN or inf, which fails the strict summary."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return increments[-1, 0::2] / increments[-1, 1::2]
+
+
 def _run_free_run(cfg: ScenarioConfig, art: _Artifacts) -> dict:
     rec = simulate(cfg.model, None, cfg.horizon, cfg.seed)
     plot = allan_plot(rec.h, cfg.model.tau)
     if "allan" in cfg.outputs:
         art.write_allan({"clock": plot}, "allan")
     s1, s2 = cfg.model.sigma1_sq, cfg.model.sigma2_sq
-    # one row per interval, one column per clock; m = 1 leads the default
-    # grid, which holds it from horizon 4 on, so row 0 is at tau.  A line
-    # that overflows is refused where it is written or summarized
+    # one row per interval of plot, one column per clock; a line that
+    # overflows is refused where it is written or summarized
     with np.errstate(over="ignore", invalid="ignore"):
         lines = np.array([analytical_allan_clock(s1, s2, t) for t in plot.intervals])
     summary = {"clocks": {}}
@@ -525,13 +543,12 @@ def _run_free_run(cfg: ScenarioConfig, art: _Artifacts) -> dict:
         name = f"clock_{i + 1}"
         analytical[f"{name}_analytical"] = replace(plot, values=lines[:, i])
         summary["clocks"][name] = {
-            "allan_at_1s": float(plot.values[0, i]),
+            "allan_at_1s": float(_at_tau(plot)[i]),
             "analytical_at_1s": float(lines[0, i]),
         }
     if "analytical" in cfg.outputs:
         art.write_allan(analytical, "reference")
-    if "trajectory" in cfg.outputs:
-        art.save("trajectory.npy", range(rec.T), rec.h[: rec.T], rec.u)
+    _save_trajectory(cfg, art, rec)
     return summary
 
 
@@ -548,16 +565,11 @@ def _run_standard_kf(cfg: ScenarioConfig, art: _Artifacts) -> dict:
     if "gains" in cfg.outputs:
         d = decompose(cfg.model, np.full(cfg.model.N, 1.0 / cfg.model.N))
         art.write_json("gains.json", _gains_doc(solve_stationary(d, cfg.model.meas.R)))
-    if "trajectory" in cfg.outputs:
-        art.save("trajectory.npy", range(rec.T), rec.h[: rec.T], rec.u)
-    final = increments[-1]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        # a zero gain norm gives NaN or inf, which fails the strict summary
-        rel = final[0] / final[1]
+    _save_trajectory(cfg, art, rec)
     return {
-        "final_gain_rel_increment": float(rel),
-        "final_prior_cov_increment_fro": float(final[2]),
-        "timescale_allan_at_1s": float(plot.values[plot.m_set == 1][0]),
+        "final_gain_rel_increment": float(_final_rel_increments(increments)[0]),
+        "final_prior_cov_increment_fro": float(increments[-1, 2]),
+        "timescale_allan_at_1s": float(_at_tau(plot)),
     }
 
 
@@ -577,8 +589,7 @@ def _run_standard_kf_suboptimal(cfg: ScenarioConfig, art: _Artifacts) -> dict:
     plot_sub = allan_plot(eps_sub, cfg.model.tau)
     if "allan" in cfg.outputs:
         art.write_allan({"timescale_optimal": plot_opt, "timescale_suboptimal": plot_sub}, "allan")
-    at1_opt = float(plot_opt.values[plot_opt.m_set == 1][0])
-    at1_sub = float(plot_sub.values[plot_sub.m_set == 1][0])
+    at1_opt, at1_sub = float(_at_tau(plot_opt)), float(_at_tau(plot_sub))
     return {
         "optimal_allan_at_1s": at1_opt,
         "suboptimal_allan_at_1s": at1_sub,
@@ -597,9 +608,7 @@ def _run_determinate_kf(cfg: ScenarioConfig, art: _Artifacts) -> dict:
     if "increments" in cfg.outputs:
         # k, observable and cross gain: increment and norm (Frobenius)
         art.save("increments.npy", range(len(increments)), increments)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        # a zero gain norm gives NaN or inf, which fails the strict summary
-        obs, cross = increments[-1, 0] / increments[-1, 1], increments[-1, 2] / increments[-1, 3]
+    obs, cross = _final_rel_increments(increments)
     return {
         "max_rel_deviation": float(np.nanmax(deviation)),
         "final_obs_gain_rel_increment": float(obs),
@@ -628,8 +637,7 @@ def _run_controller(cfg: ScenarioConfig, art: _Artifacts) -> dict:
         step = max(1, cfg.horizon // 10_000)
         rows = range(0, cfg.horizon + 1, step)
         art.save("delta.npy", rows, sync_error(rec.x[::step], dest[::step]))
-    if "trajectory" in cfg.outputs:
-        art.save("trajectory.npy", range(rec.T), rec.h[: rec.T], rec.u)
+    _save_trajectory(cfg, art, rec)
 
     if "allan" in cfg.outputs:
         # every clock's Allan curve, and the analytical curve of each

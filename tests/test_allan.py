@@ -20,11 +20,11 @@ from eemsync import (
     optimal_weight,
     simulate,
     star_measurement,
+    validate_config,
     variance_vector,
     weight_long,
     weight_short,
 )
-from eemsync import ControllerConfig, default_obs_gain, validate_config
 from eemsync.allan import AllanPlot, _LEAF, _default_m_grid
 from eemsync.scenarios import _Artifacts
 from eemsync.presets import demo_ensemble, demo_noise_params
@@ -356,9 +356,6 @@ TAU_ENTRY_POINTS = {
     "allan_pi": lambda tau: allan_pi(np.array([0.5, 0.5]), S1, S2, tau),
     "optimal_weight": lambda tau: optimal_weight(S1, S2, tau),
     # every other owner of tau applies the same rule
-    "ControllerConfig": lambda tau: ControllerConfig(
-        F_o=default_obs_gain(2, 1.0), K_bo=None, m=1, tau=tau
-    ),
     "build_ensemble": lambda tau: build_ensemble(
         [NoiseParams(1e-10, 1e-13)] * 2, star_measurement(2), np.eye(1), tau
     ),

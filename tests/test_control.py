@@ -7,6 +7,7 @@ synchronization feedback does, and the collective input moves every
 relative coordinate by exactly nothing.
 """
 
+import dataclasses
 import tracemalloc
 from typing import NamedTuple, Optional
 
@@ -25,15 +26,15 @@ from eemsync import (
     NoiseSampler,
     StationaryGains,
     build_ensemble,
-    check_collective_gain,
-    check_obs_gain,
     closed_loop,
     decompose,
     default_collective_gain,
     default_obs_gain,
     demo_ensemble,
     destination_trajectory,
+    discretize,
     expand_input,
+    loop_radii,
     run_scenario,
     simulate,
     solve_stationary,
@@ -145,6 +146,12 @@ def steer4(model4):
     return q, d, g
 
 
+def radii(F_o, K_bo=None, m=1, tau=1.0):
+    """loop_radii of an unvalidated config around clocks stepped by tau."""
+    clock = discretize(NoiseParams(1.0, 0.0), tau)
+    return loop_radii(ControllerConfig(F_o=F_o, K_bo=K_bo, m=m, validate=False), clock.A, clock.B)
+
+
 class TestGainDesign:
     def test_obs_gain_closed_loop_spectrum(self):
         N, tau = 3, 2.5
@@ -154,7 +161,7 @@ class TestGainDesign:
         Bo = np.kron(np.array([[tau], [1.0]]), np.eye(N - 1))
         eig = np.sort(np.abs(np.linalg.eigvals(Ao - Bo @ F_o)))
         np.testing.assert_allclose(eig, [0.0, 0.0, 0.9, 0.9], atol=1e-12)
-        assert check_obs_gain(F_o, N, tau) == pytest.approx(0.9, abs=1e-12)
+        assert radii(F_o, tau=tau) == {"observable": pytest.approx(0.9, abs=1e-12)}
 
     def test_collective_gain_closed_loop_spectrum(self):
         m, tau = 200, 1.0
@@ -163,50 +170,64 @@ class TestGainDesign:
         Bm = np.array([[m * tau], [1.0]])
         eig = np.sort(np.abs(np.linalg.eigvals(Am - Bm @ K)))
         np.testing.assert_allclose(eig, [0.0, 0.99], atol=1e-12)
-        assert check_collective_gain(K, m, tau) == pytest.approx(0.99, abs=1e-12)
+        rho = radii(default_obs_gain(2, tau), K, m, tau)["collective"]
+        assert rho == pytest.approx(0.99, abs=1e-12)
+
+    @pytest.mark.parametrize("m", [1, 7, 200, 100_000])
+    def test_collective_loop_is_the_m_step_sampled_loop(self, m):
+        # A^m - A^(m-1) B K is the loop at interval m tau, [[1, m tau],
+        # [0, 1]] - [m tau, 1]^T K, for any gain, not only the default's
+        for tau in (0.25, 1.0, 30.0):
+            for coeffs in ((0.01, 1.0), (1.5, 1.0), (0.3, 0.2)):
+                K = default_collective_gain(m, tau, coeffs)
+                sampled = np.array([[1.0, m * tau], [0.0, 1.0]]) - np.array([[m * tau], [1.0]]) @ K
+                want = np.max(np.abs(np.linalg.eigvals(sampled)))
+                assert radii(default_obs_gain(2, tau), K, m, tau)["collective"] == pytest.approx(want, rel=1e-9)
 
     def test_gain_scaling_holds_across_tau_and_period(self):
         # coefficients are normalized by tau (and m tau), so the closed
         # loop keeps its spectrum at any step size or period
-        assert check_obs_gain(default_obs_gain(5, 900.0), 5, 900.0) == pytest.approx(
+        assert radii(default_obs_gain(5, 900.0), tau=900.0)["observable"] == pytest.approx(
             0.9, abs=1e-9
         )
-        rho = check_collective_gain(default_collective_gain(7, 0.25), 7, 0.25)
+        rho = radii(default_obs_gain(2, 0.25), default_collective_gain(7, 0.25), 7, 0.25)["collective"]
         assert rho == pytest.approx(0.99, abs=1e-9)
 
     def test_zero_gains_are_marginal(self):
-        assert check_obs_gain(np.zeros((3, 6)), 4, 1.0) == 1.0
-        assert check_collective_gain(np.zeros((1, 2)), 5, 1.0) == 1.0
+        assert radii(np.zeros((3, 6)), np.zeros((1, 2)), 5) == {"observable": 1.0, "collective": 1.0}
 
     def test_shape_and_period_validation(self):
+        # loop_radii takes a config, which checks both when it is built
         with pytest.raises(ValueError, match="shape"):
-            check_obs_gain(np.zeros((2, 2)), 4, 1.0)
+            radii(np.zeros((2, 2)))
         with pytest.raises(ValueError, match="period"):
-            check_collective_gain(np.zeros((1, 2)), 0, 1.0)
+            radii(np.zeros((1, 2)), np.zeros((1, 2)), 0)
 
     def test_non_finite_loops_have_infinite_radius(self):
         F_o = default_obs_gain(3, 1.0)
         F_o[0, 0] = np.nan
-        assert check_obs_gain(F_o, 3, 1.0) == np.inf
+        assert radii(F_o)["observable"] == np.inf
         # finite coefficients whose loop overflows
-        assert check_collective_gain(np.array([[1e308, 1e308]]), 200, 1.0) == np.inf
+        assert radii(default_obs_gain(3, 1.0), np.array([[1e308, 1e308]]), 200)["collective"] == np.inf
 
 
 class TestControllerConfig:
+    def test_holds_gains_and_schedule_only(self):
+        # the sampling interval is the model's alone
+        assert [f.name for f in dataclasses.fields(ControllerConfig)] == ["F_o", "K_bo", "m", "phase", "validate"]
+
     def test_aggregates_all_problems(self):
         with pytest.raises(ConfigError) as excinfo:
             ControllerConfig(
                 F_o=np.zeros((2, 2)),
                 K_bo=None,
                 m=0,
-                tau=-1.0,
                 phase=0.5,
             )
-        assert len(excinfo.value.problems) == 4
+        assert len(excinfo.value.problems) == 3
         message = str(excinfo.value)
         assert "shape" in message
         assert "period" in message
-        assert "tau" in message
         assert "phase" in message
 
     @pytest.mark.parametrize(
@@ -217,15 +238,11 @@ class TestControllerConfig:
             ("m", 2.5),
             ("phase", 1.5),
             ("phase", float("nan")),
-            ("tau", float("nan")),
-            ("tau", float("inf")),
-            ("tau", 0.0),
         ],
     )
     def test_schedule_values_rejected_by_name(self, field, value):
-        # each used to pass (phase 1.5, which closed_loop cannot slice by),
-        # raise a bare ValueError or OverflowError (m nan or inf), or read
-        # as a non-contractive loop (tau nan or inf)
+        # each used to pass (phase 1.5, which closed_loop cannot slice by)
+        # or raise a bare ValueError or OverflowError (m nan or inf)
         fields = {"F_o": default_obs_gain(4, 1.0), "K_bo": None, "m": 1}
         fields[field] = value
         with pytest.raises(ConfigError) as excinfo:
@@ -233,15 +250,18 @@ class TestControllerConfig:
         assert len(excinfo.value.problems) == 1
         assert excinfo.value.problems[0].startswith("period m" if field == "m" else field)
 
-    def test_marginal_gain_rejected(self):
+    def test_marginal_gain_rejected(self, uniform4):
+        _, d, g = uniform4
+        cfg = ControllerConfig(
+            F_o=np.zeros((3, 6)),
+            K_bo=None,
+            m=1,
+        )
         with pytest.raises(ConfigError, match="not contractive"):
-            ControllerConfig(
-                F_o=np.zeros((3, 6)),
-                K_bo=None,
-                m=1,
-            )
+            EemPolicy(cfg, d, g)
 
-    def test_validate_false_skips_spectral_checks(self):
+    def test_validate_false_skips_spectral_checks(self, uniform4):
+        _, d, g = uniform4
         cfg = ControllerConfig(
             F_o=np.zeros((3, 6)),
             K_bo=None,
@@ -249,25 +269,30 @@ class TestControllerConfig:
             validate=False,
         )
         assert cfg.K_bo is None
+        EemPolicy(cfg, d, g)
 
-    def test_unstable_collective_gain_rejected(self):
+    def test_unstable_collective_gain_rejected(self, uniform4):
+        _, d, g = uniform4
+        cfg = ControllerConfig(
+            F_o=default_obs_gain(4, 1.0),
+            K_bo=np.array([[-0.01, -1.0]]),
+            m=10,
+        )
         with pytest.raises(ConfigError, match="collective closed loop"):
-            ControllerConfig(
-                F_o=default_obs_gain(4, 1.0),
-                K_bo=np.array([[-0.01, -1.0]]),
-                m=10,
-            )
+            EemPolicy(cfg, d, g)
 
     @pytest.mark.parametrize("loop", ["observable", "collective"])
-    def test_non_finite_loop_is_not_contractive(self, loop):
+    def test_non_finite_loop_is_not_contractive(self, loop, uniform4):
+        _, d, g = uniform4
         F_o = default_obs_gain(4, 1.0)
         K_bo = default_collective_gain(10, 1.0)
         if loop == "observable":
             F_o[0, 0] = np.inf
         else:
             K_bo = np.array([[1e308, 1e308]])
+        cfg = ControllerConfig(F_o=F_o, K_bo=K_bo, m=10)
         with pytest.raises(ConfigError, match=f"{loop} closed loop is not contractive"):
-            ControllerConfig(F_o=F_o, K_bo=K_bo, m=10)
+            EemPolicy(cfg, d, g)
 
     @pytest.mark.parametrize("K_bo", [[1.0, 2.0, 3.0], "x", [[0.01], [1.0, 2.0]]])
     def test_malformed_collective_gain_rejected_by_name(self, K_bo):
@@ -288,6 +313,50 @@ class TestControllerConfig:
         # closed_loop slices its kick schedule by phase
         assert cfg.phase == 2 and isinstance(cfg.phase, int)
         assert cfg.K_bo.shape == (1, 2)
+
+
+@pytest.fixture(scope="module")
+def uniform30():
+    """Ten clocks stepped every 30 s, uniform weight."""
+    model = demo_ensemble(tau=30.0)
+    d = decompose(model, np.full(10, 0.1))
+    return model, d, solve_stationary(d, model.meas.R)
+
+
+RUNNERS = {
+    "closed_loop": lambda model, cfg, d, g: closed_loop(model, cfg, d, g, 200, 5),
+    "EemPolicy": lambda model, cfg, d, g: EemPolicy(cfg, d, g),
+}
+
+
+@pytest.mark.parametrize("runner", sorted(RUNNERS))
+class TestLoopCheckedAtTheModelTau:
+    """The gains are checked on the loop that runs, at the model's tau:
+    gains designed for tau = 1 contract there, but not at tau = 30."""
+
+    def test_sync_only_gain_for_another_tau_refused(self, runner, uniform30):
+        model, d, g = uniform30
+        cfg = ControllerConfig(F_o=default_obs_gain(10, 1.0), K_bo=None, m=1)
+        with pytest.raises(ConfigError) as excinfo:
+            RUNNERS[runner](model, cfg, d, g)
+        assert excinfo.value.problems == ["observable closed loop is not contractive (rho = 2.000000)"]
+
+    def test_collective_gain_for_another_tau_refused(self, runner, uniform30):
+        model, d, g = uniform30
+        cfg = ControllerConfig(
+            F_o=default_obs_gain(10, model.tau),
+            K_bo=default_collective_gain(200, 1.0, (1.5, 1.0)),
+            m=200,
+        )
+        with pytest.raises(ConfigError) as excinfo:
+            RUNNERS[runner](model, cfg, d, g)
+        assert excinfo.value.problems == ["collective closed loop is not contractive (rho = 44.000000)"]
+
+    def test_unvalidated_zero_gain_still_runs(self, runner, uniform30):
+        # criterion 8's F_o = 0 loop, which only validate=False admits
+        model, d, g = uniform30
+        cfg = ControllerConfig(F_o=np.zeros((9, 18)), K_bo=None, m=1, validate=False)
+        RUNNERS[runner](model, cfg, d, g)
 
 
 def reference_destination_trajectory(model, q, T, seed):
@@ -626,7 +695,6 @@ class TestStreamedClosedLoop:
             F_o=default_obs_gain(n_clocks, tau),
             K_bo=default_collective_gain(50, tau) if balanced else None,
             m=50 if balanced else 1,
-            tau=tau,
             phase=37 if balanced else 0,
         )
         # the loop's own weight and one it does not run on

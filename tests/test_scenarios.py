@@ -29,12 +29,11 @@ from eemsync import (
     NoiseParams,
     NumericalError,
     build_ensemble,
-    check_collective_gain,
-    check_obs_gain,
     closed_loop,
     decompose,
     destination_trajectory,
     filter_pass,
+    loop_radii,
     run_scenario,
     simulate,
     solve_stationary,
@@ -169,8 +168,8 @@ class TestValidateConfig:
         assert cfg.controller is not None
         assert cfg.controller.K_bo is not None
         assert cfg.controller.m == 200
-        assert check_obs_gain(cfg.controller.F_o, 3, 1.0) < 1.0
-        assert check_collective_gain(cfg.controller.K_bo, 200, 1.0) < 1.0
+        rho = loop_radii(cfg.controller, cfg.model.clock.A, cfg.model.clock.B)
+        assert rho["observable"] < 1.0 and rho["collective"] < 1.0
         s1 = np.asarray(raw_config()["model"]["sigma1"]) ** 2
         np.testing.assert_allclose(cfg.weight, weight_short(s1), rtol=1e-12)
 
@@ -178,6 +177,16 @@ class TestValidateConfig:
         s2 = np.asarray(raw_config()["model"]["sigma2"]) ** 2
         np.testing.assert_allclose(cfg_long.weight, weight_long(s2), rtol=1e-12)
         assert cfg_long.controller.K_bo is None
+
+    def test_every_loop_that_does_not_contract_is_named(self):
+        # the loops are checked at the model's tau, and both are reported
+        raw = raw_config("balanced", controller={"obs_gain_coeffs": [3.0, 1.0], "collective_gain_coeffs": [3.0, 1.0]})
+        with pytest.raises(ConfigError) as excinfo:
+            validate_config(raw)
+        assert excinfo.value.problems == [
+            "controller: observable closed loop is not contractive (rho = 2.000000)",
+            "controller: collective closed loop is not contractive (rho = 2.000000)",
+        ]
 
     @pytest.mark.parametrize(
         "section, field, value",

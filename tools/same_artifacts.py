@@ -6,14 +6,15 @@ REV's files are exported with ``git archive`` into a temporary directory,
 which leaves the repository itself untouched.  This checkout and REV then
 run every bundled config twice, each run in its own process: at horizon
 20,000 with every output selector of its kind, and at its bundled horizon
-with its default outputs.  A kind in ``WEIGHTS`` also runs at horizon
-20,000 once with each ``controller.weight`` named there, so the
-determinate filter is compared on bases that its bundled uniform weight
-never reaches.  The script prints every file whose sha256 differs between
-the two sides (``manifest.json`` is compared without its timings and peak
-RSS) and the worst relative difference of each summary float, and exits 1
-on any difference.  The temporary directory is removed
-on exit.
+with its default outputs.  A kind in ``SETTINGS`` also runs at horizon
+20,000 once with each set of ``controller`` settings listed there, laid
+over its bundled ones: the determinate filter on bases that its bundled
+uniform weight never reaches, and the controllers at gains, a period and
+a phase that the bundled configs never set.  The script prints every
+file whose sha256 differs between the two sides (``manifest.json`` is
+compared without its timings and peak RSS) and the worst relative
+difference of each summary float, and exits 1 on any difference.  The
+temporary directory is removed on exit.
 """
 
 from __future__ import annotations
@@ -32,8 +33,12 @@ ROOT = Path(__file__).resolve().parents[1]
 SHORT_HORIZON = 20_000
 # manifest fields that measure the run, not what it computed
 VOLATILE = ("elapsed_s", "peak_rss_mb", "peak_rss_mb_at_start")
-# extra short-horizon runs with controller.weight set to each name
-WEIGHTS = {"determinate-kf": ("short", "last-clock")}
+# extra short-horizon runs: kind -> {variant suffix: controller settings}
+SETTINGS = {
+    "determinate-kf": {"weight-short": {"weight": "short"}, "weight-last-clock": {"weight": "last-clock"}},
+    "balanced": {"period-150-phase-37": {"period": 150, "phase": 37, "obs_gain_coeffs": [0.2, 1.0]}},
+    "steer-to-clock": {"obs-gain-0.05-0.8": {"obs_gain_coeffs": [0.05, 0.8]}},
+}
 
 
 def export(rev: str, dest: Path) -> None:
@@ -50,10 +55,9 @@ def run_side(src: Path, work: Path, selectors: dict) -> dict:
         raw = json.loads(path.read_text())
         short = dict(raw, horizon=SHORT_HORIZON, outputs=list(selectors[raw["kind"]]))
         variants = [(f"horizon-{SHORT_HORIZON}", short), ("bundled", raw)]
-        variants += [
-            (f"horizon-{SHORT_HORIZON}-weight-{w}", dict(short, controller={"weight": w}))
-            for w in WEIGHTS.get(raw["kind"], ())
-        ]
+        for suffix, settings in SETTINGS.get(raw["kind"], {}).items():
+            controller = {**raw.get("controller", {}), **settings}
+            variants.append((f"horizon-{SHORT_HORIZON}-{suffix}", dict(short, controller=controller)))
         for variant, cfg in variants:
             cfg_path = work / "configs" / variant / path.name
             cfg_path.parent.mkdir(parents=True, exist_ok=True)
