@@ -15,7 +15,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .errors import NumericalError
-from .models import EnsembleModel
+from .models import EnsembleModel, star_measurement
 
 __all__ = [
     "Decomposition",
@@ -84,12 +84,13 @@ class Decomposition:
 def generalized_inverse(V: np.ndarray, q: np.ndarray) -> np.ndarray:
     """Right inverse of V whose columns carry zero q-weighted mean.
 
-    Solves the stacked nonsingular system [V; q^T] Vplus = [I; 0], which
-    enforces both defining identities V Vplus = I and q^T Vplus = 0 at
-    once.  When V is the star difference form, the analytical expression
-    (identity over -q row pattern, zero-padded) is returned instead so
-    that entries which should vanish are exact zeros; the solve is kept
-    as a cross-check.
+    Vplus meets both defining identities V Vplus = I and q^T Vplus = 0.
+    For the star difference form (:func:`~eemsync.models.star_measurement`)
+    it is the closed form [I; 0] - 1 q_{1..N-1}^T, whose entries that
+    should vanish are exact zeros (the last row, for q = e_N); for any
+    other V it solves the stacked nonsingular system [V; q^T] Vplus =
+    [I; 0].  Either way a result that misses the identities by more than
+    1e-10 max(1, max|Vplus|) raises ``NumericalError``.
 
     Parameters
     ----------
@@ -106,29 +107,18 @@ def generalized_inverse(V: np.ndarray, q: np.ndarray) -> np.ndarray:
     if V.shape != (N - 1, N):
         raise ValueError(f"V must have shape ({N - 1}, {N}), got {V.shape}")
 
-    stacked = np.vstack([V, qv[None, :]])
     rhs = np.vstack([np.eye(N - 1), np.zeros((1, N - 1))])
-    try:
-        solved = np.linalg.solve(stacked, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise ValueError(
-            "stacked system [V; q^T] is singular; this weight cannot "
-            "complement the kernel of V"
-        ) from exc
-
-    vplus = solved
-    if N >= 2:
-        star = np.hstack([np.eye(N - 1), -np.ones((N - 1, 1))])
-        if np.array_equal(V, star):
-            # every row repeats -q_1..-q_{N-1}; rows 1..N-1 add the identity
-            exact = rhs - np.outer(np.ones(N), qv[:-1])
-            scale = max(1.0, float(np.max(np.abs(exact))))
-            if np.max(np.abs(exact - solved)) > 1e-8 * scale:
-                raise NumericalError(
-                    "analytical and solved generalized inverses disagree; "
-                    "the weight is too ill-conditioned for this basis"
-                )
-            vplus = exact
+    if N >= 2 and np.array_equal(V, star_measurement(N)):
+        # every row repeats -q_1..-q_{N-1}; rows 1..N-1 add the identity
+        vplus = rhs - np.outer(np.ones(N), qv[:-1])
+    else:
+        try:
+            vplus = np.linalg.solve(np.vstack([V, qv[None, :]]), rhs)
+        except np.linalg.LinAlgError as exc:
+            raise ValueError(
+                "stacked system [V; q^T] is singular; this weight cannot "
+                "complement the kernel of V"
+            ) from exc
 
     scale = max(1.0, float(np.max(np.abs(vplus))))
     res_v = np.max(np.abs(V @ vplus - np.eye(N - 1)))

@@ -3,10 +3,14 @@
 Two recursions share one model: the standard full-state filter (whose
 covariance diverges along the unobservable subspace while its gain still
 converges) and the determinate decomposed filter (which never forms the
-diverging block).  ``solve_stationary`` finds the decomposed filter's
-fixed-point gains by a structure-preserving doubling solve in about
-twenty steps; the stationary filter that runs on them is the observer
-step of ``eemsync.control.EemPolicy``.  The module also provides the
+diverging block).  Every step of either forms its gains by one LAPACK
+``posv`` (``_gain_solve``).  ``filter_pass`` runs both over a whole
+measurement series, and takes the reference time-scale error from
+``eemsync.simkit.reference_timescale``.  ``solve_stationary`` finds the
+decomposed filter's fixed-point gains by a structure-preserving doubling
+solve in about twenty steps; the stationary filter that runs on them is
+the observer step of ``eemsync.control.closed_loop`` (and of
+``EemPolicy``).  The module also provides the
 weight-transport shortcuts that express the unobservable gain and
 covariance of an arbitrary weight basis through the observable solution.
 """
@@ -26,6 +30,7 @@ from .allan import variance_vector, weight_long
 from .decomp import Decomposition, generalized_inverse
 from .errors import ConvergenceError, NumericalError
 from .models import EnsembleModel
+from .simkit import reference_timescale
 
 __all__ = [
     "StandardKFState",
@@ -103,11 +108,6 @@ def _gain_solve(BS: np.ndarray, B: np.ndarray, S: np.ndarray) -> np.ndarray:
     if not finite:
         raise NumericalError("gain right-hand side is not finite")
     return X
-
-
-def _spd_solve_gain(S: np.ndarray, CP: np.ndarray) -> np.ndarray:
-    """Gain P C^T S^{-1} computed as solve(S, C P)^T via a PD factorization."""
-    return _gain_solve(np.hstack([CP, S]), CP, S).T
 
 
 def _spd_solve(S: np.ndarray, B: np.ndarray, what: str = "innovation covariance") -> np.ndarray:
@@ -489,9 +489,7 @@ def filter_pass(
 
             rows, xhat = slice(k0, k0 + b), xs[1 : b + 1]
             if eps is not None:
-                # reference_timescale(x[k] - xhat) row by row: each row is
-                # summed alone, as the 1-D sum of one step would be
-                eps[rows] = np.add.reduce(x[rows, :N] - xhat[:, :N], axis=1) / N
+                eps[rows] = reference_timescale(x[rows] - xhat, N)
             if inc is not None:
                 _increments(inc[rows, :2], Hs[: b + 1])
                 _increments(inc[rows, 2:], Pms[: b + 1])

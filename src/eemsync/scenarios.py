@@ -80,10 +80,9 @@ class KindSpec:
     outputs: Tuple[str, ...]
     # default weight name; pinned exactly when "weight" is not in settings
     weight: Optional[str] = None
-    # controller keys a config may set
+    # controller keys a config may set; "obs_gain_coeffs" makes a controller
+    # kind, and "collective_gain_coeffs" a balanced one
     settings: Tuple[str, ...] = ()
-    # controller mode ("balanced" sets a collective gain); None for the offline kinds
-    mode: Optional[str] = None
     # steps a time-varying Kalman filter, so it needs SciPy's LAPACK
     riccati: bool = False
 
@@ -276,16 +275,17 @@ def validate_config(raw: dict) -> ScenarioConfig:
     if model is not None and spec.weight is not None:
         weight = _resolve_weight(settings.get("weight", spec.weight), model, problems)
 
-    mode = spec.mode
-    if model is not None and weight is not None and mode is not None:
-        if mode == "balanced":
+    controlled = "obs_gain_coeffs" in spec.settings
+    balanced = "collective_gain_coeffs" in spec.settings
+    if model is not None and weight is not None and controlled:
+        if balanced:
             # the summary samples the mean against the long-term weight
             _resolve_weight("long", model, problems)
         value = {key: settings.get(key, default) for key, (default, _, _) in _SETTINGS.items()}
         bad = [key for key, (_, ok, _) in _SETTINGS.items() if not ok(value[key])]
         problems.extend(f"controller.{k}: {_SETTINGS[k][2]} required, got {value[k]!r}" for k in bad)
         period, phase = value["period"], value["phase"]
-        if mode == "balanced" and horizon_ok and "period" not in bad and "phase" not in bad:
+        if balanced and horizon_ok and "period" not in bad and "phase" not in bad:
             # the summary fits a trend to the final half of the mean sampled
             # at the (horizon - phase % period) // period + 1 kick steps
             # k = phase % period (mod period); that half needs three samples
@@ -301,7 +301,7 @@ def validate_config(raw: dict) -> ScenarioConfig:
                 controller = ControllerConfig(
                     F_o=default_obs_gain(model.N, model.tau, value["obs_gain_coeffs"]),
                     K_bo=default_collective_gain(period, model.tau, value["collective_gain_coeffs"])
-                    if mode == "balanced"
+                    if balanced
                     else None,
                     m=period,
                     phase=phase,
@@ -325,7 +325,7 @@ def validate_config(raw: dict) -> ScenarioConfig:
                     f"(choose from {', '.join(sorted(allowed))})"
                 )
 
-    if model is not None and horizon_ok and (kind == "free-run" or (mode is not None and "allan" in outputs)):
+    if model is not None and horizon_ok and (kind == "free-run" or (controlled and "allan" in outputs)):
         # a free run's analytical lines and a controller's destination
         # curves apply the tau rule at every interval m tau of the Allan grid
         m_max = _longest_interval(horizon)
@@ -709,19 +709,19 @@ KINDS: Dict[str, KindSpec] = {
     ),
     "steer-to-clock": KindSpec(
         "synchronize every clock to the last clock (its input stays zero)",
-        _run_controller, _CONTROLLER_SELECTORS, "last-clock", ("obs_gain_coeffs",), "sync-only",
+        _run_controller, _CONTROLLER_SELECTORS, "last-clock", ("obs_gain_coeffs",),
     ),
     "sync-simple-average": KindSpec(
         "synchronize to the plain average of all clocks",
-        _run_controller, _CONTROLLER_SELECTORS, "uniform", ("obs_gain_coeffs",), "sync-only",
+        _run_controller, _CONTROLLER_SELECTORS, "uniform", ("obs_gain_coeffs",),
     ),
     "sync-best-short": KindSpec(
         "synchronize to the short-term optimal weighted mean",
-        _run_controller, _CONTROLLER_SELECTORS, "short", ("obs_gain_coeffs",), "sync-only",
+        _run_controller, _CONTROLLER_SELECTORS, "short", ("obs_gain_coeffs",),
     ),
     "sync-best-long": KindSpec(
         "synchronize to the long-term optimal weighted mean",
-        _run_controller, _CONTROLLER_SELECTORS, "long", ("obs_gain_coeffs",), "sync-only",
+        _run_controller, _CONTROLLER_SELECTORS, "long", ("obs_gain_coeffs",),
     ),
     "balanced": KindSpec(
         "synchronization plus periodic collective control of the mean",
@@ -729,7 +729,6 @@ KINDS: Dict[str, KindSpec] = {
         _CONTROLLER_SELECTORS,
         "short",
         ("weight", "obs_gain_coeffs", "collective_gain_coeffs", "period", "phase"),
-        "balanced",
     ),
 }
 

@@ -68,6 +68,44 @@ class TestGeneralizedInverse:
         Vp = generalized_inverse(star_measurement(n), q)
         assert np.all(Vp[-1] == 0.0)
 
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_star_closed_form_matches_stacked_solve(self, n):
+        # oracle for the closed star form: the stacked system
+        # [V; q^T] Vplus = [I; 0] that any other V is solved by
+        rng = np.random.default_rng(n)
+        V = star_measurement(n)
+        rhs = np.vstack([np.eye(n - 1), np.zeros((1, n - 1))])
+        for q in [*rng.dirichlet(np.ones(n), size=20), np.eye(n)[-1]]:
+            Vp = generalized_inverse(V, q)
+            solved = np.linalg.solve(np.vstack([V, q]), rhs)
+            assert np.max(np.abs(Vp - solved)) <= 1e-12 * np.max(np.abs(Vp))
+        assert np.all(Vp[-1] == 0.0)  # q = e_N, the steering weight
+
+    def test_star_form_runs_no_solve(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the star form solved a linear system")
+
+        monkeypatch.setattr(np.linalg, "solve", refuse)
+        Vp = generalized_inverse(star_measurement(4), np.full(4, 0.25))
+        assert np.array_equal(Vp, np.vstack([np.eye(3), np.zeros((1, 3))]) - 0.25)
+        with pytest.raises(AssertionError, match="solved a linear system"):
+            generalized_inverse(ring_measurement(4), np.full(4, 0.25))
+
+    def test_star_weight_past_double_precision_fails_its_identities(self):
+        # [V; q^T] is singular in floating point here, and the closed form
+        # misses q^T Vplus = 0 by 3.6e16, past 1e-10 max|Vplus|: a
+        # NumericalError, not the solve's ValueError
+        q = np.zeros(10)
+        q[[0, 1, 9]] = 3e16, -3e16, 1.0
+        with pytest.raises(NumericalError, match="failed its defining identities"):
+            generalized_inverse(star_measurement(10), q)
+
+    def test_large_star_weight_meets_its_identities(self):
+        q = np.zeros(10)
+        q[[0, 1, 9]] = 1e9, -1e9, 1.0
+        Vp = generalized_inverse(star_measurement(10), q)
+        assert np.array_equal(Vp, np.vstack([np.eye(9), np.zeros((1, 9))]) - q[:-1])
+
     def test_defining_identities(self):
         rng = np.random.default_rng(0)
         for n in (2, 3, 5, 10):

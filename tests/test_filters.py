@@ -42,7 +42,7 @@ from eemsync import (
 )
 from eemsync import filters
 from eemsync.decomp import Decomposition
-from eemsync.filters import InputPair, StationaryGains, _gain_solve, _spd_solve_gain, _sym
+from eemsync.filters import InputPair, StationaryGains, _gain_solve, _sym
 from eemsync.presets import DEMO_MEAS_STD, DEMO_SIGMA1, DEMO_SIGMA2, demo_ensemble
 from eemsync.scenarios import _gains_doc, _write_json
 
@@ -64,6 +64,12 @@ def reference_spd_solve_gain(S: np.ndarray, CP: np.ndarray) -> np.ndarray:
     except np.linalg.LinAlgError as exc:
         raise NumericalError("innovation covariance is not positive definite") from exc
     return cho_solve(factor, CP).T
+
+
+def gain(S: np.ndarray, CP: np.ndarray) -> np.ndarray:
+    """The gain P C^T S^{-1} as the library's steps form it: X^T of one
+    LAPACK posv on [CP | S]."""
+    return _gain_solve(np.hstack([CP, S]), CP, S).T
 
 
 def reference_input_pair(omega_prev: InputPair, n_obs_inputs: int) -> Tuple[np.ndarray, float]:
@@ -321,15 +327,15 @@ class TestGainCovarianceDichotomy:
             det = determinate_kf_step(d, R, det, None, np.zeros(9))
             Pm = _sym(model.bigA @ P @ model.bigA.T + model.bigQ)
             CP = model.bigC @ Pm
-            H = _spd_solve_gain(CP @ model.bigC.T + R, CP)
+            H = gain(CP @ model.bigC.T + R, CP)
             P = _sym(Pm - H @ CP)
             assert np.array_equal(P, std.P)
             Poo_m = _sym(d.Ao @ Poo @ d.Ao.T + d.Qo)
             Pbo_m = d.A @ Pbo @ d.Ao.T + d.Qbo
             CPo = d.Co @ Poo_m
             So = CPo @ d.Co.T + R
-            H_o = _spd_solve_gain(So, CPo)
-            H_bo = _spd_solve_gain(So, d.Co @ Pbo_m.T)
+            H_o = gain(So, CPo)
+            H_bo = gain(So, d.Co @ Pbo_m.T)
             Poo = _sym(Poo_m - H_o @ CPo)
             Pbo = Pbo_m - H_bo @ CPo
             assert np.array_equal(Poo, det.P_oo)
@@ -340,13 +346,13 @@ class TestGainCovarianceDichotomy:
         for k in range(30, T):
             Pm_next = _sym(model.bigA @ P @ model.bigA.T + model.bigQ)
             CP = model.bigC @ Pm_next
-            H_next = _spd_solve_gain(CP @ model.bigC.T + R, CP)
+            H_next = gain(CP @ model.bigC.T + R, CP)
             P = _sym(Pm_next - H_next @ CP)
             Poo_m_next = _sym(d.Ao @ Poo @ d.Ao.T + d.Qo)
             Pbo_m_next = d.A @ Pbo @ d.Ao.T + d.Qbo
             CPo = d.Co @ Poo_m_next
-            Ho_next = _spd_solve_gain(CPo @ d.Co.T + R, CPo)
-            Hbo_next = _spd_solve_gain(CPo @ d.Co.T + R, d.Co @ Pbo_m_next.T)
+            Ho_next = gain(CPo @ d.Co.T + R, CPo)
+            Hbo_next = gain(CPo @ d.Co.T + R, d.Co @ Pbo_m_next.T)
             Poo = _sym(Poo_m_next - Ho_next @ CPo)
             Pbo = Pbo_m_next - Hbo_next @ CPo
             if k == T - 1:
@@ -652,9 +658,9 @@ class TestGainSolve:
                 want = reference_spd_solve_gain(S, CP)
             except NumericalError as exc:
                 with pytest.raises(NumericalError, match=str(exc)):
-                    _spd_solve_gain(S, CP)
+                    _gain_solve(np.hstack([CP, S]), CP, S)
                 continue
-            assert np.array_equal(_spd_solve_gain(S, CP), want)
+            assert np.array_equal(_gain_solve(np.hstack([CP, S]), CP, S).T, want)
             # as the kernels call it, on views of one [CP | S] buffer
             BS = np.hstack([CP, S])
             assert np.array_equal(_gain_solve(BS, BS[:, :n], BS[:, n:]).T, want)
@@ -674,7 +680,7 @@ class TestGainSolve:
         S, CP = np.array(S), np.ones((2, 3))
         CP[1, 2] = rhs_entry
         with np.errstate(invalid="ignore"), pytest.raises(NumericalError, match=f"^{message}$"):
-            _spd_solve_gain(S, CP)
+            _gain_solve(np.hstack([CP, S]), CP, S)
 
 
 @settings(max_examples=40, deadline=None)
@@ -791,7 +797,7 @@ def reference_solve_stationary(
     def advance(P_prior: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         CP = d.Co @ P_prior
         S = CP @ d.Co.T + R
-        H = _spd_solve_gain(S, CP)
+        H = gain(S, CP)
         P_next = _sym(d.Ao @ (P_prior - H @ CP) @ d.Ao.T + d.Qo)
         return P_next, H, CP
 
@@ -817,7 +823,7 @@ def reference_solve_stationary(
     eye_obs = np.eye(n_obs)
     for _ in range(5):
         CP = d.Co @ P
-        H = _spd_solve_gain(CP @ d.Co.T + R, CP)
+        H = gain(CP @ d.Co.T + R, CP)
         Z_pol = d.Ao @ (eye_obs - H @ d.Co)
         rhs = _sym(d.Qo + d.Ao @ H @ R @ H.T @ d.Ao.T)
         try:
@@ -838,7 +844,7 @@ def reference_solve_stationary(
 
     CP = d.Co @ P
     S = CP @ d.Co.T + R
-    H_o = _spd_solve_gain(S, CP)
+    H_o = gain(S, CP)
     gain_complement = np.eye(n_obs) - H_o @ d.Co
     Z = d.Ao @ gain_complement
 
@@ -853,7 +859,7 @@ def reference_solve_stationary(
             "closed loop is not contractive"
         ) from exc
     P_bo = vec.reshape((2, n_obs), order="F")
-    H_bo = _spd_solve_gain(S, d.Co @ P_bo.T)
+    H_bo = gain(S, d.Co @ P_bo.T)
 
     P_check, _, _ = advance(P)
     residual_oo = float(
@@ -892,7 +898,7 @@ class TestStationary:
         assert g.spectral_radius < 1.0
         # the returned covariance really is a fixed point of one update
         CP = d.Co @ g.P_oo_star
-        H = _spd_solve_gain(CP @ d.Co.T + model.meas.R, CP)
+        H = gain(CP @ d.Co.T + model.meas.R, CP)
         P_next = _sym(d.Ao @ (g.P_oo_star - H @ CP) @ d.Ao.T + d.Qo)
         assert np.max(np.abs(P_next - g.P_oo_star)) <= 1e-10 * np.max(np.abs(g.P_oo_star))
 

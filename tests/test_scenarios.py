@@ -276,7 +276,8 @@ class TestValidateConfig:
             assert cfg.weight is None
         else:
             assert np.array_equal(cfg.weight, named_weight(weight_name, cfg.model))
-        assert KINDS[kind].mode == mode
+        # a controller kind builds a controller, and a balanced one a collective gain
+        assert (cfg.controller is None) == (mode is None)
         if cfg.controller is not None:
             assert (cfg.controller.K_bo is not None) == (mode == "balanced")
         assert cfg.outputs == outputs
@@ -838,6 +839,13 @@ CONTRACT_EDGES = {
         },
         'NumericalError: not finite, so not strict JSON: "slope_ci_half_width": Infinity',
     ),
+    # a weight that sums to 1 but lies past double precision: [V; q^T] is
+    # singular in floating point, and the closed-form generalized inverse
+    # misses its identity q^T Vplus = 0
+    "determinate_kf-weight": (
+        {**edited("determinate_kf", 50), "controller": {"weight": [3e16, -3e16] + [0.0] * 7 + [1.0]}},
+        "NumericalError: generalized inverse failed its defining identities",
+    ),
 }
 
 # the sweep of the run contract: every model field of a bundled config
@@ -846,6 +854,33 @@ CONTRACT_EDGES = {
 SWEEP_EXPONENTS = {"tau": 110, "sigma1": 160, "sigma2": 160, "meas_std": 160}
 # a config problem opens with the field it names
 CONFIG_FIELD = re.compile(r"(name|kind|model\.\w+|horizon|seed|controller(\.\w+)?|outputs)\b")
+
+
+@st.composite
+def gain_coeffs(draw) -> list:
+    # the loop [c1/tau, c2] (and its once-per-period twin) contracts for
+    # c1 > 0, 0 < c2 < 2 and c1 + 2 c2 < 4: about half of these draws
+    return [draw(st.floats(-0.5, 2.0)), draw(st.floats(-0.5, 2.0))]
+
+
+@st.composite
+def weights(draw, n: int):
+    """A weight name, or n entries summing to 1 whose scale reaches past
+    double precision (such sums may miss 1 by more than 1e-9)."""
+    if draw(st.booleans()):
+        return draw(st.sampled_from(["uniform", "short", "long", "last-clock"]))
+    scale = 10.0 ** draw(st.integers(0, 17))
+    head = [x * scale for x in draw(st.lists(st.floats(-1.0, 1.0), min_size=n - 1, max_size=n - 1))]
+    return head + [1.0 - sum(head)]
+
+
+# controller settings a swept config may set, for each kind that takes them
+SWEPT_SETTINGS = {
+    "obs_gain_coeffs": gain_coeffs(),
+    "collective_gain_coeffs": gain_coeffs(),
+    "period": st.integers(1, 200),
+    "phase": st.integers(0, 400),
+}
 
 
 @st.composite
@@ -861,10 +896,20 @@ def swept_configs(draw) -> dict:
         else:
             entry = draw(st.one_of(st.none(), st.integers(0, len(model[key]) - 1)))
             model[key] = [x * scale if entry in (None, i) else x for i, x in enumerate(model[key])]
-    # the balanced kind needs four periods of 200 steps
-    raw["horizon"] = draw(st.integers(800 if raw["kind"] == "balanced" else 40, 900))
-    selectors = scen.KINDS[raw["kind"]].outputs
-    raw["outputs"] = [sel for sel in selectors if draw(st.booleans())] or [draw(st.sampled_from(selectors))]
+    spec = scen.KINDS[raw["kind"]]
+    controller = raw.setdefault("controller", {})
+    if "weight" in spec.settings and draw(st.booleans()):
+        controller["weight"] = draw(weights(model["n_clocks"]))
+    for key, strategy in SWEPT_SETTINGS.items():
+        if key in spec.settings and draw(st.booleans()):
+            controller[key] = draw(strategy)
+    # the balanced kind needs five kicks: phase % period + 4 periods
+    least = 40
+    if "period" in spec.settings:
+        period = controller.get("period", scen.DEFAULT_COLLECTIVE_PERIOD)
+        least = controller.get("phase", 0) % period + 4 * period
+    raw["horizon"] = draw(st.integers(least, max(least, 900)))
+    raw["outputs"] = [sel for sel in spec.outputs if draw(st.booleans())] or [draw(st.sampled_from(spec.outputs))]
     return raw
 
 
@@ -875,6 +920,7 @@ def swept_configs(draw) -> dict:
 @example(raw=CONTRACT_EDGES["free_run-tau-sigma1"][0])
 @example(raw=CONTRACT_EDGES["determinate_kf-meas_std"][0])
 @example(raw=CONTRACT_EDGES["balanced-summary-trend"][0])
+@example(raw=CONTRACT_EDGES["determinate_kf-weight"][0])
 def test_property_every_config_ends_in_the_run_contract(raw):
     # through the CLI, a config ends in exit 0 (strict JSON, finite CSVs),
     # exit 2 (every problem names a config field) or exit 3 (a failed,
@@ -900,6 +946,17 @@ def test_property_every_config_ends_in_the_run_contract(raw):
             assert manifest["error"].startswith(("NumericalError: ", "ConvergenceError: "))
         else:
             assert code == 0 and manifest["status"] == "ok", err.getvalue()
+
+
+def test_large_list_weight_runs_to_strict_json(tmp_path):
+    # the closed star form of the generalized inverse meets its identities
+    # at this weight; no second, solved form is compared with it
+    raw = {**edited("determinate_kf", 50), "controller": {"weight": [1e9, -1e9] + [0.0] * 7 + [1.0]}}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(raw))
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 0
+    assert check_artifacts(tmp_path / "out" / raw["name"])["status"] == "ok"
 
 
 def test_non_finite_summary_value_is_named_and_never_written(tmp_path, monkeypatch):

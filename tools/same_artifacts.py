@@ -9,8 +9,9 @@ run every bundled config twice, each run in its own process: at horizon
 with its default outputs.  A kind in ``SETTINGS`` also runs at horizon
 20,000 once with each set of ``controller`` settings listed there, laid
 over its bundled ones: the determinate filter on bases that its bundled
-uniform weight never reaches, and the controllers at gains, a period and
-a phase that the bundled configs never set.  The script prints every
+uniform weight never reaches (a list weight among them), and the
+controllers at gains, a period, a phase and a list weight that the
+bundled configs never set.  The script prints every
 file whose sha256 differs between the two sides (``manifest.json`` is
 compared without its timings and peak RSS) and the worst relative
 difference of each summary float, and exits 1 on any difference.  The
@@ -33,10 +34,19 @@ ROOT = Path(__file__).resolve().parents[1]
 SHORT_HORIZON = 20_000
 # manifest fields that measure the run, not what it computed
 VOLATILE = ("elapsed_s", "peak_rss_mb", "peak_rss_mb_at_start")
+# a ten-clock weight with a negative entry, summing to 1: no named weight reaches it
+LIST_WEIGHT = [0.25, -0.05, 0.1, 0.1, 0.1, 0.1, 0.1, 0.1, 0.1, 0.1]
 # extra short-horizon runs: kind -> {variant suffix: controller settings}
 SETTINGS = {
-    "determinate-kf": {"weight-short": {"weight": "short"}, "weight-last-clock": {"weight": "last-clock"}},
-    "balanced": {"period-150-phase-37": {"period": 150, "phase": 37, "obs_gain_coeffs": [0.2, 1.0]}},
+    "determinate-kf": {
+        "weight-short": {"weight": "short"},
+        "weight-last-clock": {"weight": "last-clock"},
+        "weight-list": {"weight": LIST_WEIGHT},
+    },
+    "balanced": {
+        "period-150-phase-37": {"period": 150, "phase": 37, "obs_gain_coeffs": [0.2, 1.0]},
+        "weight-list": {"weight": LIST_WEIGHT},
+    },
     "steer-to-clock": {"obs-gain-0.05-0.8": {"obs_gain_coeffs": [0.05, 0.8]}},
 }
 
