@@ -6,8 +6,9 @@ states every step, while an intermittent collective input nudges the
 unobservable ensemble mean without disturbing any relative state.
 ``EemPolicy`` runs that loop one measurement at a time inside the
 simulator; ``closed_loop`` runs the same loop on stationary gains as one
-linear recursion over plant and observer together; both check that the
-loops they close contract (``loop_radii``).  The synchronization
+linear recursion over plant and observer together; both refuse gains
+whose loops do not contract (``loop_radii``), and without feedback what
+is left is ``simulate(model, None, ...)``.  The synchronization
 destination is the free-running weighted-mean process, driven by the
 very process noise the loop draws, so that errors are measured against
 the destination the ensemble actually carries.
@@ -75,19 +76,16 @@ class ControllerConfig:
     with it the loop is balanced and kicks the mean at the steps k with
     (k - phase) % m == 0; ``None`` only synchronizes.  The weight, and
     with it the destination, is the one of the :class:`Decomposition`
-    that :func:`closed_loop` and :class:`EemPolicy` take; they check the
-    loops at the model's tau.  Every problem with F_o's shape, K_bo (2
-    numbers), m (an integer >= 1) or phase (an integer) is reported in
-    one :class:`ConfigError`.  ``validate=False`` skips the spectral
-    checks; the destabilized runs used to exercise the instability
-    direction of the synchronization theorem need it.
+    that :func:`closed_loop` and :class:`EemPolicy` take; they refuse
+    gains whose loops do not contract at the model's tau.  Every problem
+    with F_o's shape, K_bo (2 numbers), m (an integer >= 1) or phase (an
+    integer) is reported in one :class:`ConfigError`.
     """
 
     F_o: np.ndarray
     K_bo: Optional[np.ndarray]
     m: int
     phase: int = 0
-    validate: bool = True
 
     def __post_init__(self):
         F_o = np.asarray(self.F_o, dtype=float)
@@ -140,9 +138,9 @@ def loop_radii(cfg: ControllerConfig, A: np.ndarray, B: np.ndarray) -> Dict[str,
 
 
 def _check_contractive(cfg: ControllerConfig, A: np.ndarray, B: np.ndarray) -> None:
-    """Unless ``cfg.validate`` is False, one :class:`ConfigError` naming
-    every loop of :func:`loop_radii` whose radius is not below 1."""
-    rho = loop_radii(cfg, A, B) if cfg.validate else {}
+    """One :class:`ConfigError` naming every loop of :func:`loop_radii`
+    whose radius is not below 1."""
+    rho = loop_radii(cfg, A, B)
     problems = [f"{name} closed loop is not contractive (rho = {r:.6f})" for name, r in rho.items() if r >= 1.0]
     if problems:
         raise ConfigError(problems)
@@ -232,16 +230,16 @@ def closed_loop(
     observer reads the relative phases y - w directly instead of as
     differences of large phases.  The recursion runs in blocks of
     ``BLOCK`` steps, each drawing its own process and measurement noise;
-    after each block its x = Tinv xi, y and commands are formed, and its
+    after each block its x = Tinv xi and commands are formed, and its
     process noise is projected on ``weights`` and dropped.  At the end
     u = Vplus omega_o + 1 omega_obar; a clock whose row of Vplus is zero
     (the steering weight's) gets an input of exactly 0.0.  Agrees with the
-    policy loop up to rounding.
+    policy loop in x, u and the commands up to rounding.
 
-    Returns the record (``h`` is a view of ``x``; ``v`` is ``None``), the
-    command logs (omega_o, omega_obar), as ``EemPolicy.command_log`` gives
-    them, and for each of ``weights`` its destination, shape (T+1, 2):
-    bit for bit ``destination_trajectory(model, q, T, seed)``.
+    Returns the record (``h`` is a view of ``x``; ``y`` and ``v`` are
+    ``None``, as no run reads them), the command logs (omega_o,
+    omega_obar), as ``EemPolicy.command_log`` gives them, and for each
+    of ``weights`` its destination, shape (T+1, 2): bit for bit ``destination_trajectory(model, q, T, seed)``.
     """
     _check_loop(cfg, d)
     if T < 1:
@@ -276,7 +274,6 @@ def closed_loop(
 
     x = np.empty((T + 1, n2))
     x[0] = 0.0
-    y = np.empty((T, N - 1))
     omega_o = np.empty((T, N - 1))
     omega_obar = np.zeros(T)
 
@@ -295,7 +292,6 @@ def closed_loop(
             for prev, nxt, kick in zip(rows[:n], rows[1 : n + 1], kicks[k0:k1].tolist()):
                 nxt += prev @ (M_kick_T if kick else M_T)
             x[k0 + 1 : k1 + 1] = Z[1 : n + 1, n2:] @ d.Tinv.T
-            y[k0:k1] = Z[:n, obs] @ d.Co.T + w
             omega_o[k0:k1] = -(Z[:n, obs_hat] @ cfg.F_o.T)
             at = np.flatnonzero(kicks[k0:k1])
             if at.size:
@@ -306,7 +302,7 @@ def closed_loop(
     dest = _free_run(model.tau, run(), np.empty((T + 1, 2 * len(Q))))
     u = omega_o @ d.Vplus.T
     u += omega_obar[:, None]
-    record = TrajectoryRecord(x=x, y=y, u=u)
+    record = TrajectoryRecord(x=x, y=None, u=u)
     return record, omega_o, omega_obar, [dest[:, j :: len(Q)] for j in range(len(Q))]
 
 

@@ -97,16 +97,16 @@ class TrajectoryRecord:
 
     State series x and h have T+1 entries (k = 0..T); the
     measurement-aligned series y and u have T entries (k = 0..T-1), since
-    step T receives no input.  :func:`simulate` and
-    :func:`eemsync.control.closed_loop` draw their noise one block at a
-    time and keep none, so ``v`` (the process noise) and ``xhat`` (state
-    estimates) are ``None`` from both; the fields stay because
-    ``perfbench/child.py`` reads them.  Treat records as immutable once
-    returned.
+    step T receives no input.  :func:`simulate` records y, which the
+    offline filters read; :func:`eemsync.control.closed_loop` leaves it
+    ``None``.  Both draw their noise one block at a time and keep none,
+    so ``v`` (the process noise) and ``xhat`` (state estimates) are
+    ``None`` from both; the fields stay because ``perfbench/child.py``
+    reads them.  Treat records as immutable once returned.
     """
 
     x: np.ndarray
-    y: np.ndarray
+    y: Optional[np.ndarray]
     u: np.ndarray
     xhat: Optional[np.ndarray] = None
     v: Optional[np.ndarray] = None

@@ -390,13 +390,8 @@ class TestCriterion08:
         sq = np.sum((sync_error(traj.x, dest)[:, :10] @ model.meas.V.T) ** 2, axis=1)
         stats = _trend_statistics(sq)
 
-        cfg0 = ControllerConfig(
-            F_o=np.zeros((9, 18)),
-            K_bo=None,
-            m=1,
-            validate=False,
-        )
-        traj0, *_ = closed_loop(model, cfg0, d, g, T, 808)
+        # F_o = 0 feeds nothing back: the loop is the free run
+        traj0 = simulate(model, None, T, 808)
         sq0 = np.sum((sync_error(traj0.x, dest)[:, :10] @ model.meas.V.T) ** 2, axis=1)
         stats0 = _trend_statistics(sq0)
         mag_ctrl = float(np.mean(sq[T // 2 :]))

@@ -8,6 +8,7 @@ relative coordinate by exactly nothing.
 """
 
 import dataclasses
+import json
 import tracemalloc
 from typing import NamedTuple, Optional
 
@@ -41,7 +42,9 @@ from eemsync import (
     star_measurement,
     sync_error,
     validate_config,
+    weight_long,
 )
+from eemsync.cli import _bundled_dir
 from eemsync.presets import DEMO_MEAS_STD, DEMO_SIGMA1, DEMO_SIGMA2
 from eemsync.simkit import TrajectoryRecord, _free_run
 
@@ -147,9 +150,10 @@ def steer4(model4):
 
 
 def radii(F_o, K_bo=None, m=1, tau=1.0):
-    """loop_radii of an unvalidated config around clocks stepped by tau."""
+    """loop_radii of a config around clocks stepped by tau: building the
+    config checks no loop, so marginal and unstable gains have radii too."""
     clock = discretize(NoiseParams(1.0, 0.0), tau)
-    return loop_radii(ControllerConfig(F_o=F_o, K_bo=K_bo, m=m, validate=False), clock.A, clock.B)
+    return loop_radii(ControllerConfig(F_o=F_o, K_bo=K_bo, m=m), clock.A, clock.B)
 
 
 class TestGainDesign:
@@ -214,7 +218,12 @@ class TestGainDesign:
 class TestControllerConfig:
     def test_holds_gains_and_schedule_only(self):
         # the sampling interval is the model's alone
-        assert [f.name for f in dataclasses.fields(ControllerConfig)] == ["F_o", "K_bo", "m", "phase", "validate"]
+        assert [f.name for f in dataclasses.fields(ControllerConfig)] == ["F_o", "K_bo", "m", "phase"]
+
+    def test_loop_check_cannot_be_bypassed(self):
+        # no config closes a loop unchecked; the F_o = 0 loop is the free run
+        with pytest.raises(TypeError, match="validate"):
+            ControllerConfig(F_o=np.zeros((3, 6)), K_bo=None, m=1, validate=False)
 
     def test_aggregates_all_problems(self):
         with pytest.raises(ConfigError) as excinfo:
@@ -259,17 +268,6 @@ class TestControllerConfig:
         )
         with pytest.raises(ConfigError, match="not contractive"):
             EemPolicy(cfg, d, g)
-
-    def test_validate_false_skips_spectral_checks(self, uniform4):
-        _, d, g = uniform4
-        cfg = ControllerConfig(
-            F_o=np.zeros((3, 6)),
-            K_bo=None,
-            m=1,
-            validate=False,
-        )
-        assert cfg.K_bo is None
-        EemPolicy(cfg, d, g)
 
     def test_unstable_collective_gain_rejected(self, uniform4):
         _, d, g = uniform4
@@ -351,12 +349,6 @@ class TestLoopCheckedAtTheModelTau:
         with pytest.raises(ConfigError) as excinfo:
             RUNNERS[runner](model, cfg, d, g)
         assert excinfo.value.problems == ["collective closed loop is not contractive (rho = 44.000000)"]
-
-    def test_unvalidated_zero_gain_still_runs(self, runner, uniform30):
-        # criterion 8's F_o = 0 loop, which only validate=False admits
-        model, d, g = uniform30
-        cfg = ControllerConfig(F_o=np.zeros((9, 18)), K_bo=None, m=1, validate=False)
-        RUNNERS[runner](model, cfg, d, g)
 
 
 def reference_destination_trajectory(model, q, T, seed):
@@ -510,16 +502,9 @@ class TestClosedLoop:
         assert np.all(traj.u[:, -1] == 0.0)
         assert np.max(np.abs(traj.u[:, :-1])) > 0.0
 
-    def test_sync_feedback_contains_relative_phases(self, model4, uniform4, controlled):
-        q, d, g = uniform4
+    def test_sync_feedback_contains_relative_phases(self, model4, controlled):
         traj, _, _ = controlled
-        cfg_free = ControllerConfig(
-            F_o=np.zeros((3, 6)),
-            K_bo=None,
-            m=1,
-            validate=False,
-        )
-        free = simulate(model4, EemPolicy(cfg_free, d, gains=g), LOOP_T, seed=LOOP_SEED)
+        free = simulate(model4, None, LOOP_T, seed=LOOP_SEED)
         rel_ctrl = np.max(np.abs(model4.meas.V @ traj.h.T))
         rel_free = np.max(np.abs(model4.meas.V @ free.h.T))
         # probed at seed 5: ratio 16.1
@@ -622,7 +607,7 @@ def model10():
 
 def reference_closed_loop(model, cfg, d, gains, T, seed):
     """closed_loop as it was when it drew all of v and w before the
-    recursion: returns the record and the command logs."""
+    recursion: returns the record, without y, and the command logs."""
     N = model.N
     n2 = 2 * N
     obs_hat, obar_hat = slice(0, n2 - 2), slice(n2 - 2, n2)
@@ -653,7 +638,6 @@ def reference_closed_loop(model, cfg, d, gains, T, seed):
     block = 4096
     x = np.empty((T + 1, n2))
     x[0] = 0.0
-    y = np.empty((T, N - 1))
     omega_o = np.empty((T, N - 1))
     omega_obar = np.zeros(T)
     Z = np.empty((min(T, block) + 1, 2 * n2))
@@ -666,7 +650,6 @@ def reference_closed_loop(model, cfg, d, gains, T, seed):
         for prev, nxt, kick in zip(rows[:n], rows[1 : n + 1], kicks[k0 : k0 + n].tolist()):
             nxt += prev @ (M_kick_T if kick else M_T)
         x[k0 + 1 : k0 + n + 1] = Z[1 : n + 1, n2:] @ d.Tinv.T
-        y[k0 : k0 + n] = Z[:n, obs] @ d.Co.T + w[k0 : k0 + n]
         omega_o[k0 : k0 + n] = -(Z[:n, obs_hat] @ cfg.F_o.T)
         at = np.flatnonzero(kicks[k0 : k0 + n])
         if at.size:
@@ -674,7 +657,7 @@ def reference_closed_loop(model, cfg, d, gains, T, seed):
         Z[0] = Z[n]
 
     u = omega_o @ d.Vplus.T + omega_obar[:, None]
-    return TrajectoryRecord(x=x, y=y, u=u), omega_o, omega_obar
+    return TrajectoryRecord(x=x, y=None, u=u), omega_o, omega_obar
 
 
 class TestStreamedClosedLoop:
@@ -703,7 +686,6 @@ class TestStreamedClosedLoop:
         ref, ref_o, ref_obar = reference_closed_loop(model, cfg, d, g, T, seed=T)
         for got, want in (
             (rec.x, ref.x),
-            (rec.y, ref.y),
             (rec.u, ref.u),
             (omega_o, ref_o),
             (omega_obar, ref_obar),
@@ -711,27 +693,28 @@ class TestStreamedClosedLoop:
         ):
             assert got.shape == want.shape
             assert np.array_equal(got, want)
-        assert rec.v is None
+        assert rec.y is None and rec.v is None
 
     def test_peak_memory(self):
-        model = demo_ensemble()
-        N, T = model.N, 20_000
-        q = np.full(N, 1.0 / N)
-        d = decompose(model, q)
+        # the bundled balanced run, with its short and long destinations
+        cfg = validate_config(json.loads((_bundled_dir() / "balanced.json").read_text()))
+        model, T = cfg.model, 20_000
+        d = decompose(model, cfg.weight)
         g = solve_stationary(d, model.meas.R)
-        cfg = ControllerConfig(
-            F_o=default_obs_gain(N, model.tau), K_bo=default_collective_gain(200, model.tau), m=200
-        )
-        closed_loop(model, cfg, d, g, 2, seed=3)
+        weights = [cfg.weight, weight_long(model.sigma2_sq)]
+        closed_loop(model, cfg.controller, d, g, 2, 3, weights)
         tracemalloc.start()
         try:
-            closed_loop(model, cfg, d, g, T, seed=3)
-            peak = tracemalloc.get_traced_memory()[1]
+            result = closed_loop(model, cfg.controller, d, g, T, 3, weights)
+            held, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        # x, y, u and omega_o, and one block of the recursion and its
-        # noise: 3.25 state arrays
-        assert peak <= 3.41 * (T + 1) * 2 * N * 8
+        assert result[0].y is None
+        state_array = (T + 1) * 2 * model.N * 8
+        # x, u, the command logs and the two destinations are held: 2.20
+        # state arrays; one block of the recursion and its noise on top: 3.04
+        assert held <= 2.25 * state_array
+        assert peak <= 3.2 * state_array
 
 
 class TestClosedLoopMatchesPolicy:
@@ -765,13 +748,13 @@ class TestClosedLoopMatchesPolicy:
         for got, want in (
             (rec.x, ref.x),
             (rec.h, ref.h),
-            (rec.y, ref.y),
             (rec.u, ref.u),
             (omega_o, ref_o),
             (omega_obar, ref_obar),
         ):
             assert got.shape == want.shape
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+        assert rec.y is None
         if balanced:
             kicks = np.flatnonzero(omega_obar)
             assert kicks.size > 0 and np.all(kicks % 50 == 37)
@@ -821,13 +804,13 @@ def test_property_closed_loop_matches_policy(n_clocks, seed, period, phase):
     ref_o, ref_obar = policy.command_log()
     for got, want in (
         (rec.x, ref.x),
-        (rec.y, ref.y),
         (rec.u, ref.u),
         (omega_o, ref_o),
         (omega_obar, ref_obar),
     ):
         assert got.shape == want.shape
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+    assert rec.y is None
 
 
 class TestPolicyAndLogs:

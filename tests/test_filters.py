@@ -438,28 +438,25 @@ class TestLeanStepsMatchReference:
             ref = reference_determinate_kf_step(d, model.meas.R, ref, omega, rec.y[k])
             _assert_states_equal(lean, ref)
 
-    @pytest.mark.parametrize("with_inputs", [False, True])
     @pytest.mark.parametrize("basis", ["weight"])  # EemPolicy refuses a general basis
-    def test_stationary_step(self, basis, with_inputs):
+    def test_stationary_step(self, basis):
         # the frozen-gain step is EemPolicy's observer: each call predicts
-        # with the policy's previous command, zero throughout with zero gains
+        # with the policy's previous command
         model = demo_ensemble()
         d = decompose(model, _basis(model, basis))
         g = solve_stationary(d, model.meas.R)
-        n_obs = model.N - 1
-        if with_inputs:
-            gains = {"F_o": default_obs_gain(model.N, model.tau), "K_bo": default_collective_gain(7, model.tau)}
-        else:
-            gains = {"F_o": np.zeros((n_obs, 2 * n_obs)), "K_bo": None}
-        policy = EemPolicy(ControllerConfig(**gains, m=7, phase=3, validate=False), d, g)
+        cfg = ControllerConfig(
+            F_o=default_obs_gain(model.N, model.tau), K_bo=default_collective_gain(7, model.tau), m=7, phase=3
+        )
+        policy = EemPolicy(cfg, d, g)
         rec = simulate(model, None, self.T, seed=45)
         ref = determinate_kf_init(d)
         for k in range(self.T):
-            omega = policy._last_omega if with_inputs and k else None
+            omega = policy._last_omega if k else None
             policy(k, rec.y[k])
             ref = reference_stationary_kf_step(d, g, ref, omega, rec.y[k])
             _assert_states_equal(policy.state, ref)
-        assert np.count_nonzero(policy.command_log()[1]) == (len(range(3, self.T, 7)) if with_inputs else 0)
+        assert np.count_nonzero(policy.command_log()[1]) == len(range(3, self.T, 7))
 
 
 def loop_over_steps(model, y, x=None, d=None, std_step=standard_kf_step, det_step=determinate_kf_step):

@@ -11,11 +11,14 @@ with its default outputs.  A kind in ``SETTINGS`` also runs at horizon
 over its bundled ones: the determinate filter on bases that its bundled
 uniform weight never reaches (a list weight among them), and the
 controllers at gains, a period, a phase and a list weight that the
-bundled configs never set.  The script prints every
-file whose sha256 differs between the two sides (``manifest.json`` is
+bundled configs never set.  Every variant is meant to run, so the
+script prints each one that does not exit 0 on this side, or whose exit
+code differs between the sides.  Of the runs that exit 0 on both sides
+it prints every file whose sha256 differs (``manifest.json`` is
 compared without its timings and peak RSS) and the worst relative
-difference of each summary float, and exits 1 on any difference.  The
-temporary directory is removed on exit.
+difference of each summary float, then the number of runs and files
+really compared.  It exits 1 on any failed run, exit code difference or
+file difference.  The temporary directory is removed on exit.
 """
 
 from __future__ import annotations
@@ -111,10 +114,16 @@ def main() -> int:
             side: run_side(src, tmp / "runs" / side, selectors)
             for side, src in (("parent", tmp / "parent"), ("this", ROOT))
         }
-        differ, compared, worst = [], 0, {}
-        for (variant, name), code in sorted(codes["this"].items()):
-            if codes["parent"].get((variant, name)) != code:
-                differ.append(f"{variant}/{name}: exit {codes['parent'].get((variant, name))} -> {code}")
+        failed, differ, runs_compared, compared, worst = [], [], 0, 0, {}
+        for variant, name in sorted(codes["parent"].keys() | codes["this"].keys()):
+            code = {side: codes[side].get((variant, name)) for side in codes}
+            if code["this"] != 0:
+                failed.append(f"{variant}/{name}: exit {code['this']}")
+            if code["parent"] != code["this"]:
+                differ.append(f"{variant}/{name}: exit {code['parent']} -> {code['this']}")
+            if set(code.values()) != {0}:
+                continue
+            runs_compared += 1
             dirs = [tmp / "runs" / side / variant / name for side in ("parent", "this")]
             files = sorted({p.name for d in dirs if d.is_dir() for p in d.iterdir()})
             for file in files:
@@ -128,14 +137,19 @@ def main() -> int:
                     x, y = old[key], new[key]
                     rel = 0.0 if x == y else abs(x - y) / max(abs(x), abs(y))
                     worst[f"{name}.{key}"] = max(worst.get(f"{name}.{key}", 0.0), rel)
+        for line in failed:
+            print(f"fails: {line}")
         for line in differ:
             print(f"differs: {line}")
         print("worst relative difference of each summary float:")
         for key, rel in sorted(worst.items()):
             print(f"  {key}: {rel:.3g}")
         runs = len(codes["this"])
-        print(f"{runs} runs a side, {compared} files compared, {len(differ)} differ")
-        return 1 if differ else 0
+        print(
+            f"{runs} runs a side, {len(failed)} fail; "
+            f"{runs_compared} runs and {compared} files compared, {len(differ)} differ"
+        )
+        return 1 if failed or differ else 0
     finally:
         shutil.rmtree(tmp, ignore_errors=True)
 
