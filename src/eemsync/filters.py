@@ -3,8 +3,9 @@
 Two recursions share one model: the standard full-state filter (whose
 covariance diverges along the unobservable subspace while its gain still
 converges) and the determinate decomposed filter (which never forms the
-diverging block).  Every step of either forms its gains by one LAPACK
-``posv`` (``_gain_solve``).  ``filter_pass`` runs both over a whole
+diverging block).  One update kernel, ``_kalman_update``, serves both:
+the standard filter is its case with no carried rows.  Every step forms
+its gain by one LAPACK ``posv`` (``_gain_solve``).  ``filter_pass`` runs both over a whole
 measurement series, and takes the reference time-scale error from
 ``eemsync.simkit.reference_timescale``.  ``solve_stationary`` finds the
 decomposed filter's fixed-point gains by a structure-preserving doubling
@@ -138,6 +139,78 @@ def _input_pair(omega_prev: InputPair, n_obs_inputs: int) -> Tuple[np.ndarray, f
     return omega_o, float(omega_obar)
 
 
+def _transposes(*mats: np.ndarray) -> tuple:
+    # constant right factors copied C-contiguous once: a product reads them
+    # faster than a transposed view.  The values are the same when the
+    # factor's entries are 0 and +-1 (star V's bigC, the decomposed Co);
+    # for a dense V, CP @ C.T and CP @ C.T.copy() can differ in the last bit
+    return tuple(m.T.copy() for m in mats)
+
+
+def _blocks(P: np.ndarray) -> tuple:
+    # a stacked (n, n_top) covariance with views of its top block and carried rows
+    return P, P[: P.shape[1]], P[P.shape[1] :]
+
+
+def _buffers(n: int, n_top: int, p: int) -> tuple:
+    """Fresh ``out`` and ``work`` of :func:`_kalman_update` for n states,
+    n_top of them in the top block, and p measurements: the posterior
+    mean's blocks, the stacked posterior and prior covariances with views of
+    their blocks (:func:`_blocks`), and [RHS | S] as one (p, n + p) buffer
+    with views of RHS, of its first block C P_top- and of S, so one
+    :func:`_gain_solve` checks both for finiteness."""
+    BS = np.empty((p, n + p))
+    out = (np.empty(n_top), np.empty(n - n_top), *_blocks(np.empty((n, n_top))), *_blocks(np.empty((n, n_top))))
+    return out, (np.empty((n, n_top)), BS, BS[:, :n], BS[:, :n_top], BS[:, n:], np.empty(p))
+
+
+def _kalman_update(const, P_top, P_bot, xm_top, xm_bot, y, out, work) -> np.ndarray:
+    """One step of either filter on bare arrays; returns the gain [H_top; H_bot].
+
+    The covariance is one stacked block [P_top; P_bot]: a square top block
+    and rows that ``A_bot`` carries alongside.  The standard filter is the
+    case of no carried rows; the determinate filter's blocks are P_oo and
+    P_bo.  ``const`` is :func:`_standard_constants` or
+    :func:`_determinate_constants`; the caller forms the prior means.  Both
+    blocks share A^T and C P_top-, so the product by A^T, the noise, the
+    gain's right-hand side and the update H C P_top- are one call each.
+    Writes into ``out`` (which must not alias the inputs) and ``work``, as
+    :func:`_buffers` lays them out.
+    """
+    A, C, AT, CT, Q, R, A_bot, coupling = const
+    x_top, x_bot, P_new, P_top_new, P_bot_new, Pm, Pm_top, Pm_bot = out
+    W, BS, RHS, CP, S, innov = work
+    # the left products go to the posterior's blocks, free until the update
+    np.matmul(A, P_top, out=P_top_new)
+    if A_bot is not None:
+        np.matmul(A_bot, P_bot, out=P_bot_new)
+    np.matmul(P_new, AT, out=Pm)
+    if coupling is not None:
+        Pm_bot += coupling @ P_top @ AT
+    Pm += Q
+    _sym(Pm_top, Pm_top)
+
+    # C [P_top-; P_bot-]^T, P_top- being exactly symmetric; without carried
+    # rows C P-, whose bits differ from the transposed form's for a dense V
+    np.matmul(C, Pm if A_bot is None else Pm.T, out=RHS)
+    np.matmul(CP, CT, out=S)
+    S += R
+    H = _gain_solve(BS, RHS, S).T
+
+    np.matmul(H, CP, out=W)
+    np.subtract(Pm, W, out=P_new)
+    _sym(P_top_new, P_top_new)
+
+    np.matmul(C, xm_top, out=innov)
+    np.subtract(y, innov, out=innov)
+    np.matmul(H[: len(x_top)], innov, out=x_top)
+    x_top += xm_top
+    if A_bot is not None:
+        np.matmul(H[len(x_top) :], innov, out=x_bot)
+        x_bot += xm_bot
+    return H
+
+
 # ---------------------------------------------------------------------------
 # standard full-state filter
 
@@ -163,54 +236,10 @@ def standard_kf_init(model: EnsembleModel) -> StandardKFState:
     return StandardKFState(xhat=np.zeros(2 * model.N), P=model.bigQ.copy())
 
 
-def _transposes(*mats: np.ndarray) -> tuple:
-    # constant right factors copied C-contiguous once: a product reads them
-    # faster than a transposed view, and gives the same values
-    return tuple(m.T.copy() for m in mats)
-
-
-def _standard_buffers(n: int, p: int) -> tuple:
-    """Fresh ``out`` and ``work`` of :func:`_standard_update` for n = 2N
-    states and p measurements: [C P- | S] is one (p, n + p) buffer, passed
-    with views of its two blocks."""
-    BS = np.empty((p, n + p))
-    out = (np.empty(n), np.empty((n, n)), np.empty(n), np.empty((n, n)))
-    return out, (np.empty((n, n)), BS, BS[:, :n], BS[:, n:], np.empty(p))
-
-
-def _standard_update(model: EnsembleModel, AT, CT, xhat, P, u_prev, y, out, work):
-    """One cycle of the five-line recursion on bare arrays.
-
-    ``AT`` and ``CT`` are ``model.bigA`` and ``model.bigC`` transposed
-    (:func:`_transposes`).  Returns the fields of :class:`StandardKFState`
-    in order, written into the caller's ``out`` (which must not alias
-    ``xhat`` or ``P``) and ``work``, laid out as :func:`_standard_buffers`
-    lays them out; ``u_prev`` is a float array or ``None``, whose zero
-    input product is skipped.  C P- and S share one buffer, so one
-    finiteness check and one LAPACK call (:func:`_gain_solve`) give the
-    gain.
-    """
-    bigA, bigC = model.bigA, model.bigC
-    (xhat_new, P_new, xm, Pm), (W, BS, CP, S, innov) = out, work
-    np.matmul(bigA, xhat, out=xm)
-    if u_prev is not None:
-        xm += model.bigB @ u_prev
-    np.matmul(np.matmul(bigA, P, out=P_new), AT, out=W)
-    W += model.bigQ
-    _sym(W, Pm)
-
-    np.matmul(bigC, Pm, out=CP)
-    np.matmul(CP, CT, out=S)
-    S += model.meas.R
-    H = _gain_solve(BS, CP, S).T
-
-    np.matmul(H, CP, out=W)
-    _sym(np.subtract(Pm, W, out=W), P_new)
-    np.matmul(bigC, xm, out=innov)
-    np.subtract(y, innov, out=innov)
-    np.matmul(H, innov, out=xhat_new)
-    xhat_new += xm
-    return xhat_new, P_new, xm, Pm, H
+def _standard_constants(model: EnsembleModel) -> tuple:
+    """The operands of :func:`_kalman_update` for the standard filter:
+    bigA, bigC, their transposes, bigQ, R and no carried rows."""
+    return (model.bigA, model.bigC, *_transposes(model.bigA, model.bigC), model.bigQ, model.meas.R, None, None)
 
 
 def standard_kf_step(
@@ -219,18 +248,19 @@ def standard_kf_step(
     u_prev: Optional[np.ndarray],
     y: np.ndarray,
 ) -> StandardKFState:
-    """One cycle of the five-line recursion.
+    """One cycle of the five-line recursion, by :func:`_kalman_update`.
 
     ``u_prev`` is the input applied at the previous step (``None`` reads
     as zero); ``y`` is the current relative measurement.  A non-finite
     or indefinite innovation covariance raises :class:`NumericalError`.
     """
+    xm = model.bigA @ state.xhat
     if u_prev is not None:
-        u_prev = np.asarray(u_prev, dtype=float)
-    AT, CT = _transposes(model.bigA, model.bigC)
+        xm += model.bigB @ np.asarray(u_prev, dtype=float)
     y = np.asarray(y, dtype=float)
-    out, work = _standard_buffers(len(AT), len(y))
-    return StandardKFState(*_standard_update(model, AT, CT, state.xhat, state.P, u_prev, y, out, work))
+    out, work = _buffers(len(xm), len(xm), len(y))
+    H = _kalman_update(_standard_constants(model), state.P, None, xm, None, y, out, work)
+    return StandardKFState(xhat=out[0], P=out[2], xhat_minus=xm, P_minus=out[5], H=H)
 
 
 # ---------------------------------------------------------------------------
@@ -294,74 +324,11 @@ def _predict_decomposed(d: Decomposition, xi_o, xi_obar, omega_prev: InputPair, 
 
 
 def _determinate_constants(d: Decomposition, R: np.ndarray) -> tuple:
-    """The operands of :func:`_determinate_update` that no step changes:
-    Ao^T and Co^T (:func:`_transposes`), the stacked [Qo; Qbo] and R."""
-    return (*_transposes(d.Ao, d.Co), np.vstack([d.Qo, d.Qbo]), R)
-
-
-def _blocks(P: np.ndarray) -> tuple:
-    # a stacked (2N, 2(N-1)) covariance [P_oo; P_bo] with views of its blocks
-    return P, P[: P.shape[1]], P[P.shape[1] :]
-
-
-def _determinate_buffers(n_obs: int, p: int) -> tuple:
-    """Fresh ``out`` and ``work`` of :func:`_determinate_update` for
-    n_obs = 2(N-1) and p measurements: each stacked covariance comes with
-    views of its blocks (:func:`_blocks`), and [RHS | S] is one
-    (p, n_obs + 2 + p) buffer, passed with views of RHS, of its first
-    block C P_oo- and of S."""
-    n = n_obs + 2
-    BS = np.empty((p, n + p))
-    out = (
-        np.empty(n_obs), np.empty(2), *_blocks(np.empty((n, n_obs))),
-        np.empty(n_obs), np.empty(2), *_blocks(np.empty((n, n_obs))),
-    )
-    return out, (np.empty((n, n_obs)), BS, BS[:, :n], BS[:, :n_obs], BS[:, n:], np.empty(p))
-
-
-def _determinate_update(d: Decomposition, const, xi_o, xi_obar, P_oo, P_bo, omega_prev, y, out, work):
-    """One cycle of the five-block recursion on bare arrays.
-
-    ``const`` is :func:`_determinate_constants`.  The covariances are
-    formed as one stacked block [P_oo; P_bo]: both blocks share the right
-    factor Ao^T and the gain's C P_oo-, so the product by Ao^T, the noise
-    [Qo; Qbo], the right-hand side Co [P_oo-; P_bo-]^T (P_oo- being
-    exactly symmetric) and the update [H_o; H_bo] C P_oo- are one call
-    each, and only the top block is symmetrized.  Returns the fields of
-    :class:`DeterminateKFState` in order (the covariances as block views),
-    written like :func:`_standard_update`'s into the caller's ``out`` and
-    ``work``, laid out as :func:`_determinate_buffers` lays them out.
-    """
-    AoT, CoT, Q, R = const
-    xi_o_new, xi_obar_new, P_new, P_oo_new, P_bo_new, xo_m, xb_m, Pm, Poo_m, Pbo_m = out
-    W, BS, RHS, CP, S, innov = work
-    _predict_decomposed(d, xi_o, xi_obar, omega_prev, xo_m, xb_m)
-    # the left products go to the posterior's blocks, free until the update
-    np.matmul(d.Ao, P_oo, out=P_oo_new)
-    np.matmul(d.A, P_bo, out=P_bo_new)
-    np.matmul(P_new, AoT, out=Pm)
-    if d.q is None:
-        Pbo_m += d.coupling @ P_oo @ AoT
-    Pm += Q
-    _sym(Poo_m, Poo_m)
-
-    np.matmul(d.Co, Pm.T, out=RHS)
-    np.matmul(CP, CoT, out=S)
-    S += R
-    H = _gain_solve(BS, RHS, S).T
-    H_o, H_bo = H[: len(xi_o)], H[len(xi_o) :]
-
-    np.matmul(H, CP, out=W)
-    np.subtract(Pm, W, out=P_new)
-    _sym(P_oo_new, P_oo_new)
-
-    np.matmul(d.Co, xo_m, out=innov)
-    np.subtract(y, innov, out=innov)
-    np.matmul(H_o, innov, out=xi_o_new)
-    xi_o_new += xo_m
-    np.matmul(H_bo, innov, out=xi_obar_new)
-    xi_obar_new += xb_m
-    return xi_o_new, xi_obar_new, P_oo_new, P_bo_new, xo_m, xb_m, Poo_m, Pbo_m, H_o, H_bo
+    """The operands of :func:`_kalman_update` for the determinate filter:
+    Ao, Co, their transposes, [Qo; Qbo], R, the carried rows' ``d.A``, and
+    the coupling of a general basis (a weight basis's is exactly zero)."""
+    coupling = d.coupling if d.q is None else None
+    return (d.Ao, d.Co, *_transposes(d.Ao, d.Co), np.vstack([d.Qo, d.Qbo]), R, d.A, coupling)
 
 
 def determinate_kf_step(
@@ -371,7 +338,7 @@ def determinate_kf_step(
     omega_prev: InputPair,
     y: np.ndarray,
 ) -> DeterminateKFState:
-    """One cycle of the five-block decomposed recursion.
+    """One cycle of the five-block decomposed recursion, by :func:`_kalman_update`.
 
     ``omega_prev`` is the decomposed input pair (omega_o, omega_obar)
     applied at the previous step, or ``None`` for zero input.  The
@@ -380,12 +347,12 @@ def determinate_kf_step(
     non-finite or indefinite innovation covariance raises
     :class:`NumericalError`.
     """
+    xo_m, xb_m = _predict_decomposed(d, state.xi_o_post, state.xi_obar_post, omega_prev)
     y = np.asarray(y, dtype=float)
-    out, work = _determinate_buffers(len(state.xi_o_post), len(y))
-    xi, P = (state.xi_o_post, state.xi_obar_post), (state.P_oo, state.P_bo)
-    return DeterminateKFState(
-        *_determinate_update(d, _determinate_constants(d, R), *xi, *P, omega_prev, y, out, work)
-    )
+    out, work = _buffers(len(xo_m) + 2, len(xo_m), len(y))
+    H = _kalman_update(_determinate_constants(d, R), state.P_oo, state.P_bo, xo_m, xb_m, y, out, work)
+    x_o, x_b, _, P_oo, P_bo, _, Poo_m, Pbo_m = out
+    return DeterminateKFState(x_o, x_b, P_oo, P_bo, xo_m, xb_m, Poo_m, Pbo_m, H[: len(x_o)], H[len(x_o) :])
 
 
 # ---------------------------------------------------------------------------
@@ -437,9 +404,10 @@ def filter_pass(
 
     The steps are those of :func:`standard_kf_step` (and, with ``d``,
     :func:`determinate_kf_step` from :func:`determinate_kf_init` on
-    ``model.meas.R``), bit for bit, written into buffers allocated once
-    per pass; both filters see zero input.  The posteriors, and the gains
-    and priors that the increments need, are stored for a sub-block of 32
+    ``model.meas.R``), bit for bit: both recursions run through the one
+    kernel :func:`_kalman_update`, into buffers allocated once per pass,
+    and both filters see zero input.  The posteriors, and the gains and
+    priors that the increments need, are stored for a sub-block of 32
     steps, whose rows of every output are then formed together by batched
     products that give the per-step values bit for bit.
     """
@@ -450,25 +418,28 @@ def filter_pass(
     # priors before step 0: no increment); steps index lists of row views
     xs = np.zeros((_SUB + 1, n))  # standard posteriors
     stored, x_rows = [xs], list(xs)
-    P, AT_CT = model.bigQ.copy(), _transposes(model.bigA, model.bigC)
-    (_, P_next, xm, Pm), work = _standard_buffers(n, p)
-    Pm_rows = [Pm] * (_SUB + 1)  # the priors, unless stored
+    std = _standard_constants(model)
+    # the posteriors P of this step and the next, and the prior mean
+    out, work = _buffers(n, n, p)
+    P, xm = [_blocks(model.bigQ.copy()), out[2:5]], np.empty(n)
+    Pm_rows = [out[5:]] * (_SUB + 1)  # the priors, unless stored
     eps = np.empty(T) if x is not None else None
     inc = deviation = det_inc = None
     if increments:
         inc = np.empty((T, 4))
         Hs, Pms = np.full((_SUB + 1, n, p), np.nan), np.full((_SUB + 1, n, n), np.nan)
         stored += [Hs, Pms]
-        Pm_rows = list(Pms)
+        Pm_rows = [_blocks(a) for a in Pms]
     if d is not None:
-        const, TinvT, n_obs = _determinate_constants(d, model.meas.R), d.Tinv.T, n - 2
+        det, TinvT, n_obs = _determinate_constants(d, model.meas.R), d.Tinv.T, n - 2
         zs = np.zeros((_SUB + 1, n))  # determinate posteriors [xi_o | xi_obar]
-        Hos, Hbos = np.full((_SUB + 1, n_obs, p), np.nan), np.full((_SUB + 1, 2, p), np.nan)
-        stored += [zs, Hos, Hbos]
+        Hds = np.full((_SUB + 1, n, p), np.nan)  # determinate gains [H_o; H_bo]
+        stored += [zs, Hds]
         z_rows = [(z[:n_obs], z[n_obs:]) for z in zs]
-        # the stacked posteriors [P_oo; P_bo] of this step and the next
-        det_out, det_work = _determinate_buffers(n_obs, p)
-        det_P, det_prior = [_blocks(const[2].copy()), det_out[2:5]], det_out[5:]
+        # the stacked posteriors [P_oo; P_bo] of this step and the next, the
+        # prior, and the prior means in out's posterior means (zs holds those)
+        det_out, det_work = _buffers(n, n_obs, p)
+        det_P, det_prior, det_m = [_blocks(det[4].copy()), det_out[2:5]], det_out[5:], det_out[:2]
         deviation, det_inc = np.empty(T), np.empty((T, 4))
 
     # a step that meets a non-finite covariance raises NumericalError
@@ -476,16 +447,16 @@ def filter_pass(
         for k0 in range(0, T, _SUB):
             b = min(_SUB, T - k0)
             for j, yk in enumerate(y[k0 : k0 + b], 1):
-                out = (x_rows[j], P_next, xm, Pm_rows[j])
-                H = _standard_update(model, *AT_CT, x_rows[j - 1], P, None, yk, out, work)[4]
-                P, P_next = P_next, P
+                np.matmul(model.bigA, x_rows[j - 1], out=xm)
+                H = _kalman_update(std, P[0][1], None, xm, None, yk, (x_rows[j], None, *P[1], *Pm_rows[j]), work)
+                P.reverse()
                 if inc is not None:
                     Hs[j] = H
                 if d is not None:
+                    _predict_decomposed(d, *z_rows[j - 1], None, *det_m)
                     out = (*z_rows[j], *det_P[1], *det_prior)
-                    out = _determinate_update(d, const, *z_rows[j - 1], *det_P[0][1:], None, yk, out, det_work)
+                    Hds[j] = _kalman_update(det, *det_P[0][1:], *det_m, yk, out, det_work)
                     det_P.reverse()
-                    Hos[j], Hbos[j] = out[8:]
 
             rows, xhat = slice(k0, k0 + b), xs[1 : b + 1]
             if eps is not None:
@@ -494,8 +465,8 @@ def filter_pass(
                 _increments(inc[rows, :2], Hs[: b + 1])
                 _increments(inc[rows, 2:], Pms[: b + 1])
             if d is not None:
-                _increments(det_inc[rows, :2], Hos[: b + 1])
-                _increments(det_inc[rows, 2:], Hbos[: b + 1])
+                _increments(det_inc[rows, :2], Hds[: b + 1, :n_obs])
+                _increments(det_inc[rows, 2:], Hds[: b + 1, n_obs:])
                 # reconstruct_state(xi_o, xi_obar, d) with one gemv per row
                 gap = (zs[1 : b + 1, None] @ TinvT)[:, 0]
                 gap -= xhat

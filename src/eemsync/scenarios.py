@@ -398,15 +398,19 @@ def _max_abs(a: np.ndarray) -> float:
     return abs(float(max(a.max(), -a.min())))
 
 
-def _trend_statistics(series: np.ndarray, n_blocks: int = 50) -> dict:
-    """Slope of the final-half trend, fitted on block means.
+# block means per trend fit (fewer when the final half is shorter)
+_TREND_BLOCKS = 50
+
+
+def _trend_statistics(series: np.ndarray) -> dict:
+    """Slope of the final-half trend, fitted on ``_TREND_BLOCKS`` block means.
 
     Blocking pushes the samples past the loop's correlation time, so the
     ordinary least-squares confidence band is honest.
     """
     arr = np.asarray(series, dtype=float)
     tail = arr[arr.shape[0] // 2 :]
-    n_blocks = min(n_blocks, tail.size)
+    n_blocks = min(_TREND_BLOCKS, tail.size)
     usable = (tail.size // n_blocks) * n_blocks
     blocks = tail[:usable].reshape(n_blocks, -1).mean(axis=1)
     centers = np.arange(n_blocks, dtype=float) * (usable / n_blocks)

@@ -43,7 +43,7 @@ from eemsync import (
 from eemsync import filters
 from eemsync.decomp import Decomposition
 from eemsync.filters import InputPair, StationaryGains, _gain_solve, _sym
-from eemsync.presets import DEMO_MEAS_STD, DEMO_SIGMA1, DEMO_SIGMA2, demo_ensemble
+from eemsync.presets import DEMO_MEAS_STD, DEMO_SIGMA1, DEMO_SIGMA2, demo_ensemble, demo_noise_params
 from eemsync.scenarios import _gains_doc, _write_json
 
 
@@ -405,6 +405,17 @@ def _assert_states_equal(lean, ref) -> None:
             assert np.array_equal(a, b), f.name
 
 
+def _dense_model(n_clocks: int):
+    # a dense V whose rows sum to zero: its bigC has entries other than 0 and
+    # +-1, so products that read an operand in another layout (C P- against
+    # C P-^T, C^T copied against a transposed view) differ in the last bits
+    rng = np.random.default_rng(71)
+    V = rng.standard_normal((n_clocks - 1, n_clocks))
+    V -= V.mean(axis=1, keepdims=True)
+    R = np.diag(np.asarray(DEMO_MEAS_STD[: n_clocks - 1]) ** 2)
+    return build_ensemble(demo_noise_params()[:n_clocks], V, R, 1.0)
+
+
 def _omega(rng, n_clocks: int):
     return 1e-10 * rng.standard_normal(n_clocks - 1), float(1e-10 * rng.standard_normal())
 
@@ -434,6 +445,21 @@ class TestLeanStepsMatchReference:
         lean, ref = determinate_kf_init(d), determinate_kf_init(d)
         for k in range(self.T):
             omega = _omega(rng, model.N) if with_inputs and k else None
+            lean = determinate_kf_step(d, model.meas.R, lean, omega, rec.y[k])
+            ref = reference_determinate_kf_step(d, model.meas.R, ref, omega, rec.y[k])
+            _assert_states_equal(lean, ref)
+
+    @pytest.mark.parametrize("basis", ["weight", "general"])
+    def test_determinate_step_dense_measurement(self, basis):
+        # the decomposed Co has entries 0 and 1 for any V, so the step stays
+        # bit for bit on a dense V too
+        model = _dense_model(10)
+        d = decompose(model, _basis(model, basis))
+        rec = simulate(model, None, self.T, seed=47)
+        rng = np.random.default_rng(48)
+        lean, ref = determinate_kf_init(d), determinate_kf_init(d)
+        for k in range(self.T):
+            omega = _omega(rng, model.N) if k else None
             lean = determinate_kf_step(d, model.meas.R, lean, omega, rec.y[k])
             ref = reference_determinate_kf_step(d, model.meas.R, ref, omega, rec.y[k])
             _assert_states_equal(lean, ref)
@@ -518,6 +544,26 @@ class TestFilterPass:
         assert np.array_equal(run.det_increments, det_inc, equal_nan=True)
         assert run.eps is None and run.increments is None
         assert np.max(run.deviation) < 1e-8
+
+    @pytest.mark.parametrize("increments", [False, True])
+    @pytest.mark.parametrize("basis", [None, "weight", "general"])
+    @pytest.mark.parametrize("n_clocks", [3, 10])
+    def test_dense_measurement_matches_step_loop(self, n_clocks, basis, increments):
+        model = _dense_model(n_clocks)
+        d = None if basis is None else decompose(model, _basis(model, basis))
+        rec = simulate(model, None, 70, seed=73)
+        run = filter_pass(model, rec.y, x=rec.x, d=d, increments=increments)
+        eps, inc, deviation, det_inc = loop_over_steps(model, rec.y, x=rec.x, d=d)
+        assert np.array_equal(run.eps, eps)
+        if increments:
+            assert np.array_equal(run.increments, inc, equal_nan=True)
+        else:
+            assert run.increments is None
+        if d is None:
+            assert run.deviation is None and run.det_increments is None
+        else:
+            assert np.array_equal(run.deviation, deviation)
+            assert np.array_equal(run.det_increments, det_inc, equal_nan=True)
 
 
 def _assert_pass_equal(run, eps, inc, deviation, det_inc) -> None:
