@@ -190,9 +190,8 @@ def _kalman_update(const, P_top, P_bot, xm_top, xm_bot, y, out, work) -> np.ndar
     Pm += Q
     _sym(Pm_top, Pm_top)
 
-    # C [P_top-; P_bot-]^T, P_top- being exactly symmetric; without carried
-    # rows C P-, whose bits differ from the transposed form's for a dense V
-    np.matmul(C, Pm if A_bot is None else Pm.T, out=RHS)
+    # C [P_top-; P_bot-]^T, P_top- being exactly symmetric
+    np.matmul(C, Pm.T, out=RHS)
     np.matmul(CP, CT, out=S)
     S += R
     H = _gain_solve(BS, RHS, S).T

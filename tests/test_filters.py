@@ -407,8 +407,8 @@ def _assert_states_equal(lean, ref) -> None:
 
 def _dense_model(n_clocks: int):
     # a dense V whose rows sum to zero: its bigC has entries other than 0 and
-    # +-1, so products that read an operand in another layout (C P- against
-    # C P-^T, C^T copied against a transposed view) differ in the last bits
+    # +-1, so products that read an operand in another layout (C^T copied
+    # against a transposed view) differ in the last bits
     rng = np.random.default_rng(71)
     V = rng.standard_normal((n_clocks - 1, n_clocks))
     V -= V.mean(axis=1, keepdims=True)
@@ -435,31 +435,22 @@ class TestLeanStepsMatchReference:
             ref = reference_standard_kf_step(model, ref, u_prev, rec.y[k])
             _assert_states_equal(lean, ref)
 
+    # the decomposed Co has entries 0 and 1 for any V, so the step stays bit
+    # for bit on a dense V too
     @pytest.mark.parametrize("with_inputs", [False, True])
-    @pytest.mark.parametrize("basis", ["weight", "general"])
-    def test_determinate_step(self, basis, with_inputs):
-        model = demo_ensemble()
+    @pytest.mark.parametrize(
+        "basis, dense",
+        [("weight", False), ("general", False), ("weight", True), ("general", True)],
+        ids=["weight", "general", "weight-dense", "general-dense"],
+    )
+    def test_determinate_step(self, basis, dense, with_inputs):
+        model = _dense_model(10) if dense else demo_ensemble()
         d = decompose(model, _basis(model, basis))
         rec = simulate(model, None, self.T, seed=43)
         rng = np.random.default_rng(44)
         lean, ref = determinate_kf_init(d), determinate_kf_init(d)
         for k in range(self.T):
             omega = _omega(rng, model.N) if with_inputs and k else None
-            lean = determinate_kf_step(d, model.meas.R, lean, omega, rec.y[k])
-            ref = reference_determinate_kf_step(d, model.meas.R, ref, omega, rec.y[k])
-            _assert_states_equal(lean, ref)
-
-    @pytest.mark.parametrize("basis", ["weight", "general"])
-    def test_determinate_step_dense_measurement(self, basis):
-        # the decomposed Co has entries 0 and 1 for any V, so the step stays
-        # bit for bit on a dense V too
-        model = _dense_model(10)
-        d = decompose(model, _basis(model, basis))
-        rec = simulate(model, None, self.T, seed=47)
-        rng = np.random.default_rng(48)
-        lean, ref = determinate_kf_init(d), determinate_kf_init(d)
-        for k in range(self.T):
-            omega = _omega(rng, model.N) if k else None
             lean = determinate_kf_step(d, model.meas.R, lean, omega, rec.y[k])
             ref = reference_determinate_kf_step(d, model.meas.R, ref, omega, rec.y[k])
             _assert_states_equal(lean, ref)
@@ -545,26 +536,6 @@ class TestFilterPass:
         assert run.eps is None and run.increments is None
         assert np.max(run.deviation) < 1e-8
 
-    @pytest.mark.parametrize("increments", [False, True])
-    @pytest.mark.parametrize("basis", [None, "weight", "general"])
-    @pytest.mark.parametrize("n_clocks", [3, 10])
-    def test_dense_measurement_matches_step_loop(self, n_clocks, basis, increments):
-        model = _dense_model(n_clocks)
-        d = None if basis is None else decompose(model, _basis(model, basis))
-        rec = simulate(model, None, 70, seed=73)
-        run = filter_pass(model, rec.y, x=rec.x, d=d, increments=increments)
-        eps, inc, deviation, det_inc = loop_over_steps(model, rec.y, x=rec.x, d=d)
-        assert np.array_equal(run.eps, eps)
-        if increments:
-            assert np.array_equal(run.increments, inc, equal_nan=True)
-        else:
-            assert run.increments is None
-        if d is None:
-            assert run.deviation is None and run.det_increments is None
-        else:
-            assert np.array_equal(run.deviation, deviation)
-            assert np.array_equal(run.det_increments, det_inc, equal_nan=True)
-
 
 def _assert_pass_equal(run, eps, inc, deviation, det_inc) -> None:
     assert np.array_equal(run.eps, eps)
@@ -581,10 +552,14 @@ class TestFilterPassSubBlocks:
         assert filters._SUB == 32
 
     @pytest.mark.parametrize("T", [1, 2, 31, 32, 33, 4097])
-    @pytest.mark.parametrize("n_clocks", [2, 3, 10])
+    @pytest.mark.parametrize(
+        "n_clocks, dense",
+        [(2, False), (3, False), (10, False), (3, True), (10, True)],
+        ids=["2", "3", "10", "dense-3", "dense-10"],
+    )
     @pytest.mark.parametrize("basis", ["weight", "general"])
-    def test_matches_step_loop(self, basis, n_clocks, T):
-        model = demo_ensemble(n_clocks=n_clocks)
+    def test_matches_step_loop(self, basis, n_clocks, dense, T):
+        model = _dense_model(n_clocks) if dense else demo_ensemble(n_clocks=n_clocks)
         d = decompose(model, _basis(model, basis))
         rec = simulate(model, None, T, seed=57)
         ref = loop_over_steps(model, rec.y, x=rec.x, d=d)
