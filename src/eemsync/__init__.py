@@ -36,7 +36,6 @@ from .decomp import (
     decompose,
     expand_input,
     generalized_inverse,
-    project_state,
     reconstruct_state,
     weight_vector,
 )
@@ -52,8 +51,6 @@ from .filters import (
     solve_stationary,
     standard_kf_init,
     standard_kf_step,
-    unobservable_covariance_from_observable,
-    unobservable_gain_from_observable,
 )
 from .models import (
     DiscreteClockModel,

@@ -10,7 +10,7 @@ parameterized either by an ensemble-mean weight vector q or by a general
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
@@ -21,7 +21,6 @@ __all__ = [
     "Decomposition",
     "generalized_inverse",
     "decompose",
-    "project_state",
     "reconstruct_state",
     "expand_input",
     "weight_vector",
@@ -223,22 +222,9 @@ def decompose(model: EnsembleModel, basis: np.ndarray) -> Decomposition:
     )
 
 
-def project_state(x: np.ndarray, d: Decomposition) -> Tuple[np.ndarray, np.ndarray]:
-    """Split ensemble coordinates into (xi_o, xi_obar).
-
-    Accepts a single state of shape (2N,) or a stacked series with the
-    state on the last axis.
-    """
-    x = np.asarray(x, dtype=float)
-    if x.shape[-1] != 2 * d.N:
-        raise ValueError(f"state must have last dimension {2 * d.N}, got {x.shape}")
-    xi = x @ d.T.T
-    n_obs = 2 * (d.N - 1)
-    return xi[..., :n_obs], xi[..., n_obs:]
-
-
 def reconstruct_state(xi_o: np.ndarray, xi_obar: np.ndarray, d: Decomposition) -> np.ndarray:
-    """Inverse of :func:`project_state`: x = U xi_o + (I2 kron 1) xi_obar."""
+    """Ensemble coordinates x = U xi_o + (I2 kron 1) xi_obar: the inverse of
+    ``x @ d.T.T`` split at 2(N-1) into (xi_o, xi_obar)."""
     xi_o = np.asarray(xi_o, dtype=float)
     xi_obar = np.asarray(xi_obar, dtype=float)
     n_obs = 2 * (d.N - 1)

@@ -11,9 +11,10 @@ measurement series, and takes the reference time-scale error from
 decomposed filter's fixed-point gains by a structure-preserving doubling
 solve in about twenty steps; the stationary filter that runs on them is
 the observer step of ``eemsync.control.closed_loop`` (and of
-``EemPolicy``).  The module also provides the
-weight-transport shortcuts that express the unobservable gain and
-covariance of an arbitrary weight basis through the observable solution.
+``EemPolicy``).  It is the one construction of the unobservable
+stationary gain and covariance H_bo* and P_bo*; the paper's closed forms
+for them, by weight transport of the observable solution, are the
+tests' oracle (``tests/oracles.py``).
 """
 
 from __future__ import annotations
@@ -27,8 +28,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .allan import variance_vector, weight_long
-from .decomp import Decomposition, generalized_inverse
+from .decomp import Decomposition
 from .errors import ConvergenceError, NumericalError
 from .models import EnsembleModel
 from .simkit import reference_timescale
@@ -44,8 +44,6 @@ __all__ = [
     "FilterPass",
     "filter_pass",
     "solve_stationary",
-    "unobservable_gain_from_observable",
-    "unobservable_covariance_from_observable",
 ]
 
 InputPair = Optional[Tuple[np.ndarray, float]]
@@ -516,11 +514,6 @@ def solve_stationary(d: Decomposition, R: np.ndarray) -> StationaryGains:
     R = np.asarray(R, dtype=float)
     R_inv_Co = _spd_solve(R, d.Co, "measurement noise covariance")
 
-    def advance(P_prior: np.ndarray) -> np.ndarray:
-        CP = d.Co @ P_prior
-        H = _spd_solve(CP @ d.Co.T + R, CP).T
-        return _sym(d.Ao @ (P_prior - H @ CP) @ d.Ao.T + d.Qo)
-
     def rel_diff(a: np.ndarray, b: np.ndarray) -> float:
         return float(np.linalg.norm(a - b, "fro") / max(np.linalg.norm(a, "fro"), 1e-300))
 
@@ -566,7 +559,7 @@ def solve_stationary(d: Decomposition, R: np.ndarray) -> StationaryGains:
         P_bo = vec.reshape((2, n_obs), order="F")
         H_bo = _spd_solve(S, d.Co @ P_bo.T).T
 
-        residual_oo = rel_diff(P, advance(P))
+        residual_oo = rel_diff(P, _sym(d.Ao @ (P - H_o @ CP) @ d.Ao.T + d.Qo))
         residual_bo = rel_diff(P_bo, d.A @ P_bo @ Z.T + X)
     # fails closed: a NaN residual (norms that overflow) fails too
     if not (residual_oo <= 1e-10 and residual_bo <= 1e-10):
@@ -586,46 +579,3 @@ def solve_stationary(d: Decomposition, R: np.ndarray) -> StationaryGains:
         iterations=iterations,
         spectral_radius=rho,
     )
-
-
-# ---------------------------------------------------------------------------
-# weight-transport shortcuts for the unobservable part
-
-
-def _transport(d: Decomposition, sigma2_sq: np.ndarray) -> np.ndarray:
-    if d.q is None:
-        raise ValueError("the weight-transport shortcuts require a weight basis")
-    q_inf = weight_long(sigma2_sq)
-    v_inf_plus = generalized_inverse(d.V, q_inf)
-    return np.kron(np.eye(2), (d.q @ v_inf_plus)[None, :])
-
-
-def unobservable_gain_from_observable(
-    d: Decomposition, H_o_star: np.ndarray, sigma2_sq: np.ndarray
-) -> np.ndarray:
-    """Unobservable stationary gain without solving the cross equation.
-
-    H_bo_star = (I2 kron q^T Vinf_plus) H_o_star, where Vinf_plus is the
-    generalized inverse taken at the long-term weight.  Vanishes exactly
-    when q equals that weight.
-    """
-    return _transport(d, sigma2_sq) @ np.asarray(H_o_star, dtype=float)
-
-
-def unobservable_covariance_from_observable(
-    d: Decomposition,
-    P_oo_star: np.ndarray,
-    sigma1_sq: np.ndarray,
-    sigma2_sq: np.ndarray,
-) -> np.ndarray:
-    """Unobservable stationary cross covariance by weight transport.
-
-    Adds the weight-independent offset whose only nonzero block couples
-    the mean phase to the observable frequency coordinates.
-    """
-    base = _transport(d, sigma2_sq) @ np.asarray(P_oo_star, dtype=float)
-    q_inf = weight_long(sigma2_sq)
-    offset = np.zeros_like(base)
-    offset[0, d.N - 1 :] = -((q_inf * variance_vector(sigma1_sq)) @ d.V.T)
-    return base + offset
-

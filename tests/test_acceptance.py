@@ -45,13 +45,9 @@ from eemsync import (
     weight_long,
     weight_short,
 )
-from eemsync.filters import (
-    _gain_solve,
-    _sym,
-    filter_pass,
-    unobservable_gain_from_observable,
-)
+from eemsync.filters import _gain_solve, _sym, filter_pass
 from eemsync.scenarios import _averaged_model, _trend_statistics
+from oracles import unobservable_gain_from_observable
 
 pytestmark = pytest.mark.acceptance
 

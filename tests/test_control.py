@@ -69,9 +69,9 @@ def controller_init(d: Decomposition, x0: Optional[np.ndarray] = None) -> Determ
         xi_o = np.zeros(2 * (d.N - 1))
         xi_obar = np.zeros(2)
     else:
-        from eemsync.decomp import project_state
+        from oracles import project
 
-        xi_o, xi_obar = project_state(np.asarray(x0, dtype=float), d)
+        xi_o, xi_obar = project(np.asarray(x0, dtype=float), d)
     return DeterminateKFState(xi_o_hat=xi_o, xi_obar_hat=xi_obar)
 
 

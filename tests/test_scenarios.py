@@ -803,6 +803,10 @@ def one_entry(name: str, key: str, i: int, value: float) -> list:
     return values
 
 
+# no white FM and sigma2**2 a few subnormal steps above zero, at the
+# bundled ten clocks: every entry of bigQ is subnormal
+SUBNORMAL_Q = {"sigma1": [0.0] * 10, "sigma2": [3.524310776942356e-162] * 10}
+
 # the configs at the edges of the run contract that warnings as errors
 # check, each with the error its partial manifest records: Allan values
 # that overflow (the division by (m tau)**2, the squared differences, and
@@ -845,6 +849,15 @@ CONTRACT_EDGES = {
     "determinate_kf-weight": (
         {**edited("determinate_kf", 50), "controller": {"weight": [3e16, -3e16] + [0.0] * 7 + [1.0]}},
         "NumericalError: generalized inverse failed its defining identities",
+    ),
+    # bigQ subnormal, so the noise factor takes its eigen root (Cholesky
+    # refuses it); the gain increments are then 0/0
+    "standard_kf-subnormal_q": (
+        {
+            **edited("standard_kf", 800, **SUBNORMAL_Q),
+            "outputs": ["summary"],
+        },
+        'NumericalError: not finite, so not strict JSON: "final_gain_rel_increment": NaN',
     ),
 }
 
@@ -921,6 +934,8 @@ def swept_configs(draw) -> dict:
 @example(raw=CONTRACT_EDGES["determinate_kf-meas_std"][0])
 @example(raw=CONTRACT_EDGES["balanced-summary-trend"][0])
 @example(raw=CONTRACT_EDGES["determinate_kf-weight"][0])
+@example(raw=CONTRACT_EDGES["standard_kf-subnormal_q"][0])
+@example(raw=edited("free_run", 800, **SUBNORMAL_Q))
 def test_property_every_config_ends_in_the_run_contract(raw):
     # through the CLI, a config ends in exit 0 (strict JSON, finite CSVs),
     # exit 2 (every problem names a config field) or exit 3 (a failed,

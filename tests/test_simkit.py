@@ -105,6 +105,20 @@ class TestNoiseStatistics:
         emp = v.T @ v / v.shape[0]
         assert np.linalg.norm(emp - model.bigQ) <= 0.05 * np.linalg.norm(model.bigQ)
 
+    def test_subnormal_q_is_factored_by_the_eigen_root(self):
+        # no white FM and sigma2**2 a few subnormal steps above zero: every
+        # entry of bigQ is subnormal and Cholesky refuses it, so the
+        # factor falls back to the eigen root re-triangularized by QR
+        params = [NoiseParams(0.0, 3.524310776942356e-162)] * 2
+        model = build_ensemble(params, star_measurement(2), np.eye(1), 1.0)
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.cholesky(model.bigQ)
+        whole, split = NoiseSampler(model, seed=4), NoiseSampler(model, seed=4)
+        assert np.array_equal(whole.chol_q @ whole.chol_q.T, model.bigQ)
+        want = whole.process_block(300)
+        got = np.concatenate([split.process_block(1), split.process_block(299)])
+        assert np.array_equal(got, want)
+
 
 class TestSimulate:
     def test_free_run_fast_path_matches_stepped_loop(self):
