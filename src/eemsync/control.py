@@ -232,9 +232,9 @@ def closed_loop(
     ``BLOCK`` steps, each drawing its own process and measurement noise;
     after each block its x = Tinv xi and commands are formed, and its
     process noise is projected on ``weights`` and dropped.  At the end
-    u = Vplus omega_o + 1 omega_obar; a clock whose row of Vplus is zero
-    (the steering weight's) gets an input of exactly 0.0.  Agrees with the
-    policy loop in x, u and the commands up to rounding.
+    :func:`expand_input` forms u, as ``EemPolicy`` does; a clock whose row
+    of Vplus is zero (the steering weight's) gets an input of exactly 0.0.
+    Agrees with the policy loop in x, u and the commands up to rounding.
 
     Returns the record (``h`` is a view of ``x``; ``y`` and ``v`` are
     ``None``, as no run reads them), the command logs (omega_o,
@@ -300,9 +300,7 @@ def closed_loop(
             yield _project(v, Q)
 
     dest = _free_run(model.tau, run(), np.empty((T + 1, 2 * len(Q))))
-    u = omega_o @ d.Vplus.T
-    u += omega_obar[:, None]
-    record = TrajectoryRecord(x=x, y=None, u=u)
+    record = TrajectoryRecord(x=x, y=None, u=expand_input(omega_o, omega_obar, d))
     return record, omega_o, omega_obar, [dest[:, j :: len(Q)] for j in range(len(Q))]
 
 

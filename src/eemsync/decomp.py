@@ -236,16 +236,20 @@ def reconstruct_state(xi_o: np.ndarray, xi_obar: np.ndarray, d: Decomposition) -
     return np.concatenate([xi_o, xi_obar], axis=-1) @ d.Tinv.T
 
 
-def expand_input(omega_o: np.ndarray, omega_obar: float, d: Decomposition) -> np.ndarray:
+def expand_input(omega_o: np.ndarray, omega_obar, d: Decomposition) -> np.ndarray:
     """Map decomposed inputs to per-clock inputs: u = Vplus omega_o + 1 omega_obar.
 
-    Only defined for weight bases.  For the steering weight q = e_N the
-    last row of Vplus is exactly zero, so u_N inherits omega_obar
-    bit-for-bit (and is exactly zero whenever omega_obar is).
+    One step, omega_o (N-1,) with a scalar omega_obar, maps to u (N,); rows,
+    omega_o (T, N-1) with omega_obar (T,), to u (T, N).  Only defined for
+    weight bases.  For the steering weight q = e_N the last row of Vplus is
+    exactly zero, so u_N inherits omega_obar bit-for-bit (and is exactly
+    zero whenever omega_obar is).
     """
     if d.Vplus is None:
         raise ValueError("input expansion requires a weight basis, not a general Wbar")
-    omega_o = np.asarray(omega_o, dtype=float)
-    if omega_o.shape != (d.N - 1,):
-        raise ValueError(f"omega_o must have shape ({d.N - 1},), got {omega_o.shape}")
-    return d.Vplus @ omega_o + float(omega_obar)
+    omega_o, omega_obar = np.asarray(omega_o, dtype=float), np.asarray(omega_obar, dtype=float)
+    if omega_o.shape != omega_obar.shape + (d.N - 1,):
+        raise ValueError(f"omega_o must have shape {omega_obar.shape + (d.N - 1,)}, got {omega_o.shape}")
+    u = omega_o @ d.Vplus.T
+    u += omega_obar[..., None]
+    return u

@@ -13,7 +13,6 @@ State ordering is phase-block-first: x = [x11..x1N, x21..x2N].
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -183,7 +182,8 @@ def star_measurement(N: int) -> np.ndarray:
 class EnsembleModel:
     """The full measured ensemble: dynamics, noise, and measurement.
 
-    bigA = A kron I_N, bigB = B kron I_N, bigC = C kron V, with the
+    ``clock`` is the shared single-clock discretization (A, B, C and a unit
+    Q); bigA = A kron I_N, bigB = B kron I_N, bigC = C kron V, with the
     phase-block-first state ordering.  sigma1_sq/sigma2_sq are the member
     clocks' white-FM and random-walk FM variances, one entry per clock;
     bigQ is the exact one-interval covariance of the stacked process noise.
@@ -198,12 +198,7 @@ class EnsembleModel:
     bigA: np.ndarray
     bigB: np.ndarray
     bigC: np.ndarray
-
-    @cached_property
-    def clock(self) -> DiscreteClockModel:
-        """The shared single-clock discretization (A, B, C and a unit Q),
-        computed on first access."""
-        return discretize(NoiseParams(1.0, 0.0), self.tau)
+    clock: DiscreteClockModel
 
 
 def build_ensemble(
@@ -229,7 +224,7 @@ def build_ensemble(
     N = meas.N
     if len(params) != N:
         raise ValueError(f"got {len(params)} NoiseParams for N = {N} clocks")
-    clock = discretize(params[0], tau)  # checks tau
+    clock = discretize(NoiseParams(1.0, 0.0), tau)  # checks tau
     s1 = np.array([p.sigma1 ** 2 for p in params])
     s2 = np.array([p.sigma2 ** 2 for p in params])
     phase, cross, freq = map(np.diag, _interval_covariance(s1, s2, tau))
@@ -250,4 +245,5 @@ def build_ensemble(
         bigA=bigA,
         bigB=bigB,
         bigC=bigC,
+        clock=clock,
     )

@@ -1,8 +1,8 @@
 """Bundled demonstration ensemble: ten commercial cesium clocks.
 
 Noise intensities and pairwise measurement-noise levels measured on a
-ten-clock ensemble; used by the bundled scenario configs and the test
-suite.  All arrays are copies on access, so callers can mutate freely.
+ten-clock ensemble, written as the decimals the bundled scenario configs
+hold, so ``demo_ensemble()`` is every bundled config's model bit for bit.
 """
 
 from __future__ import annotations
@@ -12,19 +12,19 @@ import numpy as np
 from .models import EnsembleModel, NoiseParams, build_ensemble, star_measurement
 
 # white FM intensity per clock, 1/sqrt(s)
-DEMO_SIGMA1 = 1e-9 * np.array(
-    [0.1700, 0.0886, 0.1221, 0.1273, 0.2185, 0.1063, 0.1805, 0.2168, 0.0930, 0.1801]
+DEMO_SIGMA1 = np.array(
+    [1.7e-10, 8.86e-11, 1.221e-10, 1.273e-10, 2.185e-10, 1.063e-10, 1.805e-10, 2.168e-10, 9.3e-11, 1.801e-10]
 )
 
 # random-walk FM intensity per clock, 1/sqrt(s^3)
-DEMO_SIGMA2 = 1e-12 * np.array(
-    [0.1507, 0.0532, 0.0167, 0.0771, 0.2940, 0.0492, 0.0407, 0.0829, 0.0520, 0.0566]
+DEMO_SIGMA2 = np.array(
+    [1.507e-13, 5.32e-14, 1.67e-14, 7.71e-14, 2.94e-13, 4.92e-14, 4.07e-14, 8.29e-14, 5.2e-14, 5.66e-14]
 )
 
 # measurement-noise standard deviation of each difference measurement
 # (clock i vs clock 10, star topology), seconds
-DEMO_MEAS_STD = 1e-14 * np.array(
-    [0.4353, 0.0759, 0.4720, 0.1166, 0.4148, 0.0885, 0.0998, 0.2453, 0.0373]
+DEMO_MEAS_STD = np.array(
+    [4.353e-15, 7.59e-16, 4.72e-15, 1.166e-15, 4.148e-15, 8.85e-16, 9.98e-16, 2.453e-15, 3.73e-16]
 )
 
 # default controller settings for the demonstration scenarios

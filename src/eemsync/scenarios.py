@@ -115,31 +115,29 @@ _SETTINGS = {
 }
 
 
+# every weight name: its construction, and the variance field an optimal
+# weight divides by (a zero or subnormal one there leaves it undefined)
+_WEIGHTS: Dict[str, Tuple[Callable[[EnsembleModel], np.ndarray], Optional[str]]] = {
+    "uniform": (lambda model: np.full(model.N, 1.0 / model.N), None),
+    "short": (lambda model: weight_short(model.sigma1_sq), "sigma1"),
+    "long": (lambda model: weight_long(model.sigma2_sq), "sigma2"),
+    "last-clock": (lambda model: np.eye(model.N)[-1], None),
+}
+
+
 def _resolve_weight(given, model: EnsembleModel, problems: List[str]) -> Optional[np.ndarray]:
     if isinstance(given, str):
-        if given == "uniform":
-            return np.full(model.N, 1.0 / model.N)
-        if given in ("short", "long"):
-            # the optimal weights divide by the white-FM or random-walk
-            # variances, so a zero or subnormal one leaves them undefined
-            field = "sigma1" if given == "short" else "sigma2"
-            try:
-                with np.errstate(over="ignore", invalid="ignore"):
-                    if given == "short":
-                        return weight_short(model.sigma1_sq)
-                    return weight_long(model.sigma2_sq)
-            except ValueError as exc:
-                problems.append(f"model.{field}: no {given}-term weight for these variances ({exc})")
-                return None
-        if given == "last-clock":
-            q = np.zeros(model.N)
-            q[-1] = 1.0
-            return q
-        problems.append(
-            f"controller.weight: unknown name {given!r} "
-            "(use 'uniform', 'short', 'long', 'last-clock', or a list)"
-        )
-        return None
+        if given not in _WEIGHTS:
+            names = ", ".join(map(repr, _WEIGHTS))
+            problems.append(f"controller.weight: unknown name {given!r} (use {names}, or a list)")
+            return None
+        build, field = _WEIGHTS[given]
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                return build(model)
+        except ValueError as exc:
+            problems.append(f"model.{field}: no {given}-term weight for these variances ({exc})")
+            return None
     if not isinstance(given, (list, tuple)) or not all(_is_number(x) for x in given):
         problems.append(f"controller.weight: not a number list: {given!r}")
         return None
@@ -567,7 +565,7 @@ def _run_standard_kf(cfg: ScenarioConfig, art: _Artifacts) -> dict:
     if "allan" in cfg.outputs:
         art.write_allan({"timescale": plot}, "allan")
     if "gains" in cfg.outputs:
-        d = decompose(cfg.model, np.full(cfg.model.N, 1.0 / cfg.model.N))
+        d = decompose(cfg.model, _WEIGHTS["uniform"][0](cfg.model))
         art.write_json("gains.json", _gains_doc(solve_stationary(d, cfg.model.meas.R)))
     _save_trajectory(cfg, art, rec)
     return {
@@ -625,7 +623,7 @@ def _run_controller(cfg: ScenarioConfig, art: _Artifacts) -> dict:
     d = decompose(model, cfg.weight)
     gains = solve_stationary(d, model.meas.R)
     balanced = cfg.controller.K_bo is not None
-    q_inf = weight_long(model.sigma2_sq) if balanced else None
+    q_inf = _WEIGHTS["long"][0](model) if balanced else None
     weights = [cfg.weight, q_inf] if balanced else [cfg.weight]
     rec, omega_o, omega_obar, dests = closed_loop(
         model, cfg.controller, d, gains, cfg.horizon, cfg.seed, weights

@@ -10,7 +10,7 @@ relative coordinate by exactly nothing.
 import dataclasses
 import json
 import tracemalloc
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -63,16 +63,9 @@ class ControllerStep(NamedTuple):
     omega_obar: float
 
 
-def controller_init(d: Decomposition, x0: Optional[np.ndarray] = None) -> DeterminateKFState:
-    """Prior estimates the observer starts from (zero unless given)."""
-    if x0 is None:
-        xi_o = np.zeros(2 * (d.N - 1))
-        xi_obar = np.zeros(2)
-    else:
-        from oracles import project
-
-        xi_o, xi_obar = project(np.asarray(x0, dtype=float), d)
-    return DeterminateKFState(xi_o_hat=xi_o, xi_obar_hat=xi_obar)
+def controller_init(d: Decomposition) -> DeterminateKFState:
+    """Zero prior estimates, which the observer starts from."""
+    return DeterminateKFState(xi_o_hat=np.zeros(2 * (d.N - 1)), xi_obar_hat=np.zeros(2))
 
 
 def eem_controller_step(
@@ -755,6 +748,7 @@ class TestClosedLoopMatchesPolicy:
             assert got.shape == want.shape
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
         assert rec.y is None
+        assert np.array_equal(rec.u, expand_input(omega_o, omega_obar, d))
         if balanced:
             kicks = np.flatnonzero(omega_obar)
             assert kicks.size > 0 and np.all(kicks % 50 == 37)

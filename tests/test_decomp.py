@@ -295,6 +295,24 @@ class TestExpandInput:
         u = expand_input(np.zeros(2), 2.5, d)
         assert np.array_equal(u, [2.5, 2.5, 2.5])
 
+    @pytest.mark.parametrize("shape", [(3,), (50, 3)], ids=["step", "rows"])
+    def test_steering_weight_leaves_its_clock_at_exactly_zero(self, shape):
+        # q = e_N: the last row of Vplus is exact zeros, so with no
+        # collective input u_N is exactly 0.0, one step or every row
+        rng = np.random.default_rng(8)
+        d = decompose(model_for(4), np.eye(4)[-1])
+        omega_o = rng.standard_normal(shape)
+        u = expand_input(omega_o, np.zeros(shape[:-1]), d)
+        assert u.shape == shape[:-1] + (4,)
+        assert np.all(u[..., -1] == 0.0)
+        assert np.any(u[..., :-1] != 0.0)
+
+    @pytest.mark.parametrize("omega_o, omega_obar", [(np.zeros(2), 0.0), (np.zeros((5, 3)), np.zeros(4))])
+    def test_mismatched_shapes_are_refused(self, omega_o, omega_obar):
+        d = decompose(model_for(4), np.full(4, 0.25))
+        with pytest.raises(ValueError, match="omega_o must have shape"):
+            expand_input(omega_o, omega_obar, d)
+
     def test_general_basis_refuses_expansion(self):
         model = model_for(3)
         d = decompose(model, np.random.default_rng(6).standard_normal((2, 6)))

@@ -116,6 +116,12 @@ NON_FINITE_CASES = {
         ),
         "bigQ not finite",
     ),
+    "build-bigQ-first-clock": (
+        lambda: build_ensemble(
+            [NoiseParams(1e150, 0.0)] + [NoiseParams(1e-10, 1e-13)] * 2, star_measurement(3), np.eye(2), 1e10
+        ),
+        "bigQ not finite",
+    ),
     # inf - inf is NaN, so the symmetry test used to let these through
     "R-inf": (lambda: MeasurementStructure(V=star_measurement(3), R=_r_with(np.inf)), "R must be finite"),
     "build-R-nan": (

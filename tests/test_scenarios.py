@@ -31,6 +31,7 @@ from eemsync import (
     build_ensemble,
     closed_loop,
     decompose,
+    demo_ensemble,
     destination_trajectory,
     filter_pass,
     loop_radii,
@@ -115,6 +116,15 @@ class TestValidateConfig:
                 assert cfg.name == path.name[: -len(".json")]
                 kinds.add(cfg.kind)
         assert kinds == set(KINDS)
+
+    @pytest.mark.parametrize("name", _bundled_names())
+    def test_bundled_model_is_the_demo_ensemble(self, name):
+        # presets holds the configs' decimals, so the model of every
+        # acceptance criterion is the one each bundled run builds
+        model, demo = validate_config(bundled_raw(name)).model, demo_ensemble()
+        for field in ("bigQ", "tau", "N"):
+            assert np.array_equal(getattr(model, field), getattr(demo, field)), field
+        assert np.array_equal(model.meas.R, demo.meas.R)
 
     def test_missing_sigma_list_is_named(self):
         raw = raw_config()

@@ -10,15 +10,16 @@ with its default outputs.  A kind in ``SETTINGS`` also runs at horizon
 20,000 once with each set of ``controller`` settings listed there, laid
 over its bundled ones: the determinate filter on bases that its bundled
 uniform weight never reaches (a list weight among them), and the
-controllers at gains, a period, a phase and a list weight that the
-bundled configs never set.  Every variant is meant to run, so the
-script prints each one that does not exit 0 on this side, or whose exit
-code differs between the sides.  Of the runs that exit 0 on both sides
-it prints every file whose sha256 differs (``manifest.json`` is
-compared without its timings and peak RSS) and the worst relative
-difference of each summary float, then the number of runs and files
-really compared.  It exits 1 on any failed run, exit code difference or
-file difference.  The temporary directory is removed on exit.
+controllers at gains, a period, a phase and weights (a list, the
+long-term and the uniform one) that the bundled configs never set.
+Every variant is meant to run, so the script prints each one that does
+not exit 0 on this side, or whose exit code differs between the sides.
+Of the runs that exit 0 on both sides it prints every file whose sha256
+differs (``manifest.json`` is compared without its timings and peak
+RSS) and the worst relative difference of each summary float, then the
+number of runs and files really compared.  It exits 1 on any failed
+run, exit code difference or file difference.  The temporary directory
+is removed on exit.
 """
 
 from __future__ import annotations
@@ -49,6 +50,8 @@ SETTINGS = {
     "balanced": {
         "period-150-phase-37": {"period": 150, "phase": 37, "obs_gain_coeffs": [0.2, 1.0]},
         "weight-list": {"weight": LIST_WEIGHT},
+        "weight-long": {"weight": "long"},
+        "weight-uniform": {"weight": "uniform"},
     },
     "steer-to-clock": {"obs-gain-0.05-0.8": {"obs_gain_coeffs": [0.05, 0.8]}},
 }
