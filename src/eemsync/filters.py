@@ -5,16 +5,24 @@ covariance diverges along the unobservable subspace while its gain still
 converges) and the determinate decomposed filter (which never forms the
 diverging block).  One update kernel, ``_kalman_update``, serves both:
 the standard filter is its case with no carried rows.  Every step forms
-its gain by one LAPACK ``posv`` (``_gain_solve``).  ``filter_pass`` runs both over a whole
-measurement series, and takes the reference time-scale error from
+its gain by one LAPACK ``posv`` (``_gain_solve``).  At ten clocks the
+operands are at most 20 x 20, where numpy's call dispatch costs more
+than the arithmetic, so the kernel reaches numpy through its cheapest
+entry points: ``np.dot`` with a positional ``out`` for every product,
+ufuncs with a positional ``out``, and views and argument tuples built
+once per step function call or per ``filter_pass`` sub-block slot.
+Every product keeps the operands and order it had under ``np.matmul``,
+so the outputs are that kernel's bit for bit (``tests/oracles.py`` keeps
+it).  ``filter_pass`` runs both over a whole measurement series, and
+takes the reference time-scale error from
 ``eemsync.simkit.reference_timescale``.  ``solve_stationary`` finds the
 decomposed filter's fixed-point gains by a structure-preserving doubling
 solve in about twenty steps; the stationary filter that runs on them is
 the observer step of ``eemsync.control.closed_loop`` (and of
 ``EemPolicy``).  It is the one construction of the unobservable
 stationary gain and covariance H_bo* and P_bo*; the paper's closed forms
-for them, by weight transport of the observable solution, are the
-tests' oracle (``tests/oracles.py``).
+for them, by weight transport of the observable solution, are the tests'
+oracle (``tests/oracles.py``).
 """
 
 from __future__ import annotations
@@ -93,8 +101,9 @@ def _gain_solve(BS: np.ndarray, B: np.ndarray, S: np.ndarray) -> np.ndarray:
     """X = S^{-1} B by one LAPACK posv (the ``potrf`` + ``potrs`` of
     ``cho_factor``/``cho_solve``); X^T is the gain.
 
-    ``BS`` holds [B | S], so one finiteness check covers both.  Its
-    failure is named as two separate checks would name it: a non-finite S
+    ``BS`` holds both B and S (the kernel's one flat buffer, of which
+    they are views, or any [B | S]), so one finiteness check covers both.
+    Its failure is named as two separate checks would name it: a non-finite S
     first, then an S that is not positive definite (whatever B holds),
     then a non-finite B.
     """
@@ -145,66 +154,103 @@ def _transposes(*mats: np.ndarray) -> tuple:
     return tuple(m.T.copy() for m in mats)
 
 
-def _blocks(P: np.ndarray) -> tuple:
-    # a stacked (n, n_top) covariance with views of its top block and carried rows
-    return P, P[: P.shape[1]], P[P.shape[1] :]
+# the 0.5 of the symmetrization as a 0-d array, which numpy would otherwise
+# build from the Python float on every multiply
+_HALF = np.array(0.5)
+_HALF.flags.writeable = False
 
 
 def _buffers(n: int, n_top: int, p: int) -> tuple:
     """Fresh ``out`` and ``work`` of :func:`_kalman_update` for n states,
-    n_top of them in the top block, and p measurements: the posterior
-    mean's blocks, the stacked posterior and prior covariances with views of
-    their blocks (:func:`_blocks`), and [RHS | S] as one (p, n + p) buffer
-    with views of RHS, of its first block C P_top- and of S, so one
-    :func:`_gain_solve` checks both for finiteness."""
-    BS = np.empty((p, n + p))
-    out = (np.empty(n_top), np.empty(n - n_top), *_blocks(np.empty((n, n_top))), *_blocks(np.empty((n, n_top))))
-    return out, (np.empty((n, n_top)), BS, BS[:, :n], BS[:, :n_top], BS[:, n:], np.empty(p))
+    n_top of them in the top block, and p measurements.  ``out`` is the
+    posterior mean's two blocks and the stacked (n, n_top) posterior and
+    prior covariances.  ``work`` is W = H C P_top- and its top block; one
+    flat buffer holding the gain's right-hand side RHS (p, n) and S (p, p)
+    as C-contiguous views, so one :func:`_gain_solve` checks both for
+    finiteness; RHS, its first block C P_top- and S; and the innovation."""
+    flat, W = np.empty(p * (n + p)), np.empty((n, n_top))
+    RHS = flat[: p * n].reshape(p, n)
+    work = (W, W[:n_top], flat, RHS, RHS[:, :n_top], flat[p * n :].reshape(p, p), np.empty(p))
+    return (np.empty(n_top), np.empty(n - n_top), np.empty((n, n_top)), np.empty((n, n_top))), work
 
 
-def _kalman_update(const, P_top, P_bot, xm_top, xm_bot, y, out, work) -> np.ndarray:
+def _update_args(P_top, P_bot, xm_top, xm_bot, out, work) -> tuple:
+    """The argument tuple of one :func:`_kalman_update` call, with every
+    view it reads: the posterior blocks and prior means it starts from,
+    and ``out`` and ``work`` as :func:`_buffers` lays them out.  A pass
+    builds one per sub-block slot, once."""
+    x_top, x_bot, P_new, Pm = out
+    n_top = len(x_top)
+    P_top_new, Pm_top = P_new[:n_top], Pm[:n_top]
+    return (
+        P_top, P_bot, xm_top, xm_bot, x_top, x_bot,
+        P_new, P_top_new, P_new[n_top:], P_top_new.T, Pm, Pm_top, Pm[n_top:], Pm.T, Pm_top.T,
+        *work,
+    )
+
+
+def _kalman_update(const, args, y) -> np.ndarray:
     """One step of either filter on bare arrays; returns the gain [H_top; H_bot].
 
     The covariance is one stacked block [P_top; P_bot]: a square top block
     and rows that ``A_bot`` carries alongside.  The standard filter is the
     case of no carried rows; the determinate filter's blocks are P_oo and
     P_bo.  ``const`` is :func:`_standard_constants` or
-    :func:`_determinate_constants`; the caller forms the prior means.  Both
-    blocks share A^T and C P_top-, so the product by A^T, the noise, the
-    gain's right-hand side and the update H C P_top- are one call each.
-    Writes into ``out`` (which must not alias the inputs) and ``work``, as
-    :func:`_buffers` lays them out.
+    :func:`_determinate_constants`, ``args`` is :func:`_update_args`; the
+    caller forms the prior means.  Both blocks share A^T and C P_top-, so
+    the product by A^T, the noise, the gain's right-hand side and the
+    update H C P_top- are one call each.  Writes into ``out`` (which must
+    not alias the inputs) and ``work``.
+
+    numpy is reached through its cheapest entry points, every product with
+    the operands and order it always had: ``np.dot(a, b, out)`` for every
+    product (gemm and gemv into a C-contiguous buffer; a strided operand
+    such as the determinate C P_top- is read in place), ufuncs with a
+    positional ``out`` and the 0-d ``_HALF``, and each symmetrization
+    0.5 (P + P^T) of :func:`_sym` through W's top block, free at both
+    points, so no step allocates a transpose copy.  The outputs equal those
+    of the kernel before these rules (``tests/oracles.py``) bit for bit,
+    checked for star and dense V, N in {2, 3, 10}, tau in {0.7, 1, 3},
+    weight and general bases and passes of 1 to 4097 steps.
     """
     A, C, AT, CT, Q, R, A_bot, coupling = const
-    x_top, x_bot, P_new, P_top_new, P_bot_new, Pm, Pm_top, Pm_bot = out
-    W, BS, RHS, CP, S, innov = work
+    (
+        P_top, P_bot, xm_top, xm_bot, x_top, x_bot,
+        P_new, P_top_new, P_bot_new, P_top_newT, Pm, Pm_top, Pm_bot, PmT, Pm_topT,
+        W, W_top, BS, RHS, CP, S, innov,
+    ) = args
     # the left products go to the posterior's blocks, free until the update
-    np.matmul(A, P_top, out=P_top_new)
+    np.dot(A, P_top, P_top_new)
     if A_bot is not None:
-        np.matmul(A_bot, P_bot, out=P_bot_new)
-    np.matmul(P_new, AT, out=Pm)
+        np.dot(A_bot, P_bot, P_bot_new)
+    np.dot(P_new, AT, Pm)
     if coupling is not None:
-        Pm_bot += coupling @ P_top @ AT
-    Pm += Q
-    _sym(Pm_top, Pm_top)
+        np.add(Pm_bot, coupling @ P_top @ AT, Pm_bot)
+    np.add(Pm, Q, Pm)
+    W_top[...] = Pm_topT
+    np.add(Pm_top, W_top, Pm_top)
+    np.multiply(Pm_top, _HALF, Pm_top)
 
     # C [P_top-; P_bot-]^T, P_top- being exactly symmetric
-    np.matmul(C, Pm.T, out=RHS)
-    np.matmul(CP, CT, out=S)
-    S += R
+    np.dot(C, PmT, RHS)
+    np.dot(CP, CT, S)
+    np.add(S, R, S)
     H = _gain_solve(BS, RHS, S).T
 
-    np.matmul(H, CP, out=W)
-    np.subtract(Pm, W, out=P_new)
-    _sym(P_top_new, P_top_new)
+    np.dot(H, CP, W)
+    np.subtract(Pm, W, P_new)
+    W_top[...] = P_top_newT
+    np.add(P_top_new, W_top, P_top_new)
+    np.multiply(P_top_new, _HALF, P_top_new)
 
-    np.matmul(C, xm_top, out=innov)
-    np.subtract(y, innov, out=innov)
-    np.matmul(H[: len(x_top)], innov, out=x_top)
-    x_top += xm_top
+    np.dot(C, xm_top, innov)
+    np.subtract(y, innov, innov)
+    n_top = len(x_top)
+    np.dot(H[:n_top], innov, x_top)
+    np.add(x_top, xm_top, x_top)
     if A_bot is not None:
-        np.matmul(H[len(x_top) :], innov, out=x_bot)
-        x_bot += xm_bot
+        np.dot(H[n_top:], innov, x_bot)
+        np.add(x_bot, xm_bot, x_bot)
     return H
 
 
@@ -256,8 +302,8 @@ def standard_kf_step(
         xm += model.bigB @ np.asarray(u_prev, dtype=float)
     y = np.asarray(y, dtype=float)
     out, work = _buffers(len(xm), len(xm), len(y))
-    H = _kalman_update(_standard_constants(model), state.P, None, xm, None, y, out, work)
-    return StandardKFState(xhat=out[0], P=out[2], xhat_minus=xm, P_minus=out[5], H=H)
+    H = _kalman_update(_standard_constants(model), _update_args(state.P, None, xm, None, out, work), y)
+    return StandardKFState(xhat=out[0], P=out[2], xhat_minus=xm, P_minus=out[3], H=H)
 
 
 # ---------------------------------------------------------------------------
@@ -347,9 +393,12 @@ def determinate_kf_step(
     xo_m, xb_m = _predict_decomposed(d, state.xi_o_post, state.xi_obar_post, omega_prev)
     y = np.asarray(y, dtype=float)
     out, work = _buffers(len(xo_m) + 2, len(xo_m), len(y))
-    H = _kalman_update(_determinate_constants(d, R), state.P_oo, state.P_bo, xo_m, xb_m, y, out, work)
-    x_o, x_b, _, P_oo, P_bo, _, Poo_m, Pbo_m = out
-    return DeterminateKFState(x_o, x_b, P_oo, P_bo, xo_m, xb_m, Poo_m, Pbo_m, H[: len(x_o)], H[len(x_o) :])
+    args = _update_args(state.P_oo, state.P_bo, xo_m, xb_m, out, work)
+    H = _kalman_update(_determinate_constants(d, R), args, y)
+    (x_o, x_b, P, Pm), n_obs = out, len(xo_m)
+    return DeterminateKFState(
+        x_o, x_b, P[:n_obs], P[n_obs:], xo_m, xb_m, Pm[:n_obs], Pm[n_obs:], H[:n_obs], H[n_obs:]
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -406,37 +455,57 @@ def filter_pass(
     and both filters see zero input.  The posteriors, and the gains and
     priors that the increments need, are stored for a sub-block of 32
     steps, whose rows of every output are then formed together by batched
-    products that give the per-step values bit for bit.
+    products that give the per-step values bit for bit.  A ``y`` not
+    shaped (T, N - 1) with T >= 1, or an ``x`` with fewer than T rows or
+    other than 2N columns, raises ``ValueError`` before the first step.
     """
     y = np.asarray(y, dtype=float)
-    T, N = y.shape[0], model.N
+    N = model.N
     n, p = 2 * N, N - 1
+    if y.ndim != 2 or y.shape[1] != p or len(y) < 1:
+        raise ValueError(f"y must have shape (T, {p}) with T >= 1, got {y.shape}")
+    T = len(y)
+    if x is not None and (np.ndim(x) != 2 or np.shape(x)[0] < T or np.shape(x)[1] != n):
+        raise ValueError(f"x must have shape (T', {n}) with T' >= {T}, got {np.shape(x)}")
     # slot 0 of a store holds the step before the sub-block (NaN gains and
-    # priors before step 0: no increment); steps index lists of row views
+    # priors before step 0: no increment); slot j of a sub-block has its
+    # kernel arguments built once, below
     xs = np.zeros((_SUB + 1, n))  # standard posteriors
     stored, x_rows = [xs], list(xs)
-    std = _standard_constants(model)
-    # the posteriors P of this step and the next, and the prior mean
+    std, A = _standard_constants(model), model.bigA
+    # the posterior covariances alternate between two buffers: step k reads
+    # Ps[k % 2], and sub-blocks start at even steps (_SUB is even), so slot
+    # j reads Ps[(j - 1) % 2] and writes Ps[j % 2]
     out, work = _buffers(n, n, p)
-    P, xm = [_blocks(model.bigQ.copy()), out[2:5]], np.empty(n)
-    Pm_rows = [out[5:]] * (_SUB + 1)  # the priors, unless stored
+    Ps, xm = (model.bigQ.copy(), out[2]), np.empty(n)
+    Pms = [out[3]] * (_SUB + 1)  # the priors, unless stored
     eps = np.empty(T) if x is not None else None
-    inc = deviation = det_inc = None
+    inc = Hs = deviation = det_inc = None
     if increments:
         inc = np.empty((T, 4))
         Hs, Pms = np.full((_SUB + 1, n, p), np.nan), np.full((_SUB + 1, n, n), np.nan)
         stored += [Hs, Pms]
-        Pm_rows = [_blocks(a) for a in Pms]
+    std_args = [None] + [
+        _update_args(Ps[(j - 1) % 2], None, xm, None, (x_rows[j], None, Ps[j % 2], Pms[j]), work)
+        for j in range(1, _SUB + 1)
+    ]
     if d is not None:
         det, TinvT, n_obs = _determinate_constants(d, model.meas.R), d.Tinv.T, n - 2
         zs = np.zeros((_SUB + 1, n))  # determinate posteriors [xi_o | xi_obar]
         Hds = np.full((_SUB + 1, n, p), np.nan)  # determinate gains [H_o; H_bo]
         stored += [zs, Hds]
         z_rows = [(z[:n_obs], z[n_obs:]) for z in zs]
-        # the stacked posteriors [P_oo; P_bo] of this step and the next, the
-        # prior, and the prior means in out's posterior means (zs holds those)
+        # the stacked posteriors [P_oo; P_bo], alternating as Ps do, with
+        # their blocks, the prior, and the prior means in out's posterior
+        # means (zs holds those)
         det_out, det_work = _buffers(n, n_obs, p)
-        det_P, det_prior, det_m = [_blocks(det[4].copy()), det_out[2:5]], det_out[5:], det_out[:2]
+        det_Ps, det_m = (det[4].copy(), det_out[2]), det_out[:2]
+        det_blocks = [(P[:n_obs], P[n_obs:]) for P in det_Ps]
+        det_pred = [None] + [(d, *z_rows[j - 1], None, *det_m) for j in range(1, _SUB + 1)]
+        det_args = [None] + [
+            _update_args(*det_blocks[(j - 1) % 2], *det_m, (*z_rows[j], det_Ps[j % 2], det_out[3]), det_work)
+            for j in range(1, _SUB + 1)
+        ]
         deviation, det_inc = np.empty(T), np.empty((T, 4))
 
     # a step that meets a non-finite covariance raises NumericalError
@@ -444,16 +513,13 @@ def filter_pass(
         for k0 in range(0, T, _SUB):
             b = min(_SUB, T - k0)
             for j, yk in enumerate(y[k0 : k0 + b], 1):
-                np.matmul(model.bigA, x_rows[j - 1], out=xm)
-                H = _kalman_update(std, P[0][1], None, xm, None, yk, (x_rows[j], None, *P[1], *Pm_rows[j]), work)
-                P.reverse()
-                if inc is not None:
+                np.dot(A, x_rows[j - 1], xm)
+                H = _kalman_update(std, std_args[j], yk)
+                if Hs is not None:
                     Hs[j] = H
                 if d is not None:
-                    _predict_decomposed(d, *z_rows[j - 1], None, *det_m)
-                    out = (*z_rows[j], *det_P[1], *det_prior)
-                    Hds[j] = _kalman_update(det, *det_P[0][1:], *det_m, yk, out, det_work)
-                    det_P.reverse()
+                    _predict_decomposed(*det_pred[j])
+                    Hds[j] = _kalman_update(det, det_args[j], yk)
 
             rows, xhat = slice(k0, k0 + b), xs[1 : b + 1]
             if eps is not None:

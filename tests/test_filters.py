@@ -43,7 +43,11 @@ from eemsync.decomp import Decomposition
 from eemsync.filters import InputPair, StationaryGains, _gain_solve, _sym
 from eemsync.presets import DEMO_MEAS_STD, DEMO_SIGMA1, DEMO_SIGMA2, demo_ensemble, demo_noise_params
 from eemsync.scenarios import _gains_doc, _write_json
-from oracles import unobservable_covariance_from_observable, unobservable_gain_from_observable
+from oracles import (
+    reference_filter_pass,
+    unobservable_covariance_from_observable,
+    unobservable_gain_from_observable,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -404,7 +408,7 @@ def _assert_states_equal(lean, ref) -> None:
             assert np.array_equal(a, b), f.name
 
 
-def _dense_model(n_clocks: int):
+def _dense_model(n_clocks: int, tau: float = 1.0):
     # a dense V whose rows sum to zero: its bigC has entries other than 0 and
     # +-1, so products that read an operand in another layout (C^T copied
     # against a transposed view) differ in the last bits
@@ -412,7 +416,13 @@ def _dense_model(n_clocks: int):
     V = rng.standard_normal((n_clocks - 1, n_clocks))
     V -= V.mean(axis=1, keepdims=True)
     R = np.diag(np.asarray(DEMO_MEAS_STD[: n_clocks - 1]) ** 2)
-    return build_ensemble(demo_noise_params()[:n_clocks], V, R, 1.0)
+    return build_ensemble(demo_noise_params()[:n_clocks], V, R, tau)
+
+
+def _model(n_clocks: int, dense: bool, tau: float = 1.0):
+    # the bundled ensemble's first clocks, star or dense V; at tau != 1,
+    # tau * x is rounded, so a product that reorders its terms shows
+    return _dense_model(n_clocks, tau) if dense else demo_ensemble(tau, n_clocks)
 
 
 def _omega(rng, n_clocks: int):
@@ -552,13 +562,14 @@ class TestFilterPassSubBlocks:
 
     @pytest.mark.parametrize("T", [1, 2, 31, 32, 33, 4097])
     @pytest.mark.parametrize(
-        "n_clocks, dense",
-        [(2, False), (3, False), (10, False), (3, True), (10, True)],
-        ids=["2", "3", "10", "dense-3", "dense-10"],
+        "n_clocks, dense, tau",
+        [(2, False, 1.0), (3, False, 1.0), (10, False, 1.0), (3, True, 1.0), (10, True, 1.0),
+         (10, False, 0.7), (10, True, 3.0)],
+        ids=["2", "3", "10", "dense-3", "dense-10", "10-tau-0.7", "dense-10-tau-3"],
     )
     @pytest.mark.parametrize("basis", ["weight", "general"])
-    def test_matches_step_loop(self, basis, n_clocks, dense, T):
-        model = _dense_model(n_clocks) if dense else demo_ensemble(n_clocks=n_clocks)
+    def test_matches_step_loop(self, basis, n_clocks, dense, tau, T):
+        model = _model(n_clocks, dense, tau)
         d = decompose(model, _basis(model, basis))
         rec = simulate(model, None, T, seed=57)
         ref = loop_over_steps(model, rec.y, x=rec.x, d=d)
@@ -640,9 +651,17 @@ class TestFilterPassAgainstReferenceSteps:
     reference steps, bit for bit, at and across the sub-block edges."""
 
     @pytest.mark.parametrize("T", [1, 31, 32, 33, 65])
-    @pytest.mark.parametrize("basis", ["uniform", "short", "last-clock", "general"])
-    def test_determinate_and_eps_only_passes(self, basis, T):
-        model = demo_ensemble()
+    @pytest.mark.parametrize(
+        "basis, tau",
+        [(basis, tau) for tau in (1.0, 0.7, 3.0) for basis in ("uniform", "short", "last-clock", "general")],
+        ids=[
+            basis + ("" if tau == 1.0 else f"-tau-{tau:g}")
+            for tau in (1.0, 0.7, 3.0)
+            for basis in ("uniform", "short", "last-clock", "general")
+        ],
+    )
+    def test_determinate_and_eps_only_passes(self, basis, tau, T):
+        model = demo_ensemble(tau)
         d = decompose(model, _weight_or_basis(model, basis))
         rec = simulate(model, None, T, seed=61)
         eps, _, deviation, det_inc = loop_over_steps(
@@ -655,11 +674,76 @@ class TestFilterPassAgainstReferenceSteps:
         assert np.array_equal(filter_pass(model, rec.y, x=rec.x).eps, eps)
 
 
+class TestFilterPassAgainstParentKernel:
+    """The pass against ``oracles.reference_filter_pass``, the pass as it
+    stood before its kernel went through ``np.dot``, positional ``out``
+    and prebuilt argument tuples: every output bit for bit, with every
+    output requested and, up to two sub-blocks, with the determinate
+    twin's alone (whose steps share one prior buffer)."""
+
+    @pytest.mark.parametrize("T", [1, 2, 31, 32, 33, 4097])
+    @pytest.mark.parametrize("basis", ["weight", "general"])
+    @pytest.mark.parametrize("tau", [0.7, 1.0, 3.0])
+    @pytest.mark.parametrize("dense", [False, True], ids=["star", "dense"])
+    @pytest.mark.parametrize("n_clocks", [2, 3, 10])
+    def test_every_output_is_bit_identical(self, n_clocks, dense, tau, basis, T):
+        model = _model(n_clocks, dense, tau)
+        d = decompose(model, _basis(model, basis))
+        rec = simulate(model, None, T, seed=67)
+        passes = [dict(x=rec.x, d=d, increments=True)]
+        if T <= 2 * filters._SUB:
+            passes.append(dict(d=d))
+        for kwargs in passes:
+            got, want = filter_pass(model, rec.y, **kwargs), reference_filter_pass(model, rec.y, **kwargs)
+            for f in fields(want):
+                a, b = getattr(got, f.name), getattr(want, f.name)
+                if b is None:
+                    assert a is None, f.name
+                else:
+                    assert np.array_equal(a, b, equal_nan=True), f.name
+
+
+class TestFilterPassShapes:
+    """A measurement series or true states of the wrong shape are refused
+    before the first step, with the shape expected."""
+
+    @pytest.mark.parametrize(
+        "shape",
+        [(50,), (50, 1), (50, 10), (0, 9), (50, 9, 1)],
+        ids=["1-d", "one-column", "N-columns", "no-rows", "3-d"],
+    )
+    def test_measurements_of_the_wrong_shape(self, shape):
+        with pytest.raises(ValueError, match=r"^y must have shape \(T, 9\) with T >= 1, got "):
+            filter_pass(demo_ensemble(), np.zeros(shape))
+
+    @pytest.mark.parametrize(
+        "shape", [(49, 20), (50, 19), (50,), (50, 20, 1)], ids=["short", "narrow", "1-d", "3-d"]
+    )
+    def test_states_of_the_wrong_shape(self, shape):
+        with pytest.raises(ValueError, match=r"^x must have shape \(T', 20\) with T' >= 50, got "):
+            filter_pass(demo_ensemble(), np.zeros((50, 9)), x=np.zeros(shape))
+
+    def test_longer_states_are_read_to_t(self):
+        model = demo_ensemble()
+        rec = simulate(model, None, 40, seed=5)
+        run = filter_pass(model, rec.y[:33], x=rec.x)
+        assert np.array_equal(run.eps, filter_pass(model, rec.y[:33], x=rec.x[:33]).eps)
+
+
 def _spd(rng, p: int, cond: float) -> np.ndarray:
     # a random SPD matrix with eigenvalues spread log-uniformly over cond
     Q, _ = np.linalg.qr(rng.standard_normal((p, p)))
     S = (Q * np.logspace(0.0, -np.log10(cond), p)) @ Q.T
     return 0.5 * (S + S.T) * 10.0 ** rng.uniform(-30, 0)
+
+
+def _flat(CP: np.ndarray, S: np.ndarray) -> tuple:
+    # _gain_solve's arguments in the kernel's layout (filters._buffers): the
+    # right-hand side and S as C-contiguous views of one flat buffer
+    p, n = CP.shape
+    _, _, flat, RHS, _, S_view, _ = filters._buffers(n, n, p)[1]
+    RHS[...], S_view[...] = CP, S
+    return flat, RHS, S_view
 
 
 class TestGainSolve:
@@ -676,11 +760,14 @@ class TestGainSolve:
             except NumericalError as exc:
                 with pytest.raises(NumericalError, match=str(exc)):
                     _gain_solve(np.hstack([CP, S]), CP, S)
+                with pytest.raises(NumericalError, match=str(exc)):
+                    _gain_solve(*_flat(CP, S))
                 continue
             assert np.array_equal(_gain_solve(np.hstack([CP, S]), CP, S).T, want)
-            # as the kernels call it, on views of one [CP | S] buffer
+            # on views of one [CP | S] buffer, and as the kernel calls it
             BS = np.hstack([CP, S])
             assert np.array_equal(_gain_solve(BS, BS[:, :n], BS[:, n:]).T, want)
+            assert np.array_equal(_gain_solve(*_flat(CP, S)).T, want)
 
     @pytest.mark.parametrize(
         "S, rhs_entry, message",
@@ -696,8 +783,10 @@ class TestGainSolve:
     def test_error_order(self, S, rhs_entry, message):
         S, CP = np.array(S), np.ones((2, 3))
         CP[1, 2] = rhs_entry
-        with np.errstate(invalid="ignore"), pytest.raises(NumericalError, match=f"^{message}$"):
-            _gain_solve(np.hstack([CP, S]), CP, S)
+        # the tests' 2-D [CP | S] and the kernel's flat buffer
+        for args in ((np.hstack([CP, S]), CP, S), _flat(CP, S)):
+            with np.errstate(invalid="ignore"), pytest.raises(NumericalError, match=f"^{message}$"):
+                _gain_solve(*args)
 
 
 @settings(max_examples=40, deadline=None)

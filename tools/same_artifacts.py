@@ -7,8 +7,10 @@ which leaves the repository itself untouched.  This checkout and REV then
 run every bundled config twice, each run in its own process: at horizon
 20,000 with every output selector of its kind, and at its bundled horizon
 with its default outputs.  A kind in ``SETTINGS`` also runs at horizon
-20,000 once with each set of ``controller`` settings listed there, laid
-over its bundled ones: the determinate filter on bases that its bundled
+20,000 once with each set of ``model`` and ``controller`` settings listed
+there, laid over its bundled ones: the three offline filter kinds at a
+step tau = 0.7 s that no bundled config sets (tau * x is then rounded,
+unlike at tau = 1), the determinate filter on bases that its bundled
 uniform weight never reaches (a list weight among them), and the
 controllers at gains, a period, a phase and weights (a list, the
 long-term and the uniform one) that the bundled configs never set.
@@ -40,20 +42,24 @@ SHORT_HORIZON = 20_000
 VOLATILE = ("elapsed_s", "peak_rss_mb", "peak_rss_mb_at_start")
 # a ten-clock weight with a negative entry, summing to 1: no named weight reaches it
 LIST_WEIGHT = [0.25, -0.05, 0.1, 0.1, 0.1, 0.1, 0.1, 0.1, 0.1, 0.1]
-# extra short-horizon runs: kind -> {variant suffix: controller settings}
+# extra short-horizon runs: kind -> {variant suffix: {config section: settings}}
+TAU = {"model": {"tau": 0.7}}
 SETTINGS = {
+    "standard-kf": {"tau-0.7": TAU},
+    "standard-kf-suboptimal": {"tau-0.7": TAU},
     "determinate-kf": {
-        "weight-short": {"weight": "short"},
-        "weight-last-clock": {"weight": "last-clock"},
-        "weight-list": {"weight": LIST_WEIGHT},
+        "tau-0.7": TAU,
+        "weight-short": {"controller": {"weight": "short"}},
+        "weight-last-clock": {"controller": {"weight": "last-clock"}},
+        "weight-list": {"controller": {"weight": LIST_WEIGHT}},
     },
     "balanced": {
-        "period-150-phase-37": {"period": 150, "phase": 37, "obs_gain_coeffs": [0.2, 1.0]},
-        "weight-list": {"weight": LIST_WEIGHT},
-        "weight-long": {"weight": "long"},
-        "weight-uniform": {"weight": "uniform"},
+        "period-150-phase-37": {"controller": {"period": 150, "phase": 37, "obs_gain_coeffs": [0.2, 1.0]}},
+        "weight-list": {"controller": {"weight": LIST_WEIGHT}},
+        "weight-long": {"controller": {"weight": "long"}},
+        "weight-uniform": {"controller": {"weight": "uniform"}},
     },
-    "steer-to-clock": {"obs-gain-0.05-0.8": {"obs_gain_coeffs": [0.05, 0.8]}},
+    "steer-to-clock": {"obs-gain-0.05-0.8": {"controller": {"obs_gain_coeffs": [0.05, 0.8]}}},
 }
 
 
@@ -71,9 +77,9 @@ def run_side(src: Path, work: Path, selectors: dict) -> dict:
         raw = json.loads(path.read_text())
         short = dict(raw, horizon=SHORT_HORIZON, outputs=list(selectors[raw["kind"]]))
         variants = [(f"horizon-{SHORT_HORIZON}", short), ("bundled", raw)]
-        for suffix, settings in SETTINGS.get(raw["kind"], {}).items():
-            controller = {**raw.get("controller", {}), **settings}
-            variants.append((f"horizon-{SHORT_HORIZON}-{suffix}", dict(short, controller=controller)))
+        for suffix, sections in SETTINGS.get(raw["kind"], {}).items():
+            laid = {key: {**raw.get(key, {}), **settings} for key, settings in sections.items()}
+            variants.append((f"horizon-{SHORT_HORIZON}-{suffix}", {**short, **laid}))
         for variant, cfg in variants:
             cfg_path = work / "configs" / variant / path.name
             cfg_path.parent.mkdir(parents=True, exist_ok=True)
