@@ -29,6 +29,7 @@ __all__ = [
 # tolerance for the structural identities; everything here is at most a
 # few dense factorizations deep
 _IDENTITY_TOL = 1e-10
+_UNIT_ROUNDOFF = np.finfo(float).eps / 2
 
 
 def weight_vector(q, n: Optional[int] = None) -> np.ndarray:
@@ -139,8 +140,14 @@ def decompose(model: EnsembleModel, basis: np.ndarray) -> Decomposition:
     nonsingular, and a kernel that complements the unobservable
     subspace; violations raise ``ValueError`` naming the condition.  A
     basis that meets them but is so ill-conditioned that the transform
-    pair misses T Tinv = I by more than 1e-10 raises ``NumericalError``
-    (a few random Gaussian bases in a thousand do).
+    pair misses T Tinv = I by more than 1e-10, or whose round trip
+    ``reconstruct_state`` after ``x @ T.T`` could miss x by more than
+    1e-10 max|x|, raises ``NumericalError`` (a few random Gaussian bases
+    in a thousand do).  The round trip is bounded by
+    ||Tinv T - I|| + 4 gamma || |Tinv| |T| ||, in the max-row-sum norm and
+    with gamma = 2N u / (1 - 2N u) for the unit roundoff u: the first
+    term is the pair's own error, the second the rounding of the two
+    products (2N terms each) and of Tinv T itself.
     """
     N = model.N
     n_obs = 2 * (N - 1)
@@ -200,6 +207,15 @@ def decompose(model: EnsembleModel, basis: np.ndarray) -> Decomposition:
     if resid > _IDENTITY_TOL:
         raise NumericalError(
             f"transform pair failed T Tinv = I (max residual {resid:.3e})"
+        )
+    gamma = 2 * N * _UNIT_ROUNDOFF / (1 - 2 * N * _UNIT_ROUNDOFF)
+    round_trip = np.linalg.norm(t_inv @ t_fwd - np.eye(2 * N), np.inf) + 4 * gamma * np.linalg.norm(
+        np.abs(t_inv) @ np.abs(t_fwd), np.inf
+    )
+    if not round_trip <= _IDENTITY_TOL:
+        raise NumericalError(
+            f"transform pair cannot keep the round trip Tinv (T x) within "
+            f"{_IDENTITY_TOL:g} of x (bound {round_trip:.3e})"
         )
 
     clock = model.clock

@@ -4,16 +4,27 @@ Two recursions share one model: the standard full-state filter (whose
 covariance diverges along the unobservable subspace while its gain still
 converges) and the determinate decomposed filter (which never forms the
 diverging block).  One update kernel, ``_kalman_update``, serves both:
-the standard filter is its case with no carried rows.  Every step forms
-its gain by one LAPACK ``posv`` (``_gain_solve``).  At ten clocks the
-operands are at most 20 x 20, where numpy's call dispatch costs more
-than the arithmetic, so the kernel reaches numpy through its cheapest
-entry points: ``np.dot`` with a positional ``out`` for every product,
-ufuncs with a positional ``out``, and views and argument tuples built
-once per step function call or per ``filter_pass`` sub-block slot.
-Every product keeps the operands and order it had under ``np.matmul``,
-so the outputs are that kernel's bit for bit (``tests/oracles.py`` keeps
-it).  ``filter_pass`` runs both over a whole measurement series, and
+the standard filter is its case with no carried rows.  It steps a group
+of filters at once, the standard one or the determinate one alone (the
+step functions) or both on the same measurement (``filter_pass``).
+Each quantity of a group lives in one flat buffer, laid out filter after
+filter: the priors, the two alternating posteriors, W = H C P- and Q;
+the gain system [RHS_std | RHS_det | S_std | S_det] and R; the means
+[x | xi_o | xi_obar] and the innovations.  So every elementwise step
+(``+ Q``, the add and the ``* 0.5`` of both symmetrizations, ``+ R``,
+the finiteness check, ``P- - W``, ``y - C x-`` and the mean add) is one
+call for both filters; the products, the transposed copies and LAPACK
+``posv`` (which forms each gain) stay one call per filter.  At ten
+clocks the operands are at most 20 x 20, where numpy's call dispatch
+costs more than the arithmetic, so the kernel reaches numpy through its
+cheapest entry points: ``ndarray.dot`` with a positional ``out`` for
+every product (the routine of ``np.dot`` without its dispatcher), ufuncs
+with a positional ``out``, and views and argument tuples built once per
+step function call or per ``filter_pass`` sub-block slot.  Every product
+keeps the operands and order it had when each filter ran alone through
+``np.matmul``, so the outputs are that kernel's bit for bit
+(``tests/oracles.py`` keeps it; ``tests/test_filters.py`` checks it).
+``filter_pass`` runs both over a whole measurement series, and
 takes the reference time-scale error from
 ``eemsync.simkit.reference_timescale``.  ``solve_stationary`` finds the
 decomposed filter's fixed-point gains by a structure-preserving doubling
@@ -101,11 +112,13 @@ def _gain_solve(BS: np.ndarray, B: np.ndarray, S: np.ndarray) -> np.ndarray:
     """X = S^{-1} B by one LAPACK posv (the ``potrf`` + ``potrs`` of
     ``cho_factor``/``cho_solve``); X^T is the gain.
 
-    ``BS`` holds both B and S (the kernel's one flat buffer, of which
-    they are views, or any [B | S]), so one finiteness check covers both.
-    Its failure is named as two separate checks would name it: a non-finite S
-    first, then an S that is not positive definite (whatever B holds),
-    then a non-finite B.
+    ``BS`` holds both B and S (any [B | S], or a flat buffer of which
+    they are views), so one finiteness check covers both.  Its failure is
+    named as two separate checks would name it: a non-finite S first,
+    then an S that is not positive definite (whatever B holds), then a
+    non-finite B.  :func:`_kalman_update` checks the gain systems of all
+    its filters at once, and names a failure by this function, filter by
+    filter.
     """
     finite = np.count_nonzero(np.isfinite(BS)) == BS.size
     if not finite:
@@ -160,98 +173,162 @@ _HALF = np.array(0.5)
 _HALF.flags.writeable = False
 
 
-def _buffers(n: int, n_top: int, p: int) -> tuple:
-    """Fresh ``out`` and ``work`` of :func:`_kalman_update` for n states,
-    n_top of them in the top block, and p measurements.  ``out`` is the
-    posterior mean's two blocks and the stacked (n, n_top) posterior and
-    prior covariances.  ``work`` is W = H C P_top- and its top block; one
-    flat buffer holding the gain's right-hand side RHS (p, n) and S (p, p)
-    as C-contiguous views, so one :func:`_gain_solve` checks both for
-    finiteness; RHS, its first block C P_top- and S; and the innovation."""
-    flat, W = np.empty(p * (n + p)), np.empty((n, n_top))
-    RHS = flat[: p * n].reshape(p, n)
-    work = (W, W[:n_top], flat, RHS, RHS[:, :n_top], flat[p * n :].reshape(p, p), np.empty(p))
-    return (np.empty(n_top), np.empty(n - n_top), np.empty((n, n_top)), np.empty((n, n_top))), work
+def _group(consts: list) -> tuple:
+    """The filters that one :func:`_kalman_update` call steps together:
+    their constants (:func:`_standard_constants`, then
+    :func:`_determinate_constants`), the shape (n, n_top) of each stacked
+    covariance, and Q and R laid out flat, filter after filter.  Only the
+    last filter may carry rows, so the top blocks of every flat covariance
+    buffer are one contiguous run."""
+    shapes = tuple((len(c[0]) + (0 if c[6] is None else len(c[6])), len(c[0])) for c in consts)
+    Q = np.concatenate([np.ravel(c[4]) for c in consts])
+    R = np.concatenate([np.ravel(c[5]) for c in consts])
+    return tuple(consts), shapes, Q, R
 
 
-def _update_args(P_top, P_bot, xm_top, xm_bot, out, work) -> tuple:
+def _covariances(group: tuple, flat: np.ndarray) -> list:
+    """Each filter's stacked (n, n_top) covariance, as a C-contiguous view
+    of a flat buffer laid out filter after filter."""
+    views, offset = [], 0
+    for n, n_top in group[1]:
+        views.append(flat[offset : offset + n * n_top].reshape(n, n_top))
+        offset += n * n_top
+    return views
+
+
+def _buffers(group: tuple, p: int) -> tuple:
+    """Fresh flat ``out`` and ``work`` of :func:`_kalman_update` for the
+    filters of ``group`` and p measurements.  ``out`` is the posterior
+    means [x | xi_o | xi_obar], and the posterior and the prior
+    covariances, each filter's (n, n_top) block after the last one's.
+    ``work`` is W = H C P_top- laid out the same way; the gain system
+    [RHS_1 | RHS_2 | S_1 | S_2], each filter's right-hand side (p, n) and
+    S (p, p) a C-contiguous view of it; and the innovations (filters, p)."""
+    shapes = group[1]
+    n_sum, cov = sum(n for n, _ in shapes), sum(n * n_top for n, n_top in shapes)
+    out = (np.empty(n_sum), np.empty(cov), np.empty(cov))
+    return out, (np.empty(cov), np.empty(p * (n_sum + len(shapes) * p)), np.empty((len(shapes), p)))
+
+
+def _update_args(group: tuple, P: list, xm: np.ndarray, out: tuple, work: tuple) -> tuple:
     """The argument tuple of one :func:`_kalman_update` call, with every
-    view it reads: the posterior blocks and prior means it starts from,
-    and ``out`` and ``work`` as :func:`_buffers` lays them out.  A pass
-    builds one per sub-block slot, once."""
-    x_top, x_bot, P_new, Pm = out
-    n_top = len(x_top)
-    P_top_new, Pm_top = P_new[:n_top], Pm[:n_top]
+    view it reads.  ``P`` holds each filter's (P_top, P_bot) posterior
+    blocks that the step starts from (P_bot unread for the standard
+    filter), ``xm`` the prior means laid out as the posterior means, and
+    ``out`` and ``work`` are laid out as :func:`_buffers` makes them.  A
+    pass builds one per sub-block slot, once.  The per-filter entries come
+    phase by phase: the left products, the prior's top blocks, the gain
+    system and the means; the shared ones are the flat buffers and their
+    runs of top blocks."""
+    consts, shapes, Q, R = group
+    x, P_new, Pm = out
+    W, BS, innov = work
+    p, n_sum = innov.shape[1], len(x)
+    left, prior_tops, gain, post_tops, means = [], [], [], [], []
+    rhs, s, m, o = 0, p * n_sum, 0, 0
+    for f, (A, C, AT, CT, _, _, A_bot, coupling) in enumerate(consts):
+        (n, t), (P_top, P_bot) = shapes[f], P[f]
+        P_f, Pm_f, W_f = P_new[o : o + n * t].reshape(n, t), Pm[o : o + n * t].reshape(n, t), W[o : o + n * t].reshape(n, t)
+        RHS = BS[rhs : rhs + p * n].reshape(p, n)
+        left.append((A, P_top, P_f[:t], A_bot, P_bot, P_f[t:], P_f, AT, Pm_f, coupling, Pm_f[t:]))
+        prior_tops.append((W_f[:t], Pm_f[:t].T))
+        gain.append((C, Pm_f.T, RHS, RHS[:, :t], CT, BS[s : s + p * p].reshape(p, p), W_f))
+        post_tops.append((W_f[:t], P_f[:t].T))
+        means.append((C, xm[m : m + t], innov[f], t, x[m : m + t], x[m + t : m + n] if A_bot is not None else None))
+        rhs, s, m, o = rhs + p * n, s + p * p, m + n, o + n * t
+    tops = o - (n - t) * t  # every top block: all but the last filter's carried rows
+    S = BS[p * n_sum :]
     return (
-        P_top, P_bot, xm_top, xm_bot, x_top, x_bot,
-        P_new, P_top_new, P_new[n_top:], P_top_new.T, Pm, Pm_top, Pm[n_top:], Pm.T, Pm_top.T,
-        *work,
+        left, prior_tops, gain, post_tops, means,
+        Pm, Q, Pm[:tops], W[:tops], BS, S, R, P_new, W, P_new[:tops], innov, x, xm,
     )
 
 
-def _kalman_update(const, args, y) -> np.ndarray:
-    """One step of either filter on bare arrays; returns the gain [H_top; H_bot].
+def _kalman_update(args: tuple, y: np.ndarray) -> list:
+    """One step of a group of filters (:func:`_group`) on bare arrays;
+    returns each filter's gain [H_top; H_bot].
 
-    The covariance is one stacked block [P_top; P_bot]: a square top block
-    and rows that ``A_bot`` carries alongside.  The standard filter is the
-    case of no carried rows; the determinate filter's blocks are P_oo and
-    P_bo.  ``const`` is :func:`_standard_constants` or
-    :func:`_determinate_constants`, ``args`` is :func:`_update_args`; the
-    caller forms the prior means.  Both blocks share A^T and C P_top-, so
-    the product by A^T, the noise, the gain's right-hand side and the
-    update H C P_top- are one call each.  Writes into ``out`` (which must
-    not alias the inputs) and ``work``.
+    Each covariance is one stacked block [P_top; P_bot]: a square top
+    block and rows that ``A_bot`` carries alongside.  The standard filter
+    is the case of no carried rows; the determinate filter's blocks are
+    P_oo and P_bo.  ``args`` is :func:`_update_args`; the caller forms the
+    prior means.  Within a filter both blocks share A^T and C P_top-, so
+    the product by A^T, the gain's right-hand side and the update
+    H C P_top- are one call each.  Across the filters every quantity
+    lives in one flat buffer, laid out filter after filter (the priors and
+    posteriors, W, Q; the gain system [RHS_1 | RHS_2 | S_1 | S_2] and R;
+    the means [x | xi_o | xi_obar] and the innovations), so each
+    elementwise step is one call for the whole group: ``+ Q``, the add
+    and the ``* 0.5`` of both symmetrizations, ``+ R``, the finiteness
+    check of the gain system, ``P- - W``, ``y - C x-`` (y broadcast over
+    the filters' rows) and the mean add.  The products, the transposed
+    copies of the symmetrizations and ``dposv`` stay one call per
+    filter.  If the shared finiteness check fails, each filter's
+    :func:`_gain_solve` runs in order, so the error is the one that a
+    step of each filter alone would raise.  Writes into ``out`` (which
+    must not alias the inputs) and ``work``.
 
     numpy is reached through its cheapest entry points, every product with
-    the operands and order it always had: ``np.dot(a, b, out)`` for every
+    the operands and order it always had: ``a.dot(b, out)`` for every
     product (gemm and gemv into a C-contiguous buffer; a strided operand
     such as the determinate C P_top- is read in place), ufuncs with a
     positional ``out`` and the 0-d ``_HALF``, and each symmetrization
-    0.5 (P + P^T) of :func:`_sym` through W's top block, free at both
+    0.5 (P + P^T) of :func:`_sym` through W's top blocks, free at both
     points, so no step allocates a transpose copy.  The outputs equal those
-    of the kernel before these rules (``tests/oracles.py``) bit for bit,
-    checked for star and dense V, N in {2, 3, 10}, tau in {0.7, 1, 3},
-    weight and general bases and passes of 1 to 4097 steps.
+    of the kernel that ran each filter on its own buffers through
+    ``np.matmul`` (``tests/oracles.py``) bit for bit, checked for star and
+    dense V, N in {2, 3, 10}, tau in {0.7, 1, 3}, weight and general
+    bases and passes of 1 to 4097 steps.
     """
-    A, C, AT, CT, Q, R, A_bot, coupling = const
     (
-        P_top, P_bot, xm_top, xm_bot, x_top, x_bot,
-        P_new, P_top_new, P_bot_new, P_top_newT, Pm, Pm_top, Pm_bot, PmT, Pm_topT,
-        W, W_top, BS, RHS, CP, S, innov,
+        left, prior_tops, gain, post_tops, means,
+        Pm, Q, Pm_tops, W_tops, BS, S, R, P_new, W, P_new_tops, innov, x, xm,
     ) = args
     # the left products go to the posterior's blocks, free until the update
-    np.dot(A, P_top, P_top_new)
-    if A_bot is not None:
-        np.dot(A_bot, P_bot, P_bot_new)
-    np.dot(P_new, AT, Pm)
-    if coupling is not None:
-        np.add(Pm_bot, coupling @ P_top @ AT, Pm_bot)
+    for A, P_top, P_top_new, A_bot, P_bot, P_bot_new, P_new_f, AT, Pm_f, coupling, Pm_bot in left:
+        A.dot(P_top, P_top_new)
+        if A_bot is not None:
+            A_bot.dot(P_bot, P_bot_new)
+        P_new_f.dot(AT, Pm_f)
+        if coupling is not None:
+            np.add(Pm_bot, coupling @ P_top @ AT, Pm_bot)
     np.add(Pm, Q, Pm)
-    W_top[...] = Pm_topT
-    np.add(Pm_top, W_top, Pm_top)
-    np.multiply(Pm_top, _HALF, Pm_top)
+    for W_top, Pm_topT in prior_tops:
+        W_top[...] = Pm_topT
+    np.add(Pm_tops, W_tops, Pm_tops)
+    np.multiply(Pm_tops, _HALF, Pm_tops)
 
     # C [P_top-; P_bot-]^T, P_top- being exactly symmetric
-    np.dot(C, PmT, RHS)
-    np.dot(CP, CT, S)
+    for C, PmT, RHS, CP, CT, S_f, _ in gain:
+        C.dot(PmT, RHS)
+        CP.dot(CT, S_f)
     np.add(S, R, S)
-    H = _gain_solve(BS, RHS, S).T
-
-    np.dot(H, CP, W)
+    if np.count_nonzero(np.isfinite(BS)) != BS.size:
+        for _, _, RHS, _, _, S_f, _ in gain:
+            _gain_solve(np.hstack([RHS, S_f]), RHS, S_f)
+    Hs, posv = [], lapack_cholesky()
+    for _, _, RHS, CP, _, S_f, W_f in gain:
+        _, X, info = posv(S_f, RHS, 1)
+        if info:
+            raise NumericalError("innovation covariance is not positive definite")
+        H = X.T
+        H.dot(CP, W_f)
+        Hs.append(H)
     np.subtract(Pm, W, P_new)
-    W_top[...] = P_top_newT
-    np.add(P_top_new, W_top, P_top_new)
-    np.multiply(P_top_new, _HALF, P_top_new)
+    for W_top, P_top_newT in post_tops:
+        W_top[...] = P_top_newT
+    np.add(P_new_tops, W_tops, P_new_tops)
+    np.multiply(P_new_tops, _HALF, P_new_tops)
 
-    np.dot(C, xm_top, innov)
+    for C, xm_top, innov_f, _, _, _ in means:
+        C.dot(xm_top, innov_f)
     np.subtract(y, innov, innov)
-    n_top = len(x_top)
-    np.dot(H[:n_top], innov, x_top)
-    np.add(x_top, xm_top, x_top)
-    if A_bot is not None:
-        np.dot(H[n_top:], innov, x_bot)
-        np.add(x_bot, xm_bot, x_bot)
-    return H
+    for H, (_, _, innov_f, n_top, x_top, x_bot) in zip(Hs, means):
+        H[:n_top].dot(innov_f, x_top)
+        if x_bot is not None:
+            H[n_top:].dot(innov_f, x_bot)
+    np.add(x, xm, x)
+    return Hs
 
 
 # ---------------------------------------------------------------------------
@@ -301,9 +378,11 @@ def standard_kf_step(
     if u_prev is not None:
         xm += model.bigB @ np.asarray(u_prev, dtype=float)
     y = np.asarray(y, dtype=float)
-    out, work = _buffers(len(xm), len(xm), len(y))
-    H = _kalman_update(_standard_constants(model), _update_args(state.P, None, xm, None, out, work), y)
-    return StandardKFState(xhat=out[0], P=out[2], xhat_minus=xm, P_minus=out[3], H=H)
+    group = _group([_standard_constants(model)])
+    out, work = _buffers(group, len(y))
+    (H,) = _kalman_update(_update_args(group, [(state.P, None)], xm, out, work), y)
+    (P,), (P_minus,) = _covariances(group, out[1]), _covariances(group, out[2])
+    return StandardKFState(xhat=out[0], P=P, xhat_minus=xm, P_minus=P_minus, H=H)
 
 
 # ---------------------------------------------------------------------------
@@ -390,14 +469,15 @@ def determinate_kf_step(
     non-finite or indefinite innovation covariance raises
     :class:`NumericalError`.
     """
-    xo_m, xb_m = _predict_decomposed(d, state.xi_o_post, state.xi_obar_post, omega_prev)
+    n_obs, xm = 2 * (d.N - 1), np.empty(2 * d.N)
+    xo_m, xb_m = _predict_decomposed(d, state.xi_o_post, state.xi_obar_post, omega_prev, xm[:n_obs], xm[n_obs:])
     y = np.asarray(y, dtype=float)
-    out, work = _buffers(len(xo_m) + 2, len(xo_m), len(y))
-    args = _update_args(state.P_oo, state.P_bo, xo_m, xb_m, out, work)
-    H = _kalman_update(_determinate_constants(d, R), args, y)
-    (x_o, x_b, P, Pm), n_obs = out, len(xo_m)
+    group = _group([_determinate_constants(d, R)])
+    out, work = _buffers(group, len(y))
+    (H,) = _kalman_update(_update_args(group, [(state.P_oo, state.P_bo)], xm, out, work), y)
+    x, (P,), (Pm,) = out[0], _covariances(group, out[1]), _covariances(group, out[2])
     return DeterminateKFState(
-        x_o, x_b, P[:n_obs], P[n_obs:], xo_m, xb_m, Pm[:n_obs], Pm[n_obs:], H[:n_obs], H[n_obs:]
+        x[:n_obs], x[n_obs:], P[:n_obs], P[n_obs:], xo_m, xb_m, Pm[:n_obs], Pm[n_obs:], H[:n_obs], H[n_obs:]
     )
 
 
@@ -450,9 +530,10 @@ def filter_pass(
 
     The steps are those of :func:`standard_kf_step` (and, with ``d``,
     :func:`determinate_kf_step` from :func:`determinate_kf_init` on
-    ``model.meas.R``), bit for bit: both recursions run through the one
-    kernel :func:`_kalman_update`, into buffers allocated once per pass,
-    and both filters see zero input.  The posteriors, and the gains and
+    ``model.meas.R``), bit for bit: each step is one call of the kernel
+    :func:`_kalman_update` for both filters, which shares every
+    elementwise call between them, into flat buffers allocated once per
+    pass, and both filters see zero input.  The posteriors, and the gains and
     priors that the increments need, are stored for a sub-block of 32
     steps, whose rows of every output are then formed together by batched
     products that give the per-step values bit for bit.  A ``y`` not
@@ -469,69 +550,75 @@ def filter_pass(
         raise ValueError(f"x must have shape (T', {n}) with T' >= {T}, got {np.shape(x)}")
     # slot 0 of a store holds the step before the sub-block (NaN gains and
     # priors before step 0: no increment); slot j of a sub-block has its
-    # kernel arguments built once, below
-    xs = np.zeros((_SUB + 1, n))  # standard posteriors
-    stored, x_rows = [xs], list(xs)
-    std, A = _standard_constants(model), model.bigA
-    # the posterior covariances alternate between two buffers: step k reads
-    # Ps[k % 2], and sub-blocks start at even steps (_SUB is even), so slot
-    # j reads Ps[(j - 1) % 2] and writes Ps[j % 2]
-    out, work = _buffers(n, n, p)
-    Ps, xm = (model.bigQ.copy(), out[2]), np.empty(n)
-    Pms = [out[3]] * (_SUB + 1)  # the priors, unless stored
+    # prediction and kernel arguments built once, below
+    consts = [_standard_constants(model)]
+    if d is not None:
+        consts.append(_determinate_constants(d, model.meas.R))
+    group = _group(consts)
+    out, work = _buffers(group, p)
+    # the posterior means [x | xi_o | xi_obar], and the prior means so laid out
+    xs, xm = np.zeros((_SUB + 1, len(out[0]))), np.empty(len(out[0]))
+    stored = [xs]
+    # the flat posterior covariances alternate between two buffers: step k
+    # reads Ps[k % 2], and sub-blocks start at even steps (_SUB is even), so
+    # slot j reads Ps[(j - 1) % 2] and writes Ps[j % 2]; both filters start at Q
+    Ps = (group[2].copy(), out[1])
+    blocks = [[(P[: P.shape[1]], P[P.shape[1] :]) for P in _covariances(group, a)] for a in Ps]
+    Pms = [out[2]] * (_SUB + 1)  # the priors, unless stored
     eps = np.empty(T) if x is not None else None
-    inc = Hs = deviation = det_inc = None
+    inc = Hs = deviation = det_inc = coupled = None
     if increments:
         inc = np.empty((T, 4))
-        Hs, Pms = np.full((_SUB + 1, n, p), np.nan), np.full((_SUB + 1, n, n), np.nan)
+        Hs, Pms = np.full((_SUB + 1, n, p), np.nan), np.full((_SUB + 1, len(out[2])), np.nan)
         stored += [Hs, Pms]
-    std_args = [None] + [
-        _update_args(Ps[(j - 1) % 2], None, xm, None, (x_rows[j], None, Ps[j % 2], Pms[j]), work)
-        for j in range(1, _SUB + 1)
-    ]
+    # x- = A x (and xi_o- = Ao xi_o, xi_obar- = A xi_obar) from the slot before
+    pred = [None] + [[(model.bigA, xs[j - 1, :n], xm[:n])] for j in range(1, _SUB + 1)]
     if d is not None:
-        det, TinvT, n_obs = _determinate_constants(d, model.meas.R), d.Tinv.T, n - 2
-        zs = np.zeros((_SUB + 1, n))  # determinate posteriors [xi_o | xi_obar]
+        TinvT, n_obs = d.Tinv.T, n - 2
         Hds = np.full((_SUB + 1, n, p), np.nan)  # determinate gains [H_o; H_bo]
-        stored += [zs, Hds]
-        z_rows = [(z[:n_obs], z[n_obs:]) for z in zs]
-        # the stacked posteriors [P_oo; P_bo], alternating as Ps do, with
-        # their blocks, the prior, and the prior means in out's posterior
-        # means (zs holds those)
-        det_out, det_work = _buffers(n, n_obs, p)
-        det_Ps, det_m = (det[4].copy(), det_out[2]), det_out[:2]
-        det_blocks = [(P[:n_obs], P[n_obs:]) for P in det_Ps]
-        det_pred = [None] + [(d, *z_rows[j - 1], None, *det_m) for j in range(1, _SUB + 1)]
-        det_args = [None] + [
-            _update_args(*det_blocks[(j - 1) % 2], *det_m, (*z_rows[j], det_Ps[j % 2], det_out[3]), det_work)
-            for j in range(1, _SUB + 1)
-        ]
+        stored.append(Hds)
+        xo_m, xb_m = xm[n : n + n_obs], xm[n + n_obs :]
+        if d.q is None:
+            # xi_obar- = coupling xi_o + A xi_obar for a general basis
+            coupled = (xb_m, np.empty(2), xb_m)
+        for j in range(1, _SUB + 1):
+            xi_o, xi_obar = xs[j - 1, n : n + n_obs], xs[j - 1, n + n_obs :]
+            pred[j].append((d.Ao, xi_o, xo_m))
+            if coupled is None:
+                pred[j].append((d.A, xi_obar, xb_m))
+            else:
+                pred[j] += [(d.coupling, xi_o, xb_m), (d.A, xi_obar, coupled[1])]
         deviation, det_inc = np.empty(T), np.empty((T, 4))
+    args = [None] + [
+        _update_args(group, blocks[(j - 1) % 2], xm, (xs[j], Ps[j % 2], Pms[j]), work) for j in range(1, _SUB + 1)
+    ]
 
     # a step that meets a non-finite covariance raises NumericalError
     with np.errstate(over="ignore", invalid="ignore"):
         for k0 in range(0, T, _SUB):
             b = min(_SUB, T - k0)
             for j, yk in enumerate(y[k0 : k0 + b], 1):
-                np.dot(A, x_rows[j - 1], xm)
-                H = _kalman_update(std, std_args[j], yk)
+                for a, v, o in pred[j]:
+                    a.dot(v, o)
+                if coupled is not None:
+                    np.add(*coupled)
+                H = _kalman_update(args[j], yk)
                 if Hs is not None:
-                    Hs[j] = H
+                    Hs[j] = H[0]
                 if d is not None:
-                    _predict_decomposed(*det_pred[j])
-                    Hds[j] = _kalman_update(det, det_args[j], yk)
+                    Hds[j] = H[1]
 
-            rows, xhat = slice(k0, k0 + b), xs[1 : b + 1]
+            rows, xhat = slice(k0, k0 + b), xs[1 : b + 1, :n]
             if eps is not None:
                 eps[rows] = reference_timescale(x[rows] - xhat, N)
             if inc is not None:
                 _increments(inc[rows, :2], Hs[: b + 1])
-                _increments(inc[rows, 2:], Pms[: b + 1])
+                _increments(inc[rows, 2:], Pms[: b + 1, : n * n].reshape(b + 1, n, n))
             if d is not None:
                 _increments(det_inc[rows, :2], Hds[: b + 1, :n_obs])
                 _increments(det_inc[rows, 2:], Hds[: b + 1, n_obs:])
                 # reconstruct_state(xi_o, xi_obar, d) with one gemv per row
-                gap = (zs[1 : b + 1, None] @ TinvT)[:, 0]
+                gap = (xs[1 : b + 1, None, n:] @ TinvT)[:, 0]
                 gap -= xhat
                 deviation[rows] = _norms(gap) / np.maximum(_norms(xhat), 1e-300)
             for a in stored:
@@ -574,10 +661,13 @@ def solve_stationary(d: Decomposition, R: np.ndarray) -> StationaryGains:
     doublings and a few milliseconds at N = 10; the observable fixed
     point does not depend on the weight.  The cross covariance then
     solves a linear system of dimension 4(N-1) by vectorization.  Both
-    fixed-point residuals are checked before returning.
+    fixed-point residuals are checked before returning.  An R not shaped
+    (N - 1, N - 1) raises ``ValueError``.
     """
     n_obs = 2 * (d.N - 1)
     R = np.asarray(R, dtype=float)
+    if R.shape != (d.N - 1, d.N - 1):
+        raise ValueError(f"R must have shape ({d.N - 1}, {d.N - 1}), got {R.shape}")
     R_inv_Co = _spd_solve(R, d.Co, "measurement noise covariance")
 
     def rel_diff(a: np.ndarray, b: np.ndarray) -> float:

@@ -7,7 +7,8 @@ transform.  The forms here reach the same quantities by another route,
 so a test that agrees with them checks the library, not a copy of it.
 
 It also keeps the offline pass as it stood before its update kernel
-went through ``np.dot`` and prebuilt argument tuples: ``_blocks``,
+went through ``np.dot``, prebuilt argument tuples and flat buffers that
+the two filters share: ``_blocks``,
 ``_buffers``, ``_kalman_update`` and the loop of ``filter_pass``
 (``reference_filter_pass`` here), verbatim, on the library's unchanged
 constants, prediction and reductions.  Every output of the library's

@@ -19,6 +19,7 @@ from eemsync import (
 )
 from eemsync.decomp import weight_vector
 from eemsync.presets import demo_ensemble, demo_noise_params
+from eemsync.scenarios import _WEIGHTS
 from oracles import project
 
 
@@ -399,3 +400,44 @@ def test_property_general_basis_round_trip(n, seed):
     x = rng.standard_normal((3, 2 * n))
     back = reconstruct_state(*project(x, d), d)
     assert np.max(np.abs(back - x)) <= IDENTITY_TOL * np.max(np.abs(x))
+
+
+class TestRoundTripRule:
+    """``decompose`` refuses a basis whose round trip
+    ``reconstruct_state(*project(x, d), d)`` it cannot keep within
+    1e-10 max|x|, and accepts every named weight and criterion 2's bases."""
+
+    def test_refuses_a_drawn_basis_whose_round_trip_missed(self):
+        # drawn by test_property_general_basis_round_trip: max|T Tinv - I| is
+        # 9.8e-11, but max|Tinv T - I| is 1.1e-10 and cond(T) 4.2e6, and the
+        # round trip missed x by 1.39e-10 max|x|
+        rng = np.random.default_rng(297662)
+        wbar = rng.standard_normal((2, 16))
+        with pytest.raises(NumericalError, match=r"^transform pair cannot keep the round trip"):
+            decompose(property_model(8), wbar)
+
+    @staticmethod
+    def _assert_round_trip(model, basis, seed):
+        d = decompose(model, basis)
+        x = np.random.default_rng(seed).standard_normal((5, 2 * model.N))
+        back = reconstruct_state(*project(x, d), d)
+        assert np.max(np.abs(back - x)) <= IDENTITY_TOL * np.max(np.abs(x))
+
+    @pytest.mark.parametrize("n_clocks", [2, 3, 10])
+    @pytest.mark.parametrize("name", sorted(_WEIGHTS))
+    def test_named_weights_pass(self, name, n_clocks):
+        model = demo_ensemble(n_clocks=n_clocks)
+        self._assert_round_trip(model, _WEIGHTS[name][0](model), n_clocks)
+
+    def test_criterion_2_bases_pass(self):
+        # the bases of test_acceptance.TestCriterion02, drawn the same way
+        model = demo_ensemble(n_clocks=3)
+        bases = [np.full(3, 1.0 / 3), np.array([0.5, 0.3, 0.2]), np.array([0.0, 0.0, 1.0])]
+        rng = np.random.default_rng(99)
+        ones_col = np.kron(np.eye(2), np.ones((3, 1)))
+        while len(bases) < 5:
+            Wq, _ = np.linalg.qr(rng.normal(size=(6, 2)))
+            if abs(np.linalg.det(Wq.T @ ones_col)) >= 0.5:
+                bases.append(Wq.T.copy())
+        for seed, basis in enumerate(bases):
+            self._assert_round_trip(model, basis, seed)

@@ -553,6 +553,15 @@ def _assert_pass_equal(run, eps, inc, deviation, det_inc) -> None:
     assert np.array_equal(run.det_increments, det_inc, equal_nan=True)
 
 
+def test_zero_measurements_give_zero_deviation():
+    # with y = 0 both posteriors stay exactly zero: the deviation's floor on
+    # the standard posterior's norm makes every row 0.0, where 0 / 0 is NaN
+    model = demo_ensemble()
+    d = decompose(model, _basis(model, "weight"))
+    run = filter_pass(model, np.zeros((40, model.N - 1)), d=d)
+    assert np.array_equal(run.deviation, np.zeros(40))
+
+
 class TestFilterPassSubBlocks:
     """``filter_pass`` reduces its steps in sub-blocks of ``filters._SUB``;
     every row equals the step loop's at and across their edges."""
@@ -738,10 +747,12 @@ def _spd(rng, p: int, cond: float) -> np.ndarray:
 
 
 def _flat(CP: np.ndarray, S: np.ndarray) -> tuple:
-    # _gain_solve's arguments in the kernel's layout (filters._buffers): the
-    # right-hand side and S as C-contiguous views of one flat buffer
+    # _gain_solve's arguments in the kernel's layout of one filter's gain
+    # system (filters._buffers): the right-hand side and S as C-contiguous
+    # views of one flat buffer
     p, n = CP.shape
-    _, _, flat, RHS, _, S_view, _ = filters._buffers(n, n, p)[1]
+    flat = np.empty(p * (n + p))
+    RHS, S_view = flat[: p * n].reshape(p, n), flat[p * n :].reshape(p, p)
     RHS[...], S_view[...] = CP, S
     return flat, RHS, S_view
 
@@ -1069,6 +1080,25 @@ class TestStationary:
         d = decompose(model, np.full(3, 1 / 3))
         with pytest.raises(NumericalError, match=f"measurement noise covariance is {message}"):
             solve_stationary(d, np.array(R))
+
+    @pytest.mark.parametrize("R", [np.full(9, 1e-30), 1e-30, np.eye(2) * 1e-30], ids=["vector", "scalar", "2x2"])
+    def test_noise_of_the_wrong_shape_is_refused(self, R):
+        # a vector or scalar R was refused as "not positive definite", and a
+        # (2, 2) one at ten clocks with numpy's gufunc message
+        model = demo_ensemble()
+        d = decompose(model, np.full(10, 0.1))
+        with pytest.raises(ValueError, match=r"^R must have shape \(9, 9\), got "):
+            solve_stationary(d, R)
+
+    def test_residual_bound_refuses_a_loose_solve(self, monkeypatch):
+        # stopped at a relative increment of 1e-5, the doubling leaves the
+        # bundled balanced decomposition's observable residual at 6.06e-7:
+        # above the 1e-10 bound, though within 1e-6
+        monkeypatch.setattr(filters, "_STATIONARY_TOL", 1e-5)
+        model = demo_ensemble()
+        d = decompose(model, weight_short(model.sigma1_sq))
+        with pytest.raises(ConvergenceError, match=r"residual check \(observable 6\.063e-07, cross "):
+            solve_stationary(d, model.meas.R)
 
     def test_frozen_gain_filter_matches_determinate_at_fixed_point(self):
         model = demo_ensemble(n_clocks=3)

@@ -34,6 +34,7 @@ from eemsync import (
     demo_ensemble,
     destination_trajectory,
     filter_pass,
+    generalized_inverse,
     loop_radii,
     run_scenario,
     simulate,
@@ -975,13 +976,20 @@ def test_property_every_config_ends_in_the_run_contract(raw):
 
 def test_large_list_weight_runs_to_strict_json(tmp_path):
     # the closed star form of the generalized inverse meets its identities
-    # at this weight; no second, solved form is compared with it
-    raw = {**edited("determinate_kf", 50), "controller": {"weight": [1e9, -1e9] + [0.0] * 7 + [1.0]}}
+    # at this weight; no second, solved form is compared with it.  But the
+    # transform pair cannot keep its round trip within 1e-10 (the bound is
+    # 5.3e-5; a run let through reported a Lemma-1 deviation of 1.8e-6), so
+    # decompose refuses it and the run ends in a strict partial manifest
+    weight = [1e9, -1e9] + [0.0] * 7 + [1.0]
+    generalized_inverse(star_measurement(10), np.array(weight))
+    raw = {**edited("determinate_kf", 50), "controller": {"weight": weight}}
     path = tmp_path / "config.json"
     path.write_text(json.dumps(raw))
-    with contextlib.redirect_stdout(io.StringIO()):
-        assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 0
-    assert check_artifacts(tmp_path / "out" / raw["name"])["status"] == "ok"
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 3
+    manifest = check_artifacts(tmp_path / "out" / raw["name"])
+    assert manifest["status"] == "failed"
+    assert manifest["error"].startswith("NumericalError: transform pair cannot keep the round trip")
 
 
 def test_non_finite_summary_value_is_named_and_never_written(tmp_path, monkeypatch):

@@ -10,8 +10,11 @@ with its default outputs.  A kind in ``SETTINGS`` also runs at horizon
 20,000 once with each set of ``model`` and ``controller`` settings listed
 there, laid over its bundled ones: the three offline filter kinds at a
 step tau = 0.7 s that no bundled config sets (tau * x is then rounded,
-unlike at tau = 1), the determinate filter on bases that its bundled
-uniform weight never reaches (a list weight among them), and the
+unlike at tau = 1), the standard and the determinate filter on the
+bundled ensemble's first three clocks (whose filters lay out their
+shared buffers at another size than ten clocks do), the determinate
+filter on bases that its bundled uniform weight never reaches (a list
+weight among them), and the
 controllers at gains, a period, a phase and weights (a list, the
 long-term and the uniform one) that the bundled configs never set.
 Every variant is meant to run, so the script prints each one that does
@@ -44,11 +47,21 @@ VOLATILE = ("elapsed_s", "peak_rss_mb", "peak_rss_mb_at_start")
 LIST_WEIGHT = [0.25, -0.05, 0.1, 0.1, 0.1, 0.1, 0.1, 0.1, 0.1, 0.1]
 # extra short-horizon runs: kind -> {variant suffix: {config section: settings}}
 TAU = {"model": {"tau": 0.7}}
+# the bundled ensemble's first three clocks and their two measurements
+THREE_CLOCKS = {
+    "model": {
+        "n_clocks": 3,
+        "sigma1": [1.7e-10, 8.86e-11, 1.221e-10],
+        "sigma2": [1.507e-13, 5.32e-14, 1.67e-14],
+        "meas_std": [4.353e-15, 7.59e-16],
+    }
+}
 SETTINGS = {
-    "standard-kf": {"tau-0.7": TAU},
+    "standard-kf": {"tau-0.7": TAU, "three-clocks": THREE_CLOCKS},
     "standard-kf-suboptimal": {"tau-0.7": TAU},
     "determinate-kf": {
         "tau-0.7": TAU,
+        "three-clocks": THREE_CLOCKS,
         "weight-short": {"controller": {"weight": "short"}},
         "weight-last-clock": {"controller": {"weight": "last-clock"}},
         "weight-list": {"controller": {"weight": LIST_WEIGHT}},
