@@ -445,6 +445,14 @@ def _predict_decomposed(d: Decomposition, xi_o, xi_obar, omega_prev: InputPair, 
     return xo_m, xb_m
 
 
+def _measurement_covariance(d: Decomposition, R) -> np.ndarray:
+    """R as a float array; one not shaped (N - 1, N - 1) raises ValueError."""
+    R = np.asarray(R, dtype=float)
+    if R.shape != (d.N - 1, d.N - 1):
+        raise ValueError(f"R must have shape ({d.N - 1}, {d.N - 1}), got {R.shape}")
+    return R
+
+
 def _determinate_constants(d: Decomposition, R: np.ndarray) -> tuple:
     """The operands of :func:`_kalman_update` for the determinate filter:
     Ao, Co, their transposes, [Qo; Qbo], R, the carried rows' ``d.A``, and
@@ -465,14 +473,15 @@ def determinate_kf_step(
     ``omega_prev`` is the decomposed input pair (omega_o, omega_obar)
     applied at the previous step, or ``None`` for zero input.  The
     coupling block links the observable state into the unobservable
-    prediction; for weight bases it is exactly zero and skipped.  A
-    non-finite or indefinite innovation covariance raises
-    :class:`NumericalError`.
+    prediction; for weight bases it is exactly zero and skipped.  An R
+    not shaped (N - 1, N - 1) raises ``ValueError``, as in
+    :func:`solve_stationary`; a non-finite or indefinite innovation
+    covariance raises :class:`NumericalError`.
     """
     n_obs, xm = 2 * (d.N - 1), np.empty(2 * d.N)
     xo_m, xb_m = _predict_decomposed(d, state.xi_o_post, state.xi_obar_post, omega_prev, xm[:n_obs], xm[n_obs:])
     y = np.asarray(y, dtype=float)
-    group = _group([_determinate_constants(d, R)])
+    group = _group([_determinate_constants(d, _measurement_covariance(d, R))])
     out, work = _buffers(group, len(y))
     (H,) = _kalman_update(_update_args(group, [(state.P_oo, state.P_bo)], xm, out, work), y)
     x, (P,), (Pm,) = out[0], _covariances(group, out[1]), _covariances(group, out[2])
@@ -665,9 +674,7 @@ def solve_stationary(d: Decomposition, R: np.ndarray) -> StationaryGains:
     (N - 1, N - 1) raises ``ValueError``.
     """
     n_obs = 2 * (d.N - 1)
-    R = np.asarray(R, dtype=float)
-    if R.shape != (d.N - 1, d.N - 1):
-        raise ValueError(f"R must have shape ({d.N - 1}, {d.N - 1}), got {R.shape}")
+    R = _measurement_covariance(d, R)
     R_inv_Co = _spd_solve(R, d.Co, "measurement noise covariance")
 
     def rel_diff(a: np.ndarray, b: np.ndarray) -> float:

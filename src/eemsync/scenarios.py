@@ -538,7 +538,7 @@ def _run_free_run(cfg: ScenarioConfig, art: _Artifacts) -> dict:
     # one row per interval of plot, one column per clock; a line that
     # overflows is refused where it is written or summarized
     with np.errstate(over="ignore", invalid="ignore"):
-        lines = np.array([analytical_allan_clock(s1, s2, t) for t in plot.intervals])
+        lines = analytical_allan_clock(s1, s2, plot.intervals)
     summary = {"clocks": {}}
     analytical = {}
     for i in range(cfg.model.N):
@@ -649,7 +649,7 @@ def _run_controller(cfg: ScenarioConfig, art: _Artifacts) -> dict:
         s1, s2 = model.sigma1_sq, model.sigma2_sq
         with np.errstate(over="ignore", invalid="ignore"):
             references = {
-                name: replace(plot, values=np.array([allan_pi(q, s1, s2, t) for t in plot.intervals]))
+                name: replace(plot, values=allan_pi(q, s1, s2, plot.intervals))
                 for name, q in zip(("destination", "destination_long"), weights)
             }
         art.write_allan(references, "reference")

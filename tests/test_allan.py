@@ -1,8 +1,10 @@
 """Allan-variance checks: estimator hand values, weights, analytics."""
 
+import importlib.util
 import json
 import re
 import tracemalloc
+from pathlib import Path
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -25,8 +27,8 @@ from eemsync import (
     weight_long,
     weight_short,
 )
-from eemsync.allan import AllanPlot, _LEAF, _default_m_grid
-from eemsync.scenarios import _Artifacts
+from eemsync.allan import AllanPlot, _LEAF, _default_m_grid, _longest_interval
+from eemsync.scenarios import _WEIGHTS, _Artifacts
 from eemsync.presets import demo_ensemble, demo_noise_params
 
 
@@ -344,6 +346,54 @@ class TestAnalytical:
         q = np.array([0.6, 0.4])
         g = np.diag(gamma_matrix(s1, s2, 3.0))
         assert allan_pi(q, s1, s2, 3.0) == pytest.approx(q @ g @ q / 9.0)
+
+
+def _list_weight() -> np.ndarray:
+    """``tools/same_artifacts.py``'s list weight, which has a negative entry."""
+    path = Path(__file__).resolve().parents[1] / "tools" / "same_artifacts.py"
+    spec = importlib.util.spec_from_file_location("same_artifacts", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return np.array(module.LIST_WEIGHT)
+
+
+class TestIntervalArrays:
+    """An array of intervals gives, value for value, the scalar calls' bits."""
+
+    @pytest.mark.parametrize("tau", [0.7, 1.0, 3.0])
+    @pytest.mark.parametrize("T", [20_000, 100_000])
+    def test_default_grid_matches_scalar_calls(self, T, tau):
+        model = demo_ensemble(tau=tau)
+        s1, s2 = model.sigma1_sq, model.sigma2_sq
+        intervals = _default_m_grid(_longest_interval(T)) * tau
+        lines = analytical_allan_clock(s1, s2, intervals)
+        assert lines.shape == (len(intervals), model.N)
+        assert np.array_equal(lines, np.array([analytical_allan_clock(s1, s2, t) for t in intervals]))
+        weights = [build(model) for build, _ in _WEIGHTS.values()] + [_list_weight()]
+        for q in weights:
+            got = allan_pi(q, s1, s2, intervals)
+            assert got.shape == intervals.shape
+            assert np.array_equal(got, [allan_pi(q, s1, s2, t) for t in intervals])
+
+    def test_scalar_keeps_its_return_type(self):
+        q = np.array([0.5, 0.5])
+        assert type(allan_pi(q, S1, S2, 2.0)) is float
+        assert analytical_allan_clock(S1, S2, 2.0).shape == (2,)
+        assert allan_pi(q, S1, S2, np.array([2.0])).shape == (1,)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0, -1.0, 1e200, 1e-200])
+    def test_infeasible_interval_raises_the_scalar_error(self, bad):
+        q = np.array([0.5, 0.5])
+        for call in (lambda tau: allan_pi(q, S1, S2, tau), lambda tau: analytical_allan_clock(S1, S2, tau)):
+            with pytest.raises(ValueError) as scalar:
+                call(bad)
+            with pytest.raises(ValueError) as array:
+                call(np.array([1.0, bad, 2.0]))
+            assert str(array.value) == str(scalar.value)
+
+    def test_two_dimensional_intervals_refused(self):
+        with pytest.raises(ValueError, match=r"1-D array of intervals, got shape \(1, 2\)"):
+            allan_pi(np.array([0.5, 0.5]), S1, S2, [[1.0, 2.0]])
 
 
 S1, S2 = np.array([1.0, 4.0]), np.array([3.0, 0.5])

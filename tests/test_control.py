@@ -9,6 +9,7 @@ relative coordinate by exactly nothing.
 
 import dataclasses
 import json
+import re
 import tracemalloc
 from typing import NamedTuple
 
@@ -600,7 +601,8 @@ def model10():
 
 def reference_closed_loop(model, cfg, d, gains, T, seed):
     """closed_loop as it was when it drew all of v and w before the
-    recursion: returns the record, without y, and the command logs."""
+    recursion, stepping by ``nxt += prev @ M_T``: returns the record,
+    without y, and the command logs."""
     N = model.N
     n2 = 2 * N
     obs_hat, obar_hat = slice(0, n2 - 2), slice(n2 - 2, n2)
@@ -655,9 +657,9 @@ def reference_closed_loop(model, cfg, d, gains, T, seed):
 
 class TestStreamedClosedLoop:
     @pytest.mark.parametrize("T", [1, 4095, 4096, 4097, 3 * 4096 + 5])
-    @pytest.mark.parametrize("tau", [1.0, 0.7])
+    @pytest.mark.parametrize("tau", [1.0, 0.7, 3.0])
     @pytest.mark.parametrize("case", ["sync-only", "balanced", "steering"])
-    @pytest.mark.parametrize("n_clocks", [4, 10])
+    @pytest.mark.parametrize("n_clocks", [4, 10, 2, 3])
     def test_matches_whole_draws(self, n_clocks, case, tau, T):
         model = demo_ensemble(n_clocks=n_clocks, tau=tau)
         q = np.full(n_clocks, 1.0 / n_clocks)
@@ -831,6 +833,22 @@ class TestPolicyAndLogs:
             EemPolicy(cfg, d, gains=g)
         with pytest.raises(ValueError, match=r"F_o has 2 rows; the decomposition's 4 clocks need 3"):
             closed_loop(model4, cfg, d, g, 10, 0)
+
+    @pytest.mark.parametrize("y", [1e-12, [1e-12], [1e-12] * 10, [[1e-12]] * 9], ids=["scalar", "1", "N", "N-1x1"])
+    def test_policy_refuses_a_measurement_of_the_wrong_shape(self, model10, y):
+        # a scalar or (1,) y was broadcast over all N-1 innovations, and
+        # the call returned an input for every clock
+        q = np.full(10, 0.1)
+        d = decompose(model10, q)
+        cfg = ControllerConfig(F_o=default_obs_gain(10, model10.tau), K_bo=None, m=1)
+        policy = EemPolicy(cfg, d, gains=solve_stationary(d, model10.meas.R))
+        policy(0, np.full(9, 1e-12))
+        state, logs = policy.state, policy.command_log()
+        with pytest.raises(ValueError, match=re.escape(f"y must have shape (9,), got {np.shape(y)}")):
+            policy(1, y)
+        assert policy.state is state
+        for got, want in zip(policy.command_log(), logs):
+            assert np.array_equal(got, want)
 
     def test_command_log_round_trip(self, tmp_path):
         raw = {

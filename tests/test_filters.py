@@ -1,6 +1,7 @@
 """Filter checks: decomposed-filter equivalence, stationary solutions."""
 
 import dataclasses
+import re
 import time
 import tracemalloc
 from dataclasses import fields
@@ -1089,6 +1090,16 @@ class TestStationary:
         d = decompose(model, np.full(10, 0.1))
         with pytest.raises(ValueError, match=r"^R must have shape \(9, 9\), got "):
             solve_stationary(d, R)
+
+    @pytest.mark.parametrize("R", [np.full(9, 1e-30), 1e-30, np.eye(2) * 1e-30], ids=["vector", "scalar", "2x2"])
+    def test_step_refuses_noise_of_the_wrong_shape(self, R):
+        # the step took R unchecked: a scalar broadcast onto S and gave a
+        # gain, a vector failed with numpy's broadcast message
+        model = demo_ensemble()
+        d = decompose(model, np.full(10, 0.1))
+        state = determinate_kf_init(d)
+        with pytest.raises(ValueError, match=r"^R must have shape \(9, 9\), got " + re.escape(str(np.shape(R)))):
+            determinate_kf_step(d, R, state, None, np.zeros(9))
 
     def test_residual_bound_refuses_a_loose_solve(self, monkeypatch):
         # stopped at a relative increment of 1e-5, the doubling leaves the

@@ -16,7 +16,10 @@ shared buffers at another size than ten clocks do), the determinate
 filter on bases that its bundled uniform weight never reaches (a list
 weight among them), and the
 controllers at gains, a period, a phase and weights (a list, the
-long-term and the uniform one) that the bundled configs never set.
+long-term and the uniform one) that the bundled configs never set, and
+the balanced and the short-term synchronization loops at tau = 0.7 s
+(where the loop matrix's entries are rounded) and on three clocks
+(where the loop steps a 12-entry state).
 Every variant is meant to run, so the script prints each one that does
 not exit 0 on this side, or whose exit code differs between the sides.
 Of the runs that exit 0 on both sides it prints every file whose sha256
@@ -67,12 +70,15 @@ SETTINGS = {
         "weight-list": {"controller": {"weight": LIST_WEIGHT}},
     },
     "balanced": {
+        "tau-0.7": TAU,
+        "three-clocks": THREE_CLOCKS,
         "period-150-phase-37": {"controller": {"period": 150, "phase": 37, "obs_gain_coeffs": [0.2, 1.0]}},
         "weight-list": {"controller": {"weight": LIST_WEIGHT}},
         "weight-long": {"controller": {"weight": "long"}},
         "weight-uniform": {"controller": {"weight": "uniform"}},
     },
     "steer-to-clock": {"obs-gain-0.05-0.8": {"controller": {"obs_gain_coeffs": [0.05, 0.8]}}},
+    "sync-best-short": {"tau-0.7": TAU, "three-clocks": THREE_CLOCKS},
 }
 
 
