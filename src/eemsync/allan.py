@@ -49,60 +49,41 @@ def gamma_matrix(sigma1_sq, sigma2_sq, tau: float) -> np.ndarray:
     return _interval_covariance(*_variance_pair(sigma1_sq, sigma2_sq), tau)[0]
 
 
-def _powers(taus: np.ndarray, p: int) -> np.ndarray:
-    """Each interval's tau**p as the scalar power rounds it (libm's pow);
-    numpy's array power rounds some of them one ulp apart."""
-    return np.array([t**p for t in taus])
-
-
-def _intervals(tau) -> tuple:
-    """A 1-D array of intervals and their cubes; the first interval that
-    :func:`_check_tau` refuses raises its ValueError."""
+def _intervals(tau) -> list:
+    """tau as a list of intervals, one for a number; each is checked where
+    it is used, by :func:`_check_tau`."""
     taus = np.asarray(tau, dtype=float)
-    if taus.ndim != 1:
+    if taus.ndim > 1:
         raise ValueError(f"tau must be a number or a 1-D array of intervals, got shape {taus.shape}")
-    with np.errstate(over="ignore", invalid="ignore"):
-        cubes = _powers(taus, 3)
-        ok = np.isfinite(taus) & (taus > 0) & np.isfinite(cubes) & (cubes >= np.finfo(float).tiny)
-    for t in taus[~ok][:1]:
-        _check_tau(float(t))
-    return taus, cubes
+    return taus.reshape(-1).tolist()
 
 
 def analytical_allan_clock(sigma1_sq, sigma2_sq, tau) -> np.ndarray:
     """Two-noise Allan variance of each clock: sigma1_sq/tau + (tau/3) sigma2_sq.
 
-    For a 1-D array of intervals, one row per interval, each bit for bit
-    the call at that interval."""
-    if np.ndim(tau):
-        tau = _intervals(tau)[0][:, None]
-    else:
-        _check_tau(tau)
+    For a 1-D array of intervals, one row per interval."""
+    taus = _intervals(tau)
+    for t in taus:
+        _check_tau(t)
     s1, s2 = _variance_pair(sigma1_sq, sigma2_sq)
-    return s1 / tau + (tau / 3.0) * s2
+    col = np.array(taus)[:, None]
+    lines = s1 / col + (col / 3.0) * s2
+    return lines[0] if np.ndim(tau) == 0 else lines
 
 
 def allan_pi(q: np.ndarray, sigma1_sq, sigma2_sq, tau):
     """Allan variance of the weighted ensemble mean: q^T Gamma(tau) q / tau^2.
 
-    For a 1-D array of intervals, one value per interval, each bit for
-    bit the call at that interval: the weight, the variances and every
-    interval are checked once, and each value is the same 1-D
-    ``q @ (g * q)``."""
+    For a 1-D array of intervals, one value per interval; the weight and
+    the variances are checked once."""
     qv = weight_vector(q)
-    if np.ndim(tau) == 0:
-        g = gamma_matrix(sigma1_sq, sigma2_sq, tau)
-        if g.size != qv.size:
-            raise ValueError(f"weight has {qv.size} entries, noise has {g.size}")
-        return float(qv @ (g * qv) / tau**2)
     s1, s2 = _variance_pair(sigma1_sq, sigma2_sq)
-    taus, cubes = _intervals(tau)
+    taus = _intervals(tau)
+    gammas = [_interval_covariance(s1, s2, t)[0] for t in taus]
     if s1.size != qv.size:
         raise ValueError(f"weight has {qv.size} entries, noise has {s1.size}")
-    # Gamma(tau)'s diagonal at each interval, as _interval_covariance forms it
-    with np.errstate(over="ignore"):
-        G = taus[:, None] * s1 + (cubes / 3.0)[:, None] * s2
-    return np.array([qv @ (g * qv) for g in G]) / _powers(taus, 2)
+    values = np.array([qv @ (g * qv) / t**2 for g, t in zip(gammas, taus)])
+    return float(values[0]) if np.ndim(tau) == 0 else values
 
 
 # Longest run of second differences formed at once: the leaf buffer and

@@ -27,7 +27,9 @@ from eemsync import (
     weight_long,
     weight_short,
 )
-from eemsync.allan import AllanPlot, _LEAF, _default_m_grid, _longest_interval
+from eemsync.allan import AllanPlot, _LEAF, _default_m_grid, _longest_interval, _variance_pair
+from eemsync.decomp import weight_vector
+from eemsync.models import _check_tau
 from eemsync.scenarios import _WEIGHTS, _Artifacts
 from eemsync.presets import demo_ensemble, demo_noise_params
 
@@ -357,8 +359,25 @@ def _list_weight() -> np.ndarray:
     return np.array(module.LIST_WEIGHT)
 
 
+# The two analytical lines as they stood when each call took one interval:
+# the oracles that the array calls must match bit for bit.
+def reference_allan_pi(q, sigma1_sq, sigma2_sq, tau) -> float:
+    qv = weight_vector(q)
+    g = gamma_matrix(sigma1_sq, sigma2_sq, tau)
+    if g.size != qv.size:
+        raise ValueError(f"weight has {qv.size} entries, noise has {g.size}")
+    return float(qv @ (g * qv) / tau**2)
+
+
+def reference_allan_clock(sigma1_sq, sigma2_sq, tau) -> np.ndarray:
+    _check_tau(tau)
+    s1, s2 = _variance_pair(sigma1_sq, sigma2_sq)
+    return s1 / tau + (tau / 3.0) * s2
+
+
 class TestIntervalArrays:
-    """An array of intervals gives, value for value, the scalar calls' bits."""
+    """An array of intervals gives, value for value, the one-interval
+    oracles' bits, and so does a single interval."""
 
     @pytest.mark.parametrize("tau", [0.7, 1.0, 3.0])
     @pytest.mark.parametrize("T", [20_000, 100_000])
@@ -368,12 +387,17 @@ class TestIntervalArrays:
         intervals = _default_m_grid(_longest_interval(T)) * tau
         lines = analytical_allan_clock(s1, s2, intervals)
         assert lines.shape == (len(intervals), model.N)
-        assert np.array_equal(lines, np.array([analytical_allan_clock(s1, s2, t) for t in intervals]))
+        expected = np.array([reference_allan_clock(s1, s2, t) for t in intervals])
+        assert np.array_equal(lines, expected)
+        assert all(np.array_equal(analytical_allan_clock(s1, s2, t), row) for t, row in zip(intervals, expected))
         weights = [build(model) for build, _ in _WEIGHTS.values()] + [_list_weight()]
         for q in weights:
             got = allan_pi(q, s1, s2, intervals)
             assert got.shape == intervals.shape
-            assert np.array_equal(got, [allan_pi(q, s1, s2, t) for t in intervals])
+            expected = [reference_allan_pi(q, s1, s2, t) for t in intervals]
+            assert np.array_equal(got, expected)
+            assert [allan_pi(q, s1, s2, t) for t in intervals] == expected
+            assert [allan_pi(q, s1, s2, float(t)) for t in intervals] == expected
 
     def test_scalar_keeps_its_return_type(self):
         q = np.array([0.5, 0.5])
@@ -384,12 +408,16 @@ class TestIntervalArrays:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0, -1.0, 1e200, 1e-200])
     def test_infeasible_interval_raises_the_scalar_error(self, bad):
         q = np.array([0.5, 0.5])
-        for call in (lambda tau: allan_pi(q, S1, S2, tau), lambda tau: analytical_allan_clock(S1, S2, tau)):
-            with pytest.raises(ValueError) as scalar:
-                call(bad)
-            with pytest.raises(ValueError) as array:
-                call(np.array([1.0, bad, 2.0]))
-            assert str(array.value) == str(scalar.value)
+        for call, reference in (
+            (lambda tau: allan_pi(q, S1, S2, tau), lambda tau: reference_allan_pi(q, S1, S2, tau)),
+            (lambda tau: analytical_allan_clock(S1, S2, tau), lambda tau: reference_allan_clock(S1, S2, tau)),
+        ):
+            with pytest.raises(ValueError) as expected:
+                reference(bad)
+            for tau in (bad, np.array([1.0, bad, 2.0])):
+                with pytest.raises(ValueError) as got:
+                    call(tau)
+                assert str(got.value) == str(expected.value)
 
     def test_two_dimensional_intervals_refused(self):
         with pytest.raises(ValueError, match=r"1-D array of intervals, got shape \(1, 2\)"):
