@@ -28,7 +28,7 @@ from .errors import ConfigError
 from .filters import (  # noqa: F401
     DeterminateKFState,
     StationaryGains,
-    _predict_decomposed,
+    _shaped,
     determinate_kf_init,
     determinate_kf_step,
 )
@@ -177,12 +177,14 @@ class EemPolicy:
 
     def __call__(self, k: int, y: np.ndarray) -> np.ndarray:
         cfg, d, g, post = self.cfg, self.d, self.gains, self.state
-        y = np.asarray(y, dtype=float)
-        if y.shape != (d.N - 1,):
-            raise ValueError(f"y must have shape ({d.N - 1},), got {y.shape}")
-        # determinate_kf_step with the gains frozen at the fixed point:
-        # predict from the posterior with the previous command, update with y
-        xo_m, xb_m = _predict_decomposed(d, post.xi_o_post, post.xi_obar_post, self._last_omega)
+        y = _shaped(y, (d.N - 1,), "y")
+        # determinate_kf_step at the fixed point's gains: predict with the
+        # previous command (a weight basis has no coupling), update with y
+        omega_o, omega_obar = self._last_omega
+        xo_m = d.Ao @ post.xi_o_post
+        xo_m += d.Bo @ omega_o
+        xb_m = d.A @ post.xi_obar_post
+        xb_m += d.B * omega_obar
         innov = d.Co @ xo_m
         np.subtract(y, innov, out=innov)
         xi_o = g.H_o_star @ innov

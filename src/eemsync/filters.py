@@ -6,8 +6,9 @@ converges) and the determinate decomposed filter (which never forms the
 diverging block).  One update kernel, ``_kalman_update``, serves both:
 the standard filter is its case with no carried rows.  It steps a group
 of filters at once, the standard one or the determinate one alone (the
-step functions) or both on the same measurement (``filter_pass``).
-Each quantity of a group lives in one flat buffer, laid out filter after
+step functions) or both on the same measurement (``filter_pass``), and
+forms each filter's prior mean from that filter's own constants.  Each
+quantity of a group lives in one flat buffer, laid out filter after
 filter: the priors, the two alternating posteriors, W = H C P- and Q;
 the gain system [RHS_std | RHS_det | S_std | S_det] and R; the means
 [x | xi_o | xi_obar] and the innovations.  So every elementwise step
@@ -149,14 +150,12 @@ def _norms(a: np.ndarray) -> np.ndarray:
     return np.sqrt(flat @ flat.transpose(0, 2, 1)).ravel()
 
 
-def _input_pair(omega_prev: InputPair, n_obs_inputs: int) -> Tuple[np.ndarray, float]:
-    omega_o, omega_obar = omega_prev
-    omega_o = np.asarray(omega_o, dtype=float)
-    if omega_o.shape != (n_obs_inputs,):
-        raise ValueError(
-            f"omega_o must have shape ({n_obs_inputs},), got {omega_o.shape}"
-        )
-    return omega_o, float(omega_obar)
+def _shaped(a, shape: tuple, name: str) -> np.ndarray:
+    """``a`` as a float array; one not of ``shape`` raises ValueError naming ``name``."""
+    a = np.asarray(a, dtype=float)
+    if a.shape != shape:
+        raise ValueError(f"{name} must have shape {shape}, got {a.shape}")
+    return a
 
 
 def _transposes(*mats: np.ndarray) -> tuple:
@@ -199,47 +198,59 @@ def _covariances(group: tuple, flat: np.ndarray) -> list:
 def _buffers(group: tuple, p: int) -> tuple:
     """Fresh flat ``out`` and ``work`` of :func:`_kalman_update` for the
     filters of ``group`` and p measurements.  ``out`` is the posterior
-    means [x | xi_o | xi_obar], and the posterior and the prior
-    covariances, each filter's (n, n_top) block after the last one's.
+    means [x | xi_o | xi_obar], the posterior and the prior covariances
+    (each filter's (n, n_top) block after the last one's), the prior means.
     ``work`` is W = H C P_top- laid out the same way; the gain system
     [RHS_1 | RHS_2 | S_1 | S_2], each filter's right-hand side (p, n) and
     S (p, p) a C-contiguous view of it; and the innovations (filters, p)."""
     shapes = group[1]
     n_sum, cov = sum(n for n, _ in shapes), sum(n * n_top for n, n_top in shapes)
-    out = (np.empty(n_sum), np.empty(cov), np.empty(cov))
+    out = (np.empty(n_sum), np.empty(cov), np.empty(cov), np.empty(n_sum))
     return out, (np.empty(cov), np.empty(p * (n_sum + len(shapes) * p)), np.empty((len(shapes), p)))
 
 
-def _update_args(group: tuple, P: list, xm: np.ndarray, out: tuple, work: tuple) -> tuple:
+def _update_args(group: tuple, P: list, prev: np.ndarray, inputs: Optional[np.ndarray], out: tuple, work: tuple) -> tuple:
     """The argument tuple of one :func:`_kalman_update` call, with every
     view it reads.  ``P`` holds each filter's (P_top, P_bot) posterior
-    blocks that the step starts from (P_bot unread for the standard
-    filter), ``xm`` the prior means laid out as the posterior means, and
-    ``out`` and ``work`` are laid out as :func:`_buffers` makes them.  A
-    pass builds one per sub-block slot, once.  The per-filter entries come
-    phase by phase: the left products, the prior's top blocks, the gain
-    system and the means; the shared ones are the flat buffers and their
-    runs of top blocks."""
+    blocks (P_bot unread for the standard filter) and ``prev`` the
+    posterior means that the step predicts from; ``inputs`` is its input
+    terms or ``None``, laid out as the means of ``out``.  ``out`` and
+    ``work`` are laid out as :func:`_buffers` makes them.  A pass builds
+    one per sub-block slot, once.  The per-filter entries come phase by
+    phase: the prior means' products, the left products, the prior's top
+    blocks, the gain system and the means; the shared ones are the sums
+    of the prior means, the flat buffers and their runs of top blocks."""
     consts, shapes, Q, R = group
-    x, P_new, Pm = out
+    x, P_new, Pm, xm = out
     W, BS, innov = work
     p, n_sum = innov.shape[1], len(x)
-    left, prior_tops, gain, post_tops, means = [], [], [], [], []
+    predict, sums, left, prior_tops, gain, post_tops, means = [], [], [], [], [], [], []
     rhs, s, m, o = 0, p * n_sum, 0, 0
     for f, (A, C, AT, CT, _, _, A_bot, coupling) in enumerate(consts):
         (n, t), (P_top, P_bot) = shapes[f], P[f]
+        top, bot = slice(m, m + t), slice(m + t, m + n)
+        predict.append((A, prev[top], xm[top]))
+        if coupling is not None:
+            # x_bot- = coupling x_top + A_bot x_bot
+            carried = np.empty(n - t)
+            predict += [(coupling, prev[top], xm[bot]), (A_bot, prev[bot], carried)]
+            sums.append((xm[bot], carried, xm[bot]))
+        elif A_bot is not None:
+            predict.append((A_bot, prev[bot], xm[bot]))
         P_f, Pm_f, W_f = P_new[o : o + n * t].reshape(n, t), Pm[o : o + n * t].reshape(n, t), W[o : o + n * t].reshape(n, t)
         RHS = BS[rhs : rhs + p * n].reshape(p, n)
         left.append((A, P_top, P_f[:t], A_bot, P_bot, P_f[t:], P_f, AT, Pm_f, coupling, Pm_f[t:]))
         prior_tops.append((W_f[:t], Pm_f[:t].T))
         gain.append((C, Pm_f.T, RHS, RHS[:, :t], CT, BS[s : s + p * p].reshape(p, p), W_f))
         post_tops.append((W_f[:t], P_f[:t].T))
-        means.append((C, xm[m : m + t], innov[f], t, x[m : m + t], x[m + t : m + n] if A_bot is not None else None))
+        means.append((C, xm[top], innov[f], t, x[top], x[bot] if A_bot is not None else None))
         rhs, s, m, o = rhs + p * n, s + p * p, m + n, o + n * t
+    if inputs is not None:
+        sums.append((xm, inputs, xm))
     tops = o - (n - t) * t  # every top block: all but the last filter's carried rows
     S = BS[p * n_sum :]
     return (
-        left, prior_tops, gain, post_tops, means,
+        predict, sums, left, prior_tops, gain, post_tops, means,
         Pm, Q, Pm[:tops], W[:tops], BS, S, R, P_new, W, P_new[:tops], innov, x, xm,
     )
 
@@ -251,22 +262,23 @@ def _kalman_update(args: tuple, y: np.ndarray) -> list:
     Each covariance is one stacked block [P_top; P_bot]: a square top
     block and rows that ``A_bot`` carries alongside.  The standard filter
     is the case of no carried rows; the determinate filter's blocks are
-    P_oo and P_bo.  ``args`` is :func:`_update_args`; the caller forms the
-    prior means.  Within a filter both blocks share A^T and C P_top-, so
-    the product by A^T, the gain's right-hand side and the update
-    H C P_top- are one call each.  Across the filters every quantity
-    lives in one flat buffer, laid out filter after filter (the priors and
-    posteriors, W, Q; the gain system [RHS_1 | RHS_2 | S_1 | S_2] and R;
-    the means [x | xi_o | xi_obar] and the innovations), so each
-    elementwise step is one call for the whole group: ``+ Q``, the add
-    and the ``* 0.5`` of both symmetrizations, ``+ R``, the finiteness
-    check of the gain system, ``P- - W``, ``y - C x-`` (y broadcast over
-    the filters' rows) and the mean add.  The products, the transposed
-    copies of the symmetrizations and ``dposv`` stay one call per
-    filter.  If the shared finiteness check fails, each filter's
-    :func:`_gain_solve` runs in order, so the error is the one that a
-    step of each filter alone would raise.  Writes into ``out`` (which
-    must not alias the inputs) and ``work``.
+    P_oo and P_bo.  ``args`` is :func:`_update_args`; the kernel forms each
+    prior mean from the filter's constants (A x_top, A_bot x_bot, plus the
+    coupling's product of a general basis), then adds the input terms.
+    Within a filter both blocks share A^T and C P_top-, so the product by
+    A^T, the gain's right-hand side and the update H C P_top- are one call
+    each.  Across the filters every quantity lives in one flat buffer, laid
+    out filter after filter (the priors and posteriors, W, Q; the gain
+    system [RHS_1 | RHS_2 | S_1 | S_2] and R; the means [x | xi_o | xi_obar]
+    and the innovations), so each elementwise step is one call for the whole
+    group: ``+ Q``, the add and the ``* 0.5`` of both symmetrizations,
+    ``+ R``, the finiteness check of the gain system, ``P- - W``,
+    ``y - C x-`` (y broadcast over the filters' rows) and the mean add.
+    The products, the transposed copies of the symmetrizations and
+    ``dposv`` stay one call per filter.  If the shared finiteness check
+    fails, each filter's :func:`_gain_solve` runs in order, so the error is
+    the one that a step of each filter alone would raise.  Writes into
+    ``out`` (which must not alias the inputs) and ``work``.
 
     numpy is reached through its cheapest entry points, every product with
     the operands and order it always had: ``a.dot(b, out)`` for every
@@ -281,9 +293,13 @@ def _kalman_update(args: tuple, y: np.ndarray) -> list:
     bases and passes of 1 to 4097 steps.
     """
     (
-        left, prior_tops, gain, post_tops, means,
+        predict, sums, left, prior_tops, gain, post_tops, means,
         Pm, Q, Pm_tops, W_tops, BS, S, R, P_new, W, P_new_tops, innov, x, xm,
     ) = args
+    for a, v, o in predict:
+        a.dot(v, o)
+    for a, b, o in sums:
+        np.add(a, b, o)
     # the left products go to the posterior's blocks, free until the update
     for A, P_top, P_top_new, A_bot, P_bot, P_bot_new, P_new_f, AT, Pm_f, coupling, Pm_bot in left:
         A.dot(P_top, P_top_new)
@@ -371,18 +387,17 @@ def standard_kf_step(
     """One cycle of the five-line recursion, by :func:`_kalman_update`.
 
     ``u_prev`` is the input applied at the previous step (``None`` reads
-    as zero); ``y`` is the current relative measurement.  A non-finite
-    or indefinite innovation covariance raises :class:`NumericalError`.
+    as zero); ``y`` is the current relative measurement, and one not
+    shaped (N - 1,) raises ``ValueError``.  A non-finite or indefinite
+    innovation covariance raises :class:`NumericalError`.
     """
-    xm = model.bigA @ state.xhat
-    if u_prev is not None:
-        xm += model.bigB @ np.asarray(u_prev, dtype=float)
-    y = np.asarray(y, dtype=float)
+    y = _shaped(y, (model.N - 1,), "y")
+    inputs = None if u_prev is None else model.bigB.dot(np.asarray(u_prev, dtype=float))
     group = _group([_standard_constants(model)])
     out, work = _buffers(group, len(y))
-    (H,) = _kalman_update(_update_args(group, [(state.P, None)], xm, out, work), y)
+    (H,) = _kalman_update(_update_args(group, [(state.P, None)], state.xhat, inputs, out, work), y)
     (P,), (P_minus,) = _covariances(group, out[1]), _covariances(group, out[2])
-    return StandardKFState(xhat=out[0], P=P, xhat_minus=xm, P_minus=P_minus, H=H)
+    return StandardKFState(xhat=out[0], P=P, xhat_minus=out[3], P_minus=P_minus, H=H)
 
 
 # ---------------------------------------------------------------------------
@@ -428,31 +443,6 @@ def determinate_kf_init(d: Decomposition) -> DeterminateKFState:
     )
 
 
-def _predict_decomposed(d: Decomposition, xi_o, xi_obar, omega_prev: InputPair, xo_m=None, xb_m=None):
-    """Prior means of the decomposed recursion, into ``xo_m`` / ``xb_m``
-    when given; the products of a zero input (``None``) and of the
-    coupling of a weight basis (exactly zero) are skipped."""
-    xo_m = np.matmul(d.Ao, xi_o, out=xo_m)
-    if d.q is None:
-        xb_m = np.matmul(d.coupling, xi_o, out=xb_m)
-        xb_m += d.A @ xi_obar
-    else:
-        xb_m = np.matmul(d.A, xi_obar, out=xb_m)
-    if omega_prev is not None:
-        omega_o, omega_obar = _input_pair(omega_prev, d.N - 1)
-        xo_m += d.Bo @ omega_o
-        xb_m += d.B * omega_obar
-    return xo_m, xb_m
-
-
-def _measurement_covariance(d: Decomposition, R) -> np.ndarray:
-    """R as a float array; one not shaped (N - 1, N - 1) raises ValueError."""
-    R = np.asarray(R, dtype=float)
-    if R.shape != (d.N - 1, d.N - 1):
-        raise ValueError(f"R must have shape ({d.N - 1}, {d.N - 1}), got {R.shape}")
-    return R
-
-
 def _determinate_constants(d: Decomposition, R: np.ndarray) -> tuple:
     """The operands of :func:`_kalman_update` for the determinate filter:
     Ao, Co, their transposes, [Qo; Qbo], R, the carried rows' ``d.A``, and
@@ -473,20 +463,24 @@ def determinate_kf_step(
     ``omega_prev`` is the decomposed input pair (omega_o, omega_obar)
     applied at the previous step, or ``None`` for zero input.  The
     coupling block links the observable state into the unobservable
-    prediction; for weight bases it is exactly zero and skipped.  An R
-    not shaped (N - 1, N - 1) raises ``ValueError``, as in
-    :func:`solve_stationary`; a non-finite or indefinite innovation
-    covariance raises :class:`NumericalError`.
+    prediction; for weight bases it is exactly zero and skipped.  A y
+    not shaped (N - 1,), or an R not shaped (N - 1, N - 1) as in
+    :func:`solve_stationary`, raises ``ValueError``; a non-finite or
+    indefinite innovation covariance raises :class:`NumericalError`.
     """
-    n_obs, xm = 2 * (d.N - 1), np.empty(2 * d.N)
-    xo_m, xb_m = _predict_decomposed(d, state.xi_o_post, state.xi_obar_post, omega_prev, xm[:n_obs], xm[n_obs:])
-    y = np.asarray(y, dtype=float)
-    group = _group([_determinate_constants(d, _measurement_covariance(d, R))])
+    y, n_obs, inputs = _shaped(y, (d.N - 1,), "y"), 2 * (d.N - 1), None
+    if omega_prev is not None:
+        omega_o, omega_obar = omega_prev
+        inputs = np.empty(2 * d.N)
+        d.Bo.dot(_shaped(omega_o, (d.N - 1,), "omega_o"), inputs[:n_obs])
+        np.multiply(d.B, float(omega_obar), inputs[n_obs:])
+    group = _group([_determinate_constants(d, _shaped(R, (d.N - 1, d.N - 1), "R"))])
     out, work = _buffers(group, len(y))
-    (H,) = _kalman_update(_update_args(group, [(state.P_oo, state.P_bo)], xm, out, work), y)
-    x, (P,), (Pm,) = out[0], _covariances(group, out[1]), _covariances(group, out[2])
+    prev = np.concatenate([state.xi_o_post, state.xi_obar_post])
+    (H,) = _kalman_update(_update_args(group, [(state.P_oo, state.P_bo)], prev, inputs, out, work), y)
+    x, (P,), (Pm,), xm = out[0], _covariances(group, out[1]), _covariances(group, out[2]), out[3]
     return DeterminateKFState(
-        x[:n_obs], x[n_obs:], P[:n_obs], P[n_obs:], xo_m, xb_m, Pm[:n_obs], Pm[n_obs:], H[:n_obs], H[n_obs:]
+        x[:n_obs], x[n_obs:], P[:n_obs], P[n_obs:], xm[:n_obs], xm[n_obs:], Pm[:n_obs], Pm[n_obs:], H[:n_obs], H[n_obs:]
     )
 
 
@@ -559,14 +553,13 @@ def filter_pass(
         raise ValueError(f"x must have shape (T', {n}) with T' >= {T}, got {np.shape(x)}")
     # slot 0 of a store holds the step before the sub-block (NaN gains and
     # priors before step 0: no increment); slot j of a sub-block has its
-    # prediction and kernel arguments built once, below
+    # kernel arguments built once, below, predicting from slot j - 1
     consts = [_standard_constants(model)]
     if d is not None:
         consts.append(_determinate_constants(d, model.meas.R))
     group = _group(consts)
     out, work = _buffers(group, p)
-    # the posterior means [x | xi_o | xi_obar], and the prior means so laid out
-    xs, xm = np.zeros((_SUB + 1, len(out[0]))), np.empty(len(out[0]))
+    xs = np.zeros((_SUB + 1, len(out[0])))  # the posterior means [x | xi_o | xi_obar]
     stored = [xs]
     # the flat posterior covariances alternate between two buffers: step k
     # reads Ps[k % 2], and sub-blocks start at even steps (_SUB is even), so
@@ -575,31 +568,19 @@ def filter_pass(
     blocks = [[(P[: P.shape[1]], P[P.shape[1] :]) for P in _covariances(group, a)] for a in Ps]
     Pms = [out[2]] * (_SUB + 1)  # the priors, unless stored
     eps = np.empty(T) if x is not None else None
-    inc = Hs = deviation = det_inc = coupled = None
+    inc = Hs = deviation = det_inc = None
     if increments:
         inc = np.empty((T, 4))
         Hs, Pms = np.full((_SUB + 1, n, p), np.nan), np.full((_SUB + 1, len(out[2])), np.nan)
         stored += [Hs, Pms]
-    # x- = A x (and xi_o- = Ao xi_o, xi_obar- = A xi_obar) from the slot before
-    pred = [None] + [[(model.bigA, xs[j - 1, :n], xm[:n])] for j in range(1, _SUB + 1)]
     if d is not None:
         TinvT, n_obs = d.Tinv.T, n - 2
         Hds = np.full((_SUB + 1, n, p), np.nan)  # determinate gains [H_o; H_bo]
         stored.append(Hds)
-        xo_m, xb_m = xm[n : n + n_obs], xm[n + n_obs :]
-        if d.q is None:
-            # xi_obar- = coupling xi_o + A xi_obar for a general basis
-            coupled = (xb_m, np.empty(2), xb_m)
-        for j in range(1, _SUB + 1):
-            xi_o, xi_obar = xs[j - 1, n : n + n_obs], xs[j - 1, n + n_obs :]
-            pred[j].append((d.Ao, xi_o, xo_m))
-            if coupled is None:
-                pred[j].append((d.A, xi_obar, xb_m))
-            else:
-                pred[j] += [(d.coupling, xi_o, xb_m), (d.A, xi_obar, coupled[1])]
         deviation, det_inc = np.empty(T), np.empty((T, 4))
     args = [None] + [
-        _update_args(group, blocks[(j - 1) % 2], xm, (xs[j], Ps[j % 2], Pms[j]), work) for j in range(1, _SUB + 1)
+        _update_args(group, blocks[(j - 1) % 2], xs[j - 1], None, (xs[j], Ps[j % 2], Pms[j], out[3]), work)
+        for j in range(1, _SUB + 1)
     ]
 
     # a step that meets a non-finite covariance raises NumericalError
@@ -607,10 +588,6 @@ def filter_pass(
         for k0 in range(0, T, _SUB):
             b = min(_SUB, T - k0)
             for j, yk in enumerate(y[k0 : k0 + b], 1):
-                for a, v, o in pred[j]:
-                    a.dot(v, o)
-                if coupled is not None:
-                    np.add(*coupled)
                 H = _kalman_update(args[j], yk)
                 if Hs is not None:
                     Hs[j] = H[0]
@@ -674,7 +651,7 @@ def solve_stationary(d: Decomposition, R: np.ndarray) -> StationaryGains:
     (N - 1, N - 1) raises ``ValueError``.
     """
     n_obs = 2 * (d.N - 1)
-    R = _measurement_covariance(d, R)
+    R = _shaped(R, (d.N - 1, d.N - 1), "R")
     R_inv_Co = _spd_solve(R, d.Co, "measurement noise covariance")
 
     def rel_diff(a: np.ndarray, b: np.ndarray) -> float:

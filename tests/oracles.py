@@ -8,14 +8,15 @@ so a test that agrees with them checks the library, not a copy of it.
 
 It also keeps the offline pass as it stood before its update kernel
 went through ``np.dot``, prebuilt argument tuples and flat buffers that
-the two filters share: ``_blocks``,
-``_buffers``, ``_kalman_update`` and the loop of ``filter_pass``
-(``reference_filter_pass`` here), verbatim, on the library's unchanged
-constants, prediction and reductions.  Every output of the library's
-pass equals this one's bit for bit.
+the two filters share, and before the kernel formed the prior means:
+``_blocks``, ``_buffers``, ``_kalman_update``, the decomposed
+prediction ``_predict_decomposed`` (with ``_input_pair``) and the loop of
+``filter_pass`` (``reference_filter_pass`` here), verbatim, on the
+library's unchanged constants and reductions.  Every output of the
+library's pass equals this one's bit for bit.
 """
 
-from typing import Optional
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -24,11 +25,11 @@ from eemsync.decomp import Decomposition
 from eemsync.filters import (
     _SUB,
     FilterPass,
+    InputPair,
     _determinate_constants,
     _gain_solve,
     _increments,
     _norms,
-    _predict_decomposed,
     _standard_constants,
     _sym,
 )
@@ -68,6 +69,33 @@ def project(x, d):
 
 # ---------------------------------------------------------------------------
 # the offline pass before its dispatch changes, verbatim
+
+
+def _input_pair(omega_prev: InputPair, n_obs_inputs: int) -> Tuple[np.ndarray, float]:
+    omega_o, omega_obar = omega_prev
+    omega_o = np.asarray(omega_o, dtype=float)
+    if omega_o.shape != (n_obs_inputs,):
+        raise ValueError(
+            f"omega_o must have shape ({n_obs_inputs},), got {omega_o.shape}"
+        )
+    return omega_o, float(omega_obar)
+
+
+def _predict_decomposed(d: Decomposition, xi_o, xi_obar, omega_prev: InputPair, xo_m=None, xb_m=None):
+    """Prior means of the decomposed recursion, into ``xo_m`` / ``xb_m``
+    when given; the products of a zero input (``None``) and of the
+    coupling of a weight basis (exactly zero) are skipped."""
+    xo_m = np.matmul(d.Ao, xi_o, out=xo_m)
+    if d.q is None:
+        xb_m = np.matmul(d.coupling, xi_o, out=xb_m)
+        xb_m += d.A @ xi_obar
+    else:
+        xb_m = np.matmul(d.A, xi_obar, out=xb_m)
+    if omega_prev is not None:
+        omega_o, omega_obar = _input_pair(omega_prev, d.N - 1)
+        xo_m += d.Bo @ omega_o
+        xb_m += d.B * omega_obar
+    return xo_m, xb_m
 
 
 def _blocks(P: np.ndarray) -> tuple:

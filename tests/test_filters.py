@@ -740,6 +740,23 @@ class TestFilterPassShapes:
         assert np.array_equal(run.eps, filter_pass(model, rec.y[:33], x=rec.x[:33]).eps)
 
 
+class TestStepMeasurementShapes:
+    """Both step functions refuse a measurement not shaped (N - 1,) with
+    the shape expected, as ``EemPolicy`` does.  A scalar raised a
+    ``TypeError`` from ``len``, and the other shapes numpy's messages."""
+
+    @pytest.mark.parametrize("shape", [(), (1,), (10,), (9, 1)], ids=["scalar", "one", "N", "column"])
+    @pytest.mark.parametrize("step", ["standard", "determinate"])
+    def test_measurement_of_the_wrong_shape(self, step, shape):
+        model = demo_ensemble()
+        d = decompose(model, np.full(10, 0.1))
+        with pytest.raises(ValueError, match=re.escape(f"y must have shape (9,), got {shape}")):
+            if step == "standard":
+                standard_kf_step(model, standard_kf_init(model), None, np.zeros(shape))
+            else:
+                determinate_kf_step(d, model.meas.R, determinate_kf_init(d), None, np.zeros(shape))
+
+
 def _spd(rng, p: int, cond: float) -> np.ndarray:
     # a random SPD matrix with eigenvalues spread log-uniformly over cond
     Q, _ = np.linalg.qr(rng.standard_normal((p, p)))

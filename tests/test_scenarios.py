@@ -911,6 +911,10 @@ SWEPT_SETTINGS = {
 def swept_configs(draw) -> dict:
     raw = bundled_raw(draw(st.sampled_from(_bundled_names())))
     model = raw["model"]
+    # an ensemble of 2 to 25 clocks: the bundled lists cut, or repeated, to its size
+    n = model["n_clocks"] = draw(st.integers(2, 25))
+    for key, size in (("sigma1", n), ("sigma2", n), ("meas_std", n - 1)):
+        model[key] = [model[key][i % len(model[key])] for i in range(size)]
     for key, bound in SWEEP_EXPONENTS.items():
         if not draw(st.booleans()):
             continue
