@@ -110,30 +110,41 @@ def _sum_squares(c: np.ndarray, m: int, lo: int, n: int, buf: np.ndarray) -> flo
     return np.add.reduce(d)
 
 
+def _aligned(n: int) -> np.ndarray:
+    """An uninitialized float64 array of n entries on a 64-byte line."""
+    raw = np.empty(n + 8)
+    return raw[(-raw.ctypes.data % 64) // 8 :][:n]
+
+
 def _allan_values(h: np.ndarray, tau: float, m_set: Sequence[int]) -> np.ndarray:
     """The overlapping estimator at every m in ``m_set``, column by column.
 
-    Each column is copied once to a contiguous array.  An interval's
-    second differences are formed and squared in place in one reused
-    buffer of at most ``_LEAF`` samples, leaf by leaf, and each leaf is
-    summed by ``np.add.reduce``; the leaves follow numpy's own pairwise
-    tree, so every value equals the one-pass ``mean`` of the squares bit
-    for bit.  Returns one entry per interval for a 1-D series, one row
-    per interval for a 2-D one.
+    A contiguous column is read in place; a strided one is copied into
+    one column buffer, allocated once per call, so the work is one
+    column and one leaf.  An interval's second differences are formed
+    and squared in place in one reused buffer of at most ``_LEAF``
+    samples, leaf by leaf, and each leaf is summed by ``np.add.reduce``;
+    the leaves follow numpy's own pairwise tree, so every value equals
+    the one-pass ``mean`` of the squares bit for bit.  Returns one entry
+    per interval for a 1-D series, one row per interval for a 2-D one.
     """
     T = h.shape[0] - 1
     columns = h.reshape(h.shape[0], -1)
     values = np.empty((len(m_set), columns.shape[1]))
-    # the leaf buffer starts on a 64-byte line: numpy aligns only to 16
-    # bytes, and off a 32-byte boundary the four passes over it ran about
+    # both buffers start on a 64-byte line: numpy aligns only to 16 bytes,
+    # and off a 32-byte boundary the four passes over the leaf ran about
     # 15% slower (their vector loads and stores split cache lines)
-    raw = np.empty(min(T, _LEAF) + 8)
-    buf = raw[(-raw.ctypes.data % 64) // 8 :]
+    buf = _aligned(min(T, _LEAF))
+    # every column has the strides of the first
+    column = None if columns[:, 0].flags.c_contiguous else _aligned(T + 1)
     # a square, a sum or a division that overflows gives inf (NaN from
     # inf - inf) without numpy's warnings; a scenario refuses to write it
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(columns.shape[1]):
-            c = np.ascontiguousarray(columns[:, i])
+            c = columns[:, i]
+            if column is not None:
+                np.copyto(column, c)
+                c = column
             for j, m in enumerate(m_set):
                 m = int(m)
                 n = T - 2 * m

@@ -50,7 +50,7 @@ from .presets import (
     DEFAULT_COLLECTIVE_PERIOD,
     DEFAULT_OBS_GAIN_COEFFS,
 )
-from .simkit import BLOCK, TrajectoryRecord, _spans, simulate
+from .simkit import BLOCK, _spans, simulate
 
 __all__ = ["ScenarioConfig", "KINDS", "validate_config", "run_scenario"]
 
@@ -511,10 +511,10 @@ class _Artifacts:
 # scenario pipelines
 
 
-def _save_trajectory(cfg: ScenarioConfig, art: _Artifacts, rec: TrajectoryRecord) -> None:
+def _save_trajectory(cfg: ScenarioConfig, art: _Artifacts, h: np.ndarray, u: np.ndarray) -> None:
     """The ``trajectory`` output: k, each clock's phase h[k] and input u[k]."""
     if "trajectory" in cfg.outputs:
-        art.save("trajectory.npy", range(rec.T), rec.h[: rec.T], rec.u)
+        art.save("trajectory.npy", range(len(u)), h[: len(u)], u)
 
 
 def _at_tau(plot: AllanPlot) -> np.ndarray:
@@ -531,7 +531,10 @@ def _final_rel_increments(increments: np.ndarray) -> np.ndarray:
 
 def _run_free_run(cfg: ScenarioConfig, art: _Artifacts) -> dict:
     rec = simulate(cfg.model, None, cfg.horizon, cfg.seed)
-    plot = allan_plot(rec.h, cfg.model.tau)
+    # only the offline filters read y: it goes before the Allan analysis
+    h, u = rec.h, rec.u
+    del rec
+    plot = allan_plot(h, cfg.model.tau)
     if "allan" in cfg.outputs:
         art.write_allan({"clock": plot}, "allan")
     s1, s2 = cfg.model.sigma1_sq, cfg.model.sigma2_sq
@@ -550,13 +553,15 @@ def _run_free_run(cfg: ScenarioConfig, art: _Artifacts) -> dict:
         }
     if "analytical" in cfg.outputs:
         art.write_allan(analytical, "reference")
-    _save_trajectory(cfg, art, rec)
+    _save_trajectory(cfg, art, h, u)
     return summary
 
 
 def _run_standard_kf(cfg: ScenarioConfig, art: _Artifacts) -> dict:
     rec = simulate(cfg.model, None, cfg.horizon, cfg.seed)
     run = filter_pass(cfg.model, rec.y, x=rec.x, increments=True)
+    h, u = rec.h, rec.u
+    del rec
     eps, increments = run.eps, run.increments
     if "increments" in cfg.outputs:
         # k, gain and prior covariance: increment and norm (Frobenius)
@@ -567,7 +572,7 @@ def _run_standard_kf(cfg: ScenarioConfig, art: _Artifacts) -> dict:
     if "gains" in cfg.outputs:
         d = decompose(cfg.model, _WEIGHTS["uniform"][0](cfg.model))
         art.write_json("gains.json", _gains_doc(solve_stationary(d, cfg.model.meas.R)))
-    _save_trajectory(cfg, art, rec)
+    _save_trajectory(cfg, art, h, u)
     return {
         "final_gain_rel_increment": float(_final_rel_increments(increments)[0]),
         "final_prior_cov_increment_fro": float(increments[-1, 2]),
@@ -587,6 +592,7 @@ def _run_standard_kf_suboptimal(cfg: ScenarioConfig, art: _Artifacts) -> dict:
     rec = simulate(cfg.model, None, cfg.horizon, cfg.seed)
     eps_opt = filter_pass(cfg.model, rec.y, x=rec.x).eps
     eps_sub = filter_pass(_averaged_model(cfg.model), rec.y, x=rec.x).eps
+    del rec
     plot_opt = allan_plot(eps_opt, cfg.model.tau)
     plot_sub = allan_plot(eps_sub, cfg.model.tau)
     if "allan" in cfg.outputs:
@@ -603,6 +609,7 @@ def _run_determinate_kf(cfg: ScenarioConfig, art: _Artifacts) -> dict:
     model = cfg.model
     rec = simulate(model, None, cfg.horizon, cfg.seed)
     run = filter_pass(model, rec.y, d=decompose(model, cfg.weight))
+    del rec
     deviation, increments = run.deviation, run.det_increments
     increments[0] = np.nan  # no increment into k = 0
     if "equivalence" in cfg.outputs:
@@ -639,7 +646,7 @@ def _run_controller(cfg: ScenarioConfig, art: _Artifacts) -> dict:
         step = max(1, cfg.horizon // 10_000)
         rows = range(0, cfg.horizon + 1, step)
         art.save("delta.npy", rows, sync_error(rec.x[::step], dest[::step]))
-    _save_trajectory(cfg, art, rec)
+    _save_trajectory(cfg, art, rec.h, rec.u)
 
     if "allan" in cfg.outputs:
         # every clock's Allan curve, and the analytical curve of each
@@ -741,7 +748,11 @@ def run_scenario(cfg: ScenarioConfig, out_dir: str, jobs: int = 1) -> dict:
     Returns the manifest (also written as ``manifest.json``): file list
     with content hashes, the config echo, and library versions.  On a
     numerical failure the manifest is still written, with the error
-    recorded and whatever artifacts exist flagged as partial.  ``jobs`` is
+    recorded and whatever artifacts exist flagged as partial.  An earlier
+    ``manifest.json`` in the run directory is removed before the first
+    artifact is written, so a run stopped by any other exception, or
+    killed, leaves no manifest rather than one that vouches for files it
+    overwrote.  ``jobs`` is
     unused; it stays only because ``perfbench/child.py`` passes
     ``jobs=1``.  ``versions.scipy`` is ``None`` for the kinds that never
     load SciPy.
@@ -753,6 +764,11 @@ def run_scenario(cfg: ScenarioConfig, out_dir: str, jobs: int = 1) -> dict:
         scipy_version = scipy.__version__
     directory = os.path.join(out_dir, cfg.name)
     art = _Artifacts(directory)
+    manifest_path = os.path.join(directory, "manifest.json")
+    # an earlier run's manifest must not outlive the first file this run
+    # overwrites: a run stopped before its own manifest leaves none
+    if os.path.exists(manifest_path):
+        os.remove(manifest_path)
     rss_at_start = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     started = time.perf_counter()
     caught: Optional[Exception] = None
@@ -785,7 +801,7 @@ def run_scenario(cfg: ScenarioConfig, out_dir: str, jobs: int = 1) -> dict:
         "peak_rss_mb_at_start": round(rss_at_start / 1024, 3),
         "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 3),
     }
-    _write_json(os.path.join(directory, "manifest.json"), manifest)
+    _write_json(manifest_path, manifest)
     if caught is not None:
         raise caught
     return manifest

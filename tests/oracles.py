@@ -10,13 +10,14 @@ It also keeps the offline pass as it stood before its update kernel
 went through ``np.dot``, prebuilt argument tuples and flat buffers that
 the two filters share, and before the kernel formed the prior means:
 ``_blocks``, ``_buffers``, ``_kalman_update``, the decomposed
-prediction ``_predict_decomposed`` (with ``_input_pair``) and the loop of
-``filter_pass`` (``reference_filter_pass`` here), verbatim, on the
-library's unchanged constants and reductions.  Every output of the
-library's pass equals this one's bit for bit.
+prediction ``_predict_decomposed`` and the loop of ``filter_pass``
+(``reference_filter_pass`` here), verbatim, on the library's unchanged
+constants and reductions.  The one exception is the prediction's input
+branch, which the pass (zero input) never took: it is left out.  Every
+output of the library's pass equals this one's bit for bit.
 """
 
-from typing import Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
@@ -25,7 +26,6 @@ from eemsync.decomp import Decomposition
 from eemsync.filters import (
     _SUB,
     FilterPass,
-    InputPair,
     _determinate_constants,
     _gain_solve,
     _increments,
@@ -71,30 +71,16 @@ def project(x, d):
 # the offline pass before its dispatch changes, verbatim
 
 
-def _input_pair(omega_prev: InputPair, n_obs_inputs: int) -> Tuple[np.ndarray, float]:
-    omega_o, omega_obar = omega_prev
-    omega_o = np.asarray(omega_o, dtype=float)
-    if omega_o.shape != (n_obs_inputs,):
-        raise ValueError(
-            f"omega_o must have shape ({n_obs_inputs},), got {omega_o.shape}"
-        )
-    return omega_o, float(omega_obar)
-
-
-def _predict_decomposed(d: Decomposition, xi_o, xi_obar, omega_prev: InputPair, xo_m=None, xb_m=None):
-    """Prior means of the decomposed recursion, into ``xo_m`` / ``xb_m``
-    when given; the products of a zero input (``None``) and of the
-    coupling of a weight basis (exactly zero) are skipped."""
+def _predict_decomposed(d: Decomposition, xi_o, xi_obar, xo_m=None, xb_m=None):
+    """Prior means of the decomposed recursion at zero input, into
+    ``xo_m`` / ``xb_m`` when given; the product of the coupling of a
+    weight basis (exactly zero) is skipped."""
     xo_m = np.matmul(d.Ao, xi_o, out=xo_m)
     if d.q is None:
         xb_m = np.matmul(d.coupling, xi_o, out=xb_m)
         xb_m += d.A @ xi_obar
     else:
         xb_m = np.matmul(d.A, xi_obar, out=xb_m)
-    if omega_prev is not None:
-        omega_o, omega_obar = _input_pair(omega_prev, d.N - 1)
-        xo_m += d.Bo @ omega_o
-        xb_m += d.B * omega_obar
     return xo_m, xb_m
 
 
@@ -222,7 +208,7 @@ def reference_filter_pass(
                 if inc is not None:
                     Hs[j] = H
                 if d is not None:
-                    _predict_decomposed(d, *z_rows[j - 1], None, *det_m)
+                    _predict_decomposed(d, *z_rows[j - 1], *det_m)
                     out = (*z_rows[j], *det_P[1], *det_prior)
                     Hds[j] = _kalman_update(det, *det_P[0][1:], *det_m, yk, out, det_work)
                     det_P.reverse()

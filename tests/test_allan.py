@@ -255,6 +255,21 @@ class TestLeafBoundaries:
         results = plot.values.nbytes + plot.m_set.nbytes + plot.intervals.nbytes
         assert peak <= 1.1 * _LEAF * 8 + results
 
+    def test_strided_work_is_one_column_and_one_leaf(self):
+        # the phase block of a free run's state record: every column is
+        # strided, and each is copied into the one column buffer in turn
+        T = 200_000
+        h = random_phases(T, 20, seed=43)[:, :10]
+        assert not h[:, 0].flags.c_contiguous
+        tracemalloc.start()
+        try:
+            plot = allan_plot(h, 1.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        results = plot.values.nbytes + plot.m_set.nbytes + plot.intervals.nbytes
+        assert peak <= 1.1 * (T + 1 + _LEAF) * 8 + results
+
 
 @settings(max_examples=150, deadline=None)
 @given(

@@ -558,9 +558,9 @@ def test_zero_measurements_give_zero_deviation():
     # with y = 0 both posteriors stay exactly zero: the deviation's floor on
     # the standard posterior's norm makes every row 0.0, where 0 / 0 is NaN
     model = demo_ensemble()
-    d = decompose(model, _basis(model, "weight"))
-    run = filter_pass(model, np.zeros((40, model.N - 1)), d=d)
-    assert np.array_equal(run.deviation, np.zeros(40))
+    for q in (_basis(model, "weight"), np.full(model.N, 1.0 / model.N)):
+        run = filter_pass(model, np.zeros((40, model.N - 1)), d=decompose(model, q))
+        assert np.array_equal(run.deviation, np.zeros(40))
 
 
 class TestFilterPassSubBlocks:
@@ -1119,14 +1119,16 @@ class TestStationary:
             determinate_kf_step(d, R, state, None, np.zeros(9))
 
     def test_residual_bound_refuses_a_loose_solve(self, monkeypatch):
-        # stopped at a relative increment of 1e-5, the doubling leaves the
-        # bundled balanced decomposition's observable residual at 6.06e-7:
-        # above the 1e-10 bound, though within 1e-6
-        monkeypatch.setattr(filters, "_STATIONARY_TOL", 1e-5)
+        # stopped at a relative increment of 1e-5 or 1e-6, the doubling
+        # leaves the observable residual at 6.06e-7 on the bundled balanced
+        # (short) and the uniform decompositions alike: above the 1e-10
+        # bound, though within 1e-6
         model = demo_ensemble()
-        d = decompose(model, weight_short(model.sigma1_sq))
-        with pytest.raises(ConvergenceError, match=r"residual check \(observable 6\.063e-07, cross "):
-            solve_stationary(d, model.meas.R)
+        for tol, q in ((1e-5, weight_short(model.sigma1_sq)), (1e-6, np.full(model.N, 1.0 / model.N))):
+            monkeypatch.setattr(filters, "_STATIONARY_TOL", tol)
+            d = decompose(model, q)
+            with pytest.raises(ConvergenceError, match=r"residual check \(observable 6\.063e-07, cross "):
+                solve_stationary(d, model.meas.R)
 
     def test_frozen_gain_filter_matches_determinate_at_fixed_point(self):
         model = demo_ensemble(n_clocks=3)

@@ -629,6 +629,52 @@ class TestRunScenario:
         assert cfg.model.N == 10
         assert peak <= 3.68 * state
 
+    def test_free_run_enters_allan_holding_states_and_inputs(self, tmp_path, monkeypatch):
+        raw = dict(bundled_raw("free_run"), horizon=20_000)
+        run_scenario(validate_config(dict(raw, horizon=800)), str(tmp_path / "warm"))
+        cfg = validate_config(raw)
+        plot, held = scen.allan_plot, []
+
+        def allan_plot(h, tau):
+            held.append(tracemalloc.get_traced_memory()[0])
+            return plot(h, tau)
+
+        monkeypatch.setattr(scen, "allan_plot", allan_plot)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            run_scenario(cfg, str(tmp_path / "run"))
+        finally:
+            tracemalloc.stop()
+        # x and u (1.50 state arrays); y, read only by the offline
+        # filters, is gone (with it, 1.95)
+        state = (cfg.horizon + 1) * 2 * cfg.model.N * 8
+        assert len(held) == 1
+        assert held[0] - before <= 1.55 * state
+
+    def test_interrupted_rerun_leaves_no_manifest_of_another_run(self, tmp_path, monkeypatch):
+        raw = dict(bundled_raw("free_run"), horizon=2_000, seed=1)
+        assert run_scenario(validate_config(raw), str(tmp_path))["status"] == "ok"
+        write_allan = scen._Artifacts.write_allan
+
+        def interrupt_after_allan(art, plots, prefix):
+            write_allan(art, plots, prefix)
+            if prefix == "allan":
+                raise KeyboardInterrupt
+
+        monkeypatch.setattr(scen._Artifacts, "write_allan", interrupt_after_allan)
+        with pytest.raises(KeyboardInterrupt):
+            run_scenario(validate_config(dict(raw, seed=2)), str(tmp_path))
+        out = tmp_path / raw["name"]
+        assert len(list(out.glob("allan_clock_*.csv"))) == 10
+        stale = [
+            entry["name"]
+            for path in out.glob("*manifest*.json")
+            for entry in json.loads(path.read_text())["files"]
+            if hashlib.sha256((out / entry["name"]).read_bytes()).hexdigest() != entry["sha256"]
+        ]
+        assert stale == []
+
     def test_numerical_failure_partial_manifest(self, tmp_path, free_run_raises):
         cfg = validate_config(raw_config())
         with pytest.raises(NumericalError, match="synthetic breakdown"):
